@@ -6,7 +6,8 @@ functions against their weak-coupling closed forms), ``energy`` (channel
 energies over a damping sweep), ``sde`` / ``rwa`` (Monte Carlo moment
 reports with standard errors), ``microbath`` (finite-bath noise
 statistics and memory-dynamics moments) and ``scan`` (the standard
-four-damping figure set written into a directory).
+four-damping figure set written into a directory).  ``sde``, ``rwa`` and
+``microbath`` all write sample trajectories to CSV with ``--dump-traj``.
 
 Every run echoes its full parameter block as ``# key=value`` comment
 lines that re-parse as a config file; identical parameters and seed give
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,19 +76,21 @@ class RunConfig:
             raise _CliError(f"unknown command {self.command!r}")
         for key in ("gamma", "omega0", "temp", "hbar", "kb", "mass",
                     "omega_max", "cutoff"):
-            if not getattr(self, key) > 0:
-                raise _CliError(f"{key} must be positive")
+            if not 0 < getattr(self, key) < math.inf:
+                raise _CliError(f"{key} must be positive and finite")
         for key in ("modes", "realizations", "traj"):
             if getattr(self, key) < 1:
                 raise _CliError(f"{key} must be >= 1")
         if self.steps < 0:
             raise _CliError("steps must be nonnegative (0 selects the default)")
-        if self.dt < 0:
-            raise _CliError("dt must be nonnegative (0 selects the default)")
+        if not 0 <= self.dt < math.inf:
+            raise _CliError("dt must be nonnegative and finite (0 selects the default)")
+        if self.seed < 0:
+            raise _CliError("seed must be nonnegative")
         if self.format not in ("csv", "json"):
             raise _CliError("format must be csv or json")
-        if not self.gammas or any(g <= 0 for g in self.gammas):
-            raise _CliError("gammas must be positive")
+        if not self.gammas or not all(0 < g < math.inf for g in self.gammas):
+            raise _CliError("gammas must be positive and finite")
         if self.grid:
             parse_grid(self.grid)
         return self
@@ -220,21 +224,11 @@ def build_parser() -> _Parser:
 
 
 def config_from_args(args) -> RunConfig:
-    raw = {}
-    if args.config:
-        text = Path(args.config).read_text()
-        raw.update(io.parse_config_text(text))
-    field_names = {f.name for f in dataclasses.fields(RunConfig)}
-    for key, value in vars(args).items():
-        if key in ("command", "config", "dump_traj", "dump_count"):
-            continue
-        if value is None:
-            continue
-        if key not in field_names:
-            continue
-        raw[key] = value
-    if "gammas" in raw and isinstance(raw["gammas"], str):
-        raw["gammas"] = _parse_field("gammas", raw["gammas"])
+    if getattr(args, "dump_count", 1) < 1:
+        raise _CliError("dump-count must be >= 1")
+    raw = io.parse_config_text(Path(args.config).read_text()) if args.config else {}
+    fields = {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
+    raw.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
     return RunConfig.from_params(args.command, raw)
 
 
@@ -288,43 +282,49 @@ def run_energy(cfg: RunConfig):
     return columns, units, rows, None
 
 
-def run_sde(cfg: RunConfig, dump_traj=None, dump_count=1):
-    system = cfg.system()
-    params = markovian.MarkovParams.from_system(system, cfg.gamma)
-    dt = cfg.dt or 1.0 / cfg.gamma
-    steps = cfg.steps or 1000
-    res = markovian.simulate_sde(params, dt, steps, cfg.traj, cfg.seed)
+def _sde_rows(params, dt, steps, traj, seed):
+    res = markovian.simulate_sde(params, dt, steps, traj, seed)
     x2_ref, v2_ref = markovian.stationary_moments_analytic(params)
-    rows = [
+    classical = markovian.noise_intensity_classical(params.system, params.gamma)
+    return [
         ("x2", res["x2"].mean, res["x2"].se, res["x2"].n, x2_ref),
         ("v2", res["v2"].mean, res["v2"].se, res["v2"].n, v2_ref),
         ("noise_intensity", params.noise, 0.0, 1, params.noise),
-        ("noise_intensity_classical", markovian.noise_intensity_classical(system, cfg.gamma),
-         0.0, 1, markovian.noise_intensity_classical(system, cfg.gamma)),
+        ("noise_intensity_classical", classical, 0.0, 1, classical),
     ]
-    if dump_traj:
-        times, xs, vs, force = markovian.sample_trajectories(
-            params, dt, min(steps, 1000), dump_count, cfg.seed)
-        _write_trajectories(dump_traj, times, xs, vs, force)
-    columns = ("quantity", "value", "std_error", "n", "reference")
-    units = ("name", "natural units", "natural units", "count", "analytic")
-    return columns, units, rows, None
 
 
-def run_rwa(cfg: RunConfig, dump_traj=None, dump_count=1):
-    system = cfg.system()
-    params = rwa_mod.RwaParams.from_system(system, cfg.gamma)
-    dt = cfg.dt or 1.0 / cfg.gamma
-    steps = cfg.steps or 1000
-    res = rwa_mod.simulate_rwa(params, dt, steps, cfg.traj, cfg.seed)
+def _rwa_rows(params, dt, steps, traj, seed):
+    res = rwa_mod.simulate_rwa(params, dt, steps, traj, seed)
     x2_ref, p2_ref = rwa_mod.rwa_stationary_analytic(params)
-    rows = [
+    return [
         ("x2", res["x2"].mean, res["x2"].se, res["x2"].n, x2_ref),
         ("p2", res["p2"].mean, res["p2"].se, res["p2"].n, p2_ref),
         ("xp", res["xp"].mean, res["xp"].se, res["xp"].n, 0.0),
         ("ehrenfest_residual", res["ehrenfest"].mean, res["ehrenfest"].se,
-         res["ehrenfest"].n, params.intensity_x / (2.0 * dt)),
+         res["ehrenfest"].n, rwa_mod.ehrenfest_residual_exact(params, dt)),
     ]
+
+
+# command -> (parameter class, report rows, trajectory sampler, dump columns)
+LINEAR_MODELS = {
+    "sde": (markovian.MarkovParams, _sde_rows, markovian.sample_trajectories,
+            ("x", "v", "f")),
+    "rwa": (rwa_mod.RwaParams, _rwa_rows, rwa_mod.sample_trajectories,
+            ("x", "p", "f_x", "f_p")),
+}
+
+
+def run_linear_sde(cfg: RunConfig, dump_traj=None, dump_count=1):
+    """Moment report of the Markovian (``sde``) or rotating-wave (``rwa``) ensemble."""
+    params_cls, report, sample, dump_columns = LINEAR_MODELS[cfg.command]
+    params = params_cls.from_system(cfg.system(), cfg.gamma)
+    dt = cfg.dt or 1.0 / cfg.gamma
+    steps = cfg.steps or 1000
+    rows = report(params, dt, steps, cfg.traj, cfg.seed)
+    if dump_traj:
+        times, *series = sample(params, dt, min(steps, 1000), dump_count, cfg.seed)
+        _write_trajectories(dump_traj, dump_columns, times, series)
     columns = ("quantity", "value", "std_error", "n", "reference")
     units = ("name", "natural units", "natural units", "count", "analytic")
     return columns, units, rows, None
@@ -349,17 +349,14 @@ def run_microbath(cfg: RunConfig, dump_traj=None, dump_count=1):
         rows.append(("noise_mean", float(tau), mean_est.mean, mean_est.se, 0.0))
         rows.append(("noise_autocorr", float(tau), corr_est.mean, corr_est.se, ref))
 
-    dump = None
-    if dump_traj:
-        collected = {}
+    collected = []
 
-        def dump(indices, times, xs, vs, force):
-            for j, idx in enumerate(indices):
-                if idx < dump_count:
-                    collected[idx] = (times, xs[:, j], vs[:, j], force[:, j])
+    def dump(indices, times, xs, vs, force):
+        keep = [j for j, idx in enumerate(indices) if idx < dump_count]
+        collected.append((times, xs[:, keep], vs[:, keep], force[:, keep]))
 
     res = microbath.gle_ensemble_moments(
-        modes, system, grid, cfg.realizations, cfg.seed, dump=dump)
+        modes, system, grid, cfg.realizations, cfg.seed, dump=dump if dump_traj else None)
     susc = Susceptibility(system, bath)
     qcfg = QuadratureConfig()
     x2_ref = fdt.position_correlation(0.0, system, bath, qcfg, susc)
@@ -369,30 +366,22 @@ def run_microbath(cfg: RunConfig, dump_traj=None, dump_count=1):
     rows.append(("gle_moment_v2", grid.dt * grid.n_steps, res["v2"].mean,
                  res["v2"].se, v2_ref))
 
-    if dump_traj and collected:
-        first = collected[min(collected)]
-        times = first[0]
-        xs = np.stack([collected[i][1] for i in sorted(collected)], axis=1)
-        vs = np.stack([collected[i][2] for i in sorted(collected)], axis=1)
-        fs = np.stack([collected[i][3] for i in sorted(collected)], axis=1)
-        _write_trajectories(dump_traj, times, xs, vs, fs)
+    if dump_traj:
+        series = [np.concatenate([c[i] for c in collected], axis=1) for i in (1, 2, 3)]
+        _write_trajectories(dump_traj, ("x", "v", "f"), collected[0][0], series)
 
     columns = ("section", "key", "value", "std_error", "reference")
     units = ("name", "time or label", "natural units", "natural units", "quadrature")
     return columns, units, rows, "section"
 
 
-def _write_trajectories(path, times, xs, vs, force):
+def _write_trajectories(path, names, times, series):
     with open(path, "w") as fh:
-        fh.write("realization,t,x,v,f\n")
-        for j in range(xs.shape[1]):
+        fh.write(",".join(("realization", "t", *names)) + "\n")
+        for j in range(series[0].shape[1]):
             for i in range(times.size):
-                fh.write(
-                    f"{j},{io.format_number(float(times[i]))},"
-                    f"{io.format_number(float(xs[i, j]))},"
-                    f"{io.format_number(float(vs[i, j]))},"
-                    f"{io.format_number(float(force[i, j]))}\n"
-                )
+                cells = [times[i]] + [s[i, j] for s in series]
+                fh.write(f"{j}," + ",".join(io.format_number(float(c)) for c in cells) + "\n")
 
 
 RUNNERS = {
@@ -427,7 +416,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = config_from_args(args)
-    except _CliError as exc:
+    except QlesimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
@@ -441,21 +430,12 @@ def main(argv=None) -> int:
             return EXIT_OK
         if cfg.command in RUNNERS:
             columns, units, rows, block = RUNNERS[cfg.command](cfg)
-        elif cfg.command == "sde":
-            columns, units, rows, block = run_sde(
-                cfg, getattr(args, "dump_traj", None), getattr(args, "dump_count", 1))
-        elif cfg.command == "rwa":
-            columns, units, rows, block = run_rwa(
-                cfg, getattr(args, "dump_traj", None), getattr(args, "dump_count", 1))
         else:
-            columns, units, rows, block = run_microbath(
-                cfg, getattr(args, "dump_traj", None), getattr(args, "dump_count", 1))
+            run = run_microbath if cfg.command == "microbath" else run_linear_sde
+            columns, units, rows, block = run(cfg, args.dump_traj, args.dump_count)
     except (QuadratureError, UnstableIntegrationError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except QlesimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

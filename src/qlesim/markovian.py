@@ -26,9 +26,9 @@ import numpy as np
 from scipy import integrate
 
 from .bath import SystemSpec
-from .ensemble import EnsembleResult, MomentAccumulator
-from .errors import DomainError, UnstableIntegrationError
-from .sde import exact_discretization, noise_factor, trajectory_seeds
+from .ensemble import EnsembleResult
+from .errors import DomainError
+from .sde import run_ensemble, sample_paths, stepper
 
 __all__ = [
     "MarkovParams",
@@ -210,6 +210,14 @@ def _greens_kernel_deriv(roots: CharRoots, t):
     return out if out.ndim else float(out)
 
 
+def _linear_system(params: MarkovParams):
+    """Drift and diffusion of the (x, v) pair; noise drives the velocity."""
+    sys_ = params.system
+    drift = np.array([[0.0, 1.0], [-sys_.omega0 * sys_.omega0, -params.gamma]])
+    diffusion = np.array([[0.0, 0.0], [0.0, params.noise / (2.0 * sys_.mass**2)]])
+    return drift, diffusion
+
+
 def simulate_sde(params: MarkovParams, dt: float, n_steps: int, n_traj: int,
                  seed: int, method: str = "exact", burn_in: float | None = None,
                  chunk_size: int = 2048) -> EnsembleResult:
@@ -229,62 +237,17 @@ def simulate_sde(params: MarkovParams, dt: float, n_steps: int, n_traj: int,
 
     Returns an :class:`EnsembleResult` with moments ``x2`` and ``v2``.
     """
-    if method not in ("exact", "euler"):
-        raise DomainError("method must be 'exact' or 'euler'")
-    if not dt > 0 or n_steps < 1 or n_traj < 1:
-        raise DomainError("dt, n_steps and n_traj must be positive")
-    if method == "euler" and dt * params.system.omega0 > 0.01:
-        raise DomainError("euler mode requires dt * omega0 <= 0.01")
-
-    sys_ = params.system
-    m, w0, gamma = sys_.mass, sys_.omega0, params.gamma
-    drift = np.array([[0.0, 1.0], [-w0 * w0, -gamma]])
-    q_rate = params.noise / (2.0 * m * m)
-    diffusion = np.array([[0.0, 0.0], [0.0, q_rate]])
-
-    if burn_in is None:
-        burn_in = 10.0 / gamma
-    burn_steps = max(1, math.ceil(burn_in / dt))
-
-    if method == "exact":
-        prop, q_dt = exact_discretization(drift, diffusion, dt)
-        factor = noise_factor(q_dt)
-    else:
-        prop = np.eye(2) + drift * dt
-        factor = np.zeros((2, 2))
-        factor[1, 1] = math.sqrt(q_rate * dt)
-
-    total = burn_steps + n_steps
-    acc_x2 = MomentAccumulator()
-    acc_v2 = MomentAccumulator()
-    scale = (sys_.hbar / (m * w0)) * float(sys_.thermal_coth(w0))
-
-    for start in range(0, n_traj, chunk_size):
-        idx = range(start, min(start + chunk_size, n_traj))
-        rngs = trajectory_seeds(seed, idx)
-        noise = np.stack([r.standard_normal((total, 2)) for r in rngs])
-        state = np.zeros((len(rngs), 2))
-        sum_x2 = np.zeros(len(rngs))
-        sum_v2 = np.zeros(len(rngs))
-        for k in range(total):
-            state = state @ prop.T + noise[:, k, :] @ factor.T
-            if k >= burn_steps:
-                sum_x2 += state[:, 0] ** 2
-                sum_v2 += state[:, 1] ** 2
-        if not np.all(np.isfinite(state)) or np.max(np.abs(state[:, 0])) > 1e6 * math.sqrt(scale):
-            raise UnstableIntegrationError(
-                "SDE trajectories diverged; reduce dt or use method='exact'"
-            )
-        acc_x2.update_batch(sum_x2 / n_steps)
-        acc_v2.update_batch(sum_v2 / n_steps)
-
-    return EnsembleResult(
-        moments={"x2": acc_x2.estimate(), "v2": acc_v2.estimate()},
-        n_traj=n_traj,
-        seed=seed,
-        meta={"dt": dt, "n_steps": n_steps, "burn_steps": burn_steps,
-              "method": method, "gamma": gamma},
+    prop, factor = stepper(*_linear_system(params), dt, n_steps, n_traj, method)
+    burn_steps = max(1, math.ceil((10.0 / params.gamma if burn_in is None else burn_in) / dt))
+    accs = run_ensemble(
+        prop, factor, n_steps, n_traj, seed,
+        {"x2": lambda prev, s: s[:, 0] ** 2, "v2": lambda prev, s: s[:, 1] ** 2},
+        burn_steps, chunk_size, bound=1e6 * math.sqrt(stationary_moments_analytic(params)[0]),
     )
+    moments = {name: acc.estimate() for name, acc in accs.items()}
+    return EnsembleResult(moments, n_traj, seed,
+                          meta={"dt": dt, "n_steps": n_steps, "burn_steps": burn_steps,
+                                "method": method, "gamma": params.gamma})
 
 
 def sample_trajectories(params: MarkovParams, dt: float, n_steps: int,
@@ -296,32 +259,7 @@ def sample_trajectories(params: MarkovParams, dt: float, n_steps: int,
     driving each step (zero in the final slot).  Streams are keyed by
     (seed, index) exactly as in :func:`simulate_sde`.
     """
-    if method not in ("exact", "euler"):
-        raise DomainError("method must be 'exact' or 'euler'")
-    if not dt > 0 or n_steps < 1 or n_traj < 1:
-        raise DomainError("dt, n_steps and n_traj must be positive")
-    sys_ = params.system
-    drift = np.array([[0.0, 1.0], [-sys_.omega0**2, -params.gamma]])
-    q_rate = params.noise / (2.0 * sys_.mass**2)
-    diffusion = np.array([[0.0, 0.0], [0.0, q_rate]])
-    if method == "exact":
-        prop, q_dt = exact_discretization(drift, diffusion, dt)
-        factor = noise_factor(q_dt)
-    else:
-        prop = np.eye(2) + drift * dt
-        factor = np.zeros((2, 2))
-        factor[1, 1] = math.sqrt(q_rate * dt)
-    rngs = trajectory_seeds(seed, range(n_traj))
-    noise = np.stack([r.standard_normal((n_steps, 2)) for r in rngs])
-    xs = np.zeros((n_steps + 1, n_traj))
-    vs = np.zeros((n_steps + 1, n_traj))
-    force = np.zeros((n_steps + 1, n_traj))
-    state = np.zeros((n_traj, 2))
-    for k in range(n_steps):
-        kick = noise[:, k, :] @ factor.T
-        state = state @ prop.T + kick
-        xs[k + 1] = state[:, 0]
-        vs[k + 1] = state[:, 1]
-        force[k] = sys_.mass * kick[:, 1] / dt
-    times = dt * np.arange(n_steps + 1)
-    return times, xs, vs, force
+    prop, factor = stepper(*_linear_system(params), dt, n_steps, n_traj, method)
+    states, kicks = sample_paths(prop, factor, n_steps, n_traj, seed)
+    force = params.system.mass * kicks[:, :, 1] / dt
+    return dt * np.arange(n_steps + 1), states[:, :, 0], states[:, :, 1], force

@@ -23,12 +23,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg import solve_continuous_lyapunov, solve_discrete_lyapunov
 
 from .bath import SystemSpec
-from .ensemble import EnsembleResult, MomentAccumulator
-from .errors import DomainError, UnstableIntegrationError
-from .sde import exact_discretization, noise_factor, trajectory_seeds
+from .ensemble import EnsembleResult
+from .errors import DomainError
+from .sde import exact_discretization, run_ensemble, sample_paths, stepper
 
 __all__ = [
     "RwaParams",
@@ -36,7 +36,9 @@ __all__ = [
     "rwa_hamiltonian_split",
     "rwa_stationary_analytic",
     "drift_matrix",
+    "ehrenfest_residual_exact",
     "simulate_rwa",
+    "sample_trajectories",
 ]
 
 # gamma/omega0 above which the weak-coupling premise of the RWA is dubious
@@ -143,6 +145,20 @@ def rwa_stationary_analytic(params: RwaParams):
     return float(cov[0, 0]), float(cov[1, 1])
 
 
+def ehrenfest_residual_exact(params: RwaParams, dt: float) -> float:
+    """Stationary mean square of the residual (x_{k+1} - x_k)/dt - p_k/m.
+
+    Under the exact update S_{k+1} = E S_k + w_k the residual is
+    c S_k + w_k[0]/dt, c = row 0 of (E - I)/dt minus (0, 1/m), so its mean
+    square is c Sigma c^T + Q_dt[0, 0]/dt^2 with Sigma = E Sigma E^T + Q_dt.
+    It tends to I_x/(2 dt) as dt -> 0.
+    """
+    prop, q_dt = exact_discretization(drift_matrix(params), _diffusion_matrix(params), dt)
+    cov = solve_discrete_lyapunov(prop, q_dt)
+    c = (prop - np.eye(2))[0] / dt - np.array([0.0, 1.0 / params.system.mass])
+    return float(c @ cov @ c + q_dt[0, 0] / dt**2)
+
+
 def simulate_rwa(params: RwaParams, dt: float, n_steps: int, n_traj: int,
                  seed: int, method: str = "exact", burn_in: float | None = None,
                  chunk_size: int = 2048) -> EnsembleResult:
@@ -153,71 +169,47 @@ def simulate_rwa(params: RwaParams, dt: float, n_steps: int, n_traj: int,
     ``p2``, the symmetrized cross moment ``xp``, and ``ehrenfest``, the
     mean square of the discrete residual (x_{k+1} - x_k)/dt - p_k/m.  The
     residual is driven by the white x-noise, so its magnitude grows with
-    the sampling bandwidth as I_x/(2 dt); it is reported, not checked
-    against a target.
+    the sampling bandwidth; its exact stationary value for the exact
+    update is :func:`ehrenfest_residual_exact`, about I_x/(2 dt) for small
+    dt.
 
     Simulation outside the narrowband regime (gamma > omega0/10) is
     permitted but warns, since the underlying approximation is then
     unjustified.
     """
-    if method not in ("exact", "euler"):
-        raise DomainError("method must be 'exact' or 'euler'")
-    if not dt > 0 or n_steps < 1 or n_traj < 1:
-        raise DomainError("dt, n_steps and n_traj must be positive")
-    if method == "euler" and dt * params.system.omega0 > 0.01:
-        raise DomainError("euler mode requires dt * omega0 <= 0.01")
+    prop, factor = stepper(drift_matrix(params), _diffusion_matrix(params),
+                           dt, n_steps, n_traj, method)
     if not params.narrowband:
         warnings.warn(
             "gamma exceeds omega0/10; RWA dynamics is physically dubious here",
             stacklevel=2,
         )
+    m = params.system.mass
+    burn_steps = max(1, math.ceil((10.0 / params.gamma if burn_in is None else burn_in) / dt))
+    observables = {
+        "x2": lambda prev, s: s[:, 0] ** 2,
+        "p2": lambda prev, s: s[:, 1] ** 2,
+        "xp": lambda prev, s: s[:, 0] * s[:, 1],
+        "ehrenfest": lambda prev, s: ((s[:, 0] - prev[:, 0]) / dt - prev[:, 1] / m) ** 2,
+    }
+    accs = run_ensemble(prop, factor, n_steps, n_traj, seed, observables, burn_steps,
+                        chunk_size, bound=1e6 * math.sqrt(rwa_stationary_analytic(params)[0]))
+    moments = {name: acc.estimate() for name, acc in accs.items()}
+    return EnsembleResult(moments, n_traj, seed,
+                          meta={"dt": dt, "n_steps": n_steps, "burn_steps": burn_steps,
+                                "method": method, "gamma": params.gamma,
+                                "noise_bandwidth": 1.0 / dt})
 
-    sys_ = params.system
-    m = sys_.mass
-    a = drift_matrix(params)
-    q = _diffusion_matrix(params)
-    if burn_in is None:
-        burn_in = 10.0 / params.gamma
-    burn_steps = max(1, math.ceil(burn_in / dt))
 
-    if method == "exact":
-        prop, q_dt = exact_discretization(a, q, dt)
-        factor = noise_factor(q_dt)
-    else:
-        prop = np.eye(2) + a * dt
-        factor = noise_factor(q * dt)
+def sample_trajectories(params: RwaParams, dt: float, n_steps: int, n_traj: int,
+                        seed: int, method: str = "exact"):
+    """(times, x, p, f_x, f_p) of the first ``n_traj`` streams of :func:`simulate_rwa`.
 
-    total = burn_steps + n_steps
-    accs = {name: MomentAccumulator() for name in ("x2", "p2", "xp", "ehrenfest")}
-    scale = math.sqrt(abs(rwa_stationary_analytic(params)[0])) + 1e-300
-
-    for start in range(0, n_traj, chunk_size):
-        idx = range(start, min(start + chunk_size, n_traj))
-        rngs = trajectory_seeds(seed, idx)
-        noise = np.stack([r.standard_normal((total, 2)) for r in rngs])
-        state = np.zeros((len(rngs), 2))
-        sums = {name: np.zeros(len(rngs)) for name in accs}
-        for k in range(total):
-            prev = state
-            state = state @ prop.T + noise[:, k, :] @ factor.T
-            if k >= burn_steps:
-                sums["x2"] += state[:, 0] ** 2
-                sums["p2"] += state[:, 1] ** 2
-                sums["xp"] += state[:, 0] * state[:, 1]
-                resid = (state[:, 0] - prev[:, 0]) / dt - prev[:, 1] / m
-                sums["ehrenfest"] += resid**2
-        if not np.all(np.isfinite(state)) or np.max(np.abs(state[:, 0])) > 1e6 * scale:
-            raise UnstableIntegrationError(
-                "RWA trajectories diverged; reduce dt or use method='exact'"
-            )
-        for name, acc in accs.items():
-            acc.update_batch(sums[name] / n_steps)
-
-    return EnsembleResult(
-        moments={name: acc.estimate() for name, acc in accs.items()},
-        n_traj=n_traj,
-        seed=seed,
-        meta={"dt": dt, "n_steps": n_steps, "burn_steps": burn_steps,
-              "method": method, "gamma": params.gamma,
-              "noise_bandwidth": 1.0 / dt},
-    )
+    Arrays are (n_steps + 1, n_traj); f_x, f_p are each channel's noise
+    kick per step over dt, zero in the final slot.
+    """
+    prop, factor = stepper(drift_matrix(params), _diffusion_matrix(params),
+                           dt, n_steps, n_traj, method)
+    states, kicks = sample_paths(prop, factor, n_steps, n_traj, seed)
+    return (dt * np.arange(n_steps + 1), states[:, :, 0], states[:, :, 1],
+            kicks[:, :, 0] / dt, kicks[:, :, 1] / dt)

@@ -147,6 +147,18 @@ class TestEnsembleCommands:
         ids = {line.split(",")[0] for line in lines[1:]}
         assert ids == {"0", "1"}
 
+    def test_rwa_trajectory_dump(self, tmp_path, capsys):
+        dump = tmp_path / "rwa_traj.csv"
+        code, _, _ = run_cli(
+            ["rwa", "--gamma", "0.1", "--traj", "5", "--steps", "30",
+             "--dump-traj", str(dump), "--dump-count", "2"], capsys)
+        assert code == 0
+        lines = dump.read_text().splitlines()
+        assert lines[0] == "realization,t,x,p,f_x,f_p"
+        ids = [line.split(",")[0] for line in lines[1:]]
+        assert set(ids) == {"0", "1"}
+        assert len(ids) == 2 * 31
+
     def test_sde_trajectory_dump(self, tmp_path, capsys):
         dump = tmp_path / "sde_traj.csv"
         code, _, _ = run_cli(
@@ -225,6 +237,38 @@ class TestExitCodes:
              "--out", str(target)], capsys)
         assert code == 3
         assert "i/o error" in err
+
+    @pytest.mark.parametrize("flag", (["--seed", "-1"], ["--gamma", "inf"],
+                                      ["--dt", "inf"], ["--temp", "inf"]))
+    def test_bad_number_is_one_line_error(self, flag, capsys):
+        code, _, err = run_cli(["sde", "--traj", "5", *flag], capsys)
+        assert code == 1
+        assert err.startswith("error: " + flag[0][2:])
+        assert len(err.splitlines()) == 1
+
+    def test_malformed_config_line_is_one_line_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("oops\n")
+        code, _, err = run_cli(["sde", "--config", str(cfg_file)], capsys)
+        assert code == 1
+        assert err.startswith("error: config line 1")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ("sde", "rwa", "microbath"))
+    def test_bad_dump_count_rejected_before_running(self, command, tmp_path,
+                                                    capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("simulation ran")
+
+        for module, name in ((cli.markovian, "simulate_sde"), (cli.rwa_mod, "simulate_rwa"),
+                             (cli.microbath, "noise_ensemble_stats")):
+            monkeypatch.setattr(module, name, fail)
+        dump = tmp_path / "traj.csv"
+        code, _, err = run_cli([command, "--dump-traj", str(dump), "--dump-count", "0"],
+                               capsys)
+        assert code == 1
+        assert err == "error: dump-count must be >= 1\n"
+        assert not dump.exists()
 
     def test_bad_grid_is_one(self, capsys):
         code, _, _ = run_cli(["dist", "--grid", "oops"], capsys)

@@ -133,6 +133,24 @@ class TestSimulate:
         bandwidth_scale = params.intensity_x / (2.0 * dt)
         assert res["ehrenfest"].mean == pytest.approx(bandwidth_scale, rel=0.5)
 
+    def test_ehrenfest_exact_value(self):
+        params = rwa.RwaParams.from_system(SystemSpec(), 0.1)
+        assert rwa.ehrenfest_residual_exact(params, 1.0) == pytest.approx(
+            0.540382064, rel=1e-8)
+
+    def test_ehrenfest_exact_small_step_limit(self):
+        params = rwa.RwaParams.from_system(SystemSpec(), 0.1)
+        dt = 1e-3
+        assert rwa.ehrenfest_residual_exact(params, dt) == pytest.approx(
+            params.intensity_x / (2.0 * dt), rel=1e-3)
+
+    def test_ehrenfest_matches_exact_at_unit_step(self):
+        # at dt = 1 the small-step value I_x/(2 dt) = 0.216 is 2.5x too low
+        params = rwa.RwaParams.from_system(SystemSpec(), 0.1)
+        res = rwa.simulate_rwa(params, dt=1.0, n_steps=400, n_traj=200, seed=31)
+        exact = rwa.ehrenfest_residual_exact(params, 1.0)
+        assert abs(res["ehrenfest"].mean - exact) < 4.0 * res["ehrenfest"].se
+
     def test_warns_outside_narrowband(self):
         sys_ = SystemSpec()
         params = rwa.RwaParams.from_system(sys_, 0.5)
