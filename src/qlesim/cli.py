@@ -203,11 +203,14 @@ def build_parser() -> _Parser:
     for name in ("dist", "energy", "scan"):
         parsers[name].add_argument("--gammas", type=str, default=None,
                                    help="comma list of damping ratios")
-    for name in ("sde", "rwa", "microbath"):
+    for name in ("sde", "rwa"):
         parsers[name].add_argument("--traj", type=int, default=None,
                                    help="number of trajectories")
         parsers[name].add_argument("--steps", type=int, default=None,
                                    help="post-burn-in samples per trajectory")
+    parsers["microbath"].add_argument("--steps", type=int, default=None,
+                                      help="grid steps: moments at steps * dt, dump at every step")
+    for name in ("sde", "rwa", "microbath"):
         parsers[name].add_argument("--dt", type=float, default=None,
                                    help="time step (0 selects the default)")
         parsers[name].add_argument("--dump-traj", dest="dump_traj", type=str,
@@ -349,14 +352,7 @@ def run_microbath(cfg: RunConfig, dump_traj=None, dump_count=1):
         rows.append(("noise_mean", float(tau), mean_est.mean, mean_est.se, 0.0))
         rows.append(("noise_autocorr", float(tau), corr_est.mean, corr_est.se, ref))
 
-    collected = []
-
-    def dump(indices, times, xs, vs, force):
-        keep = [j for j, idx in enumerate(indices) if idx < dump_count]
-        collected.append((times, xs[:, keep], vs[:, keep], force[:, keep]))
-
-    res = microbath.gle_ensemble_moments(
-        modes, system, grid, cfg.realizations, cfg.seed, dump=dump if dump_traj else None)
+    res = microbath.gle_ensemble_moments(modes, system, grid, cfg.realizations, cfg.seed)
     susc = Susceptibility(system, bath)
     qcfg = QuadratureConfig()
     x2_ref = fdt.position_correlation(0.0, system, bath, qcfg, susc)
@@ -367,8 +363,9 @@ def run_microbath(cfg: RunConfig, dump_traj=None, dump_count=1):
                  res["v2"].se, v2_ref))
 
     if dump_traj:
-        series = [np.concatenate([c[i] for c in collected], axis=1) for i in (1, 2, 3)]
-        _write_trajectories(dump_traj, ("x", "v", "f"), collected[0][0], series)
+        times, *series = microbath.sample_trajectories(
+            modes, system, grid, min(dump_count, cfg.realizations), cfg.seed)
+        _write_trajectories(dump_traj, ("x", "v", "f"), times, series)
 
     columns = ("section", "key", "value", "std_error", "reference")
     units = ("name", "time or label", "natural units", "natural units", "quadrature")

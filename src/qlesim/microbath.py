@@ -14,11 +14,14 @@ The memory equation of motion
 
     m x'' + Int_0^t mu(t - t') x'(t') dt' + m w0^2 x = f(t)
 
-is integrated by explicit RK4 with the convolution evaluated by the
-trapezoidal rule over the recorded velocity history and frozen across the
-substeps of each step.  Realizations are independent work units keyed by
-(seed, index); ensembles are processed in chunks with mergeable moment
-accumulators, so chunked and serial runs agree.
+is not stepped: the oscillator and its modes (with the counterterm) form
+one quadratic Hamiltonian, so diagonalizing the (N+1) x (N+1)
+mass-weighted Hessian gives x(t) and v(t) exactly at any time (Ford, Kac
+& Mazur 1965; Ullersma 1966), with the same displaced preparation
+q_j(0) = s_j + c_j x(0) / (m_j w_j^2).  The same decomposition gives the
+exact finite-N ensemble moments.  Realizations are independent work units
+keyed by (seed, index); ensembles are processed in chunks with mergeable
+moment accumulators, so chunked and serial runs agree.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import multi_dot
 
 from .bath import BathKind, BathSpec, ModeSet, SystemSpec
 from .ensemble import EnsembleResult, MomentAccumulator
@@ -45,6 +49,8 @@ __all__ = [
     "integrate_gle",
     "noise_ensemble_stats",
     "gle_ensemble_moments",
+    "gle_moments_exact",
+    "sample_trajectories",
 ]
 
 
@@ -88,10 +94,6 @@ class TrajectoryGrid:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.n_steps + 1)
 
-    @property
-    def half_times(self) -> np.ndarray:
-        return 0.5 * self.dt * np.arange(2 * self.n_steps + 1)
-
     def check_resolves(self, modes: ModeSet):
         fastest = float(np.max(modes.omega))
         if self.dt * fastest >= 0.1:
@@ -130,10 +132,9 @@ def sample_initial_conditions(modes: ModeSet, system: SystemSpec, x0: float,
     return BathInitialConditions(displacement=s, momentum=p, x0=float(x0))
 
 
-def _noise_coefficients(modes: ModeSet, ics: BathInitialConditions):
-    a = modes.coupling * ics.displacement
-    b = modes.coupling * ics.momentum / (modes.mass * modes.omega)
-    return a, b
+def _noise_coefficients(modes: ModeSet, s, p):
+    """Cosine and sine amplitudes of the noise along the last axis of s, p."""
+    return modes.coupling * s, modes.coupling * p / (modes.mass * modes.omega)
 
 
 def noise_trajectory(modes: ModeSet, ics: BathInitialConditions,
@@ -142,7 +143,7 @@ def noise_trajectory(modes: ModeSet, ics: BathInitialConditions,
     if ics.count != modes.count:
         raise DomainError("initial conditions do not match the mode count")
     grid.check_resolves(modes)
-    a, b = _noise_coefficients(modes, ics)
+    a, b = _noise_coefficients(modes, ics.displacement, ics.momentum)
     phases = np.multiply.outer(grid.times, modes.omega)
     return np.cos(phases) @ a + np.sin(phases) @ b
 
@@ -197,93 +198,88 @@ def noise_autocorrelation_quadrature(system: SystemSpec, bath: BathSpec, tau,
     return system.hbar / math.pi * value
 
 
+class _NormalModes:
+    """Exact propagator of the oscillator and its N modes.
+
+    In coordinates z = (x, q_1..q_N) with masses M the Hessian has
+    K_00 = m w0^2 + sum_j c_j^2 / (m_j w_j^2), K_0j = -c_j and
+    K_jj = m_j w_j^2.  With M^-1/2 K M^-1/2 = U diag(W^2) U^T,
+
+        x(t) = sum_k a_k [cos(W_k t) (P z)_k + sin(W_k t) / W_k (P z')_k]
+
+    where a = U[0] / sqrt(m) and P = U^T M^1/2.  At w0 = 0 one W_k is zero
+    and sin(W t) / W takes its limit t.
+    """
+
+    def __init__(self, modes: ModeSet, system: SystemSpec):
+        self.modes = modes
+        hessian = np.diag(np.concatenate((
+            [system.mass * system.omega0**2 + modes.kernel_weights().sum()],
+            modes.mass * modes.omega**2)))
+        hessian[0, 1:] = hessian[1:, 0] = -modes.coupling
+        root = np.sqrt(np.concatenate(([system.mass], modes.mass)))
+        eigval, vecs = np.linalg.eigh(hessian / np.outer(root, root))
+        self.freq = np.sqrt(np.clip(eigval, 0.0, None))
+        self.amp = vecs[0] / root[0]
+        self.proj = vecs.T * root
+
+    def propagate(self, times, x0, v0, s, p):
+        """(x, v), each (len(times), batch), of oscillators started at
+        (x0, v0) with mode displacements s and momenta p of shape (batch, N)
+        in the displaced preparation; raises if a value is not finite.
+        """
+        modes = self.modes
+        batch = len(s)
+        z = np.vstack((np.full((1, batch), x0),
+                       (s + modes.coupling * x0 / (modes.mass * modes.omega**2)).T))
+        zdot = np.vstack((np.full((1, batch), v0), (p / modes.mass).T))
+        wt = np.multiply.outer(times, self.freq)
+        # cos - 1 about the exact initial values keeps t = 0 exact
+        cosm1 = -2.0 * np.sin(0.5 * wt) ** 2 * self.amp
+        sinc = times[:, None] * np.sinc(wt / np.pi) * self.amp
+        dsin = -self.freq * np.sin(wt) * self.amp
+        x = x0 + multi_dot([cosm1, self.proj, z]) + multi_dot([sinc, self.proj, zdot])
+        v = v0 + multi_dot([dsin, self.proj, z]) + multi_dot([cosm1, self.proj, zdot])
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+            raise UnstableIntegrationError("normal-mode propagation is not finite")
+        return x, v
+
+
+def _thermal_draws(modes: ModeSet, system: SystemSpec, n_real: int, seed: int,
+                   chunk_size: int):
+    """(s, p), each (batch, N), per chunk of realizations 0..n_real-1.
+
+    Realization i draws 2N normals from its (seed, i) stream, s first and
+    then p, scaled by the thermal standard deviations.
+    """
+    if n_real < 1 or chunk_size < 1:
+        raise DomainError("n_real and chunk_size must be >= 1")
+    sd_s, sd_p = np.sqrt(thermal_variances(modes, system))
+    n = modes.count
+
+    def chunks():
+        for start in range(0, n_real, chunk_size):
+            rngs = trajectory_seeds(seed, range(start, min(start + chunk_size, n_real)))
+            draws = np.stack([r.standard_normal(2 * n) for r in rngs])
+            yield draws[:, :n] * sd_s, draws[:, n:] * sd_p
+
+    return chunks()
+
+
 def integrate_gle(modes: ModeSet, ics: BathInitialConditions, system: SystemSpec,
                   grid: TrajectoryGrid, x0: float | None = None,
                   v0: float = 0.0):
-    """Integrate one realization of the memory equation of motion.
+    """One realization of the memory equation of motion, solved exactly.
 
     Returns (x, v) arrays on ``grid.times``.  The oscillator starts at
     ``ics.x0`` (or an explicit ``x0``) with velocity ``v0``; the noise is
     the deterministic mode sum for this realization.
     """
-    start_x = ics.x0 if x0 is None else float(x0)
-    a, b = _noise_coefficients(modes, ics)
-    x, v = _integrate_gle_batch(
-        modes, a[:, None], b[:, None], system, grid,
-        np.array([start_x]), np.array([float(v0)]),
-    )
-    return x[:, 0], v[:, 0]
-
-
-def _integrate_gle_batch(modes, a, b, system, grid, x0, v0):
-    """RK4 + trapezoidal-memory integration of a batch of realizations.
-
-    ``a``, ``b`` are per-mode noise coefficients with one column per
-    realization; returns position and velocity histories of shape
-    (n_steps + 1, batch).
-    """
     grid.check_resolves(modes)
-    n = grid.n_steps
-    dt = grid.dt
-    m = system.mass
-    k_spring = m * system.omega0**2
-
-    phases = np.multiply.outer(grid.half_times, modes.omega)
-    force = np.cos(phases) @ a + np.sin(phases) @ b
-    del phases
-
-    weights = modes.kernel_weights()
-    mu = np.cos(np.multiply.outer(grid.times, modes.omega)) @ weights
-    mu_rev = mu[::-1].copy()
-
-    batch = x0.size
-    xs = np.zeros((n + 1, batch))
-    vs = np.zeros((n + 1, batch))
-    xs[0] = x0
-    vs[0] = v0
-    x = x0.astype(float).copy()
-    v = v0.astype(float).copy()
-
-    scale_guard = 1e9 * max(1.0, float(np.max(np.abs(x0))), math.sqrt(
-        system.kB * system.temperature / k_spring) if k_spring > 0 else 1.0)
-
-    for i in range(n):
-        if i == 0:
-            memory = np.zeros(batch)
-        else:
-            window = vs[: i + 1]
-            conv = mu_rev[n - i:] @ window
-            conv -= 0.5 * (mu[i] * window[0] + mu[0] * window[i])
-            memory = dt * conv
-
-        f0 = force[2 * i]
-        fh = force[2 * i + 1]
-        f1 = force[2 * i + 2]
-
-        def accel(xx, ff):
-            return (ff - memory - k_spring * xx) / m
-
-        k1x = v
-        k1v = accel(x, f0)
-        k2x = v + 0.5 * dt * k1v
-        k2v = accel(x + 0.5 * dt * k1x, fh)
-        k3x = v + 0.5 * dt * k2v
-        k3v = accel(x + 0.5 * dt * k2x, fh)
-        k4x = v + dt * k3v
-        k4v = accel(x + dt * k3x, f1)
-
-        x = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        v = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        xs[i + 1] = x
-        vs[i + 1] = v
-
-        if i % 256 == 0 and (not np.all(np.isfinite(x)) or np.max(np.abs(x)) > scale_guard):
-            raise UnstableIntegrationError(
-                "memory-kernel integration diverged; reduce dt"
-            )
-    if not np.all(np.isfinite(xs)):
-        raise UnstableIntegrationError("memory-kernel integration diverged; reduce dt")
-    return xs, vs
+    x, v = _NormalModes(modes, system).propagate(
+        grid.times, ics.x0 if x0 is None else float(x0), float(v0),
+        ics.displacement[None], ics.momentum[None])
+    return x[:, 0], v[:, 0]
 
 
 def noise_ensemble_stats(modes: ModeSet, system: SystemSpec, taus, n_real: int,
@@ -308,23 +304,14 @@ def noise_ensemble_stats(modes: ModeSet, system: SystemSpec, taus, n_real: int,
     tau_idx = np.array([where[t] for t in taus])
     cos_t = np.cos(np.multiply.outer(times, modes.omega))
     sin_t = np.sin(np.multiply.outer(times, modes.omega))
-    var_s, var_p = thermal_variances(modes, system)
-    sd_s = np.sqrt(var_s)
-    sd_p = np.sqrt(var_p)
 
     lag_origin_idx = np.array([[where[t0 + tau] for t0 in origins] for tau in taus])
     base_idx = np.array([where[t0] for t0 in origins])
 
     mean_acc = [MomentAccumulator() for _ in taus]
     corr_acc = [MomentAccumulator() for _ in taus]
-    for start in range(0, n_real, chunk_size):
-        idx = range(start, min(start + chunk_size, n_real))
-        rngs = trajectory_seeds(seed, idx)
-        draws = np.stack([r.standard_normal(2 * modes.count) for r in rngs])
-        s = draws[:, : modes.count] * sd_s
-        p = draws[:, modes.count:] * sd_p
-        a = s * modes.coupling
-        b = p * modes.coupling / (modes.mass * modes.omega)
+    for s, p in _thermal_draws(modes, system, n_real, seed, chunk_size):
+        a, b = _noise_coefficients(modes, s, p)
         f = a @ cos_t.T + b @ sin_t.T
         f_base = f[:, base_idx]
         for j in range(taus.size):
@@ -340,43 +327,55 @@ def noise_ensemble_stats(modes: ModeSet, system: SystemSpec, taus, n_real: int,
 
 def gle_ensemble_moments(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid,
                          n_real: int, seed: int, x0: float = 0.0,
-                         chunk_size: int = 2048,
-                         dump=None) -> EnsembleResult:
+                         chunk_size: int = 2048) -> EnsembleResult:
     """Ensemble moments of the memory dynamics at the final grid time.
 
     Starts every realization at (x0, 0) with bath modes drawn from the
-    displaced thermal state; reports <x^2> and <v^2> at t = n_steps * dt.
-    ``dump``, if given, is called once per chunk with
-    (indices, times, x_hist, v_hist, force_hist) for trajectory export.
+    displaced thermal state; reports <x^2> and <v^2> at t = n_steps * dt,
+    where each realization is propagated exactly.
     """
-    var_s, var_p = thermal_variances(modes, system)
-    sd_s = np.sqrt(var_s)
-    sd_p = np.sqrt(var_p)
+    grid.check_resolves(modes)
+    draws = _thermal_draws(modes, system, n_real, seed, chunk_size)
+    normal_modes = _NormalModes(modes, system)
     acc_x2 = MomentAccumulator()
     acc_v2 = MomentAccumulator()
-    for start in range(0, n_real, chunk_size):
-        idx = range(start, min(start + chunk_size, n_real))
-        rngs = trajectory_seeds(seed, idx)
-        draws = np.stack([r.standard_normal(2 * modes.count) for r in rngs], axis=1)
-        s = draws[: modes.count] * sd_s[:, None]
-        p = draws[modes.count:] * sd_p[:, None]
-        a = s * modes.coupling[:, None]
-        b = p * (modes.coupling / (modes.mass * modes.omega))[:, None]
-        n_batch = len(rngs)
-        xs, vs = _integrate_gle_batch(
-            modes, a, b, system, grid,
-            np.full(n_batch, float(x0)), np.zeros(n_batch),
-        )
-        acc_x2.update_batch(xs[-1] ** 2)
-        acc_v2.update_batch(vs[-1] ** 2)
-        if dump is not None:
-            phases = np.multiply.outer(grid.times, modes.omega)
-            force = np.cos(phases) @ a + np.sin(phases) @ b
-            dump(list(idx), grid.times, xs, vs, force)
-    return EnsembleResult(
-        moments={"x2": acc_x2.estimate(), "v2": acc_v2.estimate()},
-        n_traj=n_real,
-        seed=seed,
-        meta={"dt": grid.dt, "n_steps": grid.n_steps, "x0": float(x0),
-              "n_modes": modes.count},
-    )
+    for s, p in draws:
+        x, v = normal_modes.propagate(grid.times[-1:], x0, 0.0, s, p)
+        acc_x2.update_batch(x[0] ** 2)
+        acc_v2.update_batch(v[0] ** 2)
+    return EnsembleResult({"x2": acc_x2.estimate(), "v2": acc_v2.estimate()}, n_real, seed,
+                          meta={"dt": grid.dt, "n_steps": grid.n_steps, "x0": float(x0),
+                                "n_modes": modes.count})
+
+
+def gle_moments_exact(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid,
+                      x0: float = 0.0):
+    """Exact (<x^2>, <v^2>) at the final grid time of the ensemble sampled
+    by :func:`gle_ensemble_moments`, without sampling error.
+
+    x(T) and v(T) are linear in the 2N independent normals of a
+    realization, so each moment is the squared mean response plus the
+    squared responses to one standard deviation of every normal.
+    """
+    sd_s, sd_p = np.sqrt(thermal_variances(modes, system))
+    zero = np.zeros((modes.count, modes.count))
+    propagate = _NormalModes(modes, system).propagate
+    mean = propagate(grid.times[-1:], x0, 0.0, zero[:1], zero[:1])
+    spread = propagate(grid.times[-1:], 0.0, 0.0, np.vstack((np.diag(sd_s), zero)),
+                       np.vstack((zero, np.diag(sd_p))))
+    return tuple(float(m[0, 0] ** 2 + np.sum(d ** 2)) for m, d in zip(mean, spread))
+
+
+def sample_trajectories(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid,
+                        n_traj: int, seed: int, x0: float = 0.0):
+    """(times, x, v, f) of the first ``n_traj`` realizations of
+    :func:`gle_ensemble_moments` on ``grid.times``.
+
+    Arrays are (n_steps + 1, n_traj); f is each realization's noise force.
+    """
+    grid.check_resolves(modes)
+    (s, p), = _thermal_draws(modes, system, n_traj, seed, n_traj)
+    x, v = _NormalModes(modes, system).propagate(grid.times, x0, 0.0, s, p)
+    a, b = _noise_coefficients(modes, s, p)
+    phases = np.multiply.outer(grid.times, modes.omega)
+    return grid.times, x, v, np.cos(phases) @ a.T + np.sin(phases) @ b.T

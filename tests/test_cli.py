@@ -246,6 +246,12 @@ class TestExitCodes:
         assert err.startswith("error: " + flag[0][2:])
         assert len(err.splitlines()) == 1
 
+    def test_microbath_has_no_traj_flag(self, capsys):
+        code, _, err = run_cli(["microbath", "--traj", "5"], capsys)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+
     def test_malformed_config_line_is_one_line_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("oops\n")

@@ -1,6 +1,7 @@
 """Finite-bath realization: sampling, noise statistics, memory dynamics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qlesim.errors import DomainError, UnsupportedBathError
 from qlesim.quadrature import QuadratureConfig
 from qlesim import fdt, microbath as mb
 from qlesim.response import Susceptibility
+from qlesim.sde import trajectory_seeds
 
 
 def make_bath(gamma=0.5, cutoff=3.0, n_modes=300):
@@ -193,3 +195,103 @@ class TestIntegrateGle:
         x2, v2 = mb.integrate_gle(modes, ics, sys_, grid)
         np.testing.assert_array_equal(x1, x2)
         np.testing.assert_array_equal(v1, v2)
+
+
+class TestNormalModes:
+    @pytest.mark.parametrize("x0", (0.0, 0.7))
+    def test_ensemble_within_four_sigma_of_exact(self, x0):
+        sys_ = SystemSpec()
+        _, modes = make_bath(gamma=0.5, cutoff=3.0, n_modes=300)
+        grid = mb.TrajectoryGrid(dt=0.03, n_steps=int(round(40.0 / 0.03)))
+        res = mb.gle_ensemble_moments(modes, sys_, grid, n_real=2000, seed=41, x0=x0)
+        exact = mb.gle_moments_exact(modes, sys_, grid, x0=x0)
+        for name, value in zip(("x2", "v2"), exact):
+            assert abs(res[name].mean - value) < 4.0 * res[name].se, (name, value)
+
+    def test_exact_tracks_continuum_quadrature(self):
+        # the criterion-6 bath: 1.07823 vs 1.08082 and 1.15097 vs 1.15464
+        sys_ = SystemSpec()
+        bath, modes = make_bath(gamma=0.5, cutoff=3.0, n_modes=1000)
+        grid = mb.TrajectoryGrid(dt=0.03, n_steps=int(round(40.0 / 0.03)))
+        x2, v2 = mb.gle_moments_exact(modes, sys_, grid)
+        susc = Susceptibility(sys_, bath)
+        x2_ref = fdt.position_correlation(0.0, sys_, bath, QuadratureConfig(), susc)
+        v2_ref = fdt.velocity_correlation(0.0, sys_, bath, QuadratureConfig(), susc)
+        assert abs(x2 / x2_ref - 1.0) < 5e-3, (x2, x2_ref)
+        assert abs(v2 / v2_ref - 1.0) < 5e-3, (v2, v2_ref)
+
+    @pytest.mark.parametrize("omega0", (1.0, 0.0))
+    def test_trajectory_solves_memory_equation(self, omega0):
+        # m v' + Int mu(t - s) v(s) ds + m w0^2 x - f, by central differences
+        # and the trapezoidal rule, is second order in dt
+        sys_ = SystemSpec(omega0=omega0)
+        _, modes = make_bath(n_modes=64)
+        ics = mb.sample_initial_conditions(modes, sys_, 0.4, rng=9)
+
+        def residual(dt):
+            grid = mb.TrajectoryGrid(dt=dt, n_steps=int(round(10.0 / dt)))
+            x, v = mb.integrate_gle(modes, ics, sys_, grid, v0=0.3)
+            f = mb.noise_trajectory(modes, ics, grid)
+            mu = mb.initial_slip(modes, 1.0, grid.times)
+            worst = 0.0
+            for i in range(1, grid.n_steps):
+                w = mu[i::-1] * v[: i + 1]
+                memory = dt * (w.sum() - 0.5 * (w[0] + w[-1]))
+                accel = (v[i + 1] - v[i - 1]) / (2.0 * dt)
+                worst = max(worst, abs(sys_.mass * (accel + omega0**2 * x[i])
+                                       + memory - f[i]))
+            return worst / np.max(np.abs(f))
+
+        coarse, fine = residual(0.01), residual(0.005)
+        assert coarse < 1e-3, coarse
+        assert fine < coarse / 3.0, (coarse, fine)
+
+    def test_memory_does_not_grow_with_steps(self):
+        sys_ = SystemSpec()
+        _, modes = make_bath(n_modes=300)
+        grid = mb.TrajectoryGrid(dt=0.03, n_steps=4000)
+        tracemalloc.start()
+        try:
+            mb.gle_ensemble_moments(modes, sys_, grid, n_real=64, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
+
+    def test_sample_trajectories_are_the_ensemble_realizations(self):
+        sys_ = SystemSpec()
+        _, modes = make_bath(n_modes=40)
+        grid = mb.TrajectoryGrid(dt=0.03, n_steps=200)
+        times, x, v, f = mb.sample_trajectories(modes, sys_, grid, 3, seed=5, x0=0.2)
+        assert x.shape == v.shape == f.shape == (201, 3)
+        np.testing.assert_array_equal(times, grid.times)
+        np.testing.assert_array_equal(x[0], 0.2)
+        np.testing.assert_array_equal(v[0], 0.0)
+        res = mb.gle_ensemble_moments(modes, sys_, grid, n_real=3, seed=5, x0=0.2)
+        assert res["x2"].mean == pytest.approx(np.mean(x[-1] ** 2), rel=1e-12)
+        assert res["v2"].mean == pytest.approx(np.mean(v[-1] ** 2), rel=1e-12)
+        # realization 2 draws s then p from its (seed, 2) stream
+        draws = trajectory_seeds(5, [2])[0].standard_normal(2 * modes.count)
+        sd_s, sd_p = np.sqrt(mb.thermal_variances(modes, sys_))
+        ics = mb.BathInitialConditions(displacement=draws[:modes.count] * sd_s,
+                                       momentum=draws[modes.count:] * sd_p, x0=0.2)
+        np.testing.assert_allclose(f[:, 2], mb.noise_trajectory(modes, ics, grid),
+                                   rtol=0, atol=1e-12)
+        x2, v2 = mb.integrate_gle(modes, ics, sys_, grid)
+        np.testing.assert_allclose(x[:, 2], x2, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v[:, 2], v2, rtol=0, atol=1e-12)
+
+
+class TestEmptyEnsembles:
+    @pytest.mark.parametrize("kwargs", ({"n_real": 0}, {"n_real": 4, "chunk_size": 0}))
+    def test_noise_stats_rejects(self, kwargs):
+        _, modes = make_bath(n_modes=16)
+        with pytest.raises(DomainError, match="n_real and chunk_size"):
+            mb.noise_ensemble_stats(modes, SystemSpec(), [0.0], seed=1, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", ({"n_real": 0}, {"n_real": 4, "chunk_size": 0}))
+    def test_gle_moments_rejects(self, kwargs):
+        _, modes = make_bath(n_modes=16)
+        grid = mb.TrajectoryGrid(dt=0.03, n_steps=10)
+        with pytest.raises(DomainError, match="n_real and chunk_size"):
+            mb.gle_ensemble_moments(modes, SystemSpec(), grid, seed=1, **kwargs)
