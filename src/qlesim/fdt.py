@@ -189,19 +189,23 @@ def _correlation(tau, system, bath, cfg, susc, velocity):
         )
         return (system.hbar / math.pi) * value
 
-    # cutoff bath: integrate cell-by-cell over the cached transform grid,
-    # whose spacing already resolves both the resonance and the cutoff
-    nodes = s.grid_nodes
-    upper = nodes[-1] if cfg.omega_max is None else min(cfg.omega_max, nodes[-1])
-    edges = [n for n in nodes if n < upper] + [upper]
-    if len(edges) > cfg.max_panels:
-        step = max(1, len(edges) // cfg.max_panels + 1)
-        edges = edges[::step] + [upper]
-        edges = sorted(set(edges))
+    # cutoff bath: the loss is smooth below the cutoff and falls to zero at
+    # it like 1/ln^2, which geometric shoulders resolve; above it the loss
+    # is the bound-state delta, added in closed form
+    cut = bath.cutoff
+    upper = cut if cfg.omega_max is None else min(cut, cfg.omega_max)
+    shoulders = cut * (1.0 - 10.0 ** -np.arange(1, 9))
+    edges = resonance_edges(w0, bath.gamma, cfg.peak_halfwidths, upper=upper)
+    edges = sorted(set(edges).union(shoulders[shoulders < upper]))
     value, _ = integrate_panels(
         integrand, edges, cfg, tau=tau,
         label="velocity correlation" if velocity else "position correlation",
     )
+    bound = s.bound_state()
+    if bound is not None and (cfg.omega_max is None or bound[0] <= cfg.omega_max):
+        wb, weight = bound
+        value += (weight * (wb**2 if velocity else 1.0) * scaled_omega_coth(wb, a)
+                  * math.cos(wb * tau))
     return (system.hbar / math.pi) * value
 
 
@@ -212,8 +216,9 @@ def position_correlation(tau, system: SystemSpec, bath: BathSpec,
 
     Adaptive panel quadrature with the resonance isolated at
     omega0 * (1 +/- k*gamma); the integrand decays like 1/omega^3 so the
-    high-frequency tail is summed to infinity (strict Ohmic) or to the
-    grid edge (cutoff baths).  Even in tau by construction.
+    high-frequency tail is summed to infinity (strict Ohmic).  Cutoff
+    baths are integrated up to the cutoff, plus the closed-form term of
+    the bound state above it.  Even in tau by construction.
     """
     cfg = cfg or QuadratureConfig()
     return _correlation(tau, system, bath, cfg, susc, velocity=False)

@@ -4,21 +4,29 @@ The oscillator response to a force at frequency omega is
 
     alpha(omega) = 1 / (m*(omega0^2 - omega^2) - i*omega*mu(omega))
 
-with mu(omega) the half-range Fourier transform of the friction kernel.
-For the strict-Ohmic bath mu is the constant m*gamma.  For the
-cutoff-Ohmic bath the transform of the sinc kernel has no convenient
-closed form on the real axis (its imaginary part is log-singular at the
-cutoff), so it is evaluated by oscillatory quadrature of the truncated
-transform and, for repeated use, cached on a frequency grid.
+with mu(omega) the one-sided Fourier transform of the friction kernel,
+closed-form for both continuum baths: m*gamma for strict Ohmic, and for
+the cutoff-Ohmic kernel A*sin(Omega t)/t cut off at t = T, with
+a+- = Omega +- |omega|,
+
+    Re mu = (A/2) [Si(a+ T) + sgn(a-) Si(|a-| T)]
+    Im mu = sgn(omega) (A/2) [ln(a+/|a-|) - Ci(a+ T) + Ci(|a-| T)]
+
+As T -> inf, Re mu is m*gamma below the cutoff, half that at it and zero
+above, and Im mu = (m*gamma/pi) ln|(Omega+omega)/(Omega-omega)|.  Above
+the cutoff alpha is therefore real except at one bound state omega_b
+(Ullersma, Physica 32, 27 (1966)), whose delta-function loss
+:meth:`Susceptibility.bound_state` gives.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy.optimize import brentq
+from scipy.special import sici
 
 from .bath import BathKind, BathSpec, SystemSpec
 from .errors import DomainError, UnsupportedBathError
@@ -29,25 +37,35 @@ __all__ = ["mu_fourier", "susceptibility", "Susceptibility"]
 _MIN_TMAX_FACTOR = 1e3
 
 
+def _half_amplitude(bath: BathSpec) -> float:
+    """A/2 of the sinc kernel A*sin(Omega t)/t, i.e. m*gamma/pi."""
+    return 1.5 * bath.mode_coupling**2 / (bath.mode_mass * bath.cutoff**3)
+
+
+def _sinc_transform(bath: BathSpec, omega, t_max):
+    """(Re mu, Im mu) of the sinc kernel cut off at t_max (may be inf)."""
+    a_plus, a_minus = bath.cutoff + np.abs(omega), bath.cutoff - np.abs(omega)
+    at_cut = a_minus == 0.0
+    gap = np.where(at_cut, 1.0, np.abs(a_minus))  # stand-in at the cutoff
+    si_plus, ci_plus = sici(a_plus * t_max)
+    si_minus, ci_minus = sici(gap * t_max)
+    re = si_plus + np.sign(a_minus) * si_minus
+    # at the cutoff ln(a+/|a-|) + Ci(|a-| T) tends to ln(a+ T) + Euler's gamma
+    im = np.where(at_cut, np.log(a_plus * t_max) + np.euler_gamma,
+                  np.log(a_plus / gap) + ci_minus) - ci_plus
+    half_amp = _half_amplitude(bath)
+    return half_amp * re, half_amp * np.sign(omega) * im
+
+
 def mu_fourier(bath: BathSpec, omega, *, system_mass: float = 1.0, t_max_factor: float = 1e4):
     """One-sided Fourier transform of the friction kernel at real omega.
 
-    Strict Ohmic returns the exact constant m*gamma (half the delta mass
-    falls inside the transform's t >= 0 domain).  Cutoff Ohmic integrates
-    Theta(t) * (3c^2/(mt*Omega^3)) * sin(Omega t)/t * e^{i omega t} over
-    t in [0, T_max] with T_max = t_max_factor / Omega; the real part tends
-    to m*gamma below the cutoff as T_max grows.  Discrete baths have no
-    pointwise transform on the real axis.
-
-    Parameters
-    ----------
-    bath : BathSpec
-    omega : float
-        Evaluation frequency (any real value; the transform is Hermitian).
-    system_mass : float
-        Mass entering the strict-Ohmic constant; unused otherwise.
-    t_max_factor : float
-        Omega * T_max; must be at least 1e3.
+    Strict Ohmic returns the exact constant ``system_mass * gamma`` (half
+    the delta mass falls inside t >= 0).  Cutoff Ohmic transforms the sinc
+    kernel over [0, T_max], T_max = t_max_factor / Omega with
+    t_max_factor >= 1e3, in closed form; ``t_max_factor=math.inf`` gives
+    the exact transform.  The transform is Hermitian in omega.  Discrete
+    baths have no pointwise transform on the real axis.
     """
     omega = float(omega)
     if bath.kind is BathKind.STRICT_OHMIC:
@@ -57,162 +75,59 @@ def mu_fourier(bath: BathSpec, omega, *, system_mass: float = 1.0, t_max_factor:
             "discrete-bath friction transform is a principal-value comb; "
             "not supported pointwise"
         )
-    if t_max_factor < _MIN_TMAX_FACTOR:
+    if not t_max_factor >= _MIN_TMAX_FACTOR:
         raise DomainError(f"t_max_factor must be >= {_MIN_TMAX_FACTOR:g}")
-
-    cut = bath.cutoff
-    amp = 3.0 * bath.mode_coupling**2 / (bath.mode_mass * cut**3)
-    t_max = t_max_factor / cut
-    # Product-to-sum split: the transform reduces to single-frequency
-    # sine/cosine integrals of 1/t at the sum and difference frequencies.
-    a_plus = cut + abs(omega)
-    a_minus = cut - abs(omega)
-    t_split = 0.5 / a_plus
-
-    def head_re(t):
-        return np.sin(cut * t) * np.cos(omega * t) / t
-
-    def head_im(t):
-        return np.sin(cut * t) * np.sin(abs(omega) * t) / t
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        re, _ = integrate.quad(head_re, 0.0, t_split, limit=100)
-        re += 0.5 * _sin_over_t(a_plus, t_split, t_max)
-        re += 0.5 * _sin_over_t(a_minus, t_split, t_max)
-        im, _ = integrate.quad(head_im, 0.0, t_split, limit=100)
-        im += 0.5 * (_cos_over_t(abs(a_minus), t_split, t_max)
-                     - _cos_over_t(a_plus, t_split, t_max))
-    if omega < 0:
-        im = -im
-    return complex(amp * re, amp * im)
+    return complex(*_sinc_transform(bath, omega, t_max_factor / bath.cutoff))
 
 
-def _sin_over_t(a, t0, t1):
-    """Integral of sin(a t)/t over [t0, t1] via the oscillatory rule."""
-    if a == 0.0:
-        return 0.0
-    sign = 1.0 if a > 0 else -1.0
-    val, _ = integrate.quad(
-        lambda t: 1.0 / t, t0, t1, weight="sin", wvar=abs(a), limit=300, maxp1=100
-    )
-    return sign * val
-
-def _cos_over_t(a, t0, t1):
-    """Integral of cos(a t)/t over [t0, t1]; plain log when a = 0."""
-    if a == 0.0:
-        return float(np.log(t1 / t0))
-    val, _ = integrate.quad(
-        lambda t: 1.0 / t, t0, t1, weight="cos", wvar=abs(a), limit=300, maxp1=100
-    )
-    return val
+def susceptibility(system: SystemSpec, bath: BathSpec, omega):
+    """Generalized susceptibility alpha(omega) for a single frequency."""
+    return Susceptibility(system, bath).alpha(float(omega))
 
 
-def _alpha_from_mu(system: SystemSpec, omega, mu):
-    m = system.mass
-    denom = m * (system.omega0**2 - omega**2) - 1j * omega * mu
-    if denom == 0:
-        raise DomainError("undamped resonance: susceptibility pole at omega0")
-    return 1.0 / denom
-
-
-def susceptibility(system: SystemSpec, bath: BathSpec, omega, *, t_max_factor: float = 1e4):
-    """Generalized susceptibility alpha(omega) for a single frequency.
-
-    For scanning many frequencies of a cutoff-Ohmic bath, build a
-    :class:`Susceptibility` once instead; this entry point recomputes the
-    friction transform per call.
-    """
-    omega = float(omega)
-    mu = mu_fourier(bath, omega, system_mass=system.mass, t_max_factor=t_max_factor)
-    return _alpha_from_mu(system, omega, mu)
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Susceptibility:
-    """alpha(omega) evaluator with a cached friction-transform grid.
+    """alpha(omega) of the oscillator on a continuum bath, in closed form.
 
-    Strict-Ohmic baths are evaluated in closed form.  Cutoff-Ohmic baths
-    get mu(omega) precomputed on a grid (dense to gamma/10 around the
-    resonance, log-spaced elsewhere, the log-singular point omega = cutoff
-    excluded) and linearly interpolated; beyond the grid the loss is
-    treated as zero, which is accurate because the transform's real part
-    vanishes above the cutoff.
+    Every method is vectorized over omega and evaluates the exact
+    (untruncated) friction transform pointwise.  For a cutoff-Ohmic bath
+    the loss Im(alpha)/omega is zero above the cutoff apart from the
+    delta at the bound state, which :meth:`bound_state` gives separately.
     """
 
     system: SystemSpec
     bath: BathSpec
-    t_max_factor: float = 1e4
-    peak_points: int = 200
-    coarse_points: int = 400
-    _grid: np.ndarray | None = field(default=None, repr=False)
-    _mu_re: np.ndarray | None = field(default=None, repr=False)
-    _mu_im: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.bath.kind is BathKind.DISCRETE:
             raise UnsupportedBathError("no pointwise susceptibility for discrete baths")
-        if self.bath.kind is BathKind.CUTOFF_OHMIC:
-            self._build_grid()
 
-    def _build_grid(self):
-        w0 = self.system.omega0
-        gamma = self.bath.gamma
-        cut = self.bath.cutoff
-        grid_max = 2.0 * max(cut, 2.0 * w0 if w0 > 0 else cut)
-        pieces = [np.array([0.0])]
-        floor = min(w0 if w0 > 0 else cut, cut) * 1e-3
-        pieces.append(np.geomspace(floor, grid_max, self.coarse_points))
-        if w0 > 0:
-            lo = max(w0 - 20.0 * gamma, 0.25 * w0, floor)
-            hi = min(w0 + 20.0 * gamma, grid_max)
-            step = min(gamma / 10.0, (hi - lo) / self.peak_points)
-            pieces.append(np.arange(lo, hi + step, step))
-        # resolve the shoulder of the log singularity without touching it
-        eps = 1e-4 * cut
-        pieces.append(cut - np.geomspace(eps, 0.3 * cut, 40))
-        pieces.append(cut + np.geomspace(eps, 0.3 * cut, 40))
-        grid = np.unique(np.concatenate(pieces))
-        grid = grid[(grid >= 0.0) & (grid <= grid_max)]
-        grid = grid[np.abs(grid - cut) >= 0.5 * eps]
-        mu = np.array(
-            [mu_fourier(self.bath, w, t_max_factor=self.t_max_factor) for w in grid]
-        )
-        self._grid = grid
-        # truncation ripple can push the real part slightly negative above
-        # the cutoff, where the exact transform vanishes; clamping restores
-        # passivity (Im alpha >= 0) without touching the physical region
-        self._mu_re = np.clip(mu.real, 0.0, None)
-        self._mu_im = mu.imag
+    def _transform(self, omega):
+        """(Re mu, Im mu) of the exact friction transform."""
+        if self.bath.kind is BathKind.STRICT_OHMIC:
+            return np.full_like(omega, self.system.mass * self.bath.gamma), np.zeros_like(omega)
+        return _sinc_transform(self.bath, omega, math.inf)
 
-    @property
-    def grid_nodes(self) -> np.ndarray:
-        """Frequency nodes of the cached transform (cutoff baths only)."""
-        if self._grid is None:
-            raise UnsupportedBathError("no grid cache for this bath kind")
-        return self._grid
+    def _parts(self, omega):
+        """(D, E, Re mu) with 1/alpha = D - i*E, E = omega * Re mu."""
+        re, im = self._transform(omega)
+        d = self.system.mass * (self.system.omega0**2 - omega**2) + omega * im
+        return d, omega * re, re
 
     def mu(self, omega):
-        """Friction transform mu(omega), interpolated for cutoff baths."""
-        omega = np.asarray(omega, dtype=float)
-        if self.bath.kind is BathKind.STRICT_OHMIC:
-            out = np.broadcast_to(
-                self.system.mass * self.bath.gamma + 0.0j, omega.shape
-            ).copy()
-            return out if out.ndim else complex(out)
-        re = np.interp(omega, self._grid, self._mu_re, right=0.0)
-        im = np.interp(omega, self._grid, self._mu_im, right=0.0)
-        out = re + 1j * im
+        """Exact friction transform mu(omega); Im mu is +inf at the cutoff."""
+        re, im = self._transform(np.asarray(omega, dtype=float))
+        out = np.array(re, dtype=complex)
+        out.imag = im
         return out if out.ndim else complex(out)
 
     def alpha(self, omega):
-        """Complex susceptibility, vectorized over omega."""
+        """Complex susceptibility, vectorized over omega (zero at the cutoff)."""
         omega = np.asarray(omega, dtype=float)
-        m = self.system.mass
-        denom = m * (self.system.omega0**2 - omega**2) - 1j * omega * self.mu(omega)
-        if np.any(denom == 0):
+        d, e, _ = self._parts(omega)
+        if np.any((d == 0) & (e == 0)):
             raise DomainError("undamped resonance: susceptibility pole at omega0")
-        out = 1.0 / denom
+        out = 1.0 / (d - 1j * e)
         return out if out.ndim else complex(out)
 
     def im_alpha(self, omega):
@@ -224,17 +139,42 @@ class Susceptibility:
 
         This is the natural integrand factor of every fluctuation
         integral; dividing out omega analytically avoids the 0/0 at the
-        origin.
+        origin.  The bound-state delta is not included.
         """
         omega = np.asarray(omega, dtype=float)
-        m = self.system.mass
-        w0 = self.system.omega0
         if self.bath.kind is BathKind.STRICT_OHMIC:
-            g = self.bath.gamma
+            m, w0, g = self.system.mass, self.system.omega0, self.bath.gamma
             out = (g / m) / ((w0**2 - omega**2) ** 2 + (omega * g) ** 2)
             return out if out.ndim else float(out)
-        mu = self.mu(omega)
-        re_d = m * (w0**2 - omega**2) + omega * mu.imag
-        im_d = omega * mu.real
-        out = mu.real / (re_d**2 + im_d**2)
+        d, e, re = self._parts(omega)
+        out = re / (d**2 + e**2)
         return out if out.ndim else float(out)
+
+    def bound_state(self):
+        """(omega_b, w) such that the loss holds w * delta(omega - omega_b).
+
+        Above the cutoff Re mu = 0, and D = Re(1/alpha) falls strictly from
+        +inf at Omega to -inf, so it has exactly one zero omega_b; there
+        w = pi / (omega_b |D'(omega_b)|).  None for strict-Ohmic baths and
+        when omega_b - Omega underflows (w then vanishes as well).
+        """
+        if self.bath.kind is not BathKind.CUTOFF_OHMIC:
+            return None
+        m, w0, cut = self.system.mass, self.system.omega0, self.bath.cutoff
+        k = _half_amplitude(self.bath)
+
+        def excess(u):  # D(Omega + e^u), with the log's small gap taken as e^u
+            w = cut + math.exp(u)
+            return m * (w0**2 - w**2) + k * w * (math.log(cut + w) - u)
+
+        # omega ln((omega + Omega)/(omega - Omega)) <= 4 Omega once
+        # omega - Omega >= Omega, so D < 0 at the upper end of the bracket
+        lo = math.log(np.finfo(float).tiny)
+        hi = math.log(max(cut, math.sqrt(w0**2 + 4.0 * k * cut / m)))
+        if not excess(lo) > 0.0:
+            return None
+        u = brentq(excess, lo, hi, xtol=1e-15)
+        wb = cut + math.exp(u)
+        slope = (2.0 * m * wb - k * (math.log(cut + wb) - u)
+                 + 2.0 * k * wb * cut / ((cut + wb) * math.exp(u)))  # -D'(omega_b)
+        return wb, math.pi / (wb * slope)

@@ -276,6 +276,25 @@ class TestExitCodes:
         assert err == "error: dump-count must be >= 1\n"
         assert not dump.exists()
 
+    def test_microbath_coarse_dt_checked_only_for_dump(self, tmp_path, capsys,
+                                                       monkeypatch):
+        args = ["microbath", "--dt", "0.05", "--modes", "50", "--realizations", "10",
+                "--steps", "10"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert "gle_moment_x2" in out
+
+        def fail(*a, **kw):
+            raise AssertionError("ensemble ran")
+
+        monkeypatch.setattr(cli.microbath, "noise_ensemble_stats", fail)
+        dump = tmp_path / "traj.csv"
+        code, _, err = run_cli([*args, "--dump-traj", str(dump)], capsys)
+        assert code == 1
+        assert err.startswith("error: dt * max mode frequency")
+        assert len(err.splitlines()) == 1
+        assert not dump.exists()
+
     def test_bad_grid_is_one(self, capsys):
         code, _, _ = run_cli(["dist", "--grid", "oops"], capsys)
         assert code == 1

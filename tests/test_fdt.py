@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import polygamma
 
 from qlesim.bath import BathSpec, SystemSpec
 from qlesim.errors import DomainError, UVDivergenceError
@@ -234,7 +235,43 @@ class TestMeanEnergies:
         assert split.ep == pytest.approx(ref, rel=1e-6)
 
 
+# cutoff-Ohmic baths (gamma, cutoff); the last has its cutoff below omega0,
+# so most of the spectral weight sits in the bound state above the cutoff
+CUTOFF_BATHS = [(0.5, 3.0), (1.0, 3.0), (2.0, 3.0), (0.5, 1.5), (0.1, 0.8)]
+
+
+def matsubara_position_variance(sys_, bath, n_terms=2_000_000):
+    """C_x(0) = (kT/m) sum_n 1/(w0^2 + nu_n^2 + nu_n muhat(nu_n)/m) over all
+    integers n, nu_n = 2 pi |n| kT / hbar, with the Laplace transform
+    muhat(nu) = (2 m gamma / pi) arctan(cutoff / nu) of the sinc kernel and
+    the 1/nu^2 tail beyond n_terms summed in closed form.
+    """
+    kt = sys_.kB * sys_.temperature
+    nu1 = 2.0 * math.pi * kt / sys_.hbar
+    nu = nu1 * np.arange(1, n_terms + 1)
+    muhat = (2.0 * sys_.mass * bath.gamma / math.pi) * np.arctan(bath.cutoff / nu)
+    terms = 1.0 / (sys_.omega0**2 + nu**2 + nu * muhat / sys_.mass)
+    tail = float(polygamma(1, n_terms + 1)) / nu1**2
+    return kt / sys_.mass * (1.0 / sys_.omega0**2 + 2.0 * (terms.sum() + tail))
+
+
 class TestCutoffBathPath:
+    @pytest.mark.parametrize("gamma,cutoff", CUTOFF_BATHS)
+    def test_position_variance_matches_matsubara_sum(self, gamma, cutoff):
+        sys_ = SystemSpec()
+        bath = BathSpec.cutoff_ohmic(gamma=gamma, cutoff=cutoff)
+        got = fdt.position_correlation(0.0, sys_, bath)
+        assert got == pytest.approx(matsubara_position_variance(sys_, bath), rel=1e-7)
+
+    @pytest.mark.parametrize("gamma,cutoff", CUTOFF_BATHS)
+    def test_classical_sum_rules(self, gamma, cutoff):
+        # m w0^2 C_x(0) = m C_v(0) = kT for any bath once hbar -> 0
+        sys_ = SystemSpec(hbar=1e-6)
+        bath = BathSpec.cutoff_ohmic(gamma=gamma, cutoff=cutoff)
+        split = fdt.mean_energies(sys_, bath)
+        assert split.ep == pytest.approx(1.0, rel=1e-6)
+        assert split.ek == pytest.approx(1.0, rel=1e-6)
+
     def test_cutoff_close_to_strict_at_large_cutoff(self):
         sys_ = SystemSpec()
         cut = BathSpec.cutoff_ohmic(gamma=0.2, cutoff=30.0)

@@ -246,6 +246,27 @@ class TestNormalModes:
         assert coarse < 1e-3, coarse
         assert fine < coarse / 3.0, (coarse, fine)
 
+    def test_moments_exact_at_coarse_dt(self):
+        # final-time moments carry no step error, so dt * max mode frequency
+        # may exceed the 0.1 that series sampled on the grid need
+        sys_ = SystemSpec()
+        _, modes = make_bath(gamma=0.5, cutoff=3.0, n_modes=300)
+        grid = mb.TrajectoryGrid(dt=0.05, n_steps=800)
+        res = mb.gle_ensemble_moments(modes, sys_, grid, n_real=2000, seed=43)
+        exact = mb.gle_moments_exact(modes, sys_, grid)
+        for name, value in zip(("x2", "v2"), exact):
+            assert abs(res[name].mean - value) < 4.0 * res[name].se, (name, value)
+
+    def test_sampled_series_must_resolve_fastest_mode(self):
+        sys_ = SystemSpec()
+        _, modes = make_bath(cutoff=3.0)
+        grid = mb.TrajectoryGrid(dt=0.05, n_steps=10)
+        ics = mb.sample_initial_conditions(modes, sys_, 0.0, rng=0)
+        with pytest.raises(DomainError, match="0.1"):
+            mb.sample_trajectories(modes, sys_, grid, 2, seed=1)
+        with pytest.raises(DomainError, match="0.1"):
+            mb.noise_trajectory(modes, ics, grid)
+
     def test_memory_does_not_grow_with_steps(self):
         sys_ = SystemSpec()
         _, modes = make_bath(n_modes=300)

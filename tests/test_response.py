@@ -40,6 +40,35 @@ def truncated_transform_oracle(bath, omega, t_max_factor):
     return complex(re, im)
 
 
+def truncated_transform_quadrature(bath, omega, t_max_factor):
+    """Direct quadrature of the truncated sinc transform, independent of sici.
+
+    Product-to-sum split: a short head by plain quadrature, the rest as
+    sin(a t)/t and cos(a t)/t at the sum and difference frequencies by
+    the oscillatory (QAWO) rule.
+    """
+    amp = 3.0 * bath.mode_coupling**2 / (bath.mode_mass * bath.cutoff**3)
+    cut = bath.cutoff
+    t_max = t_max_factor / cut
+    a_plus, a_minus = cut + abs(omega), cut - abs(omega)
+    t_split = 0.5 / a_plus
+
+    def over_t(weight, a):
+        if a == 0.0:
+            return 0.0 if weight == "sin" else math.log(t_max / t_split)
+        val, _ = integrate.quad(lambda t: 1.0 / t, t_split, t_max, weight=weight,
+                                wvar=abs(a), limit=300, maxp1=100)
+        return math.copysign(val, a) if weight == "sin" else val
+
+    re, _ = integrate.quad(lambda t: math.sin(cut * t) * math.cos(omega * t) / t,
+                           0.0, t_split, limit=100)
+    re += 0.5 * (over_t("sin", a_plus) + over_t("sin", a_minus))
+    im, _ = integrate.quad(lambda t: math.sin(cut * t) * math.sin(abs(omega) * t) / t,
+                           0.0, t_split, limit=100)
+    im += 0.5 * (over_t("cos", a_minus) - over_t("cos", a_plus))
+    return complex(amp * re, math.copysign(amp * im, omega))
+
+
 class TestMuFourier:
     def test_strict_is_m_gamma_exactly(self):
         bath = BathSpec.strict_ohmic(0.7)
@@ -74,6 +103,26 @@ class TestMuFourier:
         modes = ModeSet(omega=[1.0], mass=[1.0], coupling=[1.0])
         with pytest.raises(UnsupportedBathError):
             mu_fourier(BathSpec.discrete(modes, 1.0), 1.0)
+
+    def test_untruncated_transform_is_elementary(self):
+        # Re mu = m gamma below the cutoff, half of it at the cutoff, 0 above;
+        # Im mu = (m gamma / pi) ln|(cutoff + omega) / (cutoff - omega)|
+        bath = BathSpec.cutoff_ohmic(gamma=0.2, cutoff=10.0, system_mass=1.5)
+        m_gamma = 1.5 * 0.2
+        for omega in (0.0, 1.0, -3.0, 5.0, 9.9, 10.1, -15.0, 100.0):
+            got = mu_fourier(bath, omega, t_max_factor=math.inf)
+            re = m_gamma if abs(omega) < 10.0 else 0.0
+            im = m_gamma / math.pi * math.log(abs((10.0 + omega) / (10.0 - omega)))
+            assert got == pytest.approx(complex(re, im), rel=1e-13, abs=1e-15)
+        at_cut = mu_fourier(bath, 10.0, t_max_factor=math.inf)
+        assert at_cut.real == pytest.approx(0.5 * m_gamma, rel=1e-15)
+        assert at_cut.imag == math.inf
+
+    def test_truncated_transform_matches_direct_quadrature(self):
+        bath = BathSpec.cutoff_ohmic(gamma=0.2, cutoff=10.0)
+        for omega in (0.0, 1.0, 5.0, 15.0):
+            want = truncated_transform_quadrature(bath, omega, 1e4)
+            assert mu_fourier(bath, omega) == pytest.approx(want, rel=1e-9)
 
 
 class TestSusceptibility:
@@ -147,3 +196,38 @@ class TestSusceptibility:
         modes = ModeSet(omega=[1.0], mass=[1.0], coupling=[1.0])
         with pytest.raises(UnsupportedBathError):
             Susceptibility(SystemSpec(), BathSpec.discrete(modes, 1.0))
+
+    def test_cutoff_loss_vanishes_at_and_above_cutoff(self):
+        susc = Susceptibility(SystemSpec(), BathSpec.cutoff_ohmic(gamma=0.5, cutoff=3.0))
+        np.testing.assert_array_equal(susc.loss(np.array([3.0, 3.5, 10.0, 1e3])), 0.0)
+        assert susc.alpha(3.0) == 0.0
+        assert susc.mu(-3.0).imag == -math.inf
+
+
+class TestBoundState:
+    def test_strict_ohmic_has_none(self):
+        assert Susceptibility(SystemSpec(), BathSpec.strict_ohmic(0.5)).bound_state() is None
+
+    @pytest.mark.parametrize("gamma,cutoff,omega0", [(0.5, 1.5, 1.0), (0.1, 0.8, 1.0),
+                                                     (2.0, 3.0, 1.0), (1.0, 3.0, 0.0)])
+    def test_zero_of_real_denominator_and_its_weight(self, gamma, cutoff, omega0):
+        sys_ = SystemSpec(mass=1.3, omega0=omega0)
+        bath = BathSpec.cutoff_ohmic(gamma=gamma, cutoff=cutoff, system_mass=1.3)
+        susc = Susceptibility(sys_, bath)
+        wb, weight = susc.bound_state()
+
+        def d(w):  # Re(1/alpha) above the cutoff
+            return 1.3 * (omega0**2 - w**2) + w * susc.mu(w).imag
+
+        assert wb > cutoff
+        h = 1e-4 * (wb - cutoff)
+        slope = (d(wb + h) - d(wb - h)) / (2.0 * h)
+        # D is steep near the cutoff: allow a few rounding steps of omega_b
+        assert abs(d(wb)) < 4.0 * abs(slope) * np.spacing(wb)
+        assert weight == pytest.approx(math.pi / (wb * abs(slope)), rel=1e-6)
+
+    def test_none_when_the_gap_underflows(self):
+        # ln((w + cutoff)/(w - cutoff)) ~ pi (w^2 - w0^2) / (gamma w) puts
+        # omega_b - cutoff near exp(-8e4) at gamma = 1e-4
+        bath = BathSpec.cutoff_ohmic(gamma=1e-4, cutoff=3.0)
+        assert Susceptibility(SystemSpec(), bath).bound_state() is None
