@@ -13,7 +13,6 @@ import pytest
 from qlesim.bath import BathSpec, SystemSpec, discretize_bath
 from qlesim.quadrature import QuadratureConfig
 from qlesim import fdt, markovian as mk, microbath as mb, rwa, thermo
-from qlesim.response import Susceptibility
 
 COTH_HALF = 1.0 / math.tanh(0.5)
 FIGURE_DAMPINGS = (1.0, 0.5, 0.125, 0.0125)
@@ -121,8 +120,7 @@ def test_criterion_6_microbath_fdt():
         dt = 0.03
         grid = mb.TrajectoryGrid(dt=dt, n_steps=int(round(20.0 / bath.gamma / dt)))
         res = mb.gle_ensemble_moments(modes, sys_, grid, n_real=10_000, seed=78)
-        susc = Susceptibility(sys_, bath)
-        x2_ref = fdt.position_correlation(0.0, sys_, bath, QuadratureConfig(), susc)
+        x2_ref = fdt.position_correlation(0.0, sys_, bath, QuadratureConfig())
         est = res["x2"]
         assert abs(est.mean - x2_ref) < 3.0 * est.se, (est, x2_ref)
 

@@ -93,6 +93,15 @@ class TestCorr:
         assert np.max(dev_x) < 0.02
         assert np.max(dev_v) < 0.02
 
+    def test_strong_damping_default_grid_completes(self, capsys):
+        # the velocity channel at tau = 4.75 used to exit 2 (quadrature
+        # did not converge)
+        code, out, err = run_cli(["corr", "--gamma", "1"], capsys)
+        assert code == 0, err
+        header, rows = data_rows(out)
+        assert rows.shape == (41, len(header))
+        assert np.all(np.isfinite(rows))
+
 
 class TestEnergy:
     def test_ratio_monotone_to_one(self, capsys):

@@ -1,18 +1,19 @@
 """Fluctuation-dissipation quadrature: densities, correlations, energies."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import polygamma
+from scipy import integrate
+from scipy.special import polygamma, psi
 
 from qlesim.bath import BathSpec, SystemSpec
 from qlesim.errors import DomainError, UVDivergenceError
 from qlesim.quadrature import QuadratureConfig
 from qlesim import fdt
-from qlesim.response import Susceptibility
 
 COTH_HALF = 1.0 / math.tanh(0.5)  # 2.163953413738653
 FIGURE_DAMPINGS = (1.0, 0.5, 0.125, 0.0125)
@@ -80,25 +81,23 @@ class TestDimensionalDensities:
         # routes go through different formulas
         sys_ = SystemSpec(mass=1.0, omega0=2.0)
         bath = BathSpec.strict_ohmic(0.6)  # damping ratio 0.3
-        susc = Susceptibility(sys_, bath)
         lam = np.linspace(0.0, 6.0, 100)
-        dimensional = 2.0 * fdt.pk_dimensional(2.0 * lam, sys_, bath, susc)
+        dimensional = 2.0 * fdt.pk_dimensional(2.0 * lam, sys_, bath)
         dimensionless = fdt.pk_density(lam, 0.3)
         np.testing.assert_allclose(dimensional, dimensionless, atol=1e-14, rtol=1e-12)
-        dimensional = 2.0 * fdt.pp_dimensional(2.0 * lam, sys_, bath, susc)
+        dimensional = 2.0 * fdt.pp_dimensional(2.0 * lam, sys_, bath)
         dimensionless = fdt.pp_density(lam, 0.3)
         np.testing.assert_allclose(dimensional, dimensionless, atol=1e-14, rtol=1e-12)
 
     def test_dimensional_normalization(self):
         sys_ = SystemSpec(omega0=1.5)
         bath = BathSpec.strict_ohmic(0.45)
-        susc = Susceptibility(sys_, bath)
         cfg = QuadratureConfig()
         from qlesim.quadrature import integrate_panels, resonance_edges
 
         edges = resonance_edges(1.5, 0.45, 20.0, upper=1.5 + 40 * 0.45)
         val, _ = integrate_panels(
-            lambda w: fdt.pk_dimensional(w, sys_, bath, susc), edges, cfg,
+            lambda w: fdt.pk_dimensional(w, sys_, bath), edges, cfg,
             tail_to_inf=True, label="P_k normalization",
         )
         assert val == pytest.approx(1.0, abs=1e-6)
@@ -235,6 +234,142 @@ class TestMeanEnergies:
         assert split.ep == pytest.approx(ref, rel=1e-6)
 
 
+def strict_ohmic_position_variance(sys_, gamma):
+    """C_x(0) = (kT/m) [1/w0^2 + 2 sum_{n>=1} 1/(nu_n^2 + gamma nu_n + w0^2)],
+    nu_n = n nu, nu = 2 pi kT / hbar, summed in digamma form: with
+    x, y = (gamma/2 +- sqrt(gamma^2/4 - w0^2)) / nu the sum is
+    Re[(psi(1 + x) - psi(1 + y)) / ((x - y) nu^2)].
+    """
+    kt = sys_.kB * sys_.temperature
+    nu = 2.0 * math.pi * kt / sys_.hbar
+    root = cmath.sqrt(0.25 * gamma**2 - sys_.omega0**2)
+    x, y = (0.5 * gamma + root) / nu, (0.5 * gamma - root) / nu
+    series = (psi(1.0 + x) - psi(1.0 + y)) / ((x - y) * nu**2)
+    return kt / sys_.mass * (1.0 / sys_.omega0**2 + 2.0 * series.real)
+
+
+def direct_strict_ohmic(tau, sys_, gamma, upper, velocity):
+    """The FDT integral of L(w) w^n coth(a w) cos(w tau) over [0, upper] by
+    one plain QUADPACK call, without removing the resonance.
+    """
+    m, w0, a = sys_.mass, sys_.omega0, sys_.thermal_coth_scale
+    power = 3 if velocity else 1
+
+    def f(w):
+        if w == 0.0:  # w^n coth(a w) -> w^(n-1) / a
+            if velocity:
+                return 0.0 if w0 > 0 else 1.0 / (m * a * gamma)
+            return gamma / (m * a * w0**4)
+        den = (w0**2 - w**2) ** 2 + (gamma * w) ** 2
+        return (gamma / m) * w**power / math.tanh(a * w) / den
+
+    if tau > 0:
+        kw = dict(weight="cos", wvar=tau)
+    else:
+        kw = dict(points=[w0] if 0 < w0 < upper else None)
+    value, _ = integrate.quad(f, 0.0, upper, epsabs=1e-14, epsrel=1e-12, limit=1000, **kw)
+    return sys_.hbar / math.pi * value
+
+
+SWEEP_GAMMAS = tuple(10.0**-k for k in range(2, 10))
+CROSS_CHECK_GAMMAS = (1.0, 0.5, 0.125, 0.0125, 1e-4)
+CHANNELS = ((0, fdt.position_correlation), (1, fdt.velocity_correlation))
+
+
+class TestStrictOhmicResonance:
+    """Closed-form resonance term plus quadrature of the smooth remainder."""
+
+    @pytest.mark.parametrize("gamma", (1e-7, 1e-3, 0.5, 1.0, 3.0))
+    def test_untruncated_position_variance_matches_matsubara_sum(self, gamma):
+        sys_ = SystemSpec()
+        bath = BathSpec.strict_ohmic(gamma)
+        got = fdt.position_correlation(0.0, sys_, bath, QuadratureConfig())
+        assert got == pytest.approx(strict_ohmic_position_variance(sys_, gamma), rel=1e-9)
+
+    @pytest.mark.parametrize("tau", (1.0, 7.3))
+    def test_untruncated_position_weak_limit(self, tau):
+        # at gamma = 1e-7 and tau = 1 this used to return 0.577617524 with
+        # no error, against 0.584594519
+        sys_ = SystemSpec()
+        gamma = 1e-7
+        cfg = QuadratureConfig()
+        c0 = fdt.weak_limit_correlation(0.0, sys_)[0]
+        got = fdt.position_correlation(tau, sys_, BathSpec.strict_ohmic(gamma), cfg)
+        weak = fdt.weak_limit_correlation(tau, sys_)[0]
+        assert abs(got - weak) <= 3.0 * gamma * c0 + 50.0 * cfg.rel_tol * c0
+
+    @pytest.mark.parametrize("gamma", SWEEP_GAMMAS)
+    def test_weak_coupling_sweep_lands_on_weak_limit(self, gamma):
+        sys_ = SystemSpec()
+        cfg = QuadratureConfig(omega_max=1e3)
+        c0 = fdt.weak_limit_correlation(0.0, sys_)
+        for tau in (0.0, 1.0, 7.3):
+            weak = fdt.weak_limit_correlation(tau, sys_)
+            for ch, fn in CHANNELS:
+                got = fn(tau, sys_, BathSpec.strict_ohmic(gamma), cfg)
+                band = 3.0 * gamma * c0[ch] + 50.0 * cfg.rel_tol * c0[ch]
+                assert abs(got - weak[ch]) <= band, (fn.__name__, tau, got, weak[ch])
+
+    @pytest.mark.parametrize("gamma", CROSS_CHECK_GAMMAS)
+    def test_default_tolerance_agrees_with_tight(self, gamma):
+        sys_ = SystemSpec()
+        bath = BathSpec.strict_ohmic(gamma)
+        cfg = QuadratureConfig(omega_max=1e3)
+        tight = QuadratureConfig(omega_max=1e3, rel_tol=1e-11)
+        for ch, fn in CHANNELS:
+            c0 = fn(0.0, sys_, bath, tight)
+            for tau in np.linspace(0.0, 10.0, 41):
+                got = fn(tau, sys_, bath, cfg)
+                ref = fn(tau, sys_, bath, tight)
+                assert abs(got - ref) <= 50.0 * cfg.rel_tol * c0, (fn.__name__, tau, got, ref)
+
+    def test_strong_damping_velocity_converges(self):
+        # qlesim corr --gamma 1 used to raise here
+        sys_ = SystemSpec()
+        bath = BathSpec.strict_ohmic(1.0)
+        cfg = QuadratureConfig(omega_max=1e3)
+        tight = QuadratureConfig(omega_max=1e3, rel_tol=1e-11)
+        got = fdt.velocity_correlation(4.75, sys_, bath, cfg)
+        ref = fdt.velocity_correlation(4.75, sys_, bath, tight)
+        c0 = fdt.velocity_correlation(0.0, sys_, bath, tight)
+        assert abs(got - ref) <= 50.0 * cfg.rel_tol * c0
+
+    @pytest.mark.parametrize("upper", (5.0, 1e3))
+    @pytest.mark.parametrize("tau", (0.0, 0.7, 3.0))
+    def test_matches_direct_quadrature_at_moderate_damping(self, upper, tau):
+        # at gamma = 0.3 the peak is wide enough for plain QUADPACK; at
+        # upper = 5 the closed-form tail of the pole pair above the cutoff
+        # is a sizeable part of the value
+        sys_ = SystemSpec()
+        cfg = QuadratureConfig(omega_max=upper)
+        for ch, fn in CHANNELS:
+            got = fn(tau, sys_, BathSpec.strict_ohmic(0.3), cfg)
+            ref = direct_strict_ohmic(tau, sys_, 0.3, upper, velocity=bool(ch))
+            assert got == pytest.approx(ref, rel=1e-9, abs=1e-12)
+
+    def test_large_tau_stays_finite(self):
+        # gamma tau / 2 = 750: e^(gamma tau / 2) overflows, so the tail
+        # needs e^z E1(z) without forming either factor
+        sys_ = SystemSpec()
+        cfg = QuadratureConfig(omega_max=1e3)
+        for ch, fn in CHANNELS:
+            got = fn(1500.0, sys_, BathSpec.strict_ohmic(1.0), cfg)
+            ref = direct_strict_ohmic(1500.0, sys_, 1.0, 1e3, velocity=bool(ch))
+            assert got == pytest.approx(ref, rel=1e-6, abs=1e-12)
+
+    def test_free_particle(self):
+        # the position correlation diverges at omega0 = 0; the velocity
+        # correlation is finite
+        sys_ = SystemSpec(omega0=0.0)
+        bath = BathSpec.strict_ohmic(0.5)
+        cfg = QuadratureConfig(omega_max=1e3)
+        with pytest.raises(DomainError, match="free particle"):
+            fdt.position_correlation(1.0, sys_, bath, cfg)
+        for tau in (0.0, 1.0):
+            got = fdt.velocity_correlation(tau, sys_, bath, cfg)
+            assert got == pytest.approx(direct_strict_ohmic(tau, sys_, 0.5, 1e3, True), rel=1e-8)
+
+
 # cutoff-Ohmic baths (gamma, cutoff); the last has its cutoff below omega0,
 # so most of the spectral weight sits in the bound state above the cutoff
 CUTOFF_BATHS = [(0.5, 3.0), (1.0, 3.0), (2.0, 3.0), (0.5, 1.5), (0.1, 0.8)]
@@ -276,7 +411,6 @@ class TestCutoffBathPath:
         sys_ = SystemSpec()
         cut = BathSpec.cutoff_ohmic(gamma=0.2, cutoff=30.0)
         strict = BathSpec.strict_ohmic(0.2)
-        susc = Susceptibility(sys_, cut)
-        a = fdt.position_correlation(0.0, sys_, cut, QuadratureConfig(), susc)
+        a = fdt.position_correlation(0.0, sys_, cut, QuadratureConfig())
         b = fdt.position_correlation(0.0, sys_, strict, QuadratureConfig())
         assert a == pytest.approx(b, rel=5e-3)

@@ -10,7 +10,6 @@ from qlesim.bath import BathSpec, ModeSet, SystemSpec, discretize_bath
 from qlesim.errors import DomainError, UnsupportedBathError
 from qlesim.quadrature import QuadratureConfig
 from qlesim import fdt, microbath as mb
-from qlesim.response import Susceptibility
 from qlesim.sde import trajectory_seeds
 
 
@@ -163,9 +162,8 @@ class TestIntegrateGle:
         dt = 0.03
         grid = mb.TrajectoryGrid(dt=dt, n_steps=int(round(40.0 / dt)))
         res = mb.gle_ensemble_moments(modes, sys_, grid, n_real=2000, seed=23)
-        susc = Susceptibility(sys_, bath)
-        x2_ref = fdt.position_correlation(0.0, sys_, bath, QuadratureConfig(), susc)
-        v2_ref = fdt.velocity_correlation(0.0, sys_, bath, QuadratureConfig(), susc)
+        x2_ref = fdt.position_correlation(0.0, sys_, bath, QuadratureConfig())
+        v2_ref = fdt.velocity_correlation(0.0, sys_, bath, QuadratureConfig())
         assert abs(res["x2"].mean - x2_ref) < 3.0 * res["x2"].se
         assert abs(res["v2"].mean - v2_ref) < 3.0 * res["v2"].se
 
@@ -214,9 +212,8 @@ class TestNormalModes:
         bath, modes = make_bath(gamma=0.5, cutoff=3.0, n_modes=1000)
         grid = mb.TrajectoryGrid(dt=0.03, n_steps=int(round(40.0 / 0.03)))
         x2, v2 = mb.gle_moments_exact(modes, sys_, grid)
-        susc = Susceptibility(sys_, bath)
-        x2_ref = fdt.position_correlation(0.0, sys_, bath, QuadratureConfig(), susc)
-        v2_ref = fdt.velocity_correlation(0.0, sys_, bath, QuadratureConfig(), susc)
+        x2_ref = fdt.position_correlation(0.0, sys_, bath, QuadratureConfig())
+        v2_ref = fdt.velocity_correlation(0.0, sys_, bath, QuadratureConfig())
         assert abs(x2 / x2_ref - 1.0) < 5e-3, (x2, x2_ref)
         assert abs(v2 / v2_ref - 1.0) < 5e-3, (v2, v2_ref)
 
