@@ -230,8 +230,9 @@ def simulate_sde(params: MarkovParams, dt: float, n_steps: int, n_traj: int,
     O(dt) cross-check and requires dt * omega0 <= 0.01.
 
     Each trajectory burns in for at least 10/gamma, then contributes the
-    time-average of ``n_steps`` post-burn-in samples; trajectories are
-    independent units keyed by (seed, index), and standard errors are
+    time-average of ``n_steps`` post-burn-in samples.  Trajectory i draws
+    from its block's (seed, i // 64) stream whatever ``n_traj`` and
+    ``chunk_size`` (rounded up to whole blocks of 64); standard errors are
     computed across trajectories, which is insensitive to residual
     within-trajectory correlation.
 
@@ -256,8 +257,8 @@ def sample_trajectories(params: MarkovParams, dt: float, n_steps: int,
 
     Returns (times, x, v, force) with x, v of shape (n_steps + 1, n_traj);
     ``force`` is the step-averaged stochastic force m * dv_noise / dt
-    driving each step (zero in the final slot).  Streams are keyed by
-    (seed, index) exactly as in :func:`simulate_sde`.
+    driving each step (zero in the final slot).  Trajectory i is trajectory
+    i of :func:`simulate_sde`: its block's (seed, block) stream is drawn whole.
     """
     prop, factor = stepper(*_linear_system(params), dt, n_steps, n_traj, method)
     states, kicks = sample_paths(prop, factor, n_steps, n_traj, seed)

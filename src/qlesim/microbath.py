@@ -340,7 +340,7 @@ def gle_ensemble_moments(modes: ModeSet, system: SystemSpec, grid: TrajectoryGri
     acc_x2 = MomentAccumulator()
     acc_v2 = MomentAccumulator()
     for s, p in draws:
-        x, v = normal_modes.propagate(grid.times[-1:], x0, 0.0, s, p)
+        x, v = normal_modes.propagate(np.array([grid.dt * grid.n_steps]), x0, 0.0, s, p)
         acc_x2.update_batch(x[0] ** 2)
         acc_v2.update_batch(v[0] ** 2)
     return EnsembleResult({"x2": acc_x2.estimate(), "v2": acc_v2.estimate()}, n_real, seed,
@@ -359,9 +359,9 @@ def gle_moments_exact(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid,
     """
     sd_s, sd_p = np.sqrt(thermal_variances(modes, system))
     zero = np.zeros((modes.count, modes.count))
-    propagate = _NormalModes(modes, system).propagate
-    mean = propagate(grid.times[-1:], x0, 0.0, zero[:1], zero[:1])
-    spread = propagate(grid.times[-1:], 0.0, 0.0, np.vstack((np.diag(sd_s), zero)),
+    end, propagate = np.array([grid.dt * grid.n_steps]), _NormalModes(modes, system).propagate
+    mean = propagate(end, x0, 0.0, zero[:1], zero[:1])
+    spread = propagate(end, 0.0, 0.0, np.vstack((np.diag(sd_s), zero)),
                        np.vstack((zero, np.diag(sd_p))))
     return tuple(float(m[0, 0] ** 2 + np.sum(d ** 2)) for m, d in zip(mean, spread))
 

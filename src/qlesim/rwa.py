@@ -164,7 +164,7 @@ def simulate_rwa(params: RwaParams, dt: float, n_steps: int, n_traj: int,
                  chunk_size: int = 2048) -> EnsembleResult:
     """Monte Carlo moments of the RWA Langevin pair.
 
-    Same stepping and sampling contract as
+    Same stepping, (seed, block) streams and ``chunk_size`` rounding as
     :func:`qlesim.markovian.simulate_sde`.  Reported moments: ``x2``,
     ``p2``, the symmetrized cross moment ``xp``, and ``ehrenfest``, the
     mean square of the discrete residual (x_{k+1} - x_k)/dt - p_k/m.  The
@@ -203,7 +203,7 @@ def simulate_rwa(params: RwaParams, dt: float, n_steps: int, n_traj: int,
 
 def sample_trajectories(params: RwaParams, dt: float, n_steps: int, n_traj: int,
                         seed: int, method: str = "exact"):
-    """(times, x, p, f_x, f_p) of the first ``n_traj`` streams of :func:`simulate_rwa`.
+    """(times, x, p, f_x, f_p) of the first ``n_traj`` trajectories of :func:`simulate_rwa`.
 
     Arrays are (n_steps + 1, n_traj); f_x, f_p are each channel's noise
     kick per step over dt, zero in the final slot.

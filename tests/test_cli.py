@@ -1,6 +1,10 @@
 """Command-line interface: outputs, formats, reproducibility, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,3 +311,14 @@ class TestExitCodes:
     def test_bad_grid_is_one(self, capsys):
         code, _, _ = run_cli(["dist", "--grid", "oops"], capsys)
         assert code == 1
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "qlesim", "dist"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, out, _ = run_cli(["dist"], capsys)
+    assert done.returncode == code == 0, done.stderr
+    assert done.stdout == out

@@ -276,6 +276,20 @@ class TestNormalModes:
             tracemalloc.stop()
         assert peak < 8e6, peak
 
+    def test_memory_does_not_grow_with_grid_length(self):
+        # only the final time is propagated: the 1e7-step grid is never built
+        sys_ = SystemSpec()
+        _, modes = make_bath(n_modes=20)
+        grid = mb.TrajectoryGrid(dt=0.03, n_steps=10_000_000)
+        tracemalloc.start()
+        try:
+            mb.gle_ensemble_moments(modes, sys_, grid, n_real=16, seed=1)
+            mb.gle_moments_exact(modes, sys_, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
+
     def test_sample_trajectories_are_the_ensemble_realizations(self):
         sys_ = SystemSpec()
         _, modes = make_bath(n_modes=40)
