@@ -325,7 +325,8 @@ def run_linear_sde(cfg: RunConfig, dump_traj=None, dump_count=1):
     steps = cfg.steps or 1000
     rows = report(params, dt, steps, cfg.traj, cfg.seed)
     if dump_traj:
-        times, *series = sample(params, dt, min(steps, 1000), dump_count, cfg.seed)
+        times, *series = sample(params, dt, min(steps, 1000), min(dump_count, cfg.traj),
+                                cfg.seed)
         _write_trajectories(dump_traj, dump_columns, times, series)
     columns = ("quantity", "value", "std_error", "n", "reference")
     units = ("name", "natural units", "natural units", "count", "analytic")

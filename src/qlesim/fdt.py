@@ -10,12 +10,12 @@ at w = 0.  The position integral converges absolutely; the velocity
 integrand decays only like 1/w for a strict-Ohmic bath, so its equal-time
 value is log-divergent and an explicit frequency cutoff is required.
 
-For a strict-Ohmic bath L is rational, and its pole pair at
-w_d + i gamma/2 (w_d = sqrt(w0^2 - gamma^2/4)) carries the narrow
-resonance.  Its residues give a closed-form resonance term, which is the
-weak-coupling limit plus O(gamma), and quadrature integrates only the
-smooth O(gamma) remainder (Grabert, Schramm & Ingold, Phys. Rep. 168, 115
-(1988)).  Cutoff baths are integrated on panels directly.
+Every resonant integral here, strict- or cutoff-Ohmic, takes its narrow
+peak from one pole pair of L near w0 + i gamma/2 (closed form for strict
+Ohmic, Newton's method for a cutoff bath).  Its residues give a
+closed-form resonance term, the weak-coupling limit plus O(gamma), and
+quadrature integrates only the smooth O(gamma) remainder (Grabert,
+Schramm & Ingold, Phys. Rep. 168, 115 (1988)).
 
 The same dissipation profile defines the normalized frequency densities
 P_k and P_p whose coth-weighted means give the kinetic and potential
@@ -35,7 +35,7 @@ from scipy.special import exp1
 
 from .bath import BathKind, BathSpec, SystemSpec
 from .errors import DomainError, UVDivergenceError
-from .quadrature import QuadratureConfig, integrate_panels, resonance_edges, scaled_omega_coth
+from .quadrature import QuadratureConfig, integrate_panels, scaled_omega_coth
 from .response import Susceptibility
 
 __all__ = [
@@ -116,24 +116,9 @@ def pp_dimensional(omega, system: SystemSpec, bath: BathSpec):
     return out if out.ndim else float(out)
 
 
-def _density(which):
-    if which == "k":
-        return pk_density
-    if which == "p":
-        return pp_density
-    raise DomainError("which must be 'k' or 'p'")
-
-
 def density_normalization(which, damping, cfg: QuadratureConfig | None = None):
     """Integral of the dimensionless density over [0, inf); equals 1."""
-    cfg = cfg or QuadratureConfig()
-    f = _density(which)
-    edges = resonance_edges(1.0, damping, cfg.peak_halfwidths, upper=max(4.0, 1.0 + 2 * cfg.peak_halfwidths * damping))
-    value, _ = integrate_panels(
-        lambda x: f(x, damping), edges, cfg, tail_to_inf=True,
-        label=f"P_{which} normalization",
-    )
-    return value
+    return density_moment(which, 0, damping, math.inf, cfg)
 
 
 def density_moment(which, order, damping, window=DEFAULT_MOMENT_WINDOW,
@@ -141,23 +126,27 @@ def density_moment(which, order, damping, window=DEFAULT_MOMENT_WINDOW,
     """Moment Int_0^window Lambda^order * P(Lambda) dLambda.
 
     The kinetic density has slowly decaying tails (its first moment is
-    log-divergent, its second linearly divergent on [0, inf)), so moments
-    are only meaningful over a finite window.  In the delta-function limit
+    log-divergent, its second linearly divergent on [0, inf)), so those
+    need a finite window; window = inf raises.  In the delta-function limit
     both densities concentrate at Lambda = 1 and every windowed moment
-    tends to 1.
+    tends to 1.  P_p is (2/pi) L with m = w0 = 1 and gamma = damping, and
+    P_k = Lambda^2 P_p, so the pole-pair weight is h = (2/pi) Lambda^n,
+    n = order (+2 for P_k).
     """
-    cfg = cfg or QuadratureConfig()
     if order < 0:
         raise DomainError("order must be nonnegative")
-    if not window > 1:
-        raise DomainError("window must exceed the resonance at Lambda = 1")
-    f = _density(which)
-    edges = resonance_edges(1.0, damping, cfg.peak_halfwidths, upper=window)
-    value, _ = integrate_panels(
-        lambda x: x**order * f(x, damping), edges, cfg,
-        label=f"P_{which} moment {order}",
-    )
-    return value
+    if which not in ("k", "p"):
+        raise DomainError("which must be 'k' or 'p'")
+    n = order + (2 if which == "k" else 0)  # the integrand decays like Lambda^(n-4)
+    tail = math.isinf(window)
+    if not window > 1 or (tail and n > 2):
+        raise DomainError("window must exceed 1, the resonance, and be finite "
+                          "where the moment diverges")
+    _check_gamma(damping)
+    return _pole_pair_integral(
+        lambda x: x**n * pp_density(x, damping), lambda z: (2.0 / math.pi) * z**n,
+        _ohmic_pole(1.0, 1.0, damping), 0.0, [0.0] if tail else [0.0, window],
+        cfg or QuadratureConfig(), f"P_{which} moment {order}", tail_to_inf=tail)
 
 
 def _exp_e1(z):
@@ -189,58 +178,53 @@ def _pole_pair_tail(c, p, tau, upper):
     return 2.0 * (c * (j(p) - j(-p))).real
 
 
-def _strict_ohmic_integral(tau, system, gamma, cfg, velocity, label):
-    """Int_0^omega_max L(w) h(w) cos(w tau) dw for strict-Ohmic damping.
+def _ohmic_pole(m, w0, gamma):
+    """(p, fbar'(p)) of the strict-Ohmic resonance, p = w_d + i gamma/2.
 
-    h(w) = w^n coth(a w), n = 1 (position) or 3 (velocity).  The loss
-    L = (gamma/m) / ((w0^2 - w^2)^2 + gamma^2 w^2) has poles at +-p and
-    +-conj(p), p = w_d + i gamma/2, and the residue of L h at p is
-    c = h(p) / (4 i m p w_d).  Their principal parts
+    fbar(z) = m (w0^2 - z^2) + i m gamma z, so fbar'(p) = -2 m w_d.  None
+    when gamma > w0: the peak is then no narrower than w0.
+    """
+    if gamma > w0:
+        return None
+    wd = math.sqrt(w0 * w0 - 0.25 * gamma * gamma)
+    return complex(wd, 0.5 * gamma), complex(-2.0 * m * wd)
+
+
+def _pole_pair_integral(lh, h, pole, tau, edges, cfg, label, tail_to_inf=False, scale=1.0):
+    """Int_0^upper L(w) h(w) cos(w tau) dw with the resonance in closed form.
+
+    ``lh`` is the real integrand L h and ``h`` the weight, also at complex
+    arguments; ``pole`` is (p, fbar'(p)) with fbar(z) the conjugate of the
+    continued 1/alpha, or None.  The residue of L h at p is
+    c = -h(p) / (2 i p fbar'(p)), and the principal parts of the pole pair
     Q(w) = 2 Re[c/(w - p) - c/(w + p)] carry the whole resonance: over
     [0, inf) they integrate to -2 pi Im[c e^(i p tau)], the weak-coupling
-    limit up to O(gamma).  Their tail above omega_max is subtracted in
-    closed form, and quadrature sees only L h - Q, which is smooth on the
-    scale of w0.  When gamma > w0 or w_d >= omega_max there is no narrow
-    peak to remove and c = 0, so the same code integrates L h itself.
+    limit up to O(gamma).  Their tail above the upper limit (edges[-1], or
+    inf with ``tail_to_inf``) is subtracted in closed form, and quadrature
+    on the panels sees only L h - Q, which is smooth on the scale of w0.
+    With no pole, or Re p at or above the upper limit, c = 0 and the same
+    code integrates L h itself (Grabert, Schramm & Ingold, Phys. Rep. 168,
+    115 (1988)).  ``cfg.abs_tol`` bounds ``scale`` times the integral.
     """
-    m, w0, a = system.mass, system.omega0, system.thermal_coth_scale
-    if w0 == 0.0 and not velocity:
-        raise DomainError("the position correlation of a free particle "
-                          "(omega0 = 0) diverges at low frequency")
-    upper = math.inf if cfg.omega_max is None else cfg.omega_max
-    power = 3 if velocity else 1
-
-    def weight(w):  # h(w) in scalar math; scaled_omega_coth costs ~13 us a call
-        x = a * w
-        wcoth = (1.0 + x * x / 3.0 - x**4 / 45.0) / a if x < 1e-4 else w / math.tanh(x)
-        return w ** (power - 1) * wcoth
-
-    wd = math.sqrt(max(w0 * w0 - 0.25 * gamma * gamma, 0.0))
-    p = complex(wd, 0.5 * gamma)
-    if gamma <= w0 and wd < upper:
-        c = p**power / cmath.tanh(a * p) / (4j * m * p * wd)
-    else:
-        c = 0j
+    upper = math.inf if tail_to_inf else edges[-1]
+    c, p = 0j, 1j
+    if pole is not None and pole[0].real < upper:
+        p, slope = pole
+        c = -h(p) / (2j * p * slope)
     k, p2 = 2.0 * c * p, p * p  # Q(w) = 2 Re[k / (w^2 - p^2)]
 
     def remainder(w):
-        w2 = w * w
-        den = (w0 * w0 - w2) ** 2 + gamma * gamma * w2
-        # den = 0 only at w = 0 for a free particle, where L h -> 1/(m a gamma)
-        lh = (gamma / m) * weight(w) / den if den else 1.0 / (m * a * gamma)
-        return lh - 2.0 * (k / (w2 - p2)).real
+        return lh(w) - 2.0 * (k / (w * w - p2)).real
 
     closed = (-2.0 * math.pi * (c * cmath.exp(1j * p * tau)).imag
               - _pole_pair_tail(c, p, tau, upper))
     # the remainder is O(gamma) of the value, so its error is judged against
     # the closed-form part too; the 1/50 offsets the slack of integrate_panels,
-    # so the bound is rel_tol of the whole value.  One panel: the remainder
-    # is smooth, and an edge at w0 would add two boundary terms ~ 1/tau that
-    # cancel to the last digits of a value decayed at large tau
-    rcfg = replace(cfg, abs_tol=max(cfg.abs_tol, cfg.rel_tol * abs(closed) / 50.0))
-    infinite = math.isinf(upper)
-    edges = [0.0] if infinite else [0.0, upper]
-    value, _ = integrate_panels(remainder, edges, rcfg, tau=tau, tail_to_inf=infinite,
+    # so the bound is rel_tol of the whole value.  No panel edge at w0: the
+    # remainder is smooth there, and an edge would add two boundary terms
+    # ~ 1/tau that cancel to the last digits of a value decayed at large tau
+    rcfg = replace(cfg, abs_tol=max(cfg.abs_tol / scale, cfg.rel_tol * abs(closed) / 50.0))
+    value, _ = integrate_panels(remainder, edges, rcfg, tau=tau, tail_to_inf=tail_to_inf,
                                 label=label)
     return closed + value
 
@@ -249,35 +233,52 @@ def _correlation(tau, system, bath, cfg, velocity):
     if not bath.gamma > 0:
         raise DomainError("bath damping must be positive")
     tau = abs(float(tau))
-    a = system.thermal_coth_scale
-    w0 = system.omega0
+    m, w0, a, gamma = system.mass, system.omega0, system.thermal_coth_scale, bath.gamma
     label = "velocity correlation" if velocity else "position correlation"
+    power = 3 if velocity else 1
+    upper = math.inf if cfg.omega_max is None else cfg.omega_max
+
+    def h(z):
+        return z**power / cmath.tanh(a * z)
 
     if bath.kind is BathKind.STRICT_OHMIC:
-        if velocity and (cfg.omega_max is None or not np.isfinite(cfg.omega_max)):
+        if velocity and math.isinf(upper):
             raise UVDivergenceError(
                 "velocity correlation is UV-divergent for a strict-Ohmic "
                 "bath (log at tau = 0); set a finite omega_max"
             )
-        value = _strict_ohmic_integral(tau, system, bath.gamma, cfg, velocity, label)
-        return (system.hbar / math.pi) * value
+        if w0 == 0.0 and not velocity:
+            raise DomainError("the position correlation of a free particle "
+                              "(omega0 = 0) diverges at low frequency")
 
-    s = Susceptibility(system, bath)
-    if velocity:
-        integrand = lambda w: w**2 * s.loss(w) * scaled_omega_coth(w, a)
+        def lh(w):  # L h in scalar math; scaled_omega_coth costs ~13 us a call
+            x = a * w
+            wcoth = (1.0 + x * x / 3.0 - x**4 / 45.0) / a if x < 1e-4 else w / math.tanh(x)
+            w2 = w * w
+            den = (w0 * w0 - w2) ** 2 + gamma * gamma * w2
+            # den = 0 only at w = 0 for a free particle, where L h -> 1/(m a gamma)
+            return (gamma / m) * (w ** (power - 1) * wcoth) / den if den else 1.0 / (m * a * gamma)
+
+        # one panel: the remainder is smooth
+        pole, tail, bound = _ohmic_pole(m, w0, gamma), math.isinf(upper), None
+        edges = [0.0] if tail else [0.0, upper]
     else:
-        integrand = lambda w: s.loss(w) * scaled_omega_coth(w, a)
+        s = Susceptibility(system, bath)
 
-    # cutoff bath: the loss is smooth below the cutoff and falls to zero at
-    # it like 1/ln^2, which geometric shoulders resolve; above it the loss
-    # is the bound-state delta, added in closed form
-    cut = bath.cutoff
-    upper = cut if cfg.omega_max is None else min(cut, cfg.omega_max)
-    shoulders = cut * (1.0 - 10.0 ** -np.arange(1, 9))
-    edges = resonance_edges(w0, bath.gamma, cfg.peak_halfwidths, upper=upper)
-    edges = sorted(set(edges).union(shoulders[shoulders < upper]))
-    value, _ = integrate_panels(integrand, edges, cfg, tau=tau, label=label)
-    bound = s.bound_state()
+        def lh(w):
+            return w ** (power - 1) * s.loss(w) * scaled_omega_coth(w, a)
+
+        # below the cutoff the loss is the resonance plus a smooth part that
+        # falls to zero at the cutoff like 1/ln^2, which geometric shoulders
+        # resolve; above it the loss is the bound-state delta, in closed form
+        cut = bath.cutoff
+        upper = min(cut, upper)
+        shoulders = cut * (1.0 - 10.0 ** -np.arange(1, 9))
+        edges = [0.0, *shoulders[shoulders < upper], upper]
+        pole, tail, bound = s.resonance_pole(), False, s.bound_state()
+    # abs_tol bounds C itself, which is hbar/pi times the frequency integral
+    value = _pole_pair_integral(lh, h, pole, tau, edges, cfg, label, tail_to_inf=tail,
+                                scale=system.hbar / math.pi)
     if bound is not None and (cfg.omega_max is None or bound[0] <= cfg.omega_max):
         wb, weight = bound
         value += (weight * (wb**2 if velocity else 1.0) * scaled_omega_coth(wb, a)
@@ -289,14 +290,15 @@ def position_correlation(tau, system: SystemSpec, bath: BathSpec,
                          cfg: QuadratureConfig | None = None):
     """Symmetrized position autocorrelation C_x(tau).
 
-    Strict Ohmic: the closed-form resonance term, which is the
+    The closed-form term of the resonance pole pair, which is the
     weak-coupling limit (hbar / 2 m w0) coth(hbar w0 / 2 kB T) cos(w0 tau)
-    plus O(gamma), and a quadrature of the smooth O(gamma) remainder up to
-    ``cfg.omega_max`` (to infinity when None; the integrand decays like
-    1/omega^3).  Cutoff baths are integrated on panels up to the cutoff,
-    plus the closed-form term of the bound state above it.  Even in tau
-    by construction.  Raises DomainError for a free particle (omega0 = 0)
-    on a strict-Ohmic bath, whose position correlation diverges.
+    plus O(gamma), and a quadrature of the smooth remainder: for strict
+    Ohmic up to ``cfg.omega_max`` (to infinity when None; the integrand
+    decays like 1/omega^3), for a cutoff bath up to the cutoff, plus the
+    closed-form term of its bound state above it.  ``cfg.abs_tol`` bounds
+    the error of C itself.  Even in tau by construction.  Raises
+    DomainError for a free particle (omega0 = 0) on a strict-Ohmic bath,
+    whose position correlation diverges.
     """
     cfg = cfg or QuadratureConfig()
     return _correlation(tau, system, bath, cfg, velocity=False)
@@ -306,11 +308,10 @@ def velocity_correlation(tau, system: SystemSpec, bath: BathSpec,
                          cfg: QuadratureConfig | None = None):
     """Symmetrized velocity autocorrelation C_v(tau).
 
-    Strict Ohmic: the closed-form resonance term, which is the
-    weak-coupling limit (hbar w0 / 2 m) coth(hbar w0 / 2 kB T) cos(w0 tau)
-    plus O(gamma), and a quadrature of the smooth O(gamma) remainder.  It
-    requires a finite ``cfg.omega_max``: the remainder decays only like
-    1/omega, so the result depends logarithmically on that cutoff at
+    As :func:`position_correlation`, with the weak-coupling limit
+    (hbar w0 / 2 m) coth(hbar w0 / 2 kB T) cos(w0 tau).  A strict-Ohmic
+    bath requires a finite ``cfg.omega_max``: the remainder decays only
+    like 1/omega, so the result depends logarithmically on that cutoff at
     tau = 0 and the caller owns the choice.  Weak-coupling values are
     cutoff-insensitive because the resonance term carries the weight.
     """

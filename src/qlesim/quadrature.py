@@ -1,11 +1,12 @@
-"""Adaptive frequency-domain quadrature with resonance-peak isolation.
+"""Adaptive frequency-domain quadrature on panels.
 
-The thermal integrals evaluated here share one difficulty: a Lorentzian
-resonance whose width (set by the damping) can be orders of magnitude
-narrower than the integration range.  Global adaptive quadrature misses
-such peaks, so every integral is assembled from panels whose edges pin
-the resonance, with scipy's oscillatory (QAWO/QAWF) rules taking over
-when a cos(omega*tau) factor is present.
+The integrands handed to :func:`integrate_panels` are smooth on the
+scale of omega0: a narrow resonance, whose width (set by the damping) can
+be orders of magnitude below the integration range, is removed before
+quadrature by its pole pair in closed form (see :mod:`qlesim.fdt`).
+Panel edges mark only what remains, such as the log shoulders of a bath
+cutoff, and scipy's oscillatory (QAWO/QAWF) rules take over when a
+cos(omega*tau) factor is present.
 """
 
 from __future__ import annotations
@@ -23,15 +24,16 @@ __all__ = ["QuadratureConfig", "coth", "scaled_omega_coth", "integrate_panels"]
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and panel policy for the frequency-domain integrals.
+    """Tolerances and panel budget for the frequency-domain integrals.
+
+    A narrow resonance needs no setting here: :mod:`qlesim.fdt` removes
+    it by its pole pair before quadrature.
 
     Attributes
     ----------
     rel_tol, abs_tol : float
-        Target relative/absolute tolerance of each full integral.
-    peak_halfwidths : float
-        Half-width of the isolated resonance window in units of the
-        damping rate (the window is omega0 * (1 +/- k*gamma/omega0)).
+        Target relative/absolute tolerance of each full result; for a
+        correlation function abs_tol is in the units of the correlation.
     omega_max : float or None
         Upper cutoff for integrals whose integrand decays too slowly to
         be summed to infinity.  None means "no cutoff requested".
@@ -41,7 +43,6 @@ class QuadratureConfig:
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
-    peak_halfwidths: float = 20.0
     omega_max: float | None = None
     max_panels: int = 2000
 
@@ -50,8 +51,6 @@ class QuadratureConfig:
             raise DomainError("rel_tol must be positive")
         if not self.abs_tol > 0:
             raise DomainError("abs_tol must be positive")
-        if not self.peak_halfwidths >= 1:
-            raise DomainError("peak_halfwidths must be >= 1")
         if self.omega_max is not None and not self.omega_max > 0:
             raise DomainError("omega_max must be positive when finite")
         if self.max_panels < 4:
@@ -126,34 +125,18 @@ def integrate_panels(f, edges, cfg, *, tau=0.0, tail_to_inf=False, label=""):
         )
     tau = abs(float(tau))
 
+    weight = dict(weight="cos", wvar=tau, maxp1=100) if tau > 0.0 else {}
+    uppers = edges[1:] + ([np.inf] if tail_to_inf else [])
     total = 0.0
     err = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for a, b in zip(edges, edges[1:]):
-            if tau > 0.0:
-                v, e = integrate.quad(
-                    f, a, b, weight="cos", wvar=tau,
-                    epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=200, maxp1=100,
-                )
-            else:
-                v, e = integrate.quad(
-                    f, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=200
-                )
-            total += v
-            err += e
-        if tail_to_inf:
-            a = edges[-1]
-            if tau > 0.0:
-                scale = max(abs(total), cfg.abs_tol)
-                v, e = integrate.quad(
-                    f, a, np.inf, weight="cos", wvar=tau,
-                    epsabs=max(cfg.abs_tol, cfg.rel_tol * scale), limit=200, maxp1=100,
-                )
-            else:
-                v, e = integrate.quad(
-                    f, a, np.inf, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=200
-                )
+        for a, b in zip(edges, uppers):
+            epsabs = cfg.abs_tol
+            if weight and b == np.inf:  # QAWF has no relative tolerance
+                epsabs = max(cfg.abs_tol, cfg.rel_tol * max(abs(total), cfg.abs_tol))
+            v, e = integrate.quad(f, a, b, epsabs=epsabs, epsrel=cfg.rel_tol, limit=200,
+                                  **weight)
             total += v
             err += e
 
@@ -167,23 +150,3 @@ def integrate_panels(f, edges, cfg, *, tau=0.0, tail_to_inf=False, label=""):
         )
     return total, err
 
-
-def resonance_edges(omega0, width, halfwidths, upper):
-    """Panel edges [0, ...] isolating the resonance at ``omega0``.
-
-    ``width`` is the damping rate; the peak window omega0 +/- k*width is
-    clipped to stay inside (0, upper).  The resonance itself sits on a
-    panel edge, where Gauss-Kronrod handles it best.
-    """
-    lo = omega0 - halfwidths * width
-    hi = omega0 + halfwidths * width
-    edges = [0.0]
-    if lo > 0:
-        edges.append(lo)
-    if omega0 > 0 and omega0 < upper:
-        edges.append(omega0)
-    if hi < upper:
-        edges.append(hi)
-    edges.append(upper)
-    edges = sorted(set(e for e in edges if 0.0 <= e <= upper))
-    return edges

@@ -21,6 +21,7 @@ the cutoff alpha is therefore real except at one bound state omega_b
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ from scipy.optimize import brentq
 from scipy.special import sici
 
 from .bath import BathKind, BathSpec, SystemSpec
-from .errors import DomainError, UnsupportedBathError
+from .errors import DomainError, QuadratureError, UnsupportedBathError
 
 __all__ = ["mu_fourier", "susceptibility", "Susceptibility"]
 
@@ -149,6 +150,40 @@ class Susceptibility:
         d, e, re = self._parts(omega)
         out = re / (d**2 + e**2)
         return out if out.ndim else float(out)
+
+    def resonance_pole(self):
+        """(p, fbar'(p)) of the resonance of a cutoff-Ohmic bath, or None.
+
+        Off the real axis the loss continues as (1/f - 1/fbar) / (2 i z),
+        fbar(z) = m (w0^2 - z^2) + i z mubar(z), and below the cutoff
+        mubar(z) = m gamma - i (m gamma / pi) ln((Omega + z) / (Omega - z)).
+        The zero p of fbar near w0 + i gamma/2, found by Newton's method
+        from there, is the pole carrying the resonance peak.  None for other
+        baths, when gamma > w0 and when w0 >= Omega (no peak below the
+        cutoff).  Raises QuadratureError when Newton's method does not
+        converge, rather than lose the pole.
+        """
+        if self.bath.kind is not BathKind.CUTOFF_OHMIC:
+            return None
+        m, w0, g, cut = self.system.mass, self.system.omega0, self.bath.gamma, self.bath.cutoff
+        if g > w0 or not w0 < cut:
+            return None
+        k = _half_amplitude(self.bath)  # m gamma / pi
+
+        def fbar(z):  # (fbar(z), fbar'(z))
+            mub = k * (math.pi - 1j * cmath.log((cut + z) / (cut - z)))
+            dmub = -2j * k * cut / (cut * cut - z * z)
+            return m * (w0 * w0 - z * z) + 1j * z * mub, -2.0 * m * z + 1j * (mub + z * dmub)
+
+        z = complex(w0, 0.5 * g)
+        for _ in range(50):
+            value, slope = fbar(z)
+            step = value / slope
+            z -= step
+            if abs(step) <= 1e-14 * abs(z):
+                return z, fbar(z)[1]
+        raise QuadratureError(f"no resonance pole found near {complex(w0, 0.5 * g)} "
+                              f"(Newton's method stopped at {z})")
 
     def bound_state(self):
         """(omega_b, w) such that the loss holds w * delta(omega - omega_b).

@@ -180,6 +180,17 @@ class TestEnsembleCommands:
         assert code == 0
         assert dump.read_text().startswith("realization,t,x,v,f")
 
+    @pytest.mark.parametrize("command", ("sde", "rwa"))
+    def test_dump_count_capped_at_traj(self, command, tmp_path, capsys):
+        # as for microbath, no realization outside the reported ensemble
+        dump = tmp_path / "traj.csv"
+        code, _, _ = run_cli(
+            [command, "--traj", "3", "--steps", "5", "--dump-traj", str(dump),
+             "--dump-count", "5"], capsys)
+        assert code == 0
+        ids = {line.split(",")[0] for line in dump.read_text().splitlines()[1:]}
+        assert ids == {"0", "1", "2"}
+
 
 class TestScanAndFiles:
     def test_scan_writes_tables(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.optimize import brentq
 from scipy.special import polygamma, psi
 
 from qlesim.bath import BathSpec, SystemSpec
@@ -62,17 +63,27 @@ class TestDensities:
 
     def test_delta_limit_moments(self):
         # both moments of both densities within 1% of 1 at damping 1e-3,
-        # shrinking when the damping drops to 1e-4
+        # shrinking when the damping drops to 1e-4, and within 10 dampings
+        # of 1 down to 1e-9 (a resonance-isolating quadrature was 1.6% off
+        # at 1e-9 and raised at 1e-6)
         for which in ("k", "p"):
             for order in (1, 2):
                 dev3 = abs(fdt.density_moment(which, order, 1e-3) - 1.0)
                 dev4 = abs(fdt.density_moment(which, order, 1e-4) - 1.0)
                 assert dev3 < 0.01
                 assert dev4 < dev3
+                for damping in (1e-3, 1e-4, 1e-6, 1e-9):
+                    dev = abs(fdt.density_moment(which, order, damping) - 1.0)
+                    assert dev <= 10.0 * damping, (which, order, damping, dev)
 
     def test_moment_requires_window_beyond_peak(self):
         with pytest.raises(DomainError):
             fdt.density_moment("k", 1, 0.1, window=0.5)
+        # on [0, inf) the second moment of P_k diverges linearly, and it
+        # used to come out finite; that of P_p is the normalization of P_k
+        with pytest.raises(DomainError):
+            fdt.density_moment("k", 2, 0.1, window=math.inf)
+        assert fdt.density_moment("p", 2, 0.1, window=math.inf) == pytest.approx(1.0, abs=1e-8)
 
 
 class TestDimensionalDensities:
@@ -93,11 +104,10 @@ class TestDimensionalDensities:
         sys_ = SystemSpec(omega0=1.5)
         bath = BathSpec.strict_ohmic(0.45)
         cfg = QuadratureConfig()
-        from qlesim.quadrature import integrate_panels, resonance_edges
+        from qlesim.quadrature import integrate_panels
 
-        edges = resonance_edges(1.5, 0.45, 20.0, upper=1.5 + 40 * 0.45)
         val, _ = integrate_panels(
-            lambda w: fdt.pk_dimensional(w, sys_, bath), edges, cfg,
+            lambda w: fdt.pk_dimensional(w, sys_, bath), [0.0, 1.5, 10.5, 19.5], cfg,
             tail_to_inf=True, label="P_k normalization",
         )
         assert val == pytest.approx(1.0, abs=1e-6)
@@ -134,6 +144,17 @@ class TestPositionCorrelation:
         cfg = QuadratureConfig(omega_max=1e3)
         assert fdt.position_correlation(2.2, sys_, bath, cfg) == \
             fdt.position_correlation(-2.2, sys_, bath, cfg)
+
+    def test_abs_tol_bounds_the_correlation_itself(self):
+        # abs_tol used to bound the frequency integral before its factor
+        # hbar/pi, asking 1e-18 of C at hbar = 1e-6, and this cell raised
+        gamma, tau = 0.5, 100.0
+        got = fdt.position_correlation(tau, SystemSpec(hbar=1e-6),
+                                       BathSpec.strict_ohmic(gamma), QuadratureConfig())
+        wd = math.sqrt(1.0 - 0.25 * gamma**2)
+        classical = math.exp(-0.5 * gamma * tau) * (
+            math.cos(wd * tau) + 0.5 * gamma / wd * math.sin(wd * tau))
+        assert got == pytest.approx(classical, rel=1e-6)
 
     def test_classical_error_shrinks_as_hbar_squared(self):
         # quantum correction to m w0^2 C_x(0) scales like hbar^2; resolvable
@@ -334,12 +355,13 @@ class TestStrictOhmicResonance:
         c0 = fdt.velocity_correlation(0.0, sys_, bath, tight)
         assert abs(got - ref) <= 50.0 * cfg.rel_tol * c0
 
-    @pytest.mark.parametrize("upper", (5.0, 1e3))
+    @pytest.mark.parametrize("upper", (5.0, 1e3, 0.5))
     @pytest.mark.parametrize("tau", (0.0, 0.7, 3.0))
     def test_matches_direct_quadrature_at_moderate_damping(self, upper, tau):
         # at gamma = 0.3 the peak is wide enough for plain QUADPACK; at
         # upper = 5 the closed-form tail of the pole pair above the cutoff
-        # is a sizeable part of the value
+        # is a sizeable part of the value; at upper = 0.5 the pole lies
+        # beyond the cutoff and is not removed
         sys_ = SystemSpec()
         cfg = QuadratureConfig(omega_max=upper)
         for ch, fn in CHANNELS:
@@ -390,7 +412,66 @@ def matsubara_position_variance(sys_, bath, n_terms=2_000_000):
     return kt / sys_.mass * (1.0 / sys_.omega0**2 + 2.0 * (terms.sum() + tail))
 
 
+def direct_cutoff_ohmic(tau, sys_, bath, velocity):
+    """The FDT integral of a cutoff-Ohmic bath by plain QUADPACK on panels
+    split at w0 and at the shoulders of the cutoff, without removing the
+    resonance, plus the bound state above the cutoff from its own root
+    search.  Below the cutoff mu = m gamma (1 + (i/pi) ln((W + w)/(W - w)))
+    and L = m gamma / (D^2 + (m gamma w)^2) with D = Re(1/alpha); above it
+    L = pi / (w_b |D'(w_b)|) delta(w - w_b) at the zero w_b of D.
+    """
+    m, w0, a = sys_.mass, sys_.omega0, sys_.thermal_coth_scale
+    gamma, cut = bath.gamma, bath.cutoff
+    k = m * gamma / math.pi
+    power = 3 if velocity else 1
+
+    def d(w):
+        return m * (w0**2 - w**2) + k * w * math.log(abs((cut + w) / (cut - w)))
+
+    def f(w):
+        if w == 0.0:  # w^n coth(a w) -> w^(n-1) / a
+            return 0.0 if velocity else gamma / (m * a * w0**4)
+        return m * gamma * w**power / math.tanh(a * w) / (d(w) ** 2 + (m * gamma * w) ** 2)
+
+    points = [w0] if w0 < cut else []
+    edges = sorted({0.0, *points, *(cut * (1.0 - 10.0 ** -np.arange(1, 9))), cut})
+    kw = dict(weight="cos", wvar=tau) if tau > 0 else {}
+    value = sum(integrate.quad(f, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=1000, **kw)[0]
+                for lo, hi in zip(edges, edges[1:]))
+    wb = brentq(d, cut * (1.0 + 1e-13), 10.0 * (cut + w0 + gamma), xtol=1e-300)
+    slope = (-2.0 * m * wb + k * math.log((wb + cut) / (wb - cut))
+             - 2.0 * k * cut * wb / (wb**2 - cut**2))
+    value += (math.pi / (wb * abs(slope)) * wb**power / math.tanh(a * wb)
+              * math.cos(wb * tau))
+    return sys_.hbar / math.pi * value
+
+
 class TestCutoffBathPath:
+    @pytest.mark.parametrize("gamma,cutoff", CUTOFF_BATHS)
+    def test_matches_direct_quadrature(self, gamma, cutoff):
+        sys_ = SystemSpec()
+        bath = BathSpec.cutoff_ohmic(gamma=gamma, cutoff=cutoff)
+        for tau in (0.0, 0.7, 3.0):
+            for ch, fn in CHANNELS:
+                got = fn(tau, sys_, bath)
+                ref = direct_cutoff_ohmic(tau, sys_, bath, velocity=bool(ch))
+                assert got == pytest.approx(ref, rel=1e-9, abs=1e-12), (fn.__name__, tau)
+
+    @pytest.mark.parametrize("gamma", SWEEP_GAMMAS + (3e-7, 2e-7, 1.5e-7, 5e-8))
+    def test_weak_coupling_sweep_lands_on_weak_limit(self, gamma):
+        # with the resonance isolated on panels, gamma = 1e-7 and 5e-8 came
+        # out 0.8% and 1.6% low with no error, and 2e-7, 1.5e-7 and 1e-8 raised
+        sys_ = SystemSpec()
+        cfg = QuadratureConfig()
+        bath = BathSpec.cutoff_ohmic(gamma=gamma, cutoff=3.0)
+        c0 = fdt.weak_limit_correlation(0.0, sys_)
+        for tau in (0.0, 1.0, 7.3):
+            weak = fdt.weak_limit_correlation(tau, sys_)
+            for ch, fn in CHANNELS:
+                got = fn(tau, sys_, bath, cfg)
+                band = 4.0 * gamma * c0[ch] + 50.0 * cfg.rel_tol * c0[ch]
+                assert abs(got - weak[ch]) <= band, (fn.__name__, tau, got, weak[ch])
+
     @pytest.mark.parametrize("gamma,cutoff", CUTOFF_BATHS)
     def test_position_variance_matches_matsubara_sum(self, gamma, cutoff):
         sys_ = SystemSpec()

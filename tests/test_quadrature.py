@@ -10,7 +10,6 @@ from qlesim.quadrature import (
     QuadratureConfig,
     coth,
     integrate_panels,
-    resonance_edges,
     scaled_omega_coth,
 )
 
@@ -42,14 +41,14 @@ class TestCoth:
 class TestConfig:
     def test_defaults_valid(self):
         cfg = QuadratureConfig()
-        assert cfg.rel_tol == 1e-8 and cfg.peak_halfwidths == 20.0
+        assert cfg.rel_tol == 1e-8 and cfg.abs_tol == 1e-12
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"rel_tol": 0.0},
             {"abs_tol": -1.0},
-            {"peak_halfwidths": 0.5},
+            {"abs_tol": 0.0},
             {"omega_max": -2.0},
             {"max_panels": 1},
         ],
@@ -87,11 +86,3 @@ class TestIntegratePanels:
         cfg = QuadratureConfig(max_panels=4)
         with pytest.raises(QuadratureError):
             integrate_panels(lambda x: x, list(np.linspace(0, 1, 10)), cfg)
-
-    def test_resonance_edges_clip(self):
-        edges = resonance_edges(1.0, 0.5, 20.0, upper=4.0)
-        assert edges[0] == 0.0 and edges[-1] == 4.0
-        assert 1.0 in edges
-        edges = resonance_edges(1.0, 1e-3, 20.0, upper=4.0)
-        assert any(abs(e - (1.0 - 0.02)) < 1e-12 for e in edges)
-        assert any(abs(e - 1.02) < 1e-12 for e in edges)

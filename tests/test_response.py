@@ -9,7 +9,7 @@ from scipy.special import sici
 
 from qlesim.bath import BathSpec, ModeSet, SystemSpec
 from qlesim.errors import UnsupportedBathError
-from qlesim.quadrature import QuadratureConfig, integrate_panels, resonance_edges
+from qlesim.quadrature import QuadratureConfig, integrate_panels
 from qlesim.response import Susceptibility, mu_fourier, susceptibility
 
 
@@ -171,7 +171,7 @@ class TestSusceptibility:
         bath = BathSpec.strict_ohmic(0.04)
         susc = Susceptibility(sys_, bath)
         cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14)
-        edges = resonance_edges(1.7, 0.04, 20.0, upper=1.7 + 40 * 0.04)
+        edges = [0.0, 0.9, 1.7, 2.5, 3.3]  # the peak 1.7 +- 20 damping rates pinned
         val, _ = integrate_panels(susc.loss, edges, cfg, tail_to_inf=True,
                                   label="kramers-kronig")
         static = (2.0 / math.pi) * val
@@ -231,3 +231,33 @@ class TestBoundState:
         # omega_b - cutoff near exp(-8e4) at gamma = 1e-4
         bath = BathSpec.cutoff_ohmic(gamma=1e-4, cutoff=3.0)
         assert Susceptibility(SystemSpec(), bath).bound_state() is None
+
+
+class TestResonancePole:
+    def test_none_without_a_peak_below_the_cutoff(self):
+        sys_ = SystemSpec()
+        assert Susceptibility(sys_, BathSpec.strict_ohmic(0.5)).resonance_pole() is None
+        for gamma, cutoff in ((2.0, 3.0), (0.1, 0.8)):  # gamma > w0; w0 above the cutoff
+            bath = BathSpec.cutoff_ohmic(gamma=gamma, cutoff=cutoff)
+            assert Susceptibility(sys_, bath).resonance_pole() is None
+
+    @pytest.mark.parametrize("gamma", (1e-2, 1e-4, 1e-6))
+    def test_taylor_steps_from_the_real_axis(self, gamma):
+        # on the real axis fbar = conj(1/alpha); Taylor steps of i Im(p)
+        # from Re p, with finite-difference derivatives of the closed-form
+        # transform, give fbar(p) = 0 to O(gamma^3) and fbar'(p) to O(gamma^2)
+        sys_ = SystemSpec(mass=1.3, omega0=1.7)
+        bath = BathSpec.cutoff_ohmic(gamma=gamma, cutoff=3.0, system_mass=1.3)
+        susc = Susceptibility(sys_, bath)
+        p, slope = susc.resonance_pole()
+        x, y = p.real, p.imag
+
+        def fbar(w):
+            return (1.0 / susc.alpha(w)).conjugate()
+
+        h = 1e-4
+        d1 = (fbar(x + h) - fbar(x - h)) / (2.0 * h)
+        d2 = (fbar(x + h) - 2.0 * fbar(x) + fbar(x - h)) / h**2
+        assert y == pytest.approx(0.5 * gamma, rel=gamma)
+        assert abs(fbar(x) + 1j * y * d1 - 0.5 * y * y * d2) < gamma**3 + 1e-14
+        assert abs(slope - (d1 + 1j * y * d2)) < gamma**2 + 1e-10
