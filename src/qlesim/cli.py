@@ -18,9 +18,11 @@ identical output bytes.  Exit codes: 1 validation, 2 numeric failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -422,33 +424,28 @@ def main(argv=None) -> int:
         return EXIT_IO
 
     try:
-        if cfg.command == "scan":
-            for path in run_scan(cfg):
-                print(path)
-            return EXIT_OK
-        if cfg.command in RUNNERS:
-            columns, units, rows, block = RUNNERS[cfg.command](cfg)
-        else:
-            run = run_microbath if cfg.command == "microbath" else run_linear_sde
-            columns, units, rows, block = run(cfg, args.dump_traj, args.dump_count)
+        with warnings.catch_warnings():
+            # a library warning prints as one line, in the style of the error lines
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                             file=sys.stderr)
+            if cfg.command == "scan":
+                for path in run_scan(cfg):
+                    print(path)
+                return EXIT_OK
+            if cfg.command in RUNNERS:
+                columns, units, rows, block = RUNNERS[cfg.command](cfg)
+            else:
+                run = run_microbath if cfg.command == "microbath" else run_linear_sde
+                columns, units, rows, block = run(cfg, args.dump_traj, args.dump_count)
+        with open(cfg.out, "w") if cfg.out else contextlib.nullcontext(sys.stdout) as fh:
+            io.write_table(fh, cfg.command, cfg.to_params(), columns, units,
+                           rows, fmt=cfg.format, block_column=block)
     except (QuadratureError, UnstableIntegrationError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except QlesimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    try:
-        if cfg.out:
-            with open(cfg.out, "w") as fh:
-                io.write_table(fh, cfg.command, cfg.to_params(), columns, units,
-                               rows, fmt=cfg.format, block_column=block)
-        else:
-            io.write_table(sys.stdout, cfg.command, cfg.to_params(), columns,
-                           units, rows, fmt=cfg.format, block_column=block)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

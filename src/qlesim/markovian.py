@@ -18,7 +18,6 @@ factor of two.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ from scipy import integrate
 from .bath import SystemSpec
 from .ensemble import EnsembleResult
 from .errors import DomainError
-from .sde import run_ensemble, sample_paths, stepper
+from .sde import run_ensemble, sample_paths
 
 __all__ = [
     "MarkovParams",
@@ -102,33 +101,27 @@ def char_roots(gamma: float, omega0: float) -> CharRoots:
 
 @dataclass(frozen=True)
 class MarkovParams:
-    """Oscillator, damping and the implied Markovian noise intensity."""
+    """Oscillator and damping; the Markovian noise intensity follows from them."""
 
     system: SystemSpec
     gamma: float
-    noise: float
-    underdamped: bool
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise DomainError("gamma must be positive")
-        expected = noise_intensity(self.system, self.gamma)
-        if not math.isclose(self.noise, expected, rel_tol=1e-12):
-            raise DomainError(
-                f"noise intensity {self.noise!r} inconsistent with the "
-                f"fluctuation-dissipation value {expected!r}"
-            )
-        if self.underdamped != (self.gamma < 2.0 * self.system.omega0):
-            raise DomainError("underdamped flag inconsistent with gamma, omega0")
+        if not self.gamma > 0 or not self.system.omega0 > 0:
+            raise DomainError("gamma and omega0 must be positive")
 
     @classmethod
     def from_system(cls, system: SystemSpec, gamma: float) -> "MarkovParams":
-        return cls(
-            system=system,
-            gamma=gamma,
-            noise=noise_intensity(system, gamma),
-            underdamped=gamma < 2.0 * system.omega0,
-        )
+        return cls(system=system, gamma=gamma)
+
+    @property
+    def noise(self) -> float:
+        """Fluctuation-dissipation intensity, :func:`noise_intensity`."""
+        return noise_intensity(self.system, self.gamma)
+
+    @property
+    def underdamped(self) -> bool:
+        return self.gamma < 2.0 * self.system.omega0
 
     def roots(self) -> CharRoots:
         return char_roots(self.gamma, self.system.omega0)
@@ -145,8 +138,6 @@ def stationary_moments_analytic(params: MarkovParams):
 
     independent of gamma, matching the weak-coupling energies.
     """
-    if not params.gamma > 0:
-        raise DomainError("no stationary state without damping")
     sys_ = params.system
     x2 = params.noise / (4.0 * sys_.mass**2 * params.gamma * sys_.omega0**2)
     v2 = params.noise / (4.0 * sys_.mass**2 * params.gamma)
@@ -229,26 +220,18 @@ def simulate_sde(params: MarkovParams, dt: float, n_steps: int, n_traj: int,
     step doubles as the decorrelation stride; ``method='euler'`` is the
     O(dt) cross-check and requires dt * omega0 <= 0.01.
 
-    Each trajectory burns in for at least 10/gamma, then contributes the
-    time-average of ``n_steps`` post-burn-in samples.  Trajectory i draws
-    from its block's (seed, i // 64) stream whatever ``n_traj`` and
-    ``chunk_size`` (rounded up to whole blocks of 64); standard errors are
-    computed across trajectories, which is insensitive to residual
-    within-trajectory correlation.
+    Each trajectory burns in for ``burn_in`` (default 10/gamma), then
+    contributes the time-average of ``n_steps`` samples, with the streams
+    and chunking of :func:`qlesim.sde.run_ensemble`; standard errors are
+    computed across trajectories.
 
     Returns an :class:`EnsembleResult` with moments ``x2`` and ``v2``.
     """
-    prop, factor = stepper(*_linear_system(params), dt, n_steps, n_traj, method)
-    burn_steps = max(1, math.ceil((10.0 / params.gamma if burn_in is None else burn_in) / dt))
-    accs = run_ensemble(
-        prop, factor, n_steps, n_traj, seed,
+    return run_ensemble(
+        *_linear_system(params), dt, n_steps, n_traj, seed,
         {"x2": lambda prev, s: s[:, 0] ** 2, "v2": lambda prev, s: s[:, 1] ** 2},
-        burn_steps, chunk_size, bound=1e6 * math.sqrt(stationary_moments_analytic(params)[0]),
-    )
-    moments = {name: acc.estimate() for name, acc in accs.items()}
-    return EnsembleResult(moments, n_traj, seed,
-                          meta={"dt": dt, "n_steps": n_steps, "burn_steps": burn_steps,
-                                "method": method, "gamma": params.gamma})
+        10.0 / params.gamma if burn_in is None else burn_in, chunk_size, method,
+        gamma=params.gamma)
 
 
 def sample_trajectories(params: MarkovParams, dt: float, n_steps: int,
@@ -260,7 +243,6 @@ def sample_trajectories(params: MarkovParams, dt: float, n_steps: int,
     driving each step (zero in the final slot).  Trajectory i is trajectory
     i of :func:`simulate_sde`: its block's (seed, block) stream is drawn whole.
     """
-    prop, factor = stepper(*_linear_system(params), dt, n_steps, n_traj, method)
-    states, kicks = sample_paths(prop, factor, n_steps, n_traj, seed)
+    states, kicks = sample_paths(*_linear_system(params), dt, n_steps, n_traj, seed, method)
     force = params.system.mass * kicks[:, :, 1] / dt
     return dt * np.arange(n_steps + 1), states[:, :, 0], states[:, :, 1], force

@@ -9,8 +9,13 @@ position and momentum each acquire their own drag and noise:
 with independent noises of intensities I_x = (2 gamma hbar / m w0) coth
 and I_p = 2 m gamma hbar w0 coth (no cross-correlation is prescribed, and
 none is assumed).  The position equation no longer reads x' = p/m, which
-is the RWA's Ehrenfest anomaly; this module simulates the pair, solves
-its stationary covariance exactly, and reports the anomaly.
+is the RWA's Ehrenfest anomaly; this module simulates the pair and
+reports the anomaly.
+
+The drift has eigenvalues -gamma +/- i w0, so the pair is a stable 2x2
+linear SDE: its stationary covariance, its exact step and the exact mean
+square of the discrete anomaly all follow from the closed forms of
+:mod:`qlesim.sde`, with no matrix-equation solver.
 
 The same symmetric-intensity convention as :mod:`qlesim.markovian`
 applies (white-noise covariance rate I/2 per channel).
@@ -18,17 +23,16 @@ applies (white-noise covariance rate I/2 per channel).
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov, solve_discrete_lyapunov
 
 from .bath import SystemSpec
 from .ensemble import EnsembleResult
 from .errors import DomainError
-from .sde import exact_discretization, run_ensemble, sample_paths, stepper
+from .markovian import noise_intensity
+from .sde import exact_discretization, run_ensemble, sample_paths, stationary_covariance
 
 __all__ = [
     "RwaParams",
@@ -47,43 +51,33 @@ _WEAK_COUPLING_RATIO = 0.1
 
 @dataclass(frozen=True)
 class RwaParams:
-    """Oscillator, damping and the two RWA noise intensities."""
+    """Oscillator and damping; the two RWA noise intensities follow from them."""
 
     system: SystemSpec
     gamma: float
-    intensity_x: float
-    intensity_p: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise DomainError("gamma must be positive")
-        if not self.system.omega0 > 0:
-            raise DomainError("RWA dynamics needs omega0 > 0")
-        ix, ip = _intensities(self.system, self.gamma)
-        if not math.isclose(self.intensity_x, ix, rel_tol=1e-12) or \
-           not math.isclose(self.intensity_p, ip, rel_tol=1e-12):
-            raise DomainError("noise intensities inconsistent with system and gamma")
-        ratio = self.intensity_p / self.intensity_x
-        expected = (self.system.mass * self.system.omega0) ** 2
-        if not math.isclose(ratio, expected, rel_tol=1e-12):
-            raise DomainError("intensity ratio must equal (m * omega0)^2")
+        if not self.gamma > 0 or not self.system.omega0 > 0:
+            raise DomainError("gamma and omega0 must be positive")
 
     @classmethod
     def from_system(cls, system: SystemSpec, gamma: float) -> "RwaParams":
-        ix, ip = _intensities(system, gamma)
-        return cls(system=system, gamma=gamma, intensity_x=ix, intensity_p=ip)
+        return cls(system=system, gamma=gamma)
+
+    @property
+    def intensity_x(self) -> float:
+        """I_x = I_p / (m w0)^2 = (2 gamma hbar / m w0) coth(hbar w0 / 2 kB T)."""
+        return self.intensity_p / (self.system.mass * self.system.omega0) ** 2
+
+    @property
+    def intensity_p(self) -> float:
+        """I_p = 2 m gamma hbar w0 coth(hbar w0 / 2 kB T), the Markovian intensity."""
+        return noise_intensity(self.system, self.gamma)
 
     @property
     def narrowband(self) -> bool:
         """True when gamma is small enough for the RWA to be trustworthy."""
         return self.gamma <= _WEAK_COUPLING_RATIO * self.system.omega0
-
-
-def _intensities(system, gamma):
-    c = float(system.thermal_coth(system.omega0))
-    ix = 2.0 * gamma * system.hbar / (system.mass * system.omega0) * c
-    ip = 2.0 * system.mass * gamma * system.hbar * system.omega0 * c
-    return ix, ip
 
 
 def rwa_coupling(c_j, system_mass, mode_mass, omega0, omega_j, hbar: float = 1.0):
@@ -131,17 +125,15 @@ def _diffusion_matrix(params: RwaParams) -> np.ndarray:
 
 
 def rwa_stationary_analytic(params: RwaParams):
-    """Exact stationary (<x^2>, <p^2>) from the 2x2 Lyapunov equation.
+    """Exact stationary (<x^2>, <p^2>), the diagonal of the closed-form
+    Lyapunov solution :func:`qlesim.sde.stationary_covariance`.
 
     The prescribed intensities balance the two channels so precisely that
     the solution is gamma-independent: both channel energies equal the
     weak-coupling value (hbar w0 / 2) coth(...) for every gamma, with zero
     stationary x-p correlation.
     """
-    a = drift_matrix(params)
-    q = _diffusion_matrix(params)
-    cov = solve_continuous_lyapunov(a, -q)
-    cov = 0.5 * (cov + cov.T)
+    cov = stationary_covariance(drift_matrix(params), _diffusion_matrix(params))
     return float(cov[0, 0]), float(cov[1, 1])
 
 
@@ -150,13 +142,14 @@ def ehrenfest_residual_exact(params: RwaParams, dt: float) -> float:
 
     Under the exact update S_{k+1} = E S_k + w_k the residual is
     c S_k + w_k[0]/dt, c = row 0 of (E - I)/dt minus (0, 1/m), so its mean
-    square is c Sigma c^T + Q_dt[0, 0]/dt^2 with Sigma = E Sigma E^T + Q_dt.
+    square is c Sigma c^T + Q_dt[0, 0]/dt^2, where the exact chain's
+    stationary covariance is the continuous one, Sigma.
     It tends to I_x/(2 dt) as dt -> 0.
     """
-    prop, q_dt = exact_discretization(drift_matrix(params), _diffusion_matrix(params), dt)
-    cov = solve_discrete_lyapunov(prop, q_dt)
+    drift, diffusion = drift_matrix(params), _diffusion_matrix(params)
+    prop, q_dt = exact_discretization(drift, diffusion, dt)
     c = (prop - np.eye(2))[0] / dt - np.array([0.0, 1.0 / params.system.mass])
-    return float(c @ cov @ c + q_dt[0, 0] / dt**2)
+    return float(c @ stationary_covariance(drift, diffusion) @ c + q_dt[0, 0] / dt**2)
 
 
 def simulate_rwa(params: RwaParams, dt: float, n_steps: int, n_traj: int,
@@ -164,41 +157,31 @@ def simulate_rwa(params: RwaParams, dt: float, n_steps: int, n_traj: int,
                  chunk_size: int = 2048) -> EnsembleResult:
     """Monte Carlo moments of the RWA Langevin pair.
 
-    Same stepping, (seed, block) streams and ``chunk_size`` rounding as
-    :func:`qlesim.markovian.simulate_sde`.  Reported moments: ``x2``,
-    ``p2``, the symmetrized cross moment ``xp``, and ``ehrenfest``, the
-    mean square of the discrete residual (x_{k+1} - x_k)/dt - p_k/m.  The
+    Same stepping, burn-in and streams as :func:`qlesim.markovian.simulate_sde`.
+    Reported moments: ``x2``, ``p2``, the symmetrized cross moment ``xp``,
+    and ``ehrenfest``, the mean square of the discrete residual
+    (x_{k+1} - x_k)/dt - p_k/m.  The
     residual is driven by the white x-noise, so its magnitude grows with
     the sampling bandwidth; its exact stationary value for the exact
     update is :func:`ehrenfest_residual_exact`, about I_x/(2 dt) for small
     dt.
 
-    Simulation outside the narrowband regime (gamma > omega0/10) is
-    permitted but warns, since the underlying approximation is then
-    unjustified.
+    Outside the narrowband regime (gamma > omega0/10) the approximation is
+    unjustified, and simulation warns.
     """
-    prop, factor = stepper(drift_matrix(params), _diffusion_matrix(params),
-                           dt, n_steps, n_traj, method)
     if not params.narrowband:
-        warnings.warn(
-            "gamma exceeds omega0/10; RWA dynamics is physically dubious here",
-            stacklevel=2,
-        )
+        warnings.warn("gamma exceeds omega0/10; RWA dynamics is physically dubious here",
+                      stacklevel=2)
     m = params.system.mass
-    burn_steps = max(1, math.ceil((10.0 / params.gamma if burn_in is None else burn_in) / dt))
     observables = {
         "x2": lambda prev, s: s[:, 0] ** 2,
         "p2": lambda prev, s: s[:, 1] ** 2,
         "xp": lambda prev, s: s[:, 0] * s[:, 1],
         "ehrenfest": lambda prev, s: ((s[:, 0] - prev[:, 0]) / dt - prev[:, 1] / m) ** 2,
     }
-    accs = run_ensemble(prop, factor, n_steps, n_traj, seed, observables, burn_steps,
-                        chunk_size, bound=1e6 * math.sqrt(rwa_stationary_analytic(params)[0]))
-    moments = {name: acc.estimate() for name, acc in accs.items()}
-    return EnsembleResult(moments, n_traj, seed,
-                          meta={"dt": dt, "n_steps": n_steps, "burn_steps": burn_steps,
-                                "method": method, "gamma": params.gamma,
-                                "noise_bandwidth": 1.0 / dt})
+    return run_ensemble(drift_matrix(params), _diffusion_matrix(params), dt, n_steps, n_traj,
+                        seed, observables, 10.0 / params.gamma if burn_in is None else burn_in,
+                        chunk_size, method, gamma=params.gamma, noise_bandwidth=1.0 / dt)
 
 
 def sample_trajectories(params: RwaParams, dt: float, n_steps: int, n_traj: int,
@@ -208,8 +191,7 @@ def sample_trajectories(params: RwaParams, dt: float, n_steps: int, n_traj: int,
     Arrays are (n_steps + 1, n_traj); f_x, f_p are each channel's noise
     kick per step over dt, zero in the final slot.
     """
-    prop, factor = stepper(drift_matrix(params), _diffusion_matrix(params),
-                           dt, n_steps, n_traj, method)
-    states, kicks = sample_paths(prop, factor, n_steps, n_traj, seed)
+    states, kicks = sample_paths(drift_matrix(params), _diffusion_matrix(params),
+                                 dt, n_steps, n_traj, seed, method)
     return (dt * np.arange(n_steps + 1), states[:, :, 0], states[:, :, 1],
             kicks[:, :, 0] / dt, kicks[:, :, 1] / dt)

@@ -1,13 +1,14 @@
 """One ensemble engine for the 2D linear SDEs of the Markovian and RWA dynamics.
 
-Both dynamics are linear systems
+Both dynamics are stable 2x2 linear systems
 
-    dS = A S dt + dW,   cov(dW) = Q dt
+    dS = A S dt + dW,   cov(dW) = Q dt,   tr A < 0 < det A,
 
-whose transition over a step h is Gaussian with mean expm(A h) S and
-covariance Int_0^h expm(A s) Q expm(A^T s) ds.  Both are computed once
-from the Van Loan block-matrix exponential, making the per-step update
-exact for any step size; the plain Euler-Maruyama scheme is kept as a
+whose transition over a step h is Gaussian with mean e^{A h} S and
+covariance Sigma - e^{A h} Sigma e^{A h}^T, where Sigma solves the
+Lyapunov equation A Sigma + Sigma A^T + Q = 0.  Both propagator and
+Sigma have 2x2 closed forms, so the per-step update is exact for any step
+size and never overflows; the plain Euler-Maruyama scheme is kept as a
 cross-check mode.
 
 Engine contract: trajectories start at rest and come in blocks of 64;
@@ -19,49 +20,75 @@ A chunk (chunk_size rounded up to whole blocks) steps in place in one
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
-from .ensemble import MomentAccumulator
+from .ensemble import EnsembleResult, MomentAccumulator
 from .errors import DomainError, UnstableIntegrationError
 
-__all__ = ["exact_discretization", "noise_factor", "trajectory_seeds", "stepper",
-           "run_ensemble", "sample_paths"]
+__all__ = ["stationary_covariance", "exact_discretization", "noise_factor",
+           "trajectory_seeds", "stepper", "run_ensemble", "sample_paths"]
 
 # trajectories per stream; steps per stream draw; steps per observable slab
 _BLOCK, _BLOCK_STEPS, _SLAB_STEPS = 64, 1024, 64
 
 
+def _stable_2x2(drift, diffusion):
+    """(A, Q, tr A, det A); raises DomainError unless A and Q are 2x2 and tr A < 0 < det A."""
+    a, q = np.asarray(drift, dtype=float), np.asarray(diffusion, dtype=float)
+    if a.shape != (2, 2) or q.shape != (2, 2):
+        raise DomainError("drift and diffusion must be 2x2")
+    tr, det = a[0, 0] + a[1, 1], a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    if not tr < 0 < det:
+        raise DomainError("drift must be stable: tr A < 0 < det A")
+    return a, q, tr, det
+
+
+def stationary_covariance(drift, diffusion):
+    """Sigma solving A Sigma + Sigma A^T + Q = 0 for a stable 2x2 drift A:
+
+        Sigma = (det A Q + B Q B^T) / (-2 tr A det A),   B = A - tr A I.
+    """
+    a, q, tr, det = _stable_2x2(drift, diffusion)
+    b = a - tr * np.eye(2)
+    return (det * q + b @ q @ b.T) / (-2.0 * tr * det)
+
+
 def exact_discretization(drift, diffusion, dt):
-    """(E, Q_dt) of the linear SDE with (n, n) drift A and noise covariance
-    rate Q (symmetric positive semidefinite): the propagator expm(A dt) and
-    the exact per-step noise covariance, symmetrized."""
+    """(E, Q_dt) of the stable 2x2 linear SDE with drift A and noise
+    covariance rate Q: the propagator E = e^{A dt} and the exact per-step
+    noise covariance Q_dt = Sigma - E Sigma E^T (see :func:`stationary_covariance`).
+
+    With s = tr A/2, r = sqrt(s^2 - det A), the slow root det A/(s - r)
+    (free of cancellation) and u = r dt,
+
+        E = e^{slow dt} / (1 + tanh u) * (I + dt tanh(u)/u (A - s I)),
+
+    which is e^{s dt} [cosh u I + sinh(u)/r (A - s I)] with |1 + tanh u| >= 1:
+    exact at critical damping (u = 0) and free of overflow.  Q_dt carries an
+    absolute error of order eps * |Sigma|, so at steps far below the
+    relaxation time its relative error grows as |Sigma| / |Q dt|.
+    """
     if not dt > 0:
         raise DomainError("dt must be positive")
-    a = np.asarray(drift, dtype=float)
-    q = np.asarray(diffusion, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or q.shape != (n, n):
-        raise DomainError("drift and diffusion must be square and same size")
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = a
-    block[:n, n:] = q
-    block[n:, n:] = -a.T
-    eb = expm(block * dt)
-    prop = eb[:n, :n]
-    q_dt = eb[:n, n:] @ prop.T
-    q_dt = 0.5 * (q_dt + q_dt.T)
-    return prop, q_dt
+    a, _, tr, det = _stable_2x2(drift, diffusion)
+    cov, s = stationary_covariance(a, diffusion), 0.5 * tr
+    r = cmath.sqrt(s * s - det)
+    u = r * dt
+    t = cmath.tanh(u)
+    grow = cmath.exp(det / (s - r) * dt) / (1.0 + t)
+    c0, c1 = grow.real, (grow * dt * (t / u if u else 1.0)).real
+    prop = c0 * np.eye(2) + c1 * (a - s * np.eye(2))
+    q_dt = cov - prop @ cov @ prop.T
+    return prop, 0.5 * (q_dt + q_dt.T)
 
 
 def noise_factor(cov):
     """Matrix L with L @ L.T = cov, robust to semidefinite covariances."""
-    cov = np.asarray(cov, dtype=float)
-    vals, vecs = np.linalg.eigh(cov)
-    vals = np.clip(vals, 0.0, None)
-    return vecs * np.sqrt(vals)
+    vals, vecs = np.linalg.eigh(np.asarray(cov, dtype=float))
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
 def trajectory_seeds(seed: int, indices):
@@ -71,9 +98,10 @@ def trajectory_seeds(seed: int, indices):
 
 
 def stepper(drift, diffusion, dt, n_steps, n_traj, method="exact"):
-    """Checked propagator E and noise factor L: Van Loan for 'exact', or
-    E = I + A dt and covariance Q dt for 'euler', which requires
-    dt * omega0 <= 0.01 with omega0 = sqrt|det A| (omega0 of the Markov drift).
+    """Checked propagator E and noise factor L of one step: the closed-form
+    :func:`exact_discretization` for 'exact', or E = I + A dt and covariance
+    Q dt for 'euler', which requires dt * omega0 <= 0.01 with
+    omega0 = sqrt|det A| (omega0 of the Markov drift).
     """
     if method not in ("exact", "euler"):
         raise DomainError("method must be 'exact' or 'euler'")
@@ -82,10 +110,10 @@ def stepper(drift, diffusion, dt, n_steps, n_traj, method="exact"):
     if method == "exact":
         prop, q_dt = exact_discretization(drift, diffusion, dt)
         return prop, noise_factor(q_dt)
-    a = np.asarray(drift, dtype=float)
-    if dt * math.sqrt(abs(np.linalg.det(a))) > 0.01:
+    a, q, _, det = _stable_2x2(drift, diffusion)
+    if dt * math.sqrt(det) > 0.01:
         raise DomainError("euler mode requires dt * omega0 <= 0.01, omega0 = sqrt|det A|")
-    return np.eye(len(a)) + a * dt, noise_factor(np.asarray(diffusion, dtype=float) * dt)
+    return np.eye(2) + a * dt, noise_factor(q * dt)
 
 
 def _streams(seed, blocks):
@@ -129,12 +157,18 @@ def _chunk_sums(prop, factor, n_steps, observables, burn_steps, streams):
     return sums, states[-1].copy()
 
 
-def run_ensemble(prop, factor, n_steps, n_traj, seed, observables, burn_steps,
-                 chunk_size, bound):
-    """One accumulator per name of the trajectories' time averages of
-    ``observables[name](prev, state)`` on (rows, dim) slabs over the ``n_steps``
-    steps after ``burn_steps``; raises :class:`UnstableIntegrationError` when a
-    chunk ends non-finite or with |x| > ``bound``, padding trajectories aside."""
+def run_ensemble(drift, diffusion, dt, n_steps, n_traj, seed, observables, burn_in,
+                 chunk_size, method="exact", **meta):
+    """Ensemble of the linear SDE stepped by :func:`stepper`: moments
+    ``observables[name](prev, state)`` on (rows, dim) slabs, each trajectory
+    time-averaged over the ``n_steps`` steps after max(1, ceil(burn_in/dt))
+    burn-in steps.  Raises :class:`UnstableIntegrationError` when a chunk
+    ends non-finite or with |x| > 1e6 sqrt(Sigma[0, 0]), padding trajectories
+    aside.  ``meta`` extends the result's dt, n_steps, burn_steps and method.
+    """
+    prop, factor = stepper(drift, diffusion, dt, n_steps, n_traj, method)
+    bound = 1e6 * math.sqrt(stationary_covariance(drift, diffusion)[0, 0])
+    burn_steps = max(1, math.ceil(burn_in / dt))
     accs = {name: MomentAccumulator() for name in observables}
     n_blocks, per_chunk = -(-n_traj // _BLOCK), -(-chunk_size // _BLOCK)
     for first in range(0, n_blocks, per_chunk):
@@ -146,14 +180,18 @@ def run_ensemble(prop, factor, n_steps, n_traj, seed, observables, burn_steps,
                 "SDE trajectories diverged; reduce dt or use method='exact'")
         for name, acc in accs.items():
             acc.update_batch(sums[name][:len(state)] / n_steps)
-    return accs
+    return EnsembleResult({name: acc.estimate() for name, acc in accs.items()}, n_traj, seed,
+                          meta={"dt": dt, "n_steps": n_steps, "burn_steps": burn_steps,
+                                "method": method, **meta})
 
 
-def sample_paths(prop, factor, n_steps, n_traj, seed):
-    """(states, kicks) of the first ``n_traj`` trajectories, each of shape
-    (n_steps + 1, n_traj, dim); kicks[k] drives states[k] -> states[k + 1]
-    and the last kick is zero.  Whole blocks are drawn, then sliced.
+def sample_paths(drift, diffusion, dt, n_steps, n_traj, seed, method="exact"):
+    """(states, kicks) of the first ``n_traj`` trajectories of
+    :func:`run_ensemble`, each of shape (n_steps + 1, n_traj, dim);
+    kicks[k] drives states[k] -> states[k + 1] and the last kick is zero.
+    Whole blocks are drawn, then sliced.
     """
+    prop, factor = stepper(drift, diffusion, dt, n_steps, n_traj, method)
     kicks = np.zeros((n_steps + 1, _BLOCK * -(-n_traj // _BLOCK), len(prop)))
     _draw(_streams(seed, range(kicks.shape[1] // _BLOCK)), factor, kicks[:-1])
     states = np.roll(kicks, 1, axis=0)  # kicks[-1] is zero: the start at rest

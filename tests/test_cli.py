@@ -191,6 +191,39 @@ class TestEnsembleCommands:
         ids = {line.split(",")[0] for line in dump.read_text().splitlines()[1:]}
         assert ids == {"0", "1", "2"}
 
+    def test_sde_long_exact_step_exits_zero(self, capsys):
+        # fast * dt = 48: the Van Loan step overflowed and reported divergence
+        code, out, err = run_cli(
+            ["sde", "--gamma", "5", "--dt", "10", "--traj", "64", "--steps", "20"], capsys)
+        assert (code, err) == (0, "")
+        line = next(l for l in out.splitlines() if l.startswith("x2,"))
+        value, se, ref = (float(line.split(",")[i]) for i in (1, 2, 4))
+        assert abs(value - ref) < 5.0 * se
+
+
+SMALL_RUNS = {
+    "dist": ["--grid", "0:2:5", "--gammas", "0.5"],
+    "corr": ["--grid", "0:1:3"],
+    "energy": ["--gammas", "0.5"],
+    "sde": ["--traj", "8", "--steps", "5"],
+    "rwa": ["--traj", "8", "--steps", "5"],
+    "microbath": ["--modes", "50", "--realizations", "10", "--steps", "10", "--dt", "0.05"],
+    "scan": ["--gammas", "0.5", "--grid", "0:2:5"],
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_stderr_is_clean(command, tmp_path, capsys):
+    extra = ["--out", str(tmp_path / "scan")] if command == "scan" else []
+    code, _, err = run_cli([command, *SMALL_RUNS[command], *extra], capsys)
+    assert (code, err) == (0, "")
+
+
+def test_library_warning_is_one_line(capsys):
+    code, _, err = run_cli(["rwa", "--gamma", "0.5", *SMALL_RUNS["rwa"]], capsys)
+    assert code == 0
+    assert err == "warning: gamma exceeds omega0/10; RWA dynamics is physically dubious here\n"
+
 
 class TestScanAndFiles:
     def test_scan_writes_tables(self, tmp_path, capsys):

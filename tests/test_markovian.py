@@ -106,8 +106,6 @@ class TestStationaryMoments:
 
     def test_params_invariant_enforced(self):
         sys_ = SystemSpec()
-        with pytest.raises(DomainError, match="inconsistent"):
-            mk.MarkovParams(system=sys_, gamma=0.1, noise=1.0, underdamped=True)
         params = mk.MarkovParams.from_system(sys_, 0.1)
         assert params.underdamped
         assert not mk.MarkovParams.from_system(sys_, 5.0).underdamped

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qlesim.bath import SystemSpec
-from qlesim.errors import DomainError
 from qlesim import rwa
 from qlesim.sde import exact_discretization
 
@@ -75,8 +74,6 @@ class TestStationaryAnalytic:
         assert params.intensity_p / params.intensity_x == pytest.approx(
             (1.5 * 2.0) ** 2, rel=1e-13
         )
-        with pytest.raises(DomainError):
-            rwa.RwaParams(system=sys_, gamma=0.01, intensity_x=1.0, intensity_p=1.0)
 
     def test_narrowband_flag(self):
         sys_ = SystemSpec()

@@ -1,15 +1,16 @@
-"""Linear-SDE ensemble engine: block invariance, stream identity, chunking,
-memory, divergence."""
+"""Linear-SDE ensemble engine: closed-form step against scipy and Van Loan,
+block invariance, stream identity, chunking, memory, divergence."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 from qlesim import ensemble, rwa, sde
 from qlesim import markovian as mk
 from qlesim.bath import SystemSpec
-from qlesim.errors import UnstableIntegrationError
+from qlesim.errors import DomainError, UnstableIntegrationError
 
 
 def _moments(res):
@@ -125,7 +126,103 @@ def test_chunk_memory_is_one_buffer():
 
 
 def test_divergence_guard():
+    # a stable drift whose Euler step is not (|1 - 1e4 dt| >> 1) although it
+    # passes the dt * sqrt|det A| <= 0.01 gate; the exact step cannot diverge
+    drift = np.array([[0.0, 1.0], [-1e-6, -1e4]])
     with pytest.raises(UnstableIntegrationError, match="diverged"):
-        sde.run_ensemble(2.0 * np.eye(2), np.eye(2), n_steps=50, n_traj=4, seed=0,
+        sde.run_ensemble(drift, np.diag([0.0, 1.0]), 1.0, n_steps=10, n_traj=4, seed=0,
                          observables={"x2": lambda prev, s: s[:, 0] ** 2},
-                         burn_steps=1, chunk_size=4, bound=1e6)
+                         burn_in=1.0, chunk_size=4, method="euler")
+
+
+def _van_loan(drift, diffusion, dt):
+    """(E, Q_dt) from the Van Loan block exponential (C. F. Van Loan, IEEE TAC
+    23, 395 (1978)); its e^{-A^T dt} block loses Q_dt once fast * dt >~ 20."""
+    n = len(drift)
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n], block[:n, n:], block[n:, n:] = drift, diffusion, -drift.T
+    eb = expm(block * dt)
+    q_dt = eb[:n, n:] @ eb[:n, :n].T
+    return eb[:n, :n], 0.5 * (q_dt + q_dt.T)
+
+
+ORACLE_DTS = (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0)
+
+
+def _oracle_drifts():
+    """(w0, gamma, kind, A, Q) over the weak, critical and overdamped grid."""
+    for w0 in (0.5, 1.0, 3.0):
+        crit = 2.0 * w0
+        for gamma in (1e-4, 1e-2, 0.1, 0.5, 1.0, crit, crit * (1 + 1e-9),
+                      crit * (1 - 1e-9), 5.0, 20.0):
+            markov = mk.MarkovParams.from_system(SystemSpec(omega0=w0), gamma)
+            yield w0, gamma, "markov", *mk._linear_system(markov)
+            pair = rwa.RwaParams.from_system(SystemSpec(omega0=w0), gamma)
+            yield w0, gamma, "rwa", rwa.drift_matrix(pair), rwa._diffusion_matrix(pair)
+
+
+def test_closed_forms_match_scipy_and_van_loan():
+    for w0, gamma, kind, drift, diffusion in _oracle_drifts():
+        cov = sde.stationary_covariance(drift, diffusion)
+        ref = solve_continuous_lyapunov(drift, -diffusion)
+        assert np.max(np.abs(cov - ref)) <= 1e-12 * np.max(np.abs(ref)), (w0, gamma, kind)
+        if kind == "markov":
+            x2, v2 = mk.stationary_moments_analytic(
+                mk.MarkovParams.from_system(SystemSpec(omega0=w0), gamma))
+            np.testing.assert_allclose(cov, np.diag([x2, v2]), rtol=1e-14, atol=0.0)
+        fast = np.max(np.abs(np.linalg.eigvals(drift).real))
+        for dt in ORACLE_DTS:
+            prop, q_dt = sde.exact_discretization(drift, diffusion, dt)
+            ref = expm(drift * dt)
+            assert np.max(np.abs(prop - ref)) <= 1e-10 * np.max(np.abs(ref)), \
+                (w0, gamma, kind, dt)
+            if fast * dt <= 5.0:
+                _, q_ref = _van_loan(drift, diffusion, dt)
+                assert np.max(np.abs(q_dt - q_ref)) <= 1e-12 * np.max(np.abs(cov)), \
+                    (w0, gamma, kind, dt)
+
+
+def test_exact_step_is_exact_at_critical_damping():
+    # the double root -1 of A = [[0, 1], [-1, -2]]: expm(A t) = e^{-t} (I + t (A + I))
+    drift = np.array([[0.0, 1.0], [-1.0, -2.0]])
+    prop, _ = sde.exact_discretization(drift, np.diag([0.0, 1.0]), 0.7)
+    np.testing.assert_allclose(prop, np.exp(-0.7) * (np.eye(2) + 0.7 * (drift + np.eye(2))),
+                               rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("drift", (np.eye(3), np.zeros((2, 2)),
+                                   np.array([[0.0, 1.0], [1.0, -1.0]]),
+                                   np.array([[0.0, 1.0], [-1.0, 0.0]])))
+def test_unstable_or_non_2x2_drift_raises(drift):
+    diffusion = np.eye(len(drift))
+    with pytest.raises(DomainError):
+        sde.stationary_covariance(drift, diffusion)
+    with pytest.raises(DomainError):
+        sde.exact_discretization(drift, diffusion, 1.0)
+
+
+def test_exact_step_at_long_steps():
+    # fast * dt >= 25: the Van Loan step gave x2 = 370 (sde) and all-zero
+    # moments with a negative Ehrenfest reference (rwa)
+    markov = mk.MarkovParams.from_system(SystemSpec(), 5.0)
+    res = mk.simulate_sde(markov, dt=5.0, n_steps=100, n_traj=500, seed=3)
+    for name, ref in zip(("x2", "v2"), mk.stationary_moments_analytic(markov)):
+        assert abs(res[name].mean - ref) < 5.0 * res[name].se, name
+    pair = rwa.RwaParams.from_system(SystemSpec(), 3.0)
+    with pytest.warns(UserWarning, match="dubious"):
+        res = rwa.simulate_rwa(pair, dt=8.0, n_steps=100, n_traj=500, seed=3)
+    for name, ref in zip(("x2", "p2"), rwa.rwa_stationary_analytic(pair)):
+        assert abs(res[name].mean - ref) < 5.0 * res[name].se, name
+    exact = rwa.ehrenfest_residual_exact(pair, 8.0)
+    assert abs(res["ehrenfest"].mean - exact) < 5.0 * res["ehrenfest"].se
+
+
+def test_ehrenfest_exact_at_long_step_against_scipy():
+    pair = rwa.RwaParams.from_system(SystemSpec(), 3.0)
+    drift, diffusion, dt = rwa.drift_matrix(pair), rwa._diffusion_matrix(pair), 8.0
+    prop, cov = expm(drift * dt), solve_continuous_lyapunov(drift, -diffusion)
+    q_dt = cov - prop @ cov @ prop.T
+    c = (prop - np.eye(2))[0] / dt - np.array([0.0, 1.0 / pair.system.mass])
+    got = rwa.ehrenfest_residual_exact(pair, dt)
+    assert got > 0.0
+    assert got == pytest.approx(c @ cov @ c + q_dt[0, 0] / dt**2, rel=1e-12)
