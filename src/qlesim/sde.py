@@ -14,6 +14,9 @@ cross-check mode.
 Engine contract: trajectories start at rest and come in blocks of 64;
 block b draws time-major tiles of normals from its (seed, b) stream, so
 trajectory i depends on (seed, i) alone, not on n_traj, chunking or tiling.
+Block streams fill on a thread pool that lives for one draw, one contiguous
+group of streams per worker (up to the usable CPUs); since each stream writes
+only its own 64 columns, results do not depend on the worker count.
 A chunk (chunk_size rounded up to whole blocks) steps in place in one
 (tile steps + 1, chunk, dim) buffer, and observables sum in step order.
 """
@@ -22,6 +25,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -33,6 +38,9 @@ __all__ = ["stationary_covariance", "exact_discretization", "noise_factor",
 
 # trajectories per stream; steps per stream draw; steps per observable slab
 _BLOCK, _BLOCK_STEPS, _SLAB_STEPS = 64, 1024, 64
+# threads for the block draws: the usable CPUs
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def _stable_2x2(drift, diffusion):
@@ -91,8 +99,14 @@ def noise_factor(cov):
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
+def _check_seed(seed):
+    if seed < 0:
+        raise DomainError("seed must be non-negative")
+
+
 def trajectory_seeds(seed: int, indices):
     """Independent bit generators keyed by (seed, index), one per finite-bath realization."""
+    _check_seed(seed)
     return [np.random.default_rng(np.random.SeedSequence(entropy=(seed, int(i))))
             for i in indices]
 
@@ -118,16 +132,36 @@ def stepper(drift, diffusion, dt, n_steps, n_traj, method="exact"):
 
 def _streams(seed, blocks):
     """PCG64 generators keyed by (seed, block), a domain apart from trajectory_seeds."""
+    _check_seed(seed)
     return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x5DE, b)))
             for b in blocks]
 
 
 def _draw(streams, factor, out):
-    """Fill ``out`` (steps, 64 per stream, dim) with kicks, one time-major tile per stream."""
-    tile, factor_t = np.empty((len(out), _BLOCK, out.shape[2])), np.ascontiguousarray(factor.T)
-    for k, rng in enumerate(streams):
-        rng.standard_normal(out=tile)
-        np.matmul(tile, factor_t, out=out[:, k * _BLOCK:(k + 1) * _BLOCK])
+    """Fill ``out`` (steps, 64 per stream, dim) with kicks, one time-major tile per stream.
+
+    Contiguous groups of streams fill on up to ``_WORKERS`` threads (normal
+    fills and matmul release the GIL).  The workers share the rows of one
+    tile of scratch and fill each stream in pieces of their share; a stream
+    fills in C order, so the kicks are those of one serial fill.
+    """
+    rows, factor_t = len(out), np.ascontiguousarray(factor.T)
+    workers = min(_WORKERS, len(streams), rows)
+    tile = np.empty((rows, _BLOCK, out.shape[2]))
+
+    def fill(group, scratch):
+        for k in group:
+            for r in range(0, rows, len(scratch)):
+                piece = scratch[:rows - r]
+                streams[k].standard_normal(out=piece)
+                np.matmul(piece, factor_t, out=out[r:r + len(piece), k * _BLOCK:(k + 1) * _BLOCK])
+
+    groups = np.array_split(np.arange(len(streams)), workers)
+    if workers == 1:
+        fill(groups[0], tile)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(fill, groups, np.array_split(tile, workers)))  # re-raises a worker's error
 
 
 def _propagate(prop, states):
@@ -167,6 +201,8 @@ def run_ensemble(drift, diffusion, dt, n_steps, n_traj, seed, observables, burn_
     aside.  ``meta`` extends the result's dt, n_steps, burn_steps and method.
     """
     prop, factor = stepper(drift, diffusion, dt, n_steps, n_traj, method)
+    if chunk_size < 1:
+        raise DomainError("chunk_size must be >= 1")
     bound = 1e6 * math.sqrt(stationary_covariance(drift, diffusion)[0, 0])
     burn_steps = max(1, math.ceil(burn_in / dt))
     accs = {name: MomentAccumulator() for name in observables}

@@ -1,6 +1,9 @@
 """Linear-SDE ensemble engine: closed-form step against scipy and Van Loan,
-block invariance, stream identity, chunking, memory, divergence."""
+block invariance, stream identity, chunking, worker-count invariance, memory,
+divergence, input checks."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -91,6 +94,45 @@ def test_first_trajectories_do_not_depend_on_ensemble_or_chunk_size(monkeypatch)
         assert values.tobytes() == _step_average(series, burn, steps).tobytes()
 
 
+def test_worker_count_does_not_change_results(monkeypatch):
+    # 300 trajectories are 5 blocks: a ragged 2-2-1 split over 3 workers, and
+    # fewer blocks than 8 workers; 70 tile rows split 24-23-23 over 3 workers.
+    # chunk_size 200 adds a one-block chunk, and a 2-step draw caps the
+    # workers at its 2 rows
+    markov = mk.MarkovParams.from_system(SystemSpec(), 0.2)
+    pair = rwa.RwaParams.from_system(SystemSpec(), 0.05)
+    drift, diffusion = mk._linear_system(markov)
+    calls = (
+        lambda: _moments(mk.simulate_sde(markov, 0.5, 40, 300, seed=4, burn_in=15.0)),
+        lambda: _moments(rwa.simulate_rwa(pair, 0.5, 40, 300, seed=4, burn_in=15.0,
+                                          chunk_size=200)),
+        lambda: [v.tobytes() for v in _per_trajectory(monkeypatch, lambda: mk.simulate_sde(
+            markov, 0.5, 40, 300, seed=4, burn_in=15.0, chunk_size=200))],
+        lambda: [v.tobytes() for v in _per_trajectory(monkeypatch, lambda: rwa.simulate_rwa(
+            pair, 0.5, 40, 300, seed=4, burn_in=15.0))],
+        lambda: [a.tobytes() for a in sde.sample_paths(drift, diffusion, 0.5, 70, 300, seed=4)],
+        lambda: [a.tobytes() for a in sde.sample_paths(drift, diffusion, 0.5, 2, 300, seed=4)],
+    )
+
+    def run(workers):
+        monkeypatch.setattr(sde, "_WORKERS", workers)
+        results = []
+        for call in calls:
+            threads = threading.active_count()
+            results.append(call())
+            assert threading.active_count() == threads, workers
+        return results
+
+    serial = run(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, to expose any shared scratch
+    try:
+        for workers in (2, 3, 8):
+            assert run(workers) == serial, workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_rwa_chunking_invariance():
     params = rwa.RwaParams.from_system(SystemSpec(), 0.05)
     a = rwa.simulate_rwa(params, dt=5.0, n_steps=50, n_traj=100, seed=3, chunk_size=7)
@@ -111,9 +153,12 @@ def test_noise_memory_bounded_by_block():
     assert peak < 8e6
 
 
-def test_chunk_memory_is_one_buffer():
+@pytest.mark.parametrize("workers", (1, 8))
+def test_chunk_memory_is_one_buffer(monkeypatch, workers):
     # the chunk's states live in one (tile steps + 1, chunk, 2) buffer; a
-    # view of it kept alive across chunks would double the peak
+    # view of it kept alive across chunks would double the peak, and so
+    # would one scratch tile per draw worker
+    monkeypatch.setattr(sde, "_WORKERS", workers)
     params = mk.MarkovParams.from_system(SystemSpec(), 0.1)
     buffer = (min(sde._BLOCK_STEPS, 1010) + 1) * 2048 * 2 * 8
     tracemalloc.start()
@@ -133,6 +178,26 @@ def test_divergence_guard():
         sde.run_ensemble(drift, np.diag([0.0, 1.0]), 1.0, n_steps=10, n_traj=4, seed=0,
                          observables={"x2": lambda prev, s: s[:, 0] ** 2},
                          burn_in=1.0, chunk_size=4, method="euler")
+
+
+@pytest.mark.parametrize("chunk_size", (0, -5))
+def test_nonpositive_chunk_size_raises(chunk_size):
+    # was a bare "range() arg 3 must not be zero" at 0
+    params = mk.MarkovParams.from_system(SystemSpec(), 0.1)
+    with pytest.raises(DomainError, match="chunk_size"):
+        mk.simulate_sde(params, dt=0.5, n_steps=10, n_traj=4, seed=1, chunk_size=chunk_size)
+
+
+def test_negative_seed_raises():
+    # was numpy's "expected non-negative integer"
+    markov = mk.MarkovParams.from_system(SystemSpec(), 0.1)
+    pair = rwa.RwaParams.from_system(SystemSpec(), 0.1)
+    for call in (lambda: mk.simulate_sde(markov, 0.5, 10, 4, seed=-1),
+                 lambda: rwa.simulate_rwa(pair, 0.5, 10, 4, seed=-1),
+                 lambda: mk.sample_trajectories(markov, 0.5, 10, 4, seed=-1),
+                 lambda: sde.trajectory_seeds(-1, [0])):
+        with pytest.raises(DomainError, match="seed"):
+            call()
 
 
 def _van_loan(drift, diffusion, dt):
