@@ -19,9 +19,10 @@ one quadratic Hamiltonian, so diagonalizing the (N+1) x (N+1)
 mass-weighted Hessian gives x(t) and v(t) exactly at any time (Ford, Kac
 & Mazur 1965; Ullersma 1966), with the same displaced preparation
 q_j(0) = s_j + c_j x(0) / (m_j w_j^2).  The same decomposition gives the
-exact finite-N ensemble moments.  Realizations are independent work units
-keyed by (seed, index); ensembles are processed in chunks with mergeable
-moment accumulators, so chunked and serial runs agree.
+exact finite-N ensemble moments.  Realization i draws its 2N normals from
+the (seed, i // 64) block stream of :mod:`.sde`, so it depends on (seed, i)
+alone; ensembles run in chunks with mergeable moment accumulators, so
+chunked and serial runs agree.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .bath import BathKind, BathSpec, ModeSet, SystemSpec
 from .ensemble import EnsembleResult, MomentAccumulator
 from .errors import DomainError, UnstableIntegrationError, UnsupportedBathError
 from .quadrature import QuadratureConfig, integrate_panels, scaled_omega_coth
-from .sde import trajectory_seeds
+from .sde import _BLOCK, _chunks, _draw
 
 __all__ = [
     "BathInitialConditions",
@@ -133,9 +134,12 @@ def sample_initial_conditions(modes: ModeSet, system: SystemSpec, x0: float,
     return BathInitialConditions(displacement=s, momentum=p, x0=float(x0))
 
 
-def _noise_coefficients(modes: ModeSet, s, p):
-    """Cosine and sine amplitudes of the noise along the last axis of s, p."""
-    return modes.coupling * s, modes.coupling * p / (modes.mass * modes.omega)
+def _noise(modes: ModeSet, times, s, p):
+    """Noise f at ``times``, (len(times), batch), of mode displacements s and
+    momenta p of shape (batch, N), or (len(times),) for s and p of shape (N,)."""
+    phases = np.multiply.outer(times, modes.omega)
+    return ((np.cos(phases) * modes.coupling) @ s.T
+            + (np.sin(phases) * (modes.coupling / (modes.mass * modes.omega))) @ p.T)
 
 
 def noise_trajectory(modes: ModeSet, ics: BathInitialConditions,
@@ -144,9 +148,7 @@ def noise_trajectory(modes: ModeSet, ics: BathInitialConditions,
     if ics.count != modes.count:
         raise DomainError("initial conditions do not match the mode count")
     grid.check_resolves(modes)
-    a, b = _noise_coefficients(modes, ics.displacement, ics.momentum)
-    phases = np.multiply.outer(grid.times, modes.omega)
-    return np.cos(phases) @ a + np.sin(phases) @ b
+    return _noise(modes, grid.times, ics.displacement, ics.momentum)
 
 
 def initial_slip(modes: ModeSet, x0: float, t):
@@ -250,21 +252,15 @@ def _thermal_draws(modes: ModeSet, system: SystemSpec, n_real: int, seed: int,
                    chunk_size: int):
     """(s, p), each (batch, N), per chunk of realizations 0..n_real-1.
 
-    Realization i draws 2N normals from its (seed, i) stream, s first and
+    Realization i is column i % 64 of its block's (2N, 64) fill, s first and
     then p, scaled by the thermal standard deviations.
     """
-    if n_real < 1 or chunk_size < 1:
-        raise DomainError("n_real and chunk_size must be >= 1")
-    sd_s, sd_p = np.sqrt(thermal_variances(modes, system))
-    n = modes.count
-
-    def chunks():
-        for start in range(0, n_real, chunk_size):
-            rngs = trajectory_seeds(seed, range(start, min(start + chunk_size, n_real)))
-            draws = np.stack([r.standard_normal(2 * n) for r in rngs])
-            yield draws[:, :n] * sd_s, draws[:, n:] * sd_p
-
-    return chunks()
+    sd, n = np.sqrt(np.concatenate(thermal_variances(modes, system)))[:, None, None], modes.count
+    for streams, count in _chunks(seed, n_real, chunk_size):
+        draws = np.empty((2 * n, _BLOCK * len(streams), 1))
+        _draw(streams, np.ones((1, 1)), draws)
+        draws *= sd
+        yield draws[:n, :count, 0].T, draws[n:, :count, 0].T
 
 
 def integrate_gle(modes: ModeSet, ics: BathInitialConditions, system: SystemSpec,
@@ -303,22 +299,17 @@ def noise_ensemble_stats(modes: ModeSet, system: SystemSpec, taus, n_real: int,
     times = np.unique(np.concatenate([taus, origins, (origins[:, None] + taus).ravel()]))
     where = {t: i for i, t in enumerate(times)}
     tau_idx = np.array([where[t] for t in taus])
-    cos_t = np.cos(np.multiply.outer(times, modes.omega))
-    sin_t = np.sin(np.multiply.outer(times, modes.omega))
-
     lag_origin_idx = np.array([[where[t0 + tau] for t0 in origins] for tau in taus])
     base_idx = np.array([where[t0] for t0 in origins])
 
     mean_acc = [MomentAccumulator() for _ in taus]
     corr_acc = [MomentAccumulator() for _ in taus]
     for s, p in _thermal_draws(modes, system, n_real, seed, chunk_size):
-        a, b = _noise_coefficients(modes, s, p)
-        f = a @ cos_t.T + b @ sin_t.T
-        f_base = f[:, base_idx]
+        f = _noise(modes, times, s, p)
+        f_base = f[base_idx]
         for j in range(taus.size):
-            mean_acc[j].update_batch(f[:, tau_idx[j]])
-            products = (f_base * f[:, lag_origin_idx[j]]).mean(axis=1)
-            corr_acc[j].update_batch(products)
+            mean_acc[j].update_batch(f[tau_idx[j]])
+            corr_acc[j].update_batch((f_base * f[lag_origin_idx[j]]).mean(axis=0))
     return {
         "taus": taus,
         "mean": [acc.estimate() for acc in mean_acc],
@@ -372,10 +363,10 @@ def sample_trajectories(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid
     :func:`gle_ensemble_moments` on ``grid.times``.
 
     Arrays are (n_steps + 1, n_traj); f is each realization's noise force.
+    Whole blocks go one at a time, so no bit of a series depends on n_traj.
     """
     grid.check_resolves(modes)
-    (s, p), = _thermal_draws(modes, system, n_traj, seed, n_traj)
-    x, v = _NormalModes(modes, system).propagate(grid.times, x0, 0.0, s, p)
-    a, b = _noise_coefficients(modes, s, p)
-    phases = np.multiply.outer(grid.times, modes.omega)
-    return grid.times, x, v, np.cos(phases) @ a.T + np.sin(phases) @ b.T
+    propagate, times = _NormalModes(modes, system).propagate, grid.times
+    blocks = [(*propagate(times, x0, 0.0, s, p), _noise(modes, times, s, p)) for s, p in
+              _thermal_draws(modes, system, _BLOCK * -(-n_traj // _BLOCK), seed, _BLOCK)]
+    return (times, *(np.hstack(series)[:, :n_traj] for series in zip(*blocks)))

@@ -11,14 +11,15 @@ Sigma have 2x2 closed forms, so the per-step update is exact for any step
 size and never overflows; the plain Euler-Maruyama scheme is kept as a
 cross-check mode.
 
-Engine contract: trajectories start at rest and come in blocks of 64;
-block b draws time-major tiles of normals from its (seed, b) stream, so
-trajectory i depends on (seed, i) alone, not on n_traj, chunking or tiling.
-Block streams fill on a thread pool that lives for one draw, one contiguous
-group of streams per worker (up to the usable CPUs); since each stream writes
-only its own 64 columns, results do not depend on the worker count.
-A chunk (chunk_size rounded up to whole blocks) steps in place in one
-(tile steps + 1, chunk, dim) buffer, and observables sum in step order.
+Engine contract, shared with the finite bath of :mod:`.microbath`: members
+come in blocks of 64 and chunks of whole blocks; block b fills row-major
+tiles of normals from its (seed, b) stream and member i takes column i % 64
+of block i // 64, so it depends on (seed, i) alone, not on the ensemble size,
+chunking or tiling.  Block streams fill on a thread pool that lives for one
+draw, one contiguous group of streams per worker (up to the usable CPUs);
+since each stream writes only its own 64 columns, results do not depend on
+the worker count.  SDE trajectories start at rest, a chunk steps in place in
+one (tile steps + 1, chunk, dim) buffer, and observables sum in step order.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .ensemble import EnsembleResult, MomentAccumulator
 from .errors import DomainError, UnstableIntegrationError
 
 __all__ = ["stationary_covariance", "exact_discretization", "noise_factor",
-           "trajectory_seeds", "stepper", "run_ensemble", "sample_paths"]
+           "stepper", "run_ensemble", "sample_paths"]
 
 # trajectories per stream; steps per stream draw; steps per observable slab
 _BLOCK, _BLOCK_STEPS, _SLAB_STEPS = 64, 1024, 64
@@ -99,18 +100,6 @@ def noise_factor(cov):
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-def _check_seed(seed):
-    if seed < 0:
-        raise DomainError("seed must be non-negative")
-
-
-def trajectory_seeds(seed: int, indices):
-    """Independent bit generators keyed by (seed, index), one per finite-bath realization."""
-    _check_seed(seed)
-    return [np.random.default_rng(np.random.SeedSequence(entropy=(seed, int(i))))
-            for i in indices]
-
-
 def stepper(drift, diffusion, dt, n_steps, n_traj, method="exact"):
     """Checked propagator E and noise factor L of one step: the closed-form
     :func:`exact_discretization` for 'exact', or E = I + A dt and covariance
@@ -130,20 +119,30 @@ def stepper(drift, diffusion, dt, n_steps, n_traj, method="exact"):
     return np.eye(2) + a * dt, noise_factor(q * dt)
 
 
-def _streams(seed, blocks):
-    """PCG64 generators keyed by (seed, block), a domain apart from trajectory_seeds."""
-    _check_seed(seed)
-    return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x5DE, b)))
-            for b in blocks]
+def _chunks(seed, n, chunk_size):
+    """(streams, count) for each chunk of members 0..n-1: chunk_size rounded
+    up to whole blocks of 64, one PCG64 stream keyed by (seed, block) per
+    block, and count the chunk's members short of the padding."""
+    if seed < 0:
+        raise DomainError("seed must be non-negative")
+    if n < 1 or chunk_size < 1:
+        raise DomainError("n_traj, n_real and chunk_size must be >= 1")
+    n_blocks, per_chunk = -(-n // _BLOCK), -(-chunk_size // _BLOCK)
+    return (([np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x5DE, b)))
+              for b in range(first, min(first + per_chunk, n_blocks))],
+             min(n - _BLOCK * first, _BLOCK * per_chunk))
+            for first in range(0, n_blocks, per_chunk))
 
 
 def _draw(streams, factor, out):
-    """Fill ``out`` (steps, 64 per stream, dim) with kicks, one time-major tile per stream.
+    """Fill ``out`` (rows, 64 per stream, dim) with standard normals times
+    ``factor``, one row-major tile per stream: SDE kicks with time-step rows,
+    or finite-bath mode normals (dim 1, unit factor) with one row per normal.
 
     Contiguous groups of streams fill on up to ``_WORKERS`` threads (normal
     fills and matmul release the GIL).  The workers share the rows of one
     tile of scratch and fill each stream in pieces of their share; a stream
-    fills in C order, so the kicks are those of one serial fill.
+    fills in C order, so the values are those of one serial fill.
     """
     rows, factor_t = len(out), np.ascontiguousarray(factor.T)
     workers = min(_WORKERS, len(streams), rows)
@@ -201,16 +200,13 @@ def run_ensemble(drift, diffusion, dt, n_steps, n_traj, seed, observables, burn_
     aside.  ``meta`` extends the result's dt, n_steps, burn_steps and method.
     """
     prop, factor = stepper(drift, diffusion, dt, n_steps, n_traj, method)
-    if chunk_size < 1:
-        raise DomainError("chunk_size must be >= 1")
     bound = 1e6 * math.sqrt(stationary_covariance(drift, diffusion)[0, 0])
     burn_steps = max(1, math.ceil(burn_in / dt))
     accs = {name: MomentAccumulator() for name in observables}
-    n_blocks, per_chunk = -(-n_traj // _BLOCK), -(-chunk_size // _BLOCK)
-    for first in range(0, n_blocks, per_chunk):
+    for streams, count in _chunks(seed, n_traj, chunk_size):
         sums, state = _chunk_sums(prop, factor, burn_steps + n_steps, observables, burn_steps,
-                                  _streams(seed, range(first, min(first + per_chunk, n_blocks))))
-        state = state[:n_traj - _BLOCK * first]
+                                  streams)
+        state = state[:count]
         if not np.all(np.isfinite(state)) or np.max(np.abs(state[:, 0])) > bound:
             raise UnstableIntegrationError(
                 "SDE trajectories diverged; reduce dt or use method='exact'")
@@ -228,8 +224,9 @@ def sample_paths(drift, diffusion, dt, n_steps, n_traj, seed, method="exact"):
     Whole blocks are drawn, then sliced.
     """
     prop, factor = stepper(drift, diffusion, dt, n_steps, n_traj, method)
-    kicks = np.zeros((n_steps + 1, _BLOCK * -(-n_traj // _BLOCK), len(prop)))
-    _draw(_streams(seed, range(kicks.shape[1] // _BLOCK)), factor, kicks[:-1])
+    (streams, _), = _chunks(seed, n_traj, n_traj)
+    kicks = np.zeros((n_steps + 1, _BLOCK * len(streams), len(prop)))
+    _draw(streams, factor, kicks[:-1])
     states = np.roll(kicks, 1, axis=0)  # kicks[-1] is zero: the start at rest
     _propagate(prop, states)
     return states[:, :n_traj], kicks[:, :n_traj]

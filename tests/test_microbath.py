@@ -10,7 +10,6 @@ from qlesim.bath import BathSpec, ModeSet, SystemSpec, discretize_bath
 from qlesim.errors import DomainError, UnsupportedBathError
 from qlesim.quadrature import QuadratureConfig
 from qlesim import fdt, microbath as mb
-from qlesim.sde import trajectory_seeds
 
 
 def make_bath(gamma=0.5, cutoff=3.0, n_modes=300):
@@ -290,28 +289,64 @@ class TestNormalModes:
             tracemalloc.stop()
         assert peak < 8e6, peak
 
+    def test_memory_bounded_by_one_chunk_of_draws(self):
+        # two chunks of 2048 realizations; the peak was 5.2 (noise) and 4.3
+        # (GLE) chunks of draws with one generator and one copy per realization
+        sys_ = SystemSpec()
+        _, modes = make_bath(n_modes=500)
+        grid = mb.TrajectoryGrid(dt=0.03, n_steps=100)
+        draws = 2 * modes.count * 2048 * 8
+        for call in (lambda: mb.noise_ensemble_stats(modes, sys_, [0.0, 0.5], n_real=4096,
+                                                     seed=1, chunk_size=2048),
+                     lambda: mb.gle_ensemble_moments(modes, sys_, grid, n_real=4096, seed=1,
+                                                     chunk_size=2048)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * draws, peak / draws
+
     def test_sample_trajectories_are_the_ensemble_realizations(self):
         sys_ = SystemSpec()
         _, modes = make_bath(n_modes=40)
         grid = mb.TrajectoryGrid(dt=0.03, n_steps=200)
-        times, x, v, f = mb.sample_trajectories(modes, sys_, grid, 3, seed=5, x0=0.2)
-        assert x.shape == v.shape == f.shape == (201, 3)
+        times, x, v, f = mb.sample_trajectories(modes, sys_, grid, 70, seed=5, x0=0.2)
+        assert x.shape == v.shape == f.shape == (201, 70)
         np.testing.assert_array_equal(times, grid.times)
         np.testing.assert_array_equal(x[0], 0.2)
         np.testing.assert_array_equal(v[0], 0.0)
-        res = mb.gle_ensemble_moments(modes, sys_, grid, n_real=3, seed=5, x0=0.2)
+        res = mb.gle_ensemble_moments(modes, sys_, grid, n_real=70, seed=5, x0=0.2)
         assert res["x2"].mean == pytest.approx(np.mean(x[-1] ** 2), rel=1e-12)
         assert res["v2"].mean == pytest.approx(np.mean(v[-1] ** 2), rel=1e-12)
-        # realization 2 draws s then p from its (seed, 2) stream
-        draws = trajectory_seeds(5, [2])[0].standard_normal(2 * modes.count)
+        # realization 66 is column 2 of block 1's (2N, 64) fill, s rows then p rows
+        stream = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(0x5DE, 1)))
+        draws = stream.standard_normal((2 * modes.count, 64))[:, 2]
         sd_s, sd_p = np.sqrt(mb.thermal_variances(modes, sys_))
         ics = mb.BathInitialConditions(displacement=draws[:modes.count] * sd_s,
                                        momentum=draws[modes.count:] * sd_p, x0=0.2)
-        np.testing.assert_allclose(f[:, 2], mb.noise_trajectory(modes, ics, grid),
+        np.testing.assert_allclose(f[:, 66], mb.noise_trajectory(modes, ics, grid),
                                    rtol=0, atol=1e-12)
         x2, v2 = mb.integrate_gle(modes, ics, sys_, grid)
-        np.testing.assert_allclose(x[:, 2], x2, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(v[:, 2], v2, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x[:, 66], x2, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v[:, 66], v2, rtol=0, atol=1e-12)
+
+    def test_realizations_do_not_depend_on_ensemble_or_chunk_size(self):
+        sys_ = SystemSpec()
+        _, modes = make_bath(n_modes=40)
+        grid = mb.TrajectoryGrid(dt=0.03, n_steps=50)
+        first = [a[:, :3] for a in mb.sample_trajectories(modes, sys_, grid, 3, seed=5)[1:]]
+        for n_traj in (64, 65, 200):
+            got = mb.sample_trajectories(modes, sys_, grid, n_traj, seed=5)[1:]
+            assert [a[:, :3].tobytes() for a in got] == [a.tobytes() for a in first], n_traj
+        serial = mb.gle_ensemble_moments(modes, sys_, grid, n_real=200, seed=5, chunk_size=4096)
+        for chunk_size in (1, 64, 65):
+            res = mb.gle_ensemble_moments(modes, sys_, grid, n_real=200, seed=5,
+                                          chunk_size=chunk_size)
+            for name in ("x2", "v2"):
+                assert res[name].mean == pytest.approx(serial[name].mean, rel=1e-12)
+                assert res[name].se == pytest.approx(serial[name].se, rel=1e-12)
 
 
 class TestEmptyEnsembles:

@@ -12,7 +12,8 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 
 from qlesim import ensemble, rwa, sde
 from qlesim import markovian as mk
-from qlesim.bath import SystemSpec
+from qlesim import microbath as mb
+from qlesim.bath import BathSpec, SystemSpec, discretize_bath
 from qlesim.errors import DomainError, UnstableIntegrationError
 
 
@@ -98,10 +99,13 @@ def test_worker_count_does_not_change_results(monkeypatch):
     # 300 trajectories are 5 blocks: a ragged 2-2-1 split over 3 workers, and
     # fewer blocks than 8 workers; 70 tile rows split 24-23-23 over 3 workers.
     # chunk_size 200 adds a one-block chunk, and a 2-step draw caps the
-    # workers at its 2 rows
+    # workers at its 2 rows.  The finite bath draws 300 realizations of 2 x 40
+    # mode normals the same way, in one chunk or in chunks of 128
     markov = mk.MarkovParams.from_system(SystemSpec(), 0.2)
     pair = rwa.RwaParams.from_system(SystemSpec(), 0.05)
     drift, diffusion = mk._linear_system(markov)
+    modes = discretize_bath(BathSpec.cutoff_ohmic(gamma=0.5, cutoff=3.0), 40)
+    grid = mb.TrajectoryGrid(dt=0.03, n_steps=20)
     calls = (
         lambda: _moments(mk.simulate_sde(markov, 0.5, 40, 300, seed=4, burn_in=15.0)),
         lambda: _moments(rwa.simulate_rwa(pair, 0.5, 40, 300, seed=4, burn_in=15.0,
@@ -112,6 +116,12 @@ def test_worker_count_does_not_change_results(monkeypatch):
             pair, 0.5, 40, 300, seed=4, burn_in=15.0))],
         lambda: [a.tobytes() for a in sde.sample_paths(drift, diffusion, 0.5, 70, 300, seed=4)],
         lambda: [a.tobytes() for a in sde.sample_paths(drift, diffusion, 0.5, 2, 300, seed=4)],
+        lambda: _moments(mb.gle_ensemble_moments(modes, SystemSpec(), grid, 300, seed=4,
+                                                 chunk_size=128)),
+        lambda: mb.noise_ensemble_stats(modes, SystemSpec(), [0.0, 0.3], 300,
+                                        seed=4)["autocorr"],
+        lambda: [a.tobytes() for a in mb.sample_trajectories(modes, SystemSpec(), grid, 300,
+                                                               seed=4)],
     )
 
     def run(workers):
@@ -202,10 +212,13 @@ def test_negative_seed_raises():
     # was numpy's "expected non-negative integer"
     markov = mk.MarkovParams.from_system(SystemSpec(), 0.1)
     pair = rwa.RwaParams.from_system(SystemSpec(), 0.1)
+    modes = discretize_bath(BathSpec.cutoff_ohmic(gamma=0.5, cutoff=3.0), 16)
+    grid = mb.TrajectoryGrid(dt=0.03, n_steps=10)
     for call in (lambda: mk.simulate_sde(markov, 0.5, 10, 4, seed=-1),
                  lambda: rwa.simulate_rwa(pair, 0.5, 10, 4, seed=-1),
                  lambda: mk.sample_trajectories(markov, 0.5, 10, 4, seed=-1),
-                 lambda: sde.trajectory_seeds(-1, [0])):
+                 lambda: mb.gle_ensemble_moments(modes, SystemSpec(), grid, 4, seed=-1),
+                 lambda: mb.noise_ensemble_stats(modes, SystemSpec(), [0.0], 4, seed=-1)):
         with pytest.raises(DomainError, match="seed"):
             call()
 
