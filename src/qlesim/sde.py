@@ -95,9 +95,13 @@ def exact_discretization(drift, diffusion, dt):
 
 
 def noise_factor(cov):
-    """Matrix L with L @ L.T = cov, robust to semidefinite covariances."""
-    vals, vecs = np.linalg.eigh(np.asarray(cov, dtype=float))
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))
+    """Lower Cholesky factor L, L @ L.T = cov, of a 2x2 covariance; continuous
+    in cov, with a zero first column where cov[0, 0] <= 0 (Euler's diag(0, q dt))."""
+    (a, b), (_, c) = np.asarray(cov, dtype=float)
+    if not a > 0:
+        return np.array([[0.0, 0.0], [0.0, math.sqrt(max(c, 0.0))]])
+    l00 = math.sqrt(a)
+    return np.array([[l00, 0.0], [b / l00, math.sqrt(max(c - (b / l00) ** 2, 0.0))]])
 
 
 def stepper(drift, diffusion, dt, n_steps, n_traj, method="exact"):

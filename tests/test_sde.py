@@ -270,6 +270,19 @@ def test_closed_forms_match_scipy_and_van_loan():
                     (w0, gamma, kind, dt)
 
 
+def test_noise_factor_continuous_at_isotropic_covariance():
+    # the RWA Q_dt is sigma^2 I; its eigh factor was a LAPACK tie-break, which a
+    # 1e-15 off-diagonal turned by 45 degrees (max |dL| = 0.76 at this step)
+    pair = rwa.RwaParams.from_system(SystemSpec(), 0.1)
+    _, q_dt = sde.exact_discretization(rwa.drift_matrix(pair), rwa._diffusion_matrix(pair), 1.0)
+    base = np.eye(2) * q_dt[0, 0]
+    factor = sde.noise_factor(base)
+    np.testing.assert_allclose(factor @ factor.T, base, rtol=1e-15)
+    for off in (1e-15, -1e-15):
+        nudged = sde.noise_factor(base + off * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert np.max(np.abs(nudged - factor)) < 1e-12, off
+
+
 def test_exact_step_is_exact_at_critical_damping():
     # the double root -1 of A = [[0, 1], [-1, -2]]: expm(A t) = e^{-t} (I + t (A + I))
     drift = np.array([[0.0, 1.0], [-1.0, -2.0]])
