@@ -255,7 +255,8 @@ def _thermal_draws(modes: ModeSet, system: SystemSpec, n_real: int, seed: int,
     Realization i is column i % 64 of its block's (2N, 64) fill, s first and
     then p, scaled by the thermal standard deviations.
     """
-    sd, n = np.sqrt(np.concatenate(thermal_variances(modes, system)))[:, None, None], modes.count
+    sd = np.sqrt(np.concatenate(thermal_variances(modes, system)))[:, None, None]
+    n = modes.count
     for streams, count in _chunks(seed, n_real, chunk_size):
         draws = np.empty((2 * n, _BLOCK * len(streams), 1))
         _draw(streams, np.ones((1, 1)), draws)

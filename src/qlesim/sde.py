@@ -124,18 +124,18 @@ def stepper(drift, diffusion, dt, n_steps, n_traj, method="exact"):
 
 
 def _chunks(seed, n, chunk_size):
-    """(streams, count) for each chunk of members 0..n-1: chunk_size rounded
-    up to whole blocks of 64, one PCG64 stream keyed by (seed, block) per
-    block, and count the chunk's members short of the padding."""
+    """(streams, count) per chunk of members 0..n-1: chunk_size rounded up to
+    whole blocks of 64, one PCG64 stream keyed by (seed, block) per block, and
+    the number of the chunk's members that are not padding."""
     if seed < 0:
         raise DomainError("seed must be non-negative")
     if n < 1 or chunk_size < 1:
         raise DomainError("n_traj, n_real and chunk_size must be >= 1")
     n_blocks, per_chunk = -(-n // _BLOCK), -(-chunk_size // _BLOCK)
-    return (([np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x5DE, b)))
-              for b in range(first, min(first + per_chunk, n_blocks))],
-             min(n - _BLOCK * first, _BLOCK * per_chunk))
-            for first in range(0, n_blocks, per_chunk))
+    for first in range(0, n_blocks, per_chunk):
+        blocks = range(first, min(first + per_chunk, n_blocks))
+        yield ([np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x5DE, b)))
+                for b in blocks], min(n - _BLOCK * first, _BLOCK * len(blocks)))
 
 
 def _draw(streams, factor, out):
