@@ -348,8 +348,8 @@ def run_microbath(cfg: RunConfig, dump_traj=None, dump_count=1):
 
     taus = np.linspace(0.0, 5.0 / system.omega0, 11)
     origins = np.arange(0.0, 20.0001, 0.5) / system.omega0
-    stats = microbath.noise_ensemble_stats(
-        modes, system, taus, cfg.realizations, cfg.seed, origins=origins)
+    stats, res = microbath.ensemble_stats(
+        modes, system, grid, taus, cfg.realizations, cfg.seed, origins=origins)
 
     rows = []
     for tau, mean_est, corr_est in zip(stats["taus"], stats["mean"], stats["autocorr"]):
@@ -357,7 +357,6 @@ def run_microbath(cfg: RunConfig, dump_traj=None, dump_count=1):
         rows.append(("noise_mean", float(tau), mean_est.mean, mean_est.se, 0.0))
         rows.append(("noise_autocorr", float(tau), corr_est.mean, corr_est.se, ref))
 
-    res = microbath.gle_ensemble_moments(modes, system, grid, cfg.realizations, cfg.seed)
     x2_ref = fdt.position_correlation(0.0, system, bath)
     v2_ref = fdt.velocity_correlation(0.0, system, bath)
     rows.append(("gle_moment_x2", grid.dt * grid.n_steps, res["x2"].mean,

@@ -1,4 +1,4 @@
-"""Finite-N microscopic bath: sampled noise and memory-kernel dynamics.
+"""Finite-N microscopic bath: every sampled value is one linear map of 2N normals.
 
 A bath prepared in the displaced thermal state generates the noise
 
@@ -18,11 +18,16 @@ is not stepped: the oscillator and its modes (with the counterterm) form
 one quadratic Hamiltonian, so diagonalizing the (N+1) x (N+1)
 mass-weighted Hessian gives x(t) and v(t) exactly at any time (Ford, Kac
 & Mazur 1965; Ullersma 1966), with the same displaced preparation
-q_j(0) = s_j + c_j x(0) / (m_j w_j^2).  The same decomposition gives the
-exact finite-N ensemble moments.  Realization i draws its 2N normals from
-the (seed, i // 64) block stream of :mod:`.sde`, so it depends on (seed, i)
-alone; ensembles run in chunks with mergeable moment accumulators, so
-chunked and serial runs agree.
+q_j(0) = s_j + c_j x(0) / (m_j w_j^2).
+
+So f(t), x(t) and v(t) at any time are each mean + row @ z, where z holds
+a realization's 2N standard normals (the s normals first) and the row
+carries the thermal standard deviations.  A pass builds the rows of all
+its values once and applies them to each chunk of draws in one matmul;
+the exact moments are the row norms, mean^2 + |row|^2.  Realization i is
+column i % 64 of the (2N, 64) fill of the (seed, i // 64) block stream of
+:mod:`.sde`, so it depends on (seed, i) alone; ensembles run in chunks with
+mergeable moment accumulators, so chunked and serial runs agree.
 """
 
 from __future__ import annotations
@@ -31,51 +36,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import multi_dot
 
 from .bath import BathKind, BathSpec, ModeSet, SystemSpec
 from .ensemble import EnsembleResult, MomentAccumulator
 from .errors import DomainError, UnstableIntegrationError, UnsupportedBathError
 from .quadrature import QuadratureConfig, integrate_panels, scaled_omega_coth
-from .sde import _BLOCK, _chunks, _draw
+from .sde import _BLOCK, _SLAB_STEPS, _chunks, _draw
 
 __all__ = [
-    "BathInitialConditions",
     "TrajectoryGrid",
-    "sample_initial_conditions",
-    "noise_trajectory",
     "initial_slip",
     "noise_commutator_analytic",
     "noise_autocorrelation_quadrature",
-    "integrate_gle",
+    "ensemble_stats",
     "noise_ensemble_stats",
     "gle_ensemble_moments",
     "gle_moments_exact",
     "sample_trajectories",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class BathInitialConditions:
-    """Sampled mode coordinates (relative to the displaced minima) and momenta."""
-
-    displacement: np.ndarray
-    momentum: np.ndarray
-    x0: float
-
-    def __post_init__(self):
-        d = np.atleast_1d(np.asarray(self.displacement, dtype=float))
-        p = np.atleast_1d(np.asarray(self.momentum, dtype=float))
-        object.__setattr__(self, "displacement", d)
-        object.__setattr__(self, "momentum", p)
-        if d.size != p.size:
-            raise DomainError("displacement and momentum counts differ")
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(p))):
-            raise DomainError("initial conditions must be finite")
-
-    @property
-    def count(self) -> int:
-        return int(self.displacement.size)
 
 
 @dataclass(frozen=True)
@@ -115,40 +93,6 @@ def thermal_variances(modes: ModeSet, system: SystemSpec):
     var_s = system.hbar / (2.0 * modes.mass * modes.omega) * c
     var_p = system.hbar * modes.mass * modes.omega / 2.0 * c
     return var_s, var_p
-
-
-def sample_initial_conditions(modes: ModeSet, system: SystemSpec, x0: float,
-                              rng) -> BathInitialConditions:
-    """Draw one realization of the displaced thermal state.
-
-    ``rng`` is a :class:`numpy.random.Generator` or an integer seed.  Only
-    the symmetric second moments are realized; the imaginary cross moment
-    of the quantum state is not sampleable and cancels from symmetrized
-    observables.
-    """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
-    var_s, var_p = thermal_variances(modes, system)
-    s = rng.standard_normal(modes.count) * np.sqrt(var_s)
-    p = rng.standard_normal(modes.count) * np.sqrt(var_p)
-    return BathInitialConditions(displacement=s, momentum=p, x0=float(x0))
-
-
-def _noise(modes: ModeSet, times, s, p):
-    """Noise f at ``times``, (len(times), batch), of mode displacements s and
-    momenta p of shape (batch, N), or (len(times),) for s and p of shape (N,)."""
-    phases = np.multiply.outer(times, modes.omega)
-    return ((np.cos(phases) * modes.coupling) @ s.T
-            + (np.sin(phases) * (modes.coupling / (modes.mass * modes.omega))) @ p.T)
-
-
-def noise_trajectory(modes: ModeSet, ics: BathInitialConditions,
-                     grid: TrajectoryGrid) -> np.ndarray:
-    """Deterministic noise series f(t_i) for one sampled realization."""
-    if ics.count != modes.count:
-        raise DomainError("initial conditions do not match the mode count")
-    grid.check_resolves(modes)
-    return _noise(modes, grid.times, ics.displacement, ics.momentum)
 
 
 def initial_slip(modes: ModeSet, x0: float, t):
@@ -201,8 +145,16 @@ def noise_autocorrelation_quadrature(system: SystemSpec, bath: BathSpec, tau,
     return system.hbar / math.pi * value
 
 
+def _noise_rows(modes: ModeSet, system: SystemSpec, times):
+    """(len(times), 2N) rows of the noise: f at ``times`` is rows @ z."""
+    sd_s, sd_p = np.sqrt(thermal_variances(modes, system))
+    phases = np.multiply.outer(times, modes.omega)
+    return np.hstack((np.cos(phases) * (modes.coupling * sd_s),
+                      np.sin(phases) * (modes.coupling / (modes.mass * modes.omega) * sd_p)))
+
+
 class _NormalModes:
-    """Exact propagator of the oscillator and its N modes.
+    """Exact response of the oscillator and its N modes.
 
     In coordinates z = (x, q_1..q_N) with masses M the Hessian has
     K_00 = m w0^2 + sum_j c_j^2 / (m_j w_j^2), K_0j = -c_j and
@@ -211,11 +163,12 @@ class _NormalModes:
         x(t) = sum_k a_k [cos(W_k t) (P z)_k + sin(W_k t) / W_k (P z')_k]
 
     where a = U[0] / sqrt(m) and P = U^T M^1/2.  At w0 = 0 one W_k is zero
-    and sin(W t) / W takes its limit t.
+    and sin(W t) / W takes its limit t.  Started at (x0, 0) in the displaced
+    preparation, P z = x0 * start + s_rows @ z[:N] and P z' = p_rows @ z[N:]
+    for the 2N standard normals z.
     """
 
     def __init__(self, modes: ModeSet, system: SystemSpec):
-        self.modes = modes
         hessian = np.diag(np.concatenate((
             [system.mass * system.omega0**2 + modes.kernel_weights().sum()],
             modes.mass * modes.omega**2)))
@@ -224,60 +177,93 @@ class _NormalModes:
         eigval, vecs = np.linalg.eigh(hessian / np.outer(root, root))
         self.freq = np.sqrt(np.clip(eigval, 0.0, None))
         self.amp = vecs[0] / root[0]
-        self.proj = vecs.T * root
+        proj = vecs.T * root
+        sd_s, sd_p = np.sqrt(thermal_variances(modes, system))
+        self.start = proj @ np.concatenate(([1.0], modes.coupling / (modes.mass * modes.omega**2)))
+        self.s_rows, self.p_rows = proj[:, 1:] * sd_s, proj[:, 1:] * (sd_p / modes.mass)
 
-    def propagate(self, times, x0, v0, s, p):
-        """(x, v), each (len(times), batch), of oscillators started at
-        (x0, v0) with mode displacements s and momenta p of shape (batch, N)
-        in the displaced preparation; raises if a value is not finite.
-        """
-        modes = self.modes
-        batch = len(s)
-        z = np.vstack((np.full((1, batch), x0),
-                       (s + modes.coupling * x0 / (modes.mass * modes.omega**2)).T))
-        zdot = np.vstack((np.full((1, batch), v0), (p / modes.mass).T))
+    def basis(self, times):
+        """(cos - 1, sin / W, -W sin) of W t, each (len(times), N+1) times a."""
         wt = np.multiply.outer(times, self.freq)
         # cos - 1 about the exact initial values keeps t = 0 exact
         cosm1 = -2.0 * np.sin(0.5 * wt) ** 2 * self.amp
         sinc = times[:, None] * np.sinc(wt / np.pi) * self.amp
-        dsin = -self.freq * np.sin(wt) * self.amp
-        x = x0 + multi_dot([cosm1, self.proj, z]) + multi_dot([sinc, self.proj, zdot])
-        v = v0 + multi_dot([dsin, self.proj, z]) + multi_dot([cosm1, self.proj, zdot])
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-            raise UnstableIntegrationError("normal-mode propagation is not finite")
-        return x, v
+        return cosm1, sinc, -self.freq * np.sin(wt) * self.amp
+
+    def response(self, times, x0):
+        """(mean, rows) of x at ``times`` followed by v at ``times``: each
+        value is mean + rows @ z for a realization's 2N standard normals z."""
+        cosm1, sinc, dsin = self.basis(times)
+        mean = x0 * np.concatenate((1.0 + cosm1 @ self.start, dsin @ self.start))
+        return mean, np.block([[cosm1 @ self.s_rows, sinc @ self.p_rows],
+                               [dsin @ self.s_rows, cosm1 @ self.p_rows]])
 
 
-def _thermal_draws(modes: ModeSet, system: SystemSpec, n_real: int, seed: int,
-                   chunk_size: int):
-    """(s, p), each (batch, N), per chunk of realizations 0..n_real-1.
+def _finite(values):
+    if not np.all(np.isfinite(values)):
+        raise UnstableIntegrationError("normal-mode propagation is not finite")
+    return values
 
-    Realization i is column i % 64 of its block's (2N, 64) fill, s first and
-    then p, scaled by the thermal standard deviations.
-    """
-    sd = np.sqrt(np.concatenate(thermal_variances(modes, system)))[:, None, None]
-    n = modes.count
+
+def _normals(n_real: int, seed: int, chunk_size: int, n_normals: int):
+    """(n_normals, count) standard normals per chunk of realizations
+    0..n_real-1: one ``_draw`` per chunk into one buffer that serves every
+    chunk, so each view is valid until the next chunk."""
+    draws = None
     for streams, count in _chunks(seed, n_real, chunk_size):
-        draws = np.empty((2 * n, _BLOCK * len(streams), 1))
-        _draw(streams, np.ones((1, 1)), draws)
-        draws *= sd
-        yield draws[:n, :count, 0].T, draws[n:, :count, 0].T
+        if draws is None:
+            draws = np.empty((n_normals, _BLOCK * len(streams), 1))
+        _draw(streams, None, draws[:, :_BLOCK * len(streams)])
+        yield draws[:, :count, 0]
 
 
-def integrate_gle(modes: ModeSet, ics: BathInitialConditions, system: SystemSpec,
-                  grid: TrajectoryGrid, x0: float | None = None,
-                  v0: float = 0.0):
-    """One realization of the memory equation of motion, solved exactly.
+def _ensemble(modes: ModeSet, system: SystemSpec, taus, origins, n_real: int, seed: int,
+              chunk_size: int, final=None):
+    """(noise statistics, [<x^2>, <v^2>] estimates) of one pass that applies
+    the noise rows and the ``final`` (mean, rows) of x(T) and v(T), if
+    given, to each chunk of normals in one matmul."""
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    if np.any(taus < 0):
+        raise DomainError("lags must be nonnegative")
+    origins = np.atleast_1d(np.asarray(origins if origins is not None else [0.0],
+                                       dtype=float))
+    times, where = np.unique(np.concatenate([taus, origins, np.add.outer(taus, origins).ravel()]),
+                             return_inverse=True)
+    tau_idx, base_idx, lag_idx = np.split(where, [taus.size, taus.size + origins.size])
+    lag_idx = lag_idx.reshape(taus.size, origins.size)
+    rows, mean = _noise_rows(modes, system, times), ()
+    if final is not None:
+        mean, final_rows = final
+        rows = np.vstack((rows, final_rows))
+    mean_acc, corr_acc = ([MomentAccumulator() for _ in taus] for _ in range(2))
+    moment_acc = [MomentAccumulator() for _ in mean]
+    for z in _normals(n_real, seed, chunk_size, rows.shape[1]):
+        y = _finite(rows @ z)
+        f_base = y[base_idx]
+        for j in range(taus.size):
+            mean_acc[j].update_batch(y[tau_idx[j]])
+            corr_acc[j].update_batch((f_base * y[lag_idx[j]]).mean(axis=0))
+        for acc, m, values in zip(moment_acc, mean, y[len(times):]):
+            acc.update_batch((m + values) ** 2)
+    return ({"taus": taus, "mean": [acc.estimate() for acc in mean_acc],
+             "autocorr": [acc.estimate() for acc in corr_acc]},
+            [acc.estimate() for acc in moment_acc])
 
-    Returns (x, v) arrays on ``grid.times``.  The oscillator starts at
-    ``ics.x0`` (or an explicit ``x0``) with velocity ``v0``; the noise is
-    the deterministic mode sum for this realization.
+
+def ensemble_stats(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid, taus,
+                   n_real: int, seed: int, origins=None, x0: float = 0.0,
+                   chunk_size: int = 2048):
+    """(noise statistics, final-time moments) of one pass over ``n_real``
+    realizations: what :func:`noise_ensemble_stats` (lags ``taus`` from
+    ``origins``) and :func:`gle_ensemble_moments` (``grid``, ``x0``) return
+    at the same seed and chunk size.  The noise rows and the x(T), v(T)
+    rows form one matrix, so each chunk is drawn once and multiplied once.
     """
-    grid.check_resolves(modes)
-    x, v = _NormalModes(modes, system).propagate(
-        grid.times, ics.x0 if x0 is None else float(x0), float(v0),
-        ics.displacement[None], ics.momentum[None])
-    return x[:, 0], v[:, 0]
+    final = _NormalModes(modes, system).response(np.array([grid.dt * grid.n_steps]), x0)
+    stats, (x2, v2) = _ensemble(modes, system, taus, origins, n_real, seed, chunk_size, final)
+    return stats, EnsembleResult({"x2": x2, "v2": v2}, n_real, seed,
+                                 meta={"dt": grid.dt, "n_steps": grid.n_steps, "x0": float(x0),
+                                       "n_modes": modes.count})
 
 
 def noise_ensemble_stats(modes: ModeSet, system: SystemSpec, taus, n_real: int,
@@ -292,30 +278,7 @@ def noise_ensemble_stats(modes: ModeSet, system: SystemSpec, taus, n_real: int,
     realization before accumulating, which tightens the standard error
     without biasing it (realizations stay independent units).
     """
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    if np.any(taus < 0):
-        raise DomainError("lags must be nonnegative")
-    origins = np.atleast_1d(np.asarray(origins if origins is not None else [0.0],
-                                       dtype=float))
-    times = np.unique(np.concatenate([taus, origins, (origins[:, None] + taus).ravel()]))
-    where = {t: i for i, t in enumerate(times)}
-    tau_idx = np.array([where[t] for t in taus])
-    lag_origin_idx = np.array([[where[t0 + tau] for t0 in origins] for tau in taus])
-    base_idx = np.array([where[t0] for t0 in origins])
-
-    mean_acc = [MomentAccumulator() for _ in taus]
-    corr_acc = [MomentAccumulator() for _ in taus]
-    for s, p in _thermal_draws(modes, system, n_real, seed, chunk_size):
-        f = _noise(modes, times, s, p)
-        f_base = f[base_idx]
-        for j in range(taus.size):
-            mean_acc[j].update_batch(f[tau_idx[j]])
-            corr_acc[j].update_batch((f_base * f[lag_origin_idx[j]]).mean(axis=0))
-    return {
-        "taus": taus,
-        "mean": [acc.estimate() for acc in mean_acc],
-        "autocorr": [acc.estimate() for acc in corr_acc],
-    }
+    return _ensemble(modes, system, taus, origins, n_real, seed, chunk_size)[0]
 
 
 def gle_ensemble_moments(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid,
@@ -327,17 +290,8 @@ def gle_ensemble_moments(modes: ModeSet, system: SystemSpec, grid: TrajectoryGri
     displaced thermal state; reports <x^2> and <v^2> at t = n_steps * dt,
     where each realization is propagated exactly, so any dt is allowed.
     """
-    draws = _thermal_draws(modes, system, n_real, seed, chunk_size)
-    normal_modes = _NormalModes(modes, system)
-    acc_x2 = MomentAccumulator()
-    acc_v2 = MomentAccumulator()
-    for s, p in draws:
-        x, v = normal_modes.propagate(np.array([grid.dt * grid.n_steps]), x0, 0.0, s, p)
-        acc_x2.update_batch(x[0] ** 2)
-        acc_v2.update_batch(v[0] ** 2)
-    return EnsembleResult({"x2": acc_x2.estimate(), "v2": acc_v2.estimate()}, n_real, seed,
-                          meta={"dt": grid.dt, "n_steps": grid.n_steps, "x0": float(x0),
-                                "n_modes": modes.count})
+    return ensemble_stats(modes, system, grid, [], n_real, seed, origins=[], x0=x0,
+                          chunk_size=chunk_size)[1]
 
 
 def gle_moments_exact(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid,
@@ -345,17 +299,11 @@ def gle_moments_exact(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid,
     """Exact (<x^2>, <v^2>) at the final grid time of the ensemble sampled
     by :func:`gle_ensemble_moments`, without sampling error.
 
-    x(T) and v(T) are linear in the 2N independent normals of a
-    realization, so each moment is the squared mean response plus the
-    squared responses to one standard deviation of every normal.
+    x(T) and v(T) are mean + row @ z in the 2N independent standard
+    normals z of a realization, so each moment is mean^2 + |row|^2.
     """
-    sd_s, sd_p = np.sqrt(thermal_variances(modes, system))
-    zero = np.zeros((modes.count, modes.count))
-    end, propagate = np.array([grid.dt * grid.n_steps]), _NormalModes(modes, system).propagate
-    mean = propagate(end, x0, 0.0, zero[:1], zero[:1])
-    spread = propagate(end, 0.0, 0.0, np.vstack((np.diag(sd_s), zero)),
-                       np.vstack((zero, np.diag(sd_p))))
-    return tuple(float(m[0, 0] ** 2 + np.sum(d ** 2)) for m, d in zip(mean, spread))
+    mean, rows = _NormalModes(modes, system).response(np.array([grid.dt * grid.n_steps]), x0)
+    return tuple(float(m ** 2 + row @ row) for m, row in zip(mean, rows))
 
 
 def sample_trajectories(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid,
@@ -364,10 +312,22 @@ def sample_trajectories(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid
     :func:`gle_ensemble_moments` on ``grid.times``.
 
     Arrays are (n_steps + 1, n_traj); f is each realization's noise force.
-    Whole blocks go one at a time, so no bit of a series depends on n_traj.
+    Each whole block of 64 draws is first projected onto the normal modes,
+    then the time axis goes in slabs, so memory is that of the output plus
+    one block, and no bit of a series depends on n_traj.
     """
     grid.check_resolves(modes)
-    propagate, times = _NormalModes(modes, system).propagate, grid.times
-    blocks = [(*propagate(times, x0, 0.0, s, p), _noise(modes, times, s, p)) for s, p in
-              _thermal_draws(modes, system, _BLOCK * -(-n_traj // _BLOCK), seed, _BLOCK)]
-    return (times, *(np.hstack(series)[:, :n_traj] for series in zip(*blocks)))
+    normal_modes, times, n = _NormalModes(modes, system), grid.times, modes.count
+    series = np.empty((3, times.size, n_traj))
+    blocks = _normals(_BLOCK * -(-n_traj // _BLOCK), seed, _BLOCK, 2 * n)
+    for first, z in zip(range(0, n_traj, _BLOCK), blocks):
+        pz = x0 * normal_modes.start[:, None] + normal_modes.s_rows @ z[:n]
+        pp = normal_modes.p_rows @ z[n:]
+        width = min(_BLOCK, n_traj - first)
+        for a in range(0, times.size, _SLAB_STEPS):
+            t = times[a:a + _SLAB_STEPS]
+            cosm1, sinc, dsin = normal_modes.basis(t)
+            for out, values in zip(series, (x0 + cosm1 @ pz + sinc @ pp, dsin @ pz + cosm1 @ pp,
+                                            _noise_rows(modes, system, t) @ z)):
+                out[a:a + t.size, first:first + width] = values[:, :width]
+    return (times, *_finite(series))

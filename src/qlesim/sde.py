@@ -139,16 +139,18 @@ def _chunks(seed, n, chunk_size):
 
 
 def _draw(streams, factor, out):
-    """Fill ``out`` (rows, 64 per stream, dim) with standard normals times
-    ``factor``, one row-major tile per stream: SDE kicks with time-step rows,
-    or finite-bath mode normals (dim 1, unit factor) with one row per normal.
+    """Fill ``out`` (rows, 64 per stream, dim) with standard normals, one
+    row-major tile per stream: SDE kicks with time-step rows, each times the
+    2x2 noise ``factor``, or finite-bath mode normals (dim 1, factor None),
+    copied as drawn, with one row per normal.
 
     Contiguous groups of streams fill on up to ``_WORKERS`` threads (normal
-    fills and matmul release the GIL).  The workers share the rows of one
-    tile of scratch and fill each stream in pieces of their share; a stream
-    fills in C order, so the values are those of one serial fill.
+    fills, copies and matmul release the GIL).  The workers share the rows of
+    one tile of scratch and fill each stream in pieces of their share; a
+    stream fills in C order, so the values are those of one serial fill.
     """
-    rows, factor_t = len(out), np.ascontiguousarray(factor.T)
+    rows = len(out)
+    factor_t = None if factor is None else np.ascontiguousarray(factor.T)
     workers = min(_WORKERS, len(streams), rows)
     tile = np.empty((rows, _BLOCK, out.shape[2]))
 
@@ -157,7 +159,11 @@ def _draw(streams, factor, out):
             for r in range(0, rows, len(scratch)):
                 piece = scratch[:rows - r]
                 streams[k].standard_normal(out=piece)
-                np.matmul(piece, factor_t, out=out[r:r + len(piece), k * _BLOCK:(k + 1) * _BLOCK])
+                dest = out[r:r + len(piece), k * _BLOCK:(k + 1) * _BLOCK]
+                if factor_t is None:
+                    np.copyto(dest, piece)
+                else:
+                    np.matmul(piece, factor_t, out=dest)
 
     groups = np.array_split(np.arange(len(streams)), workers)
     if workers == 1:

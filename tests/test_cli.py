@@ -324,7 +324,7 @@ class TestExitCodes:
             raise AssertionError("simulation ran")
 
         for module, name in ((cli.markovian, "simulate_sde"), (cli.rwa_mod, "simulate_rwa"),
-                             (cli.microbath, "noise_ensemble_stats")):
+                             (cli.microbath, "ensemble_stats")):
             monkeypatch.setattr(module, name, fail)
         dump = tmp_path / "traj.csv"
         code, _, err = run_cli([command, "--dump-traj", str(dump), "--dump-count", "0"],
@@ -344,7 +344,7 @@ class TestExitCodes:
         def fail(*a, **kw):
             raise AssertionError("ensemble ran")
 
-        monkeypatch.setattr(cli.microbath, "noise_ensemble_stats", fail)
+        monkeypatch.setattr(cli.microbath, "ensemble_stats", fail)
         dump = tmp_path / "traj.csv"
         code, _, err = run_cli([*args, "--dump-traj", str(dump)], capsys)
         assert code == 1

@@ -5,16 +5,66 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qlesim.bath import BathSpec, ModeSet, SystemSpec, discretize_bath
 from qlesim.errors import DomainError, UnsupportedBathError
 from qlesim.quadrature import QuadratureConfig
-from qlesim import fdt, microbath as mb
+from qlesim import cli, fdt, microbath as mb
 
 
 def make_bath(gamma=0.5, cutoff=3.0, n_modes=300):
     bath = BathSpec.cutoff_ohmic(gamma=gamma, cutoff=cutoff)
     return bath, discretize_bath(bath, n_modes)
+
+
+def block_normals(modes, seed, block):
+    """The (2N, 64) standard normals of a block stream, s rows then p rows:
+    realization 64 * block + k is column k."""
+    stream = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x5DE, block)))
+    return stream.standard_normal((2 * modes.count, 64))
+
+
+def thermal_start(modes, sys_, normals):
+    """Mode displacements s and momenta p of one realization's normals."""
+    sd_s, sd_p = np.sqrt(mb.thermal_variances(modes, sys_))
+    return normals[:modes.count] * sd_s, normals[modes.count:] * sd_p
+
+
+def mode_sum(modes, times, q, p):
+    """sum_j c_j [q_j cos(w_j t) + p_j / (m_j w_j) sin(w_j t)]: the noise of
+    mode coordinates q and momenta p at t = 0."""
+    phases = np.multiply.outer(times, modes.omega)
+    return np.cos(phases) @ (modes.coupling * q) + np.sin(phases) @ (
+        modes.coupling * p / (modes.mass * modes.omega))
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def phase_space(modes, sys_):
+    """Generator G of y' = G y for y = (x, q_1..q_N, x', q_1'..q_N'), the
+    start mean per unit x(0) of the displaced preparation, and the thermal
+    start covariance: an oracle independent of the normal modes."""
+    n = modes.count
+    masses = np.concatenate(([sys_.mass], modes.mass))
+    hessian = np.diag(np.concatenate((
+        [sys_.mass * sys_.omega0**2 + modes.kernel_weights().sum()], modes.mass * modes.omega**2)))
+    hessian[0, 1:] = hessian[1:, 0] = -modes.coupling
+    gen = np.zeros((2 * n + 2, 2 * n + 2))
+    gen[:n + 1, n + 1:] = np.eye(n + 1)
+    gen[n + 1:, :n + 1] = -hessian / masses[:, None]
+    unit = np.zeros(2 * n + 2)
+    unit[:n + 1] = np.concatenate(([1.0], modes.coupling / (modes.mass * modes.omega**2)))
+    var_s, var_p = mb.thermal_variances(modes, sys_)
+    cov = np.diag(np.concatenate(([0.0], var_s, [0.0], var_p / modes.mass**2)))
+    return gen, unit, cov
 
 
 class TestSampling:
@@ -49,19 +99,23 @@ class TestSampling:
             assert abs(est - var) < 4.0 * se
 
     def test_sampler_returns_matching_counts(self):
+        # x and v are maps of a realization's 2N normals that start at (x0, 0)
         sys_ = SystemSpec()
         _, modes = make_bath()
-        ics = mb.sample_initial_conditions(modes, sys_, x0=0.3, rng=11)
-        assert ics.count == modes.count
-        assert ics.x0 == 0.3
+        mean, rows = mb._NormalModes(modes, sys_).response(np.array([0.0]), 0.3)
+        assert rows.shape == (2, 2 * modes.count)
+        np.testing.assert_array_equal(mean, [0.3, 0.0])
+        np.testing.assert_array_equal(rows, 0.0)
 
 
 class TestNoise:
     def test_single_mode_cosine(self):
+        # the normals of s = 1, p = 0
+        sys_ = SystemSpec()
         modes = ModeSet(omega=[2.0], mass=[1.0], coupling=[0.7])
-        ics = mb.BathInitialConditions(displacement=[1.0], momentum=[0.0], x0=0.0)
         grid = mb.TrajectoryGrid(dt=0.01, n_steps=100)
-        f = mb.noise_trajectory(modes, ics, grid)
+        sd_s, _ = np.sqrt(mb.thermal_variances(modes, sys_))
+        f = mb._noise_rows(modes, sys_, grid.times) @ [1.0 / sd_s[0], 0.0]
         np.testing.assert_allclose(f, 0.7 * np.cos(2.0 * grid.times), rtol=1e-14)
 
     def test_mean_vanishes_at_grid_times(self):
@@ -121,17 +175,16 @@ class TestInitialSlip:
         assert mb.initial_slip(modes, x0, 0.0) == pytest.approx(expected, rel=1e-14)
 
     def test_identity_noise_equals_shifted_minus_slip(self):
-        # f(t) = g(t) - mu(t) x0 exactly per realization
+        # f(t) = g(t) - mu(t) x0 exactly per realization, with g the mode
+        # sum of the undisplaced coordinates q_j(0) = s_j + c_j x0 / (m_j w_j^2)
         sys_ = SystemSpec()
         _, modes = make_bath(n_modes=64)
         x0 = 0.9
-        ics = mb.sample_initial_conditions(modes, sys_, x0, rng=5)
         grid = mb.TrajectoryGrid(dt=0.02, n_steps=300)
-        f = mb.noise_trajectory(modes, ics, grid)
+        f = mb.sample_trajectories(modes, sys_, grid, 3, seed=5, x0=x0)[3][:, 2]
+        s, p = thermal_start(modes, sys_, block_normals(modes, 5, 0)[:, 2])
         shift = modes.coupling * x0 / (modes.mass * modes.omega**2)
-        undisplaced = mb.BathInitialConditions(
-            displacement=ics.displacement + shift, momentum=ics.momentum, x0=0.0)
-        g = mb.noise_trajectory(modes, undisplaced, grid)
+        g = mode_sum(modes, grid.times, s + shift, p)
         slip = mb.initial_slip(modes, x0, grid.times)
         assert np.max(np.abs(f - (g - slip))) < 1e-12
 
@@ -141,19 +194,17 @@ class TestIntegrateGle:
         # a zero-coupling mode realizes the noise-free, memory-free limit
         sys_ = SystemSpec()
         modes = ModeSet(omega=[1.0], mass=[1.0], coupling=[0.0])
-        ics = mb.BathInitialConditions(displacement=[0.0], momentum=[0.0], x0=1.0)
         grid = mb.TrajectoryGrid(dt=0.01, n_steps=1000)
-        x, v = mb.integrate_gle(modes, ics, sys_, grid)
-        np.testing.assert_allclose(x, np.cos(grid.times), atol=1e-8)
-        np.testing.assert_allclose(v, -np.sin(grid.times), atol=1e-8)
+        _, x, v, f = mb.sample_trajectories(modes, sys_, grid, 1, seed=0, x0=1.0)
+        np.testing.assert_allclose(x[:, 0], np.cos(grid.times), atol=1e-8)
+        np.testing.assert_allclose(v[:, 0], -np.sin(grid.times), atol=1e-8)
+        np.testing.assert_array_equal(f, 0.0)
 
     def test_grid_must_resolve_fastest_mode(self):
-        sys_ = SystemSpec()
         _, modes = make_bath(cutoff=3.0)
-        grid = mb.TrajectoryGrid(dt=0.05, n_steps=10)
-        ics = mb.sample_initial_conditions(modes, sys_, 0.0, rng=0)
+        mb.TrajectoryGrid(dt=0.03, n_steps=10).check_resolves(modes)
         with pytest.raises(DomainError, match="resolve|0.1"):
-            mb.integrate_gle(modes, ics, sys_, grid)
+            mb.TrajectoryGrid(dt=0.05, n_steps=10).check_resolves(modes)
 
     def test_ensemble_matches_fdt_three_sigma(self):
         sys_ = SystemSpec()
@@ -186,12 +237,10 @@ class TestIntegrateGle:
     def test_single_trajectory_deterministic_given_ics(self):
         sys_ = SystemSpec()
         _, modes = make_bath(n_modes=16)
-        ics = mb.sample_initial_conditions(modes, sys_, 0.0, rng=12)
         grid = mb.TrajectoryGrid(dt=0.03, n_steps=50)
-        x1, v1 = mb.integrate_gle(modes, ics, sys_, grid)
-        x2, v2 = mb.integrate_gle(modes, ics, sys_, grid)
-        np.testing.assert_array_equal(x1, x2)
-        np.testing.assert_array_equal(v1, v2)
+        first = mb.sample_trajectories(modes, sys_, grid, 1, seed=12)
+        for a, b in zip(first, mb.sample_trajectories(modes, sys_, grid, 1, seed=12)):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestNormalModes:
@@ -222,12 +271,11 @@ class TestNormalModes:
         # and the trapezoidal rule, is second order in dt
         sys_ = SystemSpec(omega0=omega0)
         _, modes = make_bath(n_modes=64)
-        ics = mb.sample_initial_conditions(modes, sys_, 0.4, rng=9)
 
         def residual(dt):
             grid = mb.TrajectoryGrid(dt=dt, n_steps=int(round(10.0 / dt)))
-            x, v = mb.integrate_gle(modes, ics, sys_, grid, v0=0.3)
-            f = mb.noise_trajectory(modes, ics, grid)
+            _, x, v, f = mb.sample_trajectories(modes, sys_, grid, 1, seed=9, x0=0.4)
+            x, v, f = x[:, 0], v[:, 0], f[:, 0]
             mu = mb.initial_slip(modes, 1.0, grid.times)
             worst = 0.0
             for i in range(1, grid.n_steps):
@@ -257,11 +305,8 @@ class TestNormalModes:
         sys_ = SystemSpec()
         _, modes = make_bath(cutoff=3.0)
         grid = mb.TrajectoryGrid(dt=0.05, n_steps=10)
-        ics = mb.sample_initial_conditions(modes, sys_, 0.0, rng=0)
         with pytest.raises(DomainError, match="0.1"):
             mb.sample_trajectories(modes, sys_, grid, 2, seed=1)
-        with pytest.raises(DomainError, match="0.1"):
-            mb.noise_trajectory(modes, ics, grid)
 
     def test_memory_does_not_grow_with_steps(self):
         sys_ = SystemSpec()
@@ -308,6 +353,83 @@ class TestNormalModes:
                 tracemalloc.stop()
             assert peak <= 3 * draws, peak / draws
 
+    def test_one_draw_buffer_serves_every_chunk(self):
+        # a new buffer per chunk kept two chunks of draws alive at the
+        # turnover: 2.04 (noise) and 2.63 (GLE) chunks of peak
+        sys_ = SystemSpec()
+        _, modes = make_bath(n_modes=500)
+        grid = mb.TrajectoryGrid(dt=0.03, n_steps=100)
+        draws = 2 * modes.count * 2048 * 8
+        for call in (lambda: mb.noise_ensemble_stats(modes, sys_, [0.0, 0.5], n_real=4096,
+                                                     seed=1, chunk_size=2048),
+                     lambda: mb.gle_ensemble_moments(modes, sys_, grid, n_real=4096, seed=1,
+                                                     chunk_size=2048)):
+            peak = traced_peak(call)
+            assert peak <= 1.5 * draws, peak / draws
+
+    def test_dump_memory_does_not_grow_with_steps_times_modes(self):
+        # the series were built from (n_steps + 1) x (N + 1) arrays: 290 MB
+        # at 20,000 steps against 30 MB at 2,000
+        sys_ = SystemSpec()
+        _, modes = make_bath(n_modes=300)
+        short, long = (traced_peak(lambda: mb.sample_trajectories(
+            modes, sys_, mb.TrajectoryGrid(dt=0.03, n_steps=n_steps), 2, seed=1))
+            for n_steps in (2000, 20_000))
+        assert long <= 2 * short, (short, long)
+
+    @pytest.mark.parametrize("omega0", (1.0, 0.0))
+    @pytest.mark.parametrize("x0", (0.0, 0.7))
+    def test_exact_moments_match_phase_space_exponential(self, x0, omega0):
+        # the row norms against expm of the (2N + 2) phase-space generator
+        # applied to the displaced thermal start
+        sys_ = SystemSpec(omega0=omega0)
+        _, modes = make_bath(n_modes=40)
+        grid = mb.TrajectoryGrid(dt=0.03, n_steps=200)
+        gen, unit, cov = phase_space(modes, sys_)
+        prop = expm(gen * grid.dt * grid.n_steps)
+        mean, cov = prop @ (x0 * unit), prop @ cov @ prop.T
+        v = modes.count + 1
+        expected = (mean[0] ** 2 + cov[0, 0], mean[v] ** 2 + cov[v, v])
+        assert mb.gle_moments_exact(modes, sys_, grid, x0=x0) == pytest.approx(expected,
+                                                                                rel=1e-10)
+
+    @pytest.mark.parametrize("seed", (51, 52, 53))
+    def test_sampled_std_error_matches_isserlis(self, seed):
+        # x(T) ~ N(mu, s2), so by Isserlis y = x^2 has var(y) = 2 s2^2 + 4 mu^2 s2
+        # and central fourth moment m4 = 3 a^4 + 60 a^2 b^2 + 60 b^4 with
+        # a = 2 mu s, b = s2.  n times the sample variance of y has mean
+        # n var(y) and variance n (m4 - var(y)^2) (a chi^2 law for Gaussian y),
+        # so the standard error has relative spread sqrt((m4 / var^2 - 1) / n) / 2
+        sys_ = SystemSpec()
+        _, modes = make_bath(n_modes=40)
+        grid = mb.TrajectoryGrid(dt=0.03, n_steps=100)
+        n_real, x0 = 2000, 0.7
+        gen, unit, cov = phase_space(modes, sys_)
+        prop = expm(gen * grid.dt * grid.n_steps)
+        mu, s2 = (prop @ (x0 * unit))[0], (prop @ cov @ prop.T)[0, 0]
+        var = 2.0 * s2**2 + 4.0 * mu**2 * s2
+        a, b = 2.0 * mu * math.sqrt(s2), s2
+        m4 = 3.0 * a**4 + 60.0 * a**2 * b**2 + 60.0 * b**4
+        spread = math.sqrt((m4 / var**2 - 1.0) / n_real) / 2.0
+        se = mb.gle_ensemble_moments(modes, sys_, grid, n_real, seed, x0=x0)["x2"].se
+        assert abs(se / math.sqrt(var / n_real) - 1.0) < 4.0 * spread, (se, spread)
+
+    def test_one_pass_gives_noise_stats_and_moments(self):
+        sys_ = SystemSpec()
+        _, modes = make_bath(n_modes=40)
+        grid = mb.TrajectoryGrid(dt=0.03, n_steps=100)
+        taus, origins = [0.0, 0.5, 1.0], [0.0, 0.5, 2.0]
+        stats, res = mb.ensemble_stats(modes, sys_, grid, taus, 300, seed=6, origins=origins,
+                                       x0=0.3)
+        noise = mb.noise_ensemble_stats(modes, sys_, taus, 300, seed=6, origins=origins,
+                                        chunk_size=2048)
+        moments = mb.gle_ensemble_moments(modes, sys_, grid, 300, seed=6, x0=0.3)
+        np.testing.assert_array_equal(stats["taus"], noise["taus"])
+        pairs = [(stats[k][j], noise[k][j]) for k in ("mean", "autocorr") for j in range(3)]
+        for a, b in pairs + [(res[name], moments[name]) for name in ("x2", "v2")]:
+            assert (a.mean, a.se, a.n) == pytest.approx((b.mean, b.se, b.n), rel=1e-12)
+        assert (res.n_traj, res.seed, res.meta) == (moments.n_traj, moments.seed, moments.meta)
+
     def test_sample_trajectories_are_the_ensemble_realizations(self):
         sys_ = SystemSpec()
         _, modes = make_bath(n_modes=40)
@@ -320,17 +442,16 @@ class TestNormalModes:
         res = mb.gle_ensemble_moments(modes, sys_, grid, n_real=70, seed=5, x0=0.2)
         assert res["x2"].mean == pytest.approx(np.mean(x[-1] ** 2), rel=1e-12)
         assert res["v2"].mean == pytest.approx(np.mean(v[-1] ** 2), rel=1e-12)
-        # realization 66 is column 2 of block 1's (2N, 64) fill, s rows then p rows
-        stream = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(0x5DE, 1)))
-        draws = stream.standard_normal((2 * modes.count, 64))[:, 2]
-        sd_s, sd_p = np.sqrt(mb.thermal_variances(modes, sys_))
-        ics = mb.BathInitialConditions(displacement=draws[:modes.count] * sd_s,
-                                       momentum=draws[modes.count:] * sd_p, x0=0.2)
-        np.testing.assert_allclose(f[:, 66], mb.noise_trajectory(modes, ics, grid),
+        # realization 66 is column 2 of block 1's (2N, 64) fill, s rows then p
+        # rows; its x and v against the exponential of the phase-space generator
+        s, p = thermal_start(modes, sys_, block_normals(modes, 5, 1)[:, 2])
+        np.testing.assert_allclose(f[:, 66], mode_sum(modes, grid.times, s, p),
                                    rtol=0, atol=1e-12)
-        x2, v2 = mb.integrate_gle(modes, ics, sys_, grid)
-        np.testing.assert_allclose(x[:, 66], x2, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(v[:, 66], v2, rtol=0, atol=1e-12)
+        gen, unit, _ = phase_space(modes, sys_)
+        start = 0.2 * unit + np.concatenate(([0.0], s, [0.0], p / modes.mass))
+        states = np.array([expm(gen * t) @ start for t in grid.times])
+        np.testing.assert_allclose(x[:, 66], states[:, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v[:, 66], states[:, modes.count + 1], rtol=0, atol=1e-12)
 
     def test_realizations_do_not_depend_on_ensemble_or_chunk_size(self):
         sys_ = SystemSpec()
@@ -362,3 +483,21 @@ class TestEmptyEnsembles:
         grid = mb.TrajectoryGrid(dt=0.03, n_steps=10)
         with pytest.raises(DomainError, match="n_real and chunk_size"):
             mb.gle_ensemble_moments(modes, SystemSpec(), grid, seed=1, **kwargs)
+
+
+def test_microbath_run_draws_each_block_stream_once(monkeypatch, capsys):
+    # 4,200 realizations are 66 blocks in chunks of 32, 32 and 2 blocks; the
+    # noise statistics and the moments share each chunk's one draw
+    draw, keys = mb._draw, []
+
+    def counting(streams, factor, out):
+        keys.append([(s.bit_generator.seed_seq.entropy, *s.bit_generator.seed_seq.spawn_key)
+                     for s in streams])
+        draw(streams, factor, out)
+
+    monkeypatch.setattr(mb, "_draw", counting)
+    assert cli.main(["microbath", "--modes", "50", "--realizations", "4200", "--steps", "10",
+                     "--dt", "0.03", "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert [len(chunk) for chunk in keys] == [32, 32, 2]
+    assert sum(keys, []) == [(3, 0x5DE, b) for b in range(66)]
