@@ -208,7 +208,7 @@ def build_parser() -> _Parser:
         parsers[name].add_argument("--traj", type=int, default=None,
                                    help="number of trajectories")
         parsers[name].add_argument("--steps", type=int, default=None,
-                                   help="post-burn-in samples per trajectory")
+                                   help="samples per trajectory")
     parsers["microbath"].add_argument("--steps", type=int, default=None,
                                       help="grid steps: moments at steps * dt, dump at every step")
     for name in ("sde", "rwa", "microbath"):

@@ -85,7 +85,7 @@ class EnsembleResult:
     """Moment estimates from a trajectory ensemble plus RNG provenance.
 
     ``moments`` maps observable names to estimates; ``meta`` records the
-    run parameters that determine the estimates (step, burn-in, strides)
+    run parameters that determine the estimates (step size, count, method)
     so a result is reproducible from its own metadata.
     """
 

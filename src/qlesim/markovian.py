@@ -210,8 +210,7 @@ def _linear_system(params: MarkovParams):
 
 
 def simulate_sde(params: MarkovParams, dt: float, n_steps: int, n_traj: int,
-                 seed: int, method: str = "exact", burn_in: float | None = None,
-                 chunk_size: int = 2048) -> EnsembleResult:
+                 seed: int, method: str = "exact", chunk_size: int = 2048) -> EnsembleResult:
     """Monte Carlo stationary moments of the Markovian oscillator SDE.
 
     Noise enters the velocity with per-step variance consistent with the
@@ -220,18 +219,17 @@ def simulate_sde(params: MarkovParams, dt: float, n_steps: int, n_traj: int,
     step doubles as the decorrelation stride; ``method='euler'`` is the
     O(dt) cross-check and requires dt * omega0 <= 0.01.
 
-    Each trajectory burns in for ``burn_in`` (default 10/gamma), then
-    contributes the time-average of ``n_steps`` samples, with the streams
-    and chunking of :func:`qlesim.sde.run_ensemble`; standard errors are
-    computed across trajectories.
+    Each trajectory starts from the stationary covariance and contributes
+    the time-average of ``n_steps`` samples, with the streams and chunking
+    of :func:`qlesim.sde.run_ensemble`; standard errors are computed across
+    trajectories.
 
     Returns an :class:`EnsembleResult` with moments ``x2`` and ``v2``.
     """
     return run_ensemble(
         *_linear_system(params), dt, n_steps, n_traj, seed,
         {"x2": lambda prev, s: s[:, 0] ** 2, "v2": lambda prev, s: s[:, 1] ** 2},
-        10.0 / params.gamma if burn_in is None else burn_in, chunk_size, method,
-        gamma=params.gamma)
+        chunk_size, method, gamma=params.gamma)
 
 
 def sample_trajectories(params: MarkovParams, dt: float, n_steps: int,

@@ -153,11 +153,10 @@ def ehrenfest_residual_exact(params: RwaParams, dt: float) -> float:
 
 
 def simulate_rwa(params: RwaParams, dt: float, n_steps: int, n_traj: int,
-                 seed: int, method: str = "exact", burn_in: float | None = None,
-                 chunk_size: int = 2048) -> EnsembleResult:
+                 seed: int, method: str = "exact", chunk_size: int = 2048) -> EnsembleResult:
     """Monte Carlo moments of the RWA Langevin pair.
 
-    Same stepping, burn-in and streams as :func:`qlesim.markovian.simulate_sde`.
+    Same stepping, start and streams as :func:`qlesim.markovian.simulate_sde`.
     Reported moments: ``x2``, ``p2``, the symmetrized cross moment ``xp``,
     and ``ehrenfest``, the mean square of the discrete residual
     (x_{k+1} - x_k)/dt - p_k/m.  The
@@ -180,8 +179,8 @@ def simulate_rwa(params: RwaParams, dt: float, n_steps: int, n_traj: int,
         "ehrenfest": lambda prev, s: ((s[:, 0] - prev[:, 0]) / dt - prev[:, 1] / m) ** 2,
     }
     return run_ensemble(drift_matrix(params), _diffusion_matrix(params), dt, n_steps, n_traj,
-                        seed, observables, 10.0 / params.gamma if burn_in is None else burn_in,
-                        chunk_size, method, gamma=params.gamma, noise_bandwidth=1.0 / dt)
+                        seed, observables, chunk_size, method, gamma=params.gamma,
+                        noise_bandwidth=1.0 / dt)
 
 
 def sample_trajectories(params: RwaParams, dt: float, n_steps: int, n_traj: int,

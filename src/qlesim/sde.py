@@ -18,8 +18,9 @@ of block i // 64, so it depends on (seed, i) alone, not on the ensemble size,
 chunking or tiling.  Block streams fill on a thread pool that lives for one
 draw, one contiguous group of streams per worker (up to the usable CPUs);
 since each stream writes only its own 64 columns, results do not depend on
-the worker count.  SDE trajectories start at rest, a chunk steps in place in
-one (tile steps + 1, chunk, dim) buffer, and observables sum in step order.
+the worker count.  SDE trajectories start from N(0, Sigma), drawn first; a
+chunk steps in one (tile steps + 1, chunk, dim) buffer; observables sum in
+step order.
 """
 
 from __future__ import annotations
@@ -105,22 +106,24 @@ def noise_factor(cov):
 
 
 def stepper(drift, diffusion, dt, n_steps, n_traj, method="exact"):
-    """Checked propagator E and noise factor L of one step: the closed-form
-    :func:`exact_discretization` for 'exact', or E = I + A dt and covariance
-    Q dt for 'euler', which requires dt * omega0 <= 0.01 with
+    """Checked propagator E, noise factor L of one step and start factor
+    noise_factor(Sigma): the closed-form :func:`exact_discretization` for
+    'exact', or E = I + A dt and covariance Q dt for 'euler' (started from
+    the same Sigma), which requires dt * omega0 <= 0.01 with
     omega0 = sqrt|det A| (omega0 of the Markov drift).
     """
     if method not in ("exact", "euler"):
         raise DomainError("method must be 'exact' or 'euler'")
     if not 0 < dt < math.inf or n_steps < 1 or n_traj < 1:
         raise DomainError("dt, n_steps and n_traj must be positive (dt finite)")
+    start = noise_factor(stationary_covariance(drift, diffusion))
     if method == "exact":
         prop, q_dt = exact_discretization(drift, diffusion, dt)
-        return prop, noise_factor(q_dt)
+        return prop, noise_factor(q_dt), start
     a, q, _, det = _stable_2x2(drift, diffusion)
     if dt * math.sqrt(det) > 0.01:
         raise DomainError("euler mode requires dt * omega0 <= 0.01, omega0 = sqrt|det A|")
-    return np.eye(2) + a * dt, noise_factor(q * dt)
+    return np.eye(2) + a * dt, noise_factor(q * dt), start
 
 
 def _chunks(seed, n, chunk_size):
@@ -180,18 +183,19 @@ def _propagate(prop, states):
         states[t] += states[t - 1] @ prop_t
 
 
-def _chunk_sums(prop, factor, n_steps, observables, burn_steps, streams):
-    """Per-trajectory sums of the observables over the steps after
-    ``burn_steps``, and the final states; the chunk's one buffer dies here."""
+def _chunk_sums(prop, factor, start, n_steps, observables, streams):
+    """Per-trajectory sums of the observables over ``n_steps`` steps from a start
+    drawn with factor ``start``, and the final states; the one buffer dies here."""
     buf = np.zeros((min(_BLOCK_STEPS, n_steps) + 1, _BLOCK * len(streams), len(prop)))
     sums = {name: np.zeros(buf.shape[1]) for name in observables}
-    for start in range(0, n_steps, _BLOCK_STEPS):
-        # states[r] is the state after start + r steps; row 0 ends the previous run
-        states = buf[:min(_BLOCK_STEPS, n_steps - start) + 1]
+    _draw(streams, start, buf[-1:])  # first in each stream; row 0 of the first tile
+    for first in range(0, n_steps, _BLOCK_STEPS):
+        # states[r] is the state after first + r steps; row 0 ends the previous run
+        states = buf[:min(_BLOCK_STEPS, n_steps - first) + 1]
         states[0] = buf[-1]
         _draw(streams, factor, states[1:])
         _propagate(prop, states)
-        for a in range(max(1, burn_steps + 1 - start), len(states), _SLAB_STEPS):
+        for a in range(1, len(states), _SLAB_STEPS):
             b = min(a + _SLAB_STEPS, len(states))
             prev, cur = (states[i:i + b - a].reshape(-1, len(prop)) for i in (a - 1, a))
             for name, f in observables.items():
@@ -200,22 +204,20 @@ def _chunk_sums(prop, factor, n_steps, observables, burn_steps, streams):
     return sums, states[-1].copy()
 
 
-def run_ensemble(drift, diffusion, dt, n_steps, n_traj, seed, observables, burn_in,
-                 chunk_size, method="exact", **meta):
+def run_ensemble(drift, diffusion, dt, n_steps, n_traj, seed, observables, chunk_size,
+                 method="exact", **meta):
     """Ensemble of the linear SDE stepped by :func:`stepper`: moments
     ``observables[name](prev, state)`` on (rows, dim) slabs, each trajectory
-    time-averaged over the ``n_steps`` steps after max(1, ceil(burn_in/dt))
-    burn-in steps.  Raises :class:`UnstableIntegrationError` when a chunk
-    ends non-finite or with |x| > 1e6 sqrt(Sigma[0, 0]), padding trajectories
-    aside.  ``meta`` extends the result's dt, n_steps, burn_steps and method.
+    started from N(0, Sigma) and time-averaged over its ``n_steps`` steps.
+    Raises :class:`UnstableIntegrationError` when a chunk ends non-finite or
+    with |x| > 1e6 sqrt(Sigma[0, 0]), padding trajectories aside.  ``meta``
+    extends the result's dt, n_steps and method.
     """
-    prop, factor = stepper(drift, diffusion, dt, n_steps, n_traj, method)
-    bound = 1e6 * math.sqrt(stationary_covariance(drift, diffusion)[0, 0])
-    burn_steps = max(1, math.ceil(burn_in / dt))
+    prop, factor, start = stepper(drift, diffusion, dt, n_steps, n_traj, method)
+    bound = 1e6 * start[0, 0]
     accs = {name: MomentAccumulator() for name in observables}
     for streams, count in _chunks(seed, n_traj, chunk_size):
-        sums, state = _chunk_sums(prop, factor, burn_steps + n_steps, observables, burn_steps,
-                                  streams)
+        sums, state = _chunk_sums(prop, factor, start, n_steps, observables, streams)
         state = state[:count]
         if not np.all(np.isfinite(state)) or np.max(np.abs(state[:, 0])) > bound:
             raise UnstableIntegrationError(
@@ -223,20 +225,20 @@ def run_ensemble(drift, diffusion, dt, n_steps, n_traj, seed, observables, burn_
         for name, acc in accs.items():
             acc.update_batch(sums[name][:len(state)] / n_steps)
     return EnsembleResult({name: acc.estimate() for name, acc in accs.items()}, n_traj, seed,
-                          meta={"dt": dt, "n_steps": n_steps, "burn_steps": burn_steps,
-                                "method": method, **meta})
+                          meta={"dt": dt, "n_steps": n_steps, "method": method, **meta})
 
 
 def sample_paths(drift, diffusion, dt, n_steps, n_traj, seed, method="exact"):
     """(states, kicks) of the first ``n_traj`` trajectories of
-    :func:`run_ensemble`, each of shape (n_steps + 1, n_traj, dim);
-    kicks[k] drives states[k] -> states[k + 1] and the last kick is zero.
-    Whole blocks are drawn, then sliced.
+    :func:`run_ensemble`, each of shape (n_steps + 1, n_traj, dim); kicks[k]
+    drives states[k] -> states[k + 1] and the last kick is zero.  Whole
+    blocks are drawn, start first, then sliced.
     """
-    prop, factor = stepper(drift, diffusion, dt, n_steps, n_traj, method)
+    prop, factor, start = stepper(drift, diffusion, dt, n_steps, n_traj, method)
     (streams, _), = _chunks(seed, n_traj, n_traj)
-    kicks = np.zeros((n_steps + 1, _BLOCK * len(streams), len(prop)))
+    states, kicks = np.zeros((2, n_steps + 1, _BLOCK * len(streams), len(prop)))
+    _draw(streams, start, states[:1])
     _draw(streams, factor, kicks[:-1])
-    states = np.roll(kicks, 1, axis=0)  # kicks[-1] is zero: the start at rest
+    states[1:] = kicks[:-1]
     _propagate(prop, states)
     return states[:, :n_traj], kicks[:, :n_traj]

@@ -141,17 +141,19 @@ class TestGreensKernel:
         )
 
     def test_convolution_reproduces_euler_trajectory(self):
-        # the recorded noise kicks convolved with the kernel rebuild the
-        # Euler trajectory to first order in dt
+        # the free response of the drawn start plus the recorded noise kicks
+        # convolved with the kernel rebuild the Euler trajectory to first
+        # order in dt
         sys_ = SystemSpec()
         params = mk.MarkovParams.from_system(sys_, 0.2)
         dt, n = 0.01, 2000
-        times, xs, _, force = mk.sample_trajectories(params, dt, n, 1, seed=9,
-                                                     method="euler")
+        times, xs, vs, force = mk.sample_trajectories(params, dt, n, 1, seed=9,
+                                                      method="euler")
         roots = params.roots()
         kick = force[:-1, 0] * dt / sys_.mass  # velocity increments
-        rebuilt = np.zeros(n + 1)
         kernel = mk.greens_solution_kernel(roots, times)
+        rebuilt = (xs[0, 0] * (mk._greens_kernel_deriv(roots, times) + params.gamma * kernel)
+                   + vs[0, 0] * kernel)
         for k in range(n):
             rebuilt[k + 1:] += kernel[1:n + 1 - k] * kick[k]
         scale = np.max(np.abs(xs[:, 0])) or 1.0

@@ -124,8 +124,7 @@ class TestSimulate:
         sys_ = SystemSpec()
         params = rwa.RwaParams.from_system(sys_, 0.01)
         dt = 0.01
-        res = rwa.simulate_rwa(params, dt=dt, n_steps=400, n_traj=100, seed=13,
-                               burn_in=100.0)
+        res = rwa.simulate_rwa(params, dt=dt, n_steps=400, n_traj=100, seed=13)
         assert res["ehrenfest"].mean > 0.0
         bandwidth_scale = params.intensity_x / (2.0 * dt)
         assert res["ehrenfest"].mean == pytest.approx(bandwidth_scale, rel=0.5)

@@ -1,6 +1,6 @@
 """Linear-SDE ensemble engine: closed-form step against scipy and Van Loan,
 block invariance, stream identity, chunking, worker-count invariance, memory,
-divergence, input checks."""
+divergence, input checks, the stationary start and exact standard errors."""
 
 import sys
 import threading
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, solve_continuous_lyapunov
 
-from qlesim import ensemble, rwa, sde
+from qlesim import cli, ensemble, rwa, sde
 from qlesim import markovian as mk
 from qlesim import microbath as mb
 from qlesim.bath import BathSpec, SystemSpec, discretize_bath
@@ -22,14 +22,14 @@ def _moments(res):
 
 
 def test_block_length_does_not_change_results(monkeypatch):
-    # 30 burn-in + 40 steps span several 7-step blocks, with a ragged last one
+    # 70 steps span several 7-step blocks, with a ragged last one
     markov = mk.MarkovParams.from_system(SystemSpec(), 0.2)
     pair = rwa.RwaParams.from_system(SystemSpec(), 0.05)
 
     def run():
         return (
-            _moments(mk.simulate_sde(markov, 0.5, 40, 9, seed=4, burn_in=15.0)),
-            _moments(rwa.simulate_rwa(pair, 0.5, 40, 9, seed=4, burn_in=15.0)),
+            _moments(mk.simulate_sde(markov, 0.5, 70, 9, seed=4)),
+            _moments(rwa.simulate_rwa(pair, 0.5, 70, 9, seed=4)),
             [a.tobytes() for a in mk.sample_trajectories(markov, 0.5, 40, 3, seed=4)],
         )
 
@@ -54,23 +54,23 @@ def _per_trajectory(monkeypatch, run):
     return [np.concatenate(batches) for batches in seen.values()]
 
 
-def _step_average(series, burn_steps, n_steps):
-    """Time average of rows burn_steps + 1 .. burn_steps + n_steps, added in step order."""
+def _step_average(series, n_steps):
+    """Time average of rows 1 .. n_steps, added in step order."""
     total = np.zeros(series.shape[1])
-    for row in series[burn_steps + 1:burn_steps + 1 + n_steps]:
+    for row in series[1:n_steps + 1]:
         total += row
     return total / n_steps
 
 
 def test_first_trajectories_do_not_depend_on_ensemble_or_chunk_size(monkeypatch):
-    # 30 burn-in + 40 steps of dt = 0.5; trajectories 0..4 of every ensemble
+    # 70 steps of dt = 0.5; trajectories 0..4 of every ensemble
     markov = mk.MarkovParams.from_system(SystemSpec(), 0.2)
     pair = rwa.RwaParams.from_system(SystemSpec(), 0.05)
-    k, dt, burn, steps = 5, 0.5, 30, 40
+    k, dt, steps = 5, 0.5, 70
     for simulate, params in ((mk.simulate_sde, markov), (rwa.simulate_rwa, pair)):
         def run(n_traj, chunk_size):
             return _per_trajectory(monkeypatch, lambda: simulate(
-                params, dt, steps, n_traj, seed=4, burn_in=burn * dt, chunk_size=chunk_size))
+                params, dt, steps, n_traj, seed=4, chunk_size=chunk_size))
 
         first = [values[:k] for values in run(k, 2048)]
         for n_traj in (k, 64, 65, 200):
@@ -81,18 +81,16 @@ def test_first_trajectories_do_not_depend_on_ensemble_or_chunk_size(monkeypatch)
                     [values.tobytes() for values in first], (simulate.__name__, n_traj, chunk_size)
 
     # the dumped trajectories are those trajectories, state for state
-    _, x, v, _ = mk.sample_trajectories(markov, dt, burn + steps, k, seed=4)
-    x2, v2 = _per_trajectory(monkeypatch, lambda: mk.simulate_sde(
-        markov, dt, steps, k, seed=4, burn_in=burn * dt))
-    assert x2.tobytes() == _step_average(x ** 2, burn, steps).tobytes()
-    assert v2.tobytes() == _step_average(v ** 2, burn, steps).tobytes()
-    _, x, p, _, _ = rwa.sample_trajectories(pair, dt, burn + steps, k, seed=4)
+    _, x, v, _ = mk.sample_trajectories(markov, dt, steps, k, seed=4)
+    x2, v2 = _per_trajectory(monkeypatch, lambda: mk.simulate_sde(markov, dt, steps, k, seed=4))
+    assert x2.tobytes() == _step_average(x ** 2, steps).tobytes()
+    assert v2.tobytes() == _step_average(v ** 2, steps).tobytes()
+    _, x, p, _, _ = rwa.sample_trajectories(pair, dt, steps, k, seed=4)
     ehrenfest = np.vstack([np.zeros(k), ((x[1:] - x[:-1]) / dt - p[:-1] / pair.system.mass) ** 2])
     expected = [x ** 2, p ** 2, x * p, ehrenfest]
-    got = _per_trajectory(monkeypatch, lambda: rwa.simulate_rwa(
-        pair, dt, steps, k, seed=4, burn_in=burn * dt))
+    got = _per_trajectory(monkeypatch, lambda: rwa.simulate_rwa(pair, dt, steps, k, seed=4))
     for values, series in zip(got, expected):
-        assert values.tobytes() == _step_average(series, burn, steps).tobytes()
+        assert values.tobytes() == _step_average(series, steps).tobytes()
 
 
 def test_worker_count_does_not_change_results(monkeypatch):
@@ -107,13 +105,12 @@ def test_worker_count_does_not_change_results(monkeypatch):
     modes = discretize_bath(BathSpec.cutoff_ohmic(gamma=0.5, cutoff=3.0), 40)
     grid = mb.TrajectoryGrid(dt=0.03, n_steps=20)
     calls = (
-        lambda: _moments(mk.simulate_sde(markov, 0.5, 40, 300, seed=4, burn_in=15.0)),
-        lambda: _moments(rwa.simulate_rwa(pair, 0.5, 40, 300, seed=4, burn_in=15.0,
-                                          chunk_size=200)),
+        lambda: _moments(mk.simulate_sde(markov, 0.5, 70, 300, seed=4)),
+        lambda: _moments(rwa.simulate_rwa(pair, 0.5, 70, 300, seed=4, chunk_size=200)),
         lambda: [v.tobytes() for v in _per_trajectory(monkeypatch, lambda: mk.simulate_sde(
-            markov, 0.5, 40, 300, seed=4, burn_in=15.0, chunk_size=200))],
+            markov, 0.5, 70, 300, seed=4, chunk_size=200))],
         lambda: [v.tobytes() for v in _per_trajectory(monkeypatch, lambda: rwa.simulate_rwa(
-            pair, 0.5, 40, 300, seed=4, burn_in=15.0))],
+            pair, 0.5, 70, 300, seed=4))],
         lambda: [a.tobytes() for a in sde.sample_paths(drift, diffusion, 0.5, 70, 300, seed=4)],
         lambda: [a.tobytes() for a in sde.sample_paths(drift, diffusion, 0.5, 2, 300, seed=4)],
         lambda: _moments(mb.gle_ensemble_moments(modes, SystemSpec(), grid, 300, seed=4,
@@ -197,7 +194,7 @@ def test_divergence_guard():
     with pytest.raises(UnstableIntegrationError, match="diverged"):
         sde.run_ensemble(drift, np.diag([0.0, 1.0]), 1.0, n_steps=10, n_traj=4, seed=0,
                          observables={"x2": lambda prev, s: s[:, 0] ** 2},
-                         burn_in=1.0, chunk_size=4, method="euler")
+                         chunk_size=4, method="euler")
 
 
 @pytest.mark.parametrize("chunk_size", (0, -5))
@@ -327,3 +324,85 @@ def test_ehrenfest_exact_at_long_step_against_scipy():
     got = rwa.ehrenfest_residual_exact(pair, dt)
     assert got > 0.0
     assert got == pytest.approx(c @ cov @ c + q_dt[0, 0] / dt**2, rel=1e-12)
+
+
+def _drifts():
+    """(name, params, simulate, A, Q) at the Markov and RWA drifts of the stream tests."""
+    markov = mk.MarkovParams.from_system(SystemSpec(), 0.2)
+    pair = rwa.RwaParams.from_system(SystemSpec(), 0.05)
+    yield "markov", markov, mk.simulate_sde, *mk._linear_system(markov)
+    yield "rwa", pair, rwa.simulate_rwa, rwa.drift_matrix(pair), rwa._diffusion_matrix(pair)
+
+
+def test_start_is_stationary():
+    # each member starts from N(0, Sigma), so the sample second moments of
+    # 6,400 members match Sigma at row 0 and after n steps; by Isserlis the
+    # mean of s_i s_j over n members has variance (S_ii S_jj + S_ij^2) / n.
+    # (a start at rest is 56.6 sd low at row 0, and the slow RWA 8.3 sd low at row 40)
+    n, steps = 6400, 40
+    for name, params, simulate, drift, diffusion in _drifts():
+        cov = sde.stationary_covariance(drift, diffusion)
+        sd = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / n)
+        states, _ = sde.sample_paths(drift, diffusion, 0.5, steps, n, seed=5)
+        for row in (0, steps):
+            z = (states[row].T @ states[row] / n - cov) / sd
+            assert np.all(np.abs(z) < 4.0), (name, row, z)
+        assert "burn_steps" not in simulate(params, 0.5, 10, 4, seed=5).meta
+
+
+def _exact_row(drift, diffusion, dt, n_steps, form):
+    """(mean, variance, kurtosis) of one trajectory's row
+    (1/n) sum_k w_k^T B w_k, w_k = (S_{k-1}, S_k), on the stationary chain.
+
+    The row is a quadratic form z^T M z in the joint Gaussian z = (S_0 .. S_n),
+    whose blocks are cov(S_{j+l}, S_j) = E^l Sigma, so its cumulants are
+    k_r = 2^{r-1} (r-1)! tr((M C)^r) and its kurtosis is 3 + k_4 / k_2^2.
+    E and Sigma come from scipy's expm and Lyapunov solver."""
+    prop, cov = expm(drift * dt), solve_continuous_lyapunov(drift, -diffusion)
+    lagged = [cov]
+    for _ in range(n_steps):
+        lagged.append(prop @ lagged[-1])
+    i, j = np.indices((n_steps + 1, n_steps + 1))
+    blocks = np.array(lagged)[np.abs(i - j)]
+    blocks = np.where((i < j)[..., None, None], blocks.swapaxes(-1, -2), blocks)
+    dim = 2 * (n_steps + 1)
+    joint = blocks.transpose(0, 2, 1, 3).reshape(dim, dim)
+    weight = np.zeros((dim, dim))
+    for k in range(n_steps):
+        weight[2 * k:2 * k + 4, 2 * k:2 * k + 4] += form / n_steps
+    mc = weight @ joint
+    mc2 = mc @ mc
+    k2 = 2.0 * np.trace(mc2)
+    return np.trace(mc), k2, 3.0 + 48.0 * np.trace(mc2 @ mc2) / k2 ** 2
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_printed_std_error_is_exact(seed):
+    # the printed sde/rwa rows at the CLI's gamma and dt: each mean lies within
+    # 4 exact standard errors, and each printed std_error within 4 relative
+    # spreads sqrt((kurtosis - 1) / n_traj) / 2 of the exact one (the sample
+    # variance of n_traj rows has relative sd sqrt((kurtosis - 1) / n_traj))
+    gamma, n_steps, n_traj = 0.1, 200, 4000
+    dt, system = 1.0 / gamma, SystemSpec()
+    markov = mk.MarkovParams.from_system(system, gamma)
+    pair = rwa.RwaParams.from_system(system, gamma)
+    x2, p2, xp = np.zeros((3, 4, 4))
+    x2[2, 2] = p2[3, 3] = 1.0
+    xp[2, 3] = xp[3, 2] = 0.5
+    residual = np.array([-1.0 / dt, -1.0 / system.mass, 1.0 / dt, 0.0])
+    cases = (
+        (mk._linear_system(markov), cli._sde_rows(markov, dt, n_steps, n_traj, seed),
+         {"x2": x2, "v2": p2}),
+        ((rwa.drift_matrix(pair), rwa._diffusion_matrix(pair)),
+         cli._rwa_rows(pair, dt, n_steps, n_traj, seed),
+         {"x2": x2, "p2": p2, "xp": xp, "ehrenfest_residual": np.outer(residual, residual)}),
+    )
+    for (drift, diffusion), rows, forms in cases:
+        for name, mean, se, n, reference in rows:
+            if name not in forms:
+                continue
+            exact, var, kurtosis = _exact_row(drift, diffusion, dt, n_steps, forms[name])
+            exact_se, spread = np.sqrt(var / n), np.sqrt((kurtosis - 1.0) / n) / 2.0
+            assert reference == pytest.approx(exact, rel=1e-9, abs=1e-12), name
+            assert abs(mean - exact) < 4.0 * exact_se, (name, mean, exact, exact_se)
+            assert abs(se / exact_se - 1.0) < 4.0 * spread, (name, se, exact_se, spread)
