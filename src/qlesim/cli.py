@@ -30,7 +30,8 @@ import numpy as np
 
 from . import fdt, io, markovian, microbath, rwa as rwa_mod
 from .bath import BathSpec, SystemSpec, discretize_bath
-from .errors import DomainError, QlesimError, QuadratureError, UnstableIntegrationError
+from .errors import (ConvergenceError, DomainError, QlesimError, QuadratureError,
+                     UnstableIntegrationError)
 from .quadrature import QuadratureConfig
 
 EXIT_OK = 0
@@ -439,7 +440,8 @@ def main(argv=None) -> int:
         with open(cfg.out, "w") if cfg.out else contextlib.nullcontext(sys.stdout) as fh:
             io.write_table(fh, cfg.command, cfg.to_params(), columns, units,
                            rows, fmt=cfg.format, block_column=block)
-    except (QuadratureError, UnstableIntegrationError, FloatingPointError) as exc:
+    except (ConvergenceError, QuadratureError, UnstableIntegrationError,
+            FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except QlesimError as exc:

@@ -30,5 +30,9 @@ class QuadratureError(QlesimError, RuntimeError):
         self.error_bound = error_bound
 
 
+class ConvergenceError(QlesimError, RuntimeError):
+    """An iterative solver did not converge within its iteration cap."""
+
+
 class UnstableIntegrationError(QlesimError, RuntimeError):
     """A trajectory integrator detected energy blowup; reduce the step."""

@@ -229,7 +229,7 @@ def simulate_sde(params: MarkovParams, dt: float, n_steps: int, n_traj: int,
     return run_ensemble(
         *_linear_system(params), dt, n_steps, n_traj, seed,
         {"x2": lambda prev, s: s[:, 0] ** 2, "v2": lambda prev, s: s[:, 1] ** 2},
-        chunk_size, method, gamma=params.gamma)
+        chunk_size, method, {"gamma": params.gamma})
 
 
 def sample_trajectories(params: MarkovParams, dt: float, n_steps: int,

@@ -15,10 +15,15 @@ The memory equation of motion
     m x'' + Int_0^t mu(t - t') x'(t') dt' + m w0^2 x = f(t)
 
 is not stepped: the oscillator and its modes (with the counterterm) form
-one quadratic Hamiltonian, so diagonalizing the (N+1) x (N+1)
-mass-weighted Hessian gives x(t) and v(t) exactly at any time (Ford, Kac
-& Mazur 1965; Ullersma 1966), with the same displaced preparation
-q_j(0) = s_j + c_j x(0) / (m_j w_j^2).
+one quadratic Hamiltonian, whose normal modes give x(t) and v(t) exactly at
+any time (Ford, Kac & Mazur 1965; Ullersma 1966), with the same displaced
+preparation q_j(0) = s_j + c_j x(0) / (m_j w_j^2).  The (N+1) x (N+1)
+mass-weighted Hessian is an arrowhead matrix: its eigenvalues are the roots
+of a secular equation, one between each two adjacent squared mode
+frequencies, and each eigenvector is a closed form in its root, so the
+normal modes cost O(N^2) time (Gu & Eisenstat, SIAM J. Matrix Anal. Appl.
+16, 172 (1995); Jakovcevic Stor, Slapnicar & Barlow, Linear Algebra Appl.
+464 (2015)).
 
 So f(t), x(t) and v(t) at any time are each mean + row @ z, where z holds
 a realization's 2N standard normals (the s normals first) and the row
@@ -39,7 +44,7 @@ import numpy as np
 
 from .bath import BathKind, BathSpec, ModeSet, SystemSpec
 from .ensemble import EnsembleResult, MomentAccumulator
-from .errors import DomainError, UnstableIntegrationError, UnsupportedBathError
+from .errors import ConvergenceError, DomainError, UnstableIntegrationError, UnsupportedBathError
 from .quadrature import QuadratureConfig, integrate_panels, scaled_omega_coth
 from .sde import _BLOCK, _SLAB_STEPS, _chunks, _draw
 
@@ -153,12 +158,135 @@ def _noise_rows(modes: ModeSet, system: SystemSpec, times):
                       np.sin(phases) * (modes.coupling / (modes.mass * modes.omega) * sd_p)))
 
 
+# iterations of :func:`_secular_roots` before it raises
+_SECULAR_ITERATIONS = 50
+
+
+def _secular_roots(alpha, w, d):
+    """(p, tau) with the roots lam = p + tau of the secular equation
+    alpha - lam - sum_j w_j / (d_j - lam) = 0 for strictly increasing poles d
+    and positive weights w.
+
+    One root lies below d_0, one in each gap and one above d_{n-1}.  Each
+    is solved for as tau = lam - p from its nearer pole p, so that
+    d_j - lam = (d_j - p) - tau keeps its relative accuracy next to p; an
+    inner root starts at the midpoint of its gap, where the function's sign
+    picks p.  A step goes to the root of a - w_p / tau + S / (f - tau), which
+    keeps the near pole's weight exact and matches value and slope with a
+    and the weight S of the gap's other end f (the fixed-weight method), or
+    bisects when that leaves the sign bracket.  A root has converged when
+    the function is below its rounding error or the step below the
+    resolution of tau.
+    """
+    n, eps = d.size, np.finfo(float).eps
+    spread = math.sqrt(w.sum())
+    # root k lies in (ends[k], ends[k + 1]); the outer ends bound the spectrum
+    ends = np.concatenate(([min(alpha, d[0]) - spread], d, [max(alpha, d[-1]) + spread]))
+    k = np.arange(n + 1)
+    gap = ends[k + 1] - ends[k]
+    near = np.maximum(k - 1, 0)
+    shift = d[near]
+    lo, hi = ends[k] - shift, ends[k + 1] - shift
+    far = np.where(k > 0, hi, lo)
+    # the outer ends are bounds, not poles: the model's far pole goes beyond them
+    far[[0, n]] *= 2.0
+    tau, act = 0.5 * (lo + hi), k
+    for it in range(_SECULAR_ITERATIONS):
+        t = tau[act]
+        diff = d - shift[act, None]
+        diff -= t[:, None]
+        terms = w / diff
+        g = t - (alpha - shift[act]) + terms.sum(1)
+        live = np.abs(g) > 8.0 * eps * (np.abs(alpha - shift[act]) + np.abs(t)
+                                        + np.abs(terms).sum(1))
+        if not live.all():
+            act, t, g, diff, terms = act[live], t[live], g[live], diff[live], terms[live]
+        lo[act] = np.where(g < 0, t, lo[act])
+        hi[act] = np.where(g > 0, t, hi[act])
+        if not it:
+            # an inner root above its gap's midpoint is solved for from the upper pole
+            up = (g < 0) & (act > 0) & (act < n)
+            sel = act[up]
+            shift[sel], near[sel], far[sel], lo[sel], hi[sel] = (
+                ends[sel + 1], sel, -gap[sel], -0.5 * gap[sel], 0.0)
+            t = np.where(up, -0.5 * gap[act], t)
+        slope = np.divide(terms, diff, out=diff)
+        slope[np.arange(act.size), near[act]] = 0.0
+        near_w, d_near, d_far = w[near[act]], -t, far[act] - t
+        far_w = (1.0 + slope.sum(1)) * d_far**2
+        a = g - near_w / d_near - far_w / d_far
+        # the model's root t + eta: a eta^2 - bb eta + c = 0, eta between d_near and d_far
+        bb, c = a * (d_near + d_far) + near_w + far_w, d_near * d_far * g
+        q = bb + np.copysign(np.sqrt(np.maximum(bb * bb - 4.0 * a * c, 0.0)), bb)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = 2.0 * c / q
+            step = np.where((step - d_near) * (step - d_far) < 0, step, q / (2.0 * a))
+        small = np.abs(step) <= 2.0 * eps * np.abs(t)
+        new = t + step
+        new = np.where(small | ((new > lo[act]) & (new < hi[act])), new,
+                       0.5 * (lo[act] + hi[act]))
+        tau[act] = new
+        act = act[~small & (np.abs(new - t) > 2.0 * eps * np.abs(t))]
+        if not act.size:
+            return shift, tau
+    raise ConvergenceError(f"secular equation: {act.size} of {n + 1} normal modes "
+                           f"unconverged after {_SECULAR_ITERATIONS} iterations")
+
+
+def _arrowhead_eigen(alpha, b, d):
+    """Ascending eigenvalues and, as rows, orthonormal eigenvectors of the
+    symmetric arrowhead matrix [[alpha, b^T], [b, diag(d)]].
+
+    A coupling that is zero to rounding leaves (d_j, e_j) an eigenpair.  Each
+    run of coupled equal poles acts as one pole of weight |b_run|^2, plus
+    decoupled eigenvectors orthogonal to b_run.  The rest are the roots lam
+    of the secular equation (:func:`_secular_roots`), with eigenvectors
+    proportional to (1, b / (lam - d)).
+    """
+    n = d.size
+    tol = 8.0 * np.finfo(float).eps * (max(abs(alpha), np.abs(d).max()) + np.linalg.norm(b))
+    free = np.abs(b) <= tol
+    b = np.where(free, 0.0, b)
+    coupled = np.argsort(d, kind="stable")
+    coupled = coupled[~free[coupled]]
+    first = np.flatnonzero(np.diff(d[coupled], prepend=-np.inf) > tol)
+    size = np.diff(first, append=coupled.size)
+    vals, vecs = np.empty(n + 1), np.zeros((n + 1, n + 1))
+    col = np.count_nonzero(free)
+    vals[:col] = d[free]
+    vecs[np.arange(col), 1 + np.flatnonzero(free)] = 1.0
+    for g in np.flatnonzero(size > 1):
+        run = coupled[first[g]:first[g] + size[g]]
+        vals[col:col + run.size - 1] = d[run[0]]
+        vecs[col:col + run.size - 1, 1 + run] = np.linalg.qr(b[run, None], "complete")[0][:, 1:].T
+        col += run.size - 1
+    if coupled.size:
+        shift, tau = _secular_roots(alpha, np.add.reduceat(b[coupled] ** 2, first),
+                                    d[coupled[first]])
+        ratio = d - shift[:, None]
+        ratio -= tau[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(b, ratio, out=ratio)
+        # a decoupled mode has no part in a coupled eigenvector, even on its root
+        ratio[:, free] = 0.0
+        u0 = 1.0 / np.sqrt(1.0 + (ratio * ratio).sum(1))
+        vals[col:], vecs[col:, 0] = shift + tau, u0
+        np.multiply(ratio, -u0[:, None], out=vecs[col:, 1:])
+    else:
+        vals[col], vecs[col, 0] = alpha, 1.0
+    rank = np.argsort(vals, kind="stable")
+    return vals[rank], vecs[rank]
+
+
 class _NormalModes:
     """Exact response of the oscillator and its N modes.
 
     In coordinates z = (x, q_1..q_N) with masses M the Hessian has
     K_00 = m w0^2 + sum_j c_j^2 / (m_j w_j^2), K_0j = -c_j and
-    K_jj = m_j w_j^2.  With M^-1/2 K M^-1/2 = U diag(W^2) U^T,
+    K_jj = m_j w_j^2, so M^-1/2 K M^-1/2 is the arrowhead matrix of
+    :func:`_arrowhead_eigen`, with b_j = -c_j / sqrt(m m_j) and poles w_j^2.
+    With its eigendecomposition M^-1/2 K M^-1/2 = U diag(W^2) U^T from the
+    secular equation,
 
         x(t) = sum_k a_k [cos(W_k t) (P z)_k + sin(W_k t) / W_k (P z')_k]
 
@@ -169,15 +297,13 @@ class _NormalModes:
     """
 
     def __init__(self, modes: ModeSet, system: SystemSpec):
-        hessian = np.diag(np.concatenate((
-            [system.mass * system.omega0**2 + modes.kernel_weights().sum()],
-            modes.mass * modes.omega**2)))
-        hessian[0, 1:] = hessian[1:, 0] = -modes.coupling
         root = np.sqrt(np.concatenate(([system.mass], modes.mass)))
-        eigval, vecs = np.linalg.eigh(hessian / np.outer(root, root))
+        eigval, vecs = _arrowhead_eigen(
+            system.omega0**2 + modes.kernel_weights().sum() / system.mass,
+            -modes.coupling / (root[0] * root[1:]), modes.omega**2)
         self.freq = np.sqrt(np.clip(eigval, 0.0, None))
-        self.amp = vecs[0] / root[0]
-        proj = vecs.T * root
+        self.amp = vecs[:, 0] / root[0]
+        proj = vecs * root
         sd_s, sd_p = np.sqrt(thermal_variances(modes, system))
         self.start = proj @ np.concatenate(([1.0], modes.coupling / (modes.mass * modes.omega**2)))
         self.s_rows, self.p_rows = proj[:, 1:] * sd_s, proj[:, 1:] * (sd_p / modes.mass)

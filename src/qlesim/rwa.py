@@ -179,8 +179,8 @@ def simulate_rwa(params: RwaParams, dt: float, n_steps: int, n_traj: int,
         "ehrenfest": lambda prev, s: ((s[:, 0] - prev[:, 0]) / dt - prev[:, 1] / m) ** 2,
     }
     return run_ensemble(drift_matrix(params), _diffusion_matrix(params), dt, n_steps, n_traj,
-                        seed, observables, chunk_size, method, gamma=params.gamma,
-                        noise_bandwidth=1.0 / dt)
+                        seed, observables, chunk_size, method,
+                        {"gamma": params.gamma, "noise_bandwidth": 1.0 / dt})
 
 
 def sample_trajectories(params: RwaParams, dt: float, n_steps: int, n_traj: int,

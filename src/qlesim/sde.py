@@ -205,13 +205,13 @@ def _chunk_sums(prop, factor, start, n_steps, observables, streams):
 
 
 def run_ensemble(drift, diffusion, dt, n_steps, n_traj, seed, observables, chunk_size,
-                 method="exact", **meta):
+                 method="exact", meta=None):
     """Ensemble of the linear SDE stepped by :func:`stepper`: moments
     ``observables[name](prev, state)`` on (rows, dim) slabs, each trajectory
     started from N(0, Sigma) and time-averaged over its ``n_steps`` steps.
     Raises :class:`UnstableIntegrationError` when a chunk ends non-finite or
-    with |x| > 1e6 sqrt(Sigma[0, 0]), padding trajectories aside.  ``meta``
-    extends the result's dt, n_steps and method.
+    with |x| > 1e6 sqrt(Sigma[0, 0]), padding trajectories aside.  The
+    ``meta`` mapping extends the result's dt, n_steps and method.
     """
     prop, factor, start = stepper(drift, diffusion, dt, n_steps, n_traj, method)
     bound = 1e6 * start[0, 0]
@@ -225,7 +225,7 @@ def run_ensemble(drift, diffusion, dt, n_steps, n_traj, seed, observables, chunk
         for name, acc in accs.items():
             acc.update_batch(sums[name][:len(state)] / n_steps)
     return EnsembleResult({name: acc.estimate() for name, acc in accs.items()}, n_traj, seed,
-                          meta={"dt": dt, "n_steps": n_steps, "method": method, **meta})
+                          meta={"dt": dt, "n_steps": n_steps, "method": method, **(meta or {})})
 
 
 def sample_paths(drift, diffusion, dt, n_steps, n_traj, seed, method="exact"):

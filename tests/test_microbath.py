@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from qlesim.bath import BathSpec, ModeSet, SystemSpec, discretize_bath
-from qlesim.errors import DomainError, UnsupportedBathError
+from qlesim.errors import ConvergenceError, DomainError, UnsupportedBathError
 from qlesim.quadrature import QuadratureConfig
 from qlesim import cli, fdt, microbath as mb
 
@@ -48,18 +48,23 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+def hessian(modes, sys_):
+    """Dense Hessian of the oscillator and its modes in (x, q_1..q_N)."""
+    out = np.diag(np.concatenate((
+        [sys_.mass * sys_.omega0**2 + modes.kernel_weights().sum()], modes.mass * modes.omega**2)))
+    out[0, 1:] = out[1:, 0] = -modes.coupling
+    return out
+
+
 def phase_space(modes, sys_):
     """Generator G of y' = G y for y = (x, q_1..q_N, x', q_1'..q_N'), the
     start mean per unit x(0) of the displaced preparation, and the thermal
     start covariance: an oracle independent of the normal modes."""
     n = modes.count
     masses = np.concatenate(([sys_.mass], modes.mass))
-    hessian = np.diag(np.concatenate((
-        [sys_.mass * sys_.omega0**2 + modes.kernel_weights().sum()], modes.mass * modes.omega**2)))
-    hessian[0, 1:] = hessian[1:, 0] = -modes.coupling
     gen = np.zeros((2 * n + 2, 2 * n + 2))
     gen[:n + 1, n + 1:] = np.eye(n + 1)
-    gen[n + 1:, :n + 1] = -hessian / masses[:, None]
+    gen[n + 1:, :n + 1] = -hessian(modes, sys_) / masses[:, None]
     unit = np.zeros(2 * n + 2)
     unit[:n + 1] = np.concatenate(([1.0], modes.coupling / (modes.mass * modes.omega**2)))
     var_s, var_p = mb.thermal_variances(modes, sys_)
@@ -468,6 +473,98 @@ class TestNormalModes:
             for name in ("x2", "v2"):
                 assert res[name].mean == pytest.approx(serial[name].mean, rel=1e-12)
                 assert res[name].se == pytest.approx(serial[name].se, rel=1e-12)
+
+
+def mass_weighted_hessian(modes, sys_):
+    root = np.sqrt(np.concatenate(([sys_.mass], modes.mass)))
+    return hessian(modes, sys_) / np.outer(root, root), root
+
+
+def eigh_normal_modes(modes, sys_):
+    """The oracle: a _NormalModes whose decomposition is the dense
+    ``np.linalg.eigh`` of the mass-weighted Hessian."""
+    oracle = object.__new__(mb._NormalModes)
+    weighted, root = mass_weighted_hessian(modes, sys_)
+    eigval, vecs = np.linalg.eigh(weighted)
+    oracle.freq = np.sqrt(np.clip(eigval, 0.0, None))
+    oracle.amp = vecs[0] / root[0]
+    proj = vecs.T * root
+    sd_s, sd_p = np.sqrt(mb.thermal_variances(modes, sys_))
+    oracle.start = proj @ np.concatenate(([1.0], modes.coupling / (modes.mass * modes.omega**2)))
+    oracle.s_rows, oracle.p_rows = proj[:, 1:] * sd_s, proj[:, 1:] * (sd_p / modes.mass)
+    return oracle
+
+
+SECULAR_CASES = {
+    # the criterion-6 bath
+    "criterion6": (SystemSpec(), lambda: make_bath(0.5, 3.0, 1000)[1]),
+    # the bound state (amplitude^2 0.97) sits above the highest mode, 0.80
+    "bound_state": (SystemSpec(), lambda: make_bath(0.1, 0.8, 400)[1]),
+    # a zero eigenvalue
+    "free_particle": (SystemSpec(omega0=0.0), lambda: make_bath(0.5, 3.0, 300)[1]),
+    "one_mode": (SystemSpec(), lambda: make_bath(0.5, 3.0, 1)[1]),
+    # unsorted, one frequency three times, one zero coupling
+    "hand_made": (SystemSpec(omega0=0.7), lambda: ModeSet(
+        omega=[2.0, 0.5, 1.2, 0.5, 3.0, 0.5, 0.9], mass=[1.0, 2.0, 0.5, 1.5, 1.0, 0.8, 1.2],
+        coupling=[0.3, 0.2, 0.0, -0.4, 0.1, 0.25, 0.35])),
+}
+
+
+class TestSecularEquation:
+    @pytest.mark.parametrize("case", SECULAR_CASES)
+    def test_matches_eigh_oracle(self, case):
+        sys_, build = SECULAR_CASES[case]
+        modes = build()
+        fast, oracle = mb._NormalModes(modes, sys_), eigh_normal_modes(modes, sys_)
+        # W^2, since the square root turns a zero eigenvalue's rounding
+        # (1e-16) into 1e-8
+        np.testing.assert_allclose(fast.freq**2, oracle.freq**2, rtol=0, atol=1e-12)
+        if sys_.omega0 > 0:
+            np.testing.assert_allclose(fast.freq, oracle.freq, rtol=0, atol=1e-12)
+        # the response does not depend on the eigenvectors' signs or on the
+        # basis of a degenerate eigenspace.  Relative to its largest entry:
+        # a free particle's x grows as t, and eigh's zero mode is 3e-15 off
+        # the exact (1, c_j / m_j w_j^2) direction (the secular one 1e-16)
+        times = np.array([0.0, 0.7, 13.3, 40.0])
+        for got, want in zip(fast.response(times, 0.6), oracle.response(times, 0.6)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("case", SECULAR_CASES)
+    def test_eigenvectors_orthonormal(self, case):
+        sys_, build = SECULAR_CASES[case]
+        weighted, _ = mass_weighted_hessian(build(), sys_)
+        vals, vecs = mb._arrowhead_eigen(weighted[0, 0], weighted[0, 1:], np.diag(weighted)[1:])
+        assert np.all(np.diff(vals) >= 0)
+        assert np.max(np.abs(vecs @ vecs.T - np.eye(vals.size))) < 1e-13
+        scale = np.max(np.abs(vals))
+        assert np.max(np.abs(vecs @ weighted @ vecs.T - np.diag(vals))) < 1e-13 * scale
+
+    def test_wide_scales_match_eigh(self):
+        # poles over six decades and couplings over eight: the rational step
+        # often leaves its sign bracket there, and bisection takes over
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            d = rng.random(50) * 10.0 ** rng.integers(-3, 4, 50)
+            b = rng.standard_normal(50) * 10.0 ** rng.uniform(-6, 2, 50)
+            alpha = rng.standard_normal() * 10.0 ** rng.uniform(-3, 3)
+            matrix = np.diag(np.concatenate(([alpha], d)))
+            matrix[0, 1:] = matrix[1:, 0] = b
+            vals, vecs = mb._arrowhead_eigen(alpha, b, d)
+            scale = np.max(np.abs(vals))
+            np.testing.assert_allclose(vals, np.linalg.eigvalsh(matrix), rtol=0,
+                                       atol=1e-14 * scale)
+            assert np.max(np.abs(vecs @ vecs.T - np.eye(51))) < 1e-13
+            assert np.max(np.abs(vecs @ matrix @ vecs.T - np.diag(vals))) < 1e-14 * scale
+
+    def test_unconverged_roots_raise(self, monkeypatch, capsys):
+        # one iteration cannot converge the criterion-6 bath: the call
+        # raises, and the CLI exits with the numeric-failure code
+        monkeypatch.setattr(mb, "_SECULAR_ITERATIONS", 1)
+        _, modes = make_bath(0.5, 3.0, 1000)
+        with pytest.raises(ConvergenceError, match="unconverged"):
+            mb._NormalModes(modes, SystemSpec())
+        assert cli.main(["microbath", "--modes", "50", "--realizations", "64"]) == cli.EXIT_NUMERIC
+        assert "numeric failure" in capsys.readouterr().err
 
 
 class TestEmptyEnsembles:

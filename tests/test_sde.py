@@ -197,6 +197,18 @@ def test_divergence_guard():
                          chunk_size=4, method="euler")
 
 
+def test_run_ensemble_rejects_stray_keyword():
+    # meta is one explicit mapping: the removed burn_in must not slip into it
+    with pytest.raises(TypeError, match="burn_in"):
+        sde.run_ensemble(np.array([[0.0, 1.0], [-1.0, -0.1]]), np.diag([0.0, 0.2]), 0.5,
+                         n_steps=10, n_traj=4, seed=0,
+                         observables={"x2": lambda prev, s: s[:, 0] ** 2},
+                         chunk_size=4, burn_in=1.0)
+    params = rwa.RwaParams.from_system(SystemSpec(), 0.05)
+    assert rwa.simulate_rwa(params, 0.5, 10, 4, seed=5).meta == {
+        "dt": 0.5, "n_steps": 10, "method": "exact", "gamma": 0.05, "noise_bandwidth": 2.0}
+
+
 @pytest.mark.parametrize("chunk_size", (0, -5))
 def test_nonpositive_chunk_size_raises(chunk_size):
     # was a bare "range() arg 3 must not be zero" at 0
