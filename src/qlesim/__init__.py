@@ -6,6 +6,8 @@ quadrature (:mod:`.fdt`), the finite-bath microscopic realization
 (:mod:`.microbath`), the Markovian and rotating-wave weak-coupling
 simulators (:mod:`.markovian`, :mod:`.rwa`), weak-coupling thermodynamics
 (:mod:`.thermo`), and a CSV/JSON command-line front end (:mod:`.cli`).
+``import qlesim`` needs only numpy: scipy is imported at the first
+quadrature, special-function or root-finding call.
 """
 
 from .bath import BathKind, BathSpec, ModeSet, SystemSpec

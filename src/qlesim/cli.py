@@ -343,14 +343,22 @@ def run_microbath(cfg: RunConfig, dump_traj=None, dump_count=1):
     dt = cfg.dt or 0.09 / cfg.cutoff
     n_steps = cfg.steps or int(round(20.0 / cfg.gamma / dt))
     grid = microbath.TrajectoryGrid(dt=dt, n_steps=n_steps)
+    final = None
     if dump_traj:
-        # the dumped series is sampled on the grid; the moments are exact at any dt
-        grid.check_resolves(modes)
+        # the dump's normal modes also give the ensemble's x(T), v(T) rows;
+        # they and the series are freed before the ensemble pass allocates
+        normal_modes = microbath._NormalModes(modes, system)
+        times, *series = microbath.sample_trajectories(
+            modes, system, grid, min(dump_count, cfg.realizations), cfg.seed,
+            _normal_modes=normal_modes)
+        _write_trajectories(dump_traj, ("x", "v", "f"), times, series)
+        final = normal_modes.response(np.array([grid.dt * grid.n_steps]), 0.0)
+        del normal_modes, times, series
 
     taus = np.linspace(0.0, 5.0 / system.omega0, 11)
     origins = np.arange(0.0, 20.0001, 0.5) / system.omega0
-    stats, res = microbath.ensemble_stats(
-        modes, system, grid, taus, cfg.realizations, cfg.seed, origins=origins)
+    stats, res = microbath.ensemble_stats(modes, system, grid, taus, cfg.realizations, cfg.seed,
+                                          origins=origins, _final=final)
 
     rows = []
     for tau, mean_est, corr_est in zip(stats["taus"], stats["mean"], stats["autocorr"]):
@@ -364,11 +372,6 @@ def run_microbath(cfg: RunConfig, dump_traj=None, dump_count=1):
                  res["x2"].se, x2_ref))
     rows.append(("gle_moment_v2", grid.dt * grid.n_steps, res["v2"].mean,
                  res["v2"].se, v2_ref))
-
-    if dump_traj:
-        times, *series = microbath.sample_trajectories(
-            modes, system, grid, min(dump_count, cfg.realizations), cfg.seed)
-        _write_trajectories(dump_traj, ("x", "v", "f"), times, series)
 
     columns = ("section", "key", "value", "std_error", "reference")
     units = ("name", "time or label", "natural units", "natural units", "quadrature")

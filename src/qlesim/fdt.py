@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import exp1
 
 from .bath import BathKind, BathSpec, SystemSpec
 from .errors import DomainError, UVDivergenceError
@@ -151,6 +150,8 @@ def density_moment(which, order, damping, window=DEFAULT_MOMENT_WINDOW,
 
 def _exp_e1(z):
     """e^z E1(z), also where e^z overflows and E1(z) underflows or overflows."""
+    from scipy.special import exp1
+
     if abs(z.real) < 700.0:
         return cmath.exp(z) * complex(exp1(z))
     # |z| >= 700: the asymptotic series sum_n (-1)^n n! / z^(n+1) reaches

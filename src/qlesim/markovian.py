@@ -13,7 +13,7 @@ the unique convention under which the stationary second moments of the
 SDE coincide with the weak-coupling fluctuation-dissipation values
 hbar/(2 m omega0) coth and hbar omega0/(2 m) coth; see
 :func:`stationary_double_integral` for the quadrature that pins the
-factor of two.
+factor of two; it is the only function here that uses scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .bath import SystemSpec
 from .ensemble import EnsembleResult
@@ -153,6 +152,8 @@ def stationary_double_integral(params: MarkovParams, which: str = "x2",
     numerically out to T = horizon_factor / gamma.  Used to audit the
     closed forms and the noise-convention factor of two.
     """
+    from scipy import integrate
+
     roots = params.roots()
     horizon = horizon_factor / params.gamma
     if which == "x2":

@@ -378,14 +378,16 @@ def _ensemble(modes: ModeSet, system: SystemSpec, taus, origins, n_real: int, se
 
 def ensemble_stats(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid, taus,
                    n_real: int, seed: int, origins=None, x0: float = 0.0,
-                   chunk_size: int = 2048):
+                   chunk_size: int = 2048, _final=None):
     """(noise statistics, final-time moments) of one pass over ``n_real``
     realizations: what :func:`noise_ensemble_stats` (lags ``taus`` from
     ``origins``) and :func:`gle_ensemble_moments` (``grid``, ``x0``) return
     at the same seed and chunk size.  The noise rows and the x(T), v(T)
     rows form one matrix, so each chunk is drawn once and multiplied once.
+    ``_final`` passes in these x(T), v(T) rows from normal modes built before.
     """
-    final = _NormalModes(modes, system).response(np.array([grid.dt * grid.n_steps]), x0)
+    final = _final or _NormalModes(modes, system).response(
+        np.array([grid.dt * grid.n_steps]), x0)
     stats, (x2, v2) = _ensemble(modes, system, taus, origins, n_real, seed, chunk_size, final)
     return stats, EnsembleResult({"x2": x2, "v2": v2}, n_real, seed,
                                  meta={"dt": grid.dt, "n_steps": grid.n_steps, "x0": float(x0),
@@ -433,17 +435,18 @@ def gle_moments_exact(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid,
 
 
 def sample_trajectories(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid,
-                        n_traj: int, seed: int, x0: float = 0.0):
+                        n_traj: int, seed: int, x0: float = 0.0, _normal_modes=None):
     """(times, x, v, f) of the first ``n_traj`` realizations of
     :func:`gle_ensemble_moments` on ``grid.times``.
 
     Arrays are (n_steps + 1, n_traj); f is each realization's noise force.
     Each whole block of 64 draws is first projected onto the normal modes,
     then the time axis goes in slabs, so memory is that of the output plus
-    one block, and no bit of a series depends on n_traj.
+    one block, and no bit of a series depends on n_traj.  ``_normal_modes``
+    passes in a ``_NormalModes(modes, system)`` built before.
     """
     grid.check_resolves(modes)
-    normal_modes, times, n = _NormalModes(modes, system), grid.times, modes.count
+    normal_modes, times, n = _normal_modes or _NormalModes(modes, system), grid.times, modes.count
     series = np.empty((3, times.size, n_traj))
     blocks = _normals(_BLOCK * -(-n_traj // _BLOCK), seed, _BLOCK, 2 * n)
     for first, z in zip(range(0, n_traj, _BLOCK), blocks):

@@ -6,7 +6,8 @@ be orders of magnitude below the integration range, is removed before
 quadrature by its pole pair in closed form (see :mod:`qlesim.fdt`).
 Panel edges mark only what remains, such as the log shoulders of a bath
 cutoff, and scipy's oscillatory (QAWO/QAWF) rules take over when a
-cos(omega*tau) factor is present.
+cos(omega*tau) factor is present.  ``import qlesim`` needs only numpy: scipy
+is imported at its first quadrature, special-function or root-finding call.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, QuadratureError
 
@@ -116,6 +116,8 @@ def integrate_panels(f, edges, cfg, *, tau=0.0, tail_to_inf=False, label=""):
         If the summed error bound exceeds the configured tolerance or the
         panel budget is exhausted.
     """
+    from scipy import integrate
+
     edges = [float(e) for e in edges]
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise DomainError(f"panel edges must be strictly increasing ({label})")

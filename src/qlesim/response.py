@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import sici
 
 from .bath import BathKind, BathSpec, SystemSpec
 from .errors import DomainError, QuadratureError, UnsupportedBathError
@@ -45,6 +43,8 @@ def _half_amplitude(bath: BathSpec) -> float:
 
 def _sinc_transform(bath: BathSpec, omega, t_max):
     """(Re mu, Im mu) of the sinc kernel cut off at t_max (may be inf)."""
+    from scipy.special import sici
+
     a_plus, a_minus = bath.cutoff + np.abs(omega), bath.cutoff - np.abs(omega)
     at_cut = a_minus == 0.0
     gap = np.where(at_cut, 1.0, np.abs(a_minus))  # stand-in at the cutoff
@@ -193,6 +193,8 @@ class Susceptibility:
         w = pi / (omega_b |D'(omega_b)|).  None for strict-Ohmic baths and
         when omega_b - Omega underflows (w then vanishes as well).
         """
+        from scipy.optimize import brentq
+
         if self.bath.kind is not BathKind.CUTOFF_OHMIC:
             return None
         m, w0, cut = self.system.mass, self.system.omega0, self.bath.cutoff

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qlesim import cli
+from qlesim import cli, microbath
 from qlesim.errors import QuadratureError
 from qlesim.io import parse_config_text
 
@@ -191,6 +191,24 @@ class TestEnsembleCommands:
         ids = {line.split(",")[0] for line in dump.read_text().splitlines()[1:]}
         assert ids == {"0", "1", "2"}
 
+    def test_microbath_dump_decomposes_normal_modes_once(self, tmp_path, capsys,
+                                                        monkeypatch):
+        calls = []
+        eigen, sample = microbath._arrowhead_eigen, microbath.sample_trajectories
+        monkeypatch.setattr(microbath, "_arrowhead_eigen",
+                            lambda *a: calls.append(a) or eigen(*a))
+        args = ["microbath", "--modes", "200", "--realizations", "64"]
+        code, shared, _ = run_cli([*args, "--dump-traj", str(tmp_path / "shared.csv")], capsys)
+        assert (code, len(calls)) == (0, 1)
+        # the ensemble and the dump each read the same as from their own modes
+        code, own, _ = run_cli(args, capsys)
+        assert (code, len(calls), own) == (0, 2, shared)
+        monkeypatch.setattr(microbath, "sample_trajectories",
+                            lambda *a, _normal_modes=None, **kw: sample(*a, **kw))
+        code, _, _ = run_cli([*args, "--dump-traj", str(tmp_path / "own.csv")], capsys)
+        assert (code, len(calls)) == (0, 4)
+        assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "own.csv").read_bytes()
+
     def test_sde_long_exact_step_exits_zero(self, capsys):
         # fast * dt = 48: the Van Loan step overflowed and reported divergence
         code, out, err = run_cli(
@@ -357,12 +375,48 @@ class TestExitCodes:
         assert code == 1
 
 
-def test_python_dash_m_runs_the_cli(capsys):
+def run_fresh(args):
+    """``python *args`` in a fresh interpreter that imports this qlesim."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-m", "qlesim", "dist"], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    done = run_fresh(["-m", "qlesim", "dist"])
     code, out, _ = run_cli(["dist"], capsys)
     assert done.returncode == code == 0, done.stderr
     assert done.stdout == out
+
+
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+import qlesim, qlesim.cli
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+loaded = {"import": scipy_modules()}
+for command, args in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert qlesim.cli.main([command, *args]) == 0
+    loaded[command] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_closed_form_commands_load_no_scipy():
+    # pytest's filterwarnings setting has imported scipy into this process
+    runs = [(command, SMALL_RUNS[command]) for command in ("sde", "rwa", "dist", "corr")]
+    done = run_fresh(["-c", SCIPY_PROBE, json.dumps(runs)])
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert loaded["import"] == loaded["sde"] == loaded["rwa"] == loaded["dist"] == []
+    assert "scipy.integrate" in loaded["corr"]  # the probe does see an import
+
+
+@pytest.mark.parametrize("command", ("corr", "energy"))
+def test_first_quadrature_in_fresh_interpreter_has_clean_stderr(command):
+    # here the first integrate_panels call imports scipy, inside the run
+    done = run_fresh(["-m", "qlesim", command])
+    assert (done.returncode, done.stderr) == (0, "")
