@@ -34,7 +34,7 @@ import numpy as np
 
 from .bath import BathKind, BathSpec, SystemSpec
 from .errors import DomainError, UVDivergenceError
-from .quadrature import QuadratureConfig, integrate_panels, scaled_omega_coth
+from .quadrature import QuadratureConfig, integrate_panels, scaled_omega_coth_scalar
 from .response import Susceptibility
 
 __all__ = [
@@ -142,8 +142,9 @@ def density_moment(which, order, damping, window=DEFAULT_MOMENT_WINDOW,
         raise DomainError("window must exceed 1, the resonance, and be finite "
                           "where the moment diverges")
     _check_gamma(damping)
+    loss = Susceptibility(SystemSpec(), BathSpec.strict_ohmic(damping)).loss_scalar
     return _pole_pair_integral(
-        lambda x: x**n * pp_density(x, damping), lambda z: (2.0 / math.pi) * z**n,
+        lambda x: (2.0 / math.pi) * x**n * loss(x), lambda z: (2.0 / math.pi) * z**n,
         _ohmic_pole(1.0, 1.0, damping), 0.0, [0.0] if tail else [0.0, window],
         cfg or QuadratureConfig(), f"P_{which} moment {order}", tail_to_inf=tail)
 
@@ -252,7 +253,7 @@ def _correlation(tau, system, bath, cfg, velocity):
             raise DomainError("the position correlation of a free particle "
                               "(omega0 = 0) diverges at low frequency")
 
-        def lh(w):  # L h in scalar math; scaled_omega_coth costs ~13 us a call
+        def lh(w):  # L h inlined: a helper call would cost ~2 ms a strict-Ohmic pass
             x = a * w
             wcoth = (1.0 + x * x / 3.0 - x**4 / 45.0) / a if x < 1e-4 else w / math.tanh(x)
             w2 = w * w
@@ -266,8 +267,8 @@ def _correlation(tau, system, bath, cfg, velocity):
     else:
         s = Susceptibility(system, bath)
 
-        def lh(w):
-            return w ** (power - 1) * s.loss(w) * scaled_omega_coth(w, a)
+        def lh(w):  # float math: numpy on a 0-d array costs ~40 us a call
+            return w ** (power - 1) * s.loss_scalar(w) * scaled_omega_coth_scalar(w, a)
 
         # below the cutoff the loss is the resonance plus a smooth part that
         # falls to zero at the cutoff like 1/ln^2, which geometric shoulders
@@ -282,7 +283,7 @@ def _correlation(tau, system, bath, cfg, velocity):
                                 scale=system.hbar / math.pi)
     if bound is not None and (cfg.omega_max is None or bound[0] <= cfg.omega_max):
         wb, weight = bound
-        value += (weight * (wb**2 if velocity else 1.0) * scaled_omega_coth(wb, a)
+        value += (weight * (wb**2 if velocity else 1.0) * scaled_omega_coth_scalar(wb, a)
                   * math.cos(wb * tau))
     return (system.hbar / math.pi) * value
 

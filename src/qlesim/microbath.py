@@ -45,7 +45,7 @@ import numpy as np
 from .bath import BathKind, BathSpec, ModeSet, SystemSpec
 from .ensemble import EnsembleResult, MomentAccumulator
 from .errors import ConvergenceError, DomainError, UnstableIntegrationError, UnsupportedBathError
-from .quadrature import QuadratureConfig, integrate_panels, scaled_omega_coth
+from .quadrature import QuadratureConfig, integrate_panels, scaled_omega_coth_scalar
 from .sde import _BLOCK, _SLAB_STEPS, _chunks, _draw
 
 __all__ = [
@@ -143,7 +143,7 @@ def noise_autocorrelation_quadrature(system: SystemSpec, bath: BathSpec, tau,
     cfg = cfg or QuadratureConfig()
     a = system.thermal_coth_scale
     slope = 3.0 * math.pi * bath.mode_coupling**2 / (2.0 * bath.mode_mass * bath.cutoff**3)
-    integrand = lambda w: slope * scaled_omega_coth(w, a)
+    integrand = lambda w: slope * scaled_omega_coth_scalar(w, a)
     edges = np.linspace(0.0, bath.cutoff, 9)
     value, _ = integrate_panels(integrand, edges, cfg, tau=abs(float(tau)),
                                 label="noise autocorrelation")
@@ -158,8 +158,8 @@ def _noise_rows(modes: ModeSet, system: SystemSpec, times):
                       np.sin(phases) * (modes.coupling / (modes.mass * modes.omega) * sd_p)))
 
 
-# iterations of :func:`_secular_roots` before it raises
-_SECULAR_ITERATIONS = 50
+# iterations of :func:`_secular_roots` before it raises, and the roots it iterates together
+_SECULAR_ITERATIONS, _ROOT_BLOCK = 50, 128
 
 
 def _secular_roots(alpha, w, d):
@@ -190,47 +190,50 @@ def _secular_roots(alpha, w, d):
     far = np.where(k > 0, hi, lo)
     # the outer ends are bounds, not poles: the model's far pole goes beyond them
     far[[0, n]] *= 2.0
-    tau, act = 0.5 * (lo + hi), k
-    for it in range(_SECULAR_ITERATIONS):
-        t = tau[act]
-        diff = d - shift[act, None]
-        diff -= t[:, None]
-        terms = w / diff
-        g = t - (alpha - shift[act]) + terms.sum(1)
-        live = np.abs(g) > 8.0 * eps * (np.abs(alpha - shift[act]) + np.abs(t)
-                                        + np.abs(terms).sum(1))
-        if not live.all():
-            act, t, g, diff, terms = act[live], t[live], g[live], diff[live], terms[live]
-        lo[act] = np.where(g < 0, t, lo[act])
-        hi[act] = np.where(g > 0, t, hi[act])
-        if not it:
-            # an inner root above its gap's midpoint is solved for from the upper pole
-            up = (g < 0) & (act > 0) & (act < n)
-            sel = act[up]
-            shift[sel], near[sel], far[sel], lo[sel], hi[sel] = (
-                ends[sel + 1], sel, -gap[sel], -0.5 * gap[sel], 0.0)
-            t = np.where(up, -0.5 * gap[act], t)
-        slope = np.divide(terms, diff, out=diff)
-        slope[np.arange(act.size), near[act]] = 0.0
-        near_w, d_near, d_far = w[near[act]], -t, far[act] - t
-        far_w = (1.0 + slope.sum(1)) * d_far**2
-        a = g - near_w / d_near - far_w / d_far
-        # the model's root t + eta: a eta^2 - bb eta + c = 0, eta between d_near and d_far
-        bb, c = a * (d_near + d_far) + near_w + far_w, d_near * d_far * g
-        q = bb + np.copysign(np.sqrt(np.maximum(bb * bb - 4.0 * a * c, 0.0)), bb)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = 2.0 * c / q
-            step = np.where((step - d_near) * (step - d_far) < 0, step, q / (2.0 * a))
-        small = np.abs(step) <= 2.0 * eps * np.abs(t)
-        new = t + step
-        new = np.where(small | ((new > lo[act]) & (new < hi[act])), new,
-                       0.5 * (lo[act] + hi[act]))
-        tau[act] = new
-        act = act[~small & (np.abs(new - t) > 2.0 * eps * np.abs(t))]
-        if not act.size:
-            return shift, tau
-    raise ConvergenceError(f"secular equation: {act.size} of {n + 1} normal modes "
-                           f"unconverged after {_SECULAR_ITERATIONS} iterations")
+    tau = 0.5 * (lo + hi)
+    for act in np.split(k, range(_ROOT_BLOCK, n + 1, _ROOT_BLOCK)):  # (block, N) temporaries
+        for it in range(_SECULAR_ITERATIONS):
+            t = tau[act]
+            diff = d - shift[act, None]
+            diff -= t[:, None]
+            terms = w / diff
+            g = t - (alpha - shift[act]) + terms.sum(1)
+            live = np.abs(g) > 8.0 * eps * (np.abs(alpha - shift[act]) + np.abs(t)
+                                            + np.abs(terms).sum(1))
+            if not live.all():
+                act, t, g, diff, terms = act[live], t[live], g[live], diff[live], terms[live]
+            lo[act] = np.where(g < 0, t, lo[act])
+            hi[act] = np.where(g > 0, t, hi[act])
+            if not it:
+                # an inner root above its gap's midpoint is solved for from the upper pole
+                up = (g < 0) & (act > 0) & (act < n)
+                sel = act[up]
+                shift[sel], near[sel], far[sel], lo[sel], hi[sel] = (
+                    ends[sel + 1], sel, -gap[sel], -0.5 * gap[sel], 0.0)
+                t = np.where(up, -0.5 * gap[act], t)
+            slope = np.divide(terms, diff, out=diff)
+            slope[np.arange(act.size), near[act]] = 0.0
+            near_w, d_near, d_far = w[near[act]], -t, far[act] - t
+            far_w = (1.0 + slope.sum(1)) * d_far**2
+            a = g - near_w / d_near - far_w / d_far
+            # the model's root t + eta: a eta^2 - bb eta + c = 0, eta between d_near and d_far
+            bb, c = a * (d_near + d_far) + near_w + far_w, d_near * d_far * g
+            q = bb + np.copysign(np.sqrt(np.maximum(bb * bb - 4.0 * a * c, 0.0)), bb)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = 2.0 * c / q
+                step = np.where((step - d_near) * (step - d_far) < 0, step, q / (2.0 * a))
+            small = np.abs(step) <= 2.0 * eps * np.abs(t)
+            new = t + step
+            new = np.where(small | ((new > lo[act]) & (new < hi[act])), new,
+                           0.5 * (lo[act] + hi[act]))
+            tau[act] = new
+            act = act[~small & (np.abs(new - t) > 2.0 * eps * np.abs(t))]
+            if not act.size:
+                break
+        else:
+            raise ConvergenceError(f"secular equation: {act.size} of {n + 1} normal modes "
+                                   f"unconverged after {_SECULAR_ITERATIONS} iterations")
+    return shift, tau
 
 
 def _arrowhead_eigen(alpha, b, d):

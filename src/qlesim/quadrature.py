@@ -8,10 +8,12 @@ Panel edges mark only what remains, such as the log shoulders of a bath
 cutoff, and scipy's oscillatory (QAWO/QAWF) rules take over when a
 cos(omega*tau) factor is present.  ``import qlesim`` needs only numpy: scipy
 is imported at its first quadrature, special-function or root-finding call.
+Integrands, called once per node, use float ``math``: :func:`scaled_omega_coth_scalar`.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -19,7 +21,8 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 
-__all__ = ["QuadratureConfig", "coth", "scaled_omega_coth", "integrate_panels"]
+__all__ = ["QuadratureConfig", "coth", "scaled_omega_coth", "scaled_omega_coth_scalar",
+           "integrate_panels"]
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,12 @@ def scaled_omega_coth(omega, a):
     series = (1.0 + x**2 / 3.0 - x**4 / 45.0) / a
     out = np.where(small, series, safe / np.tanh(np.where(small, 1.0, x)))
     return out if out.ndim else float(out)
+
+
+def scaled_omega_coth_scalar(omega: float, a: float) -> float:
+    """:func:`scaled_omega_coth` at one float, in ``math``, for integrands."""
+    x = a * omega
+    return (1.0 + x * x / 3.0 - x**4 / 45.0) / a if abs(x) < 1e-4 else omega / math.tanh(x)
 
 
 def integrate_panels(f, edges, cfg, *, tau=0.0, tail_to_inf=False, label=""):

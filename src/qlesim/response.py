@@ -16,7 +16,7 @@ As T -> inf, Re mu is m*gamma below the cutoff, half that at it and zero
 above, and Im mu = (m*gamma/pi) ln|(Omega+omega)/(Omega-omega)|.  Above
 the cutoff alpha is therefore real except at one bound state omega_b
 (Ullersma, Physica 32, 27 (1966)), whose delta-function loss
-:meth:`Susceptibility.bound_state` gives.
+:meth:`Susceptibility.bound_state` gives.  Only a finite T needs scipy's Si, Ci.
 """
 
 from __future__ import annotations
@@ -43,18 +43,21 @@ def _half_amplitude(bath: BathSpec) -> float:
 
 def _sinc_transform(bath: BathSpec, omega, t_max):
     """(Re mu, Im mu) of the sinc kernel cut off at t_max (may be inf)."""
-    from scipy.special import sici
-
     a_plus, a_minus = bath.cutoff + np.abs(omega), bath.cutoff - np.abs(omega)
     at_cut = a_minus == 0.0
     gap = np.where(at_cut, 1.0, np.abs(a_minus))  # stand-in at the cutoff
+    half_amp = _half_amplitude(bath)
+    if math.isinf(t_max):  # Si(inf) = pi/2 and Ci(inf) = 0
+        return (half_amp * (np.pi / 2 + np.sign(a_minus) * (np.pi / 2)),
+                half_amp * np.sign(omega) * np.where(at_cut, np.inf, np.log(a_plus / gap)))
+    from scipy.special import sici
+
     si_plus, ci_plus = sici(a_plus * t_max)
     si_minus, ci_minus = sici(gap * t_max)
     re = si_plus + np.sign(a_minus) * si_minus
     # at the cutoff ln(a+/|a-|) + Ci(|a-| T) tends to ln(a+ T) + Euler's gamma
     im = np.where(at_cut, np.log(a_plus * t_max) + np.euler_gamma,
                   np.log(a_plus / gap) + ci_minus) - ci_plus
-    half_amp = _half_amplitude(bath)
     return half_amp * re, half_amp * np.sign(omega) * im
 
 
@@ -142,14 +145,23 @@ class Susceptibility:
         integral; dividing out omega analytically avoids the 0/0 at the
         origin.  The bound-state delta is not included.
         """
-        omega = np.asarray(omega, dtype=float)
-        if self.bath.kind is BathKind.STRICT_OHMIC:
-            m, w0, g = self.system.mass, self.system.omega0, self.bath.gamma
-            out = (g / m) / ((w0**2 - omega**2) ** 2 + (omega * g) ** 2)
-            return out if out.ndim else float(out)
-        d, e, re = self._parts(omega)
+        d, e, re = self._parts(np.asarray(omega, dtype=float))
         out = re / (d**2 + e**2)
         return out if out.ndim else float(out)
+
+    def loss_scalar(self, w: float) -> float:
+        """:meth:`loss` at one float, in ``math``, for quadrature integrands."""
+        m, w0 = self.system.mass, self.system.omega0
+        if self.bath.kind is BathKind.STRICT_OHMIC:
+            re, im = m * self.bath.gamma, 0.0
+        else:
+            cut, k = self.bath.cutoff, _half_amplitude(self.bath)
+            if not abs(w) < cut:  # zero at and above the cutoff
+                return 0.0
+            re = k * math.pi
+            im = math.copysign(k, w) * math.log((cut + abs(w)) / (cut - abs(w)))
+        d, e = m * (w0**2 - w * w) + w * im, w * re
+        return re / (d * d + e * e)
 
     def resonance_pole(self):
         """(p, fbar'(p)) of the resonance of a cutoff-Ohmic bath, or None.

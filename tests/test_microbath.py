@@ -556,6 +556,29 @@ class TestSecularEquation:
             assert np.max(np.abs(vecs @ vecs.T - np.eye(51))) < 1e-13
             assert np.max(np.abs(vecs @ matrix @ vecs.T - np.diag(vals))) < 1e-14 * scale
 
+    @pytest.mark.parametrize("case", ("criterion6", "hand_made"))
+    def test_blocked_roots_equal_one_block(self, case, monkeypatch):
+        # a root's arithmetic, row sums included, does not depend on the
+        # roots iterated with it
+        sys_, build = SECULAR_CASES[case]
+        modes, solves, solve = build(), [], mb._secular_roots
+        monkeypatch.setattr(mb, "_secular_roots",
+                            lambda *args: solves.append(solve(*args)) or solves[-1])
+        for block in (3, 128, modes.count + 1):
+            monkeypatch.setattr(mb, "_ROOT_BLOCK", block)
+            mb._NormalModes(modes, sys_)
+        for shift, tau in solves[:-1]:
+            np.testing.assert_array_equal(shift, solves[-1][0])
+            np.testing.assert_array_equal(tau, solves[-1][1])
+
+    def test_root_temporaries_are_one_block(self):
+        # (128, N) temporaries: 10 MB at N = 2000, where a single block
+        # of all N + 1 roots peaks at 143 MB
+        sys_, (_, modes) = SystemSpec(), make_bath(0.5, 3.0, 2000)
+        alpha = sys_.omega0**2 + modes.kernel_weights().sum() / sys_.mass
+        weights = modes.coupling**2 / (sys_.mass * modes.mass)
+        assert traced_peak(lambda: mb._secular_roots(alpha, weights, modes.omega**2)) < 24e6
+
     def test_unconverged_roots_raise(self, monkeypatch, capsys):
         # one iteration cannot converge the criterion-6 bath: the call
         # raises, and the CLI exits with the numeric-failure code

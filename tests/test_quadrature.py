@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from qlesim import fdt, microbath
+from qlesim.bath import BathSpec, SystemSpec
 from qlesim.errors import DomainError, QuadratureError
 from qlesim.quadrature import (
     QuadratureConfig,
     coth,
     integrate_panels,
     scaled_omega_coth,
+    scaled_omega_coth_scalar,
 )
 
 
@@ -36,6 +39,45 @@ class TestCoth:
         assert scaled_omega_coth(w, 0.5) == pytest.approx(
             w / math.tanh(0.5 * w), rel=1e-14
         )
+
+    @pytest.mark.parametrize("a", (0.5, 3.0))
+    def test_scalar_twin_matches(self, a):
+        # at the origin, in the series branch and on both sides of its
+        # threshold |a omega| = 1e-4
+        edge = 1e-4 / a
+        for omega in (0.0, 1e-300, 1e-9, edge * (1 - 1e-12), edge, edge * (1 + 1e-12),
+                      -edge, 0.3, 3.0, 700.0):
+            got = scaled_omega_coth_scalar(omega, a)
+            assert type(got) is float
+            np.testing.assert_array_max_ulp(got, scaled_omega_coth(omega, a), maxulp=1)
+
+
+def spied_integrands(monkeypatch, module, call):
+    """The integrands that ``call`` hands to ``module.integrate_panels``."""
+    seen, integrate = [], module.integrate_panels
+
+    def spy(f, *args, **kwargs):
+        seen.append(f)
+        return integrate(f, *args, **kwargs)
+
+    monkeypatch.setattr(module, "integrate_panels", spy)
+    call()
+    return seen
+
+
+@pytest.mark.parametrize("module,call", [
+    (fdt, lambda: fdt.position_correlation(0.3, SystemSpec(), BathSpec.strict_ohmic(0.1))),
+    (fdt, lambda: fdt.velocity_correlation(0.3, SystemSpec(), BathSpec.cutoff_ohmic(0.5, 3.0))),
+    (fdt, lambda: fdt.density_moment("k", 1, 0.1)),
+    (microbath, lambda: microbath.noise_autocorrelation_quadrature(
+        SystemSpec(), BathSpec.cutoff_ohmic(0.5, 3.0), 1.0)),
+], ids=("strict", "cutoff", "density_moment", "noise_autocorrelation"))
+def test_integrands_map_floats_to_floats(monkeypatch, module, call):
+    integrands = spied_integrands(monkeypatch, module, call)
+    assert integrands
+    for f in integrands:
+        for omega in (1e-9, 0.7, 2.9):
+            assert type(f(omega)) is float
 
 
 class TestConfig:
