@@ -34,7 +34,7 @@ import numpy as np
 
 from .bath import BathKind, BathSpec, SystemSpec
 from .errors import DomainError, UVDivergenceError
-from .quadrature import QuadratureConfig, integrate_panels, scaled_omega_coth_scalar
+from .quadrature import QuadratureConfig, integrate_panels, scaled_omega_coth
 from .response import Susceptibility
 
 __all__ = [
@@ -268,7 +268,7 @@ def _correlation(tau, system, bath, cfg, velocity):
         s = Susceptibility(system, bath)
 
         def lh(w):  # float math: numpy on a 0-d array costs ~40 us a call
-            return w ** (power - 1) * s.loss_scalar(w) * scaled_omega_coth_scalar(w, a)
+            return w ** (power - 1) * s.loss_scalar(w) * scaled_omega_coth(w, a)
 
         # below the cutoff the loss is the resonance plus a smooth part that
         # falls to zero at the cutoff like 1/ln^2, which geometric shoulders
@@ -283,7 +283,7 @@ def _correlation(tau, system, bath, cfg, velocity):
                                 scale=system.hbar / math.pi)
     if bound is not None and (cfg.omega_max is None or bound[0] <= cfg.omega_max):
         wb, weight = bound
-        value += (weight * (wb**2 if velocity else 1.0) * scaled_omega_coth_scalar(wb, a)
+        value += (weight * (wb**2 if velocity else 1.0) * scaled_omega_coth(wb, a)
                   * math.cos(wb * tau))
     return (system.hbar / math.pi) * value
 

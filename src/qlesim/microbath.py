@@ -45,7 +45,7 @@ import numpy as np
 from .bath import BathKind, BathSpec, ModeSet, SystemSpec
 from .ensemble import EnsembleResult, MomentAccumulator
 from .errors import ConvergenceError, DomainError, UnstableIntegrationError, UnsupportedBathError
-from .quadrature import QuadratureConfig, integrate_panels, scaled_omega_coth_scalar
+from .quadrature import QuadratureConfig, integrate_panels, scaled_omega_coth
 from .sde import _BLOCK, _SLAB_STEPS, _chunks, _draw
 
 __all__ = [
@@ -143,7 +143,7 @@ def noise_autocorrelation_quadrature(system: SystemSpec, bath: BathSpec, tau,
     cfg = cfg or QuadratureConfig()
     a = system.thermal_coth_scale
     slope = 3.0 * math.pi * bath.mode_coupling**2 / (2.0 * bath.mode_mass * bath.cutoff**3)
-    integrand = lambda w: slope * scaled_omega_coth_scalar(w, a)
+    integrand = lambda w: slope * scaled_omega_coth(w, a)
     edges = np.linspace(0.0, bath.cutoff, 9)
     value, _ = integrate_panels(integrand, edges, cfg, tau=abs(float(tau)),
                                 label="noise autocorrelation")
@@ -190,7 +190,7 @@ def _secular_roots(alpha, w, d):
     far = np.where(k > 0, hi, lo)
     # the outer ends are bounds, not poles: the model's far pole goes beyond them
     far[[0, n]] *= 2.0
-    tau = 0.5 * (lo + hi)
+    tau, unconverged = 0.5 * (lo + hi), 0
     for act in np.split(k, range(_ROOT_BLOCK, n + 1, _ROOT_BLOCK)):  # (block, N) temporaries
         for it in range(_SECULAR_ITERATIONS):
             t = tau[act]
@@ -230,9 +230,10 @@ def _secular_roots(alpha, w, d):
             act = act[~small & (np.abs(new - t) > 2.0 * eps * np.abs(t))]
             if not act.size:
                 break
-        else:
-            raise ConvergenceError(f"secular equation: {act.size} of {n + 1} normal modes "
-                                   f"unconverged after {_SECULAR_ITERATIONS} iterations")
+        unconverged += act.size
+    if unconverged:
+        raise ConvergenceError(f"secular equation: {unconverged} of {n + 1} normal modes "
+                               f"unconverged after {_SECULAR_ITERATIONS} iterations")
     return shift, tau
 
 

@@ -8,7 +8,7 @@ Panel edges mark only what remains, such as the log shoulders of a bath
 cutoff, and scipy's oscillatory (QAWO/QAWF) rules take over when a
 cos(omega*tau) factor is present.  ``import qlesim`` needs only numpy: scipy
 is imported at its first quadrature, special-function or root-finding call.
-Integrands, called once per node, use float ``math``: :func:`scaled_omega_coth_scalar`.
+Integrands are called once per node, so they map a float to a float in ``math``.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 
-__all__ = ["QuadratureConfig", "coth", "scaled_omega_coth", "scaled_omega_coth_scalar",
-           "integrate_panels"]
+__all__ = ["QuadratureConfig", "coth", "scaled_omega_coth", "integrate_panels"]
 
 
 @dataclass(frozen=True)
@@ -76,24 +75,14 @@ def _coth_series(x):
         return 1.0 / x + x / 3.0 - x**3 / 45.0
 
 
-def scaled_omega_coth(omega, a):
+def scaled_omega_coth(omega: float, a: float) -> float:
     """Return omega * coth(a * omega), regular at omega = 0.
 
     This is the thermal weight of every fluctuation integral; its
     omega -> 0 limit is 1/a (the classical equipartition value), which
-    the direct product 0 * inf would miss.
+    the direct product 0 * inf would miss.  It takes and returns one float,
+    in ``math``, because quadrature integrands call it once per node.
     """
-    omega = np.asarray(omega, dtype=float)
-    x = a * omega
-    small = np.abs(x) < 1e-4
-    safe = np.where(small, 1.0, omega)
-    series = (1.0 + x**2 / 3.0 - x**4 / 45.0) / a
-    out = np.where(small, series, safe / np.tanh(np.where(small, 1.0, x)))
-    return out if out.ndim else float(out)
-
-
-def scaled_omega_coth_scalar(omega: float, a: float) -> float:
-    """:func:`scaled_omega_coth` at one float, in ``math``, for integrands."""
     x = a * omega
     return (1.0 + x * x / 3.0 - x**4 / 45.0) / a if abs(x) < 1e-4 else omega / math.tanh(x)
 

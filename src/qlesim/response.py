@@ -16,7 +16,7 @@ As T -> inf, Re mu is m*gamma below the cutoff, half that at it and zero
 above, and Im mu = (m*gamma/pi) ln|(Omega+omega)/(Omega-omega)|.  Above
 the cutoff alpha is therefore real except at one bound state omega_b
 (Ullersma, Physica 32, 27 (1966)), whose delta-function loss
-:meth:`Susceptibility.bound_state` gives.  Only a finite T needs scipy's Si, Ci.
+:meth:`Susceptibility.bound_state` gives.
 """
 
 from __future__ import annotations
@@ -43,21 +43,18 @@ def _half_amplitude(bath: BathSpec) -> float:
 
 def _sinc_transform(bath: BathSpec, omega, t_max):
     """(Re mu, Im mu) of the sinc kernel cut off at t_max (may be inf)."""
+    from scipy.special import sici
+
     a_plus, a_minus = bath.cutoff + np.abs(omega), bath.cutoff - np.abs(omega)
     at_cut = a_minus == 0.0
     gap = np.where(at_cut, 1.0, np.abs(a_minus))  # stand-in at the cutoff
-    half_amp = _half_amplitude(bath)
-    if math.isinf(t_max):  # Si(inf) = pi/2 and Ci(inf) = 0
-        return (half_amp * (np.pi / 2 + np.sign(a_minus) * (np.pi / 2)),
-                half_amp * np.sign(omega) * np.where(at_cut, np.inf, np.log(a_plus / gap)))
-    from scipy.special import sici
-
     si_plus, ci_plus = sici(a_plus * t_max)
     si_minus, ci_minus = sici(gap * t_max)
     re = si_plus + np.sign(a_minus) * si_minus
     # at the cutoff ln(a+/|a-|) + Ci(|a-| T) tends to ln(a+ T) + Euler's gamma
     im = np.where(at_cut, np.log(a_plus * t_max) + np.euler_gamma,
                   np.log(a_plus / gap) + ci_minus) - ci_plus
+    half_amp = _half_amplitude(bath)
     return half_amp * re, half_amp * np.sign(omega) * im
 
 

@@ -415,27 +415,6 @@ def test_closed_form_commands_load_no_scipy():
     assert "scipy.integrate" in loaded["corr"]  # the probe does see an import
 
 
-SPECIAL_PROBE = """
-import sys
-import numpy as np
-from qlesim.bath import BathSpec, SystemSpec
-from qlesim.response import Susceptibility, mu_fourier
-bath = BathSpec.cutoff_ohmic(0.5, 3.0)
-susc, omega = Susceptibility(SystemSpec(), bath), np.linspace(0.0, 2.9, 30)
-susc.loss(omega), susc.alpha(omega), susc.mu(omega)
-print("scipy.special" in sys.modules)
-mu_fourier(bath, 1.0, t_max_factor=1e4)
-print("scipy.special" in sys.modules)
-"""
-
-
-def test_exact_friction_transform_loads_no_special_functions():
-    # only a finite-time transform needs Si and Ci
-    done = run_fresh(["-c", SPECIAL_PROBE])
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "True"]  # the probe does see an import
-
-
 @pytest.mark.parametrize("command", ("corr", "energy"))
 def test_first_quadrature_in_fresh_interpreter_has_clean_stderr(command):
     # here the first integrate_panels call imports scipy, inside the run

@@ -586,6 +586,14 @@ class TestSecularEquation:
         _, modes = make_bath(0.5, 3.0, 1000)
         with pytest.raises(ConvergenceError, match="unconverged"):
             mb._NormalModes(modes, SystemSpec())
+        # the count covers every block, as one block of all the roots counts it
+        counts = []
+        for block in (128, modes.count + 1):
+            monkeypatch.setattr(mb, "_ROOT_BLOCK", block)
+            with pytest.raises(ConvergenceError, match="unconverged") as err:
+                mb._NormalModes(modes, SystemSpec())
+            counts.append(int(str(err.value).split()[2]))
+        assert counts[0] == counts[1] > 128
         assert cli.main(["microbath", "--modes", "50", "--realizations", "64"]) == cli.EXIT_NUMERIC
         assert "numeric failure" in capsys.readouterr().err
 

@@ -13,7 +13,6 @@ from qlesim.quadrature import (
     coth,
     integrate_panels,
     scaled_omega_coth,
-    scaled_omega_coth_scalar,
 )
 
 
@@ -35,21 +34,18 @@ class TestCoth:
         # w * coth(a w) -> 1/a as w -> 0
         assert scaled_omega_coth(0.0, 0.5) == pytest.approx(2.0, rel=1e-12)
         assert scaled_omega_coth(1e-300, 0.5) == pytest.approx(2.0, rel=1e-12)
-        w = 3.0
-        assert scaled_omega_coth(w, 0.5) == pytest.approx(
-            w / math.tanh(0.5 * w), rel=1e-14
-        )
-
-    @pytest.mark.parametrize("a", (0.5, 3.0))
-    def test_scalar_twin_matches(self, a):
-        # at the origin, in the series branch and on both sides of its
-        # threshold |a omega| = 1e-4
-        edge = 1e-4 / a
-        for omega in (0.0, 1e-300, 1e-9, edge * (1 - 1e-12), edge, edge * (1 + 1e-12),
+        # a float at the origin, on both sides of the switch |a w| = 1e-4
+        # from the series to the direct form, and far from it
+        for a in (0.5, 3.0):
+            edge = 1e-4 / a
+            for w in (0.0, 1e-300, 1e-9, edge * (1 - 1e-12), edge, edge * (1 + 1e-12),
                       -edge, 0.3, 3.0, 700.0):
-            got = scaled_omega_coth_scalar(omega, a)
-            assert type(got) is float
-            np.testing.assert_array_max_ulp(got, scaled_omega_coth(omega, a), maxulp=1)
+                got, x = scaled_omega_coth(w, a), a * w
+                assert type(got) is float
+                if x != 0.0:
+                    assert got == pytest.approx(w / math.tanh(x), rel=1e-14)
+                if abs(x) < 1e-3:
+                    assert got == pytest.approx((1.0 + x * x / 3.0) / a, rel=1e-15)
 
 
 def spied_integrands(monkeypatch, module, call):

@@ -226,23 +226,6 @@ class TestScalarLoss:
         for omega in (3.0, 3.5, 10.0, -3.0):
             assert susc.loss_scalar(omega) == 0.0 == susc.loss(omega)
 
-    def test_exact_transform_has_the_sine_integral_bits(self):
-        # Si(inf) = pi/2 and Ci(inf) = 0, so the elementary t -> inf form
-        # reproduces the sici one bit for bit
-        assert sici(np.inf) == (np.pi / 2, 0.0)
-        bath = BathSpec.cutoff_ohmic(gamma=0.4, cutoff=6.0)
-        omega = np.concatenate((np.linspace(-20.0, 20.0, 801), [6.0 - 1e-12, 6.0 + 1e-12]))
-        a_plus, a_minus = 6.0 + np.abs(omega), 6.0 - np.abs(omega)
-        gap = np.where(a_minus == 0.0, 1.0, np.abs(a_minus))
-        (si_plus, ci_plus), (si_minus, ci_minus) = sici(a_plus * np.inf), sici(gap * np.inf)
-        with np.errstate(divide="ignore"):
-            im = np.where(a_minus == 0.0, np.log(a_plus * np.inf) + np.euler_gamma,
-                          np.log(a_plus / gap) + ci_minus) - ci_plus
-        half_amp = 1.5 * bath.mode_coupling**2 / (bath.mode_mass * bath.cutoff**3)
-        mu = Susceptibility(SystemSpec(), bath).mu(omega)
-        np.testing.assert_array_equal(mu.real, half_amp * (si_plus + np.sign(a_minus) * si_minus))
-        np.testing.assert_array_equal(mu.imag, half_amp * np.sign(omega) * im)
-
 
 class TestBoundState:
     def test_strict_ohmic_has_none(self):
