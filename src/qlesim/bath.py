@@ -1,14 +1,15 @@
 """Heat-bath models for the damped quantum oscillator.
 
-Three bath descriptions are supported:
+Two continuum baths are supported:
 
 * ``STRICT_OHMIC``: delta-function friction kernel, J(omega) = m*gamma*omega.
   The kernel is distributional, so every consumer handles this case through
   the damping rate directly rather than integrating the kernel numerically.
 * ``CUTOFF_OHMIC``: density of states g(omega) = 3*omega^2 / Omega^3 below a
   sharp cutoff Omega, giving the sinc friction kernel.
-* ``DISCRETE``: an explicit finite list of bath oscillators, typically built
-  by :func:`discretize_bath` for microscopic simulation.
+
+A finite bath is a :class:`ModeSet` of explicit oscillators, built by
+:func:`discretize_bath` from a cutoff-Ohmic spec for microscopic simulation.
 """
 
 from __future__ import annotations
@@ -27,10 +28,8 @@ __all__ = [
     "ModeSet",
     "SystemSpec",
     "BathSpec",
-    "ohmic_dos",
     "gamma_from_micro",
     "friction_kernel",
-    "spectral_density",
     "discretize_bath",
 ]
 
@@ -41,7 +40,6 @@ _SINC_SERIES_CUT = 1e-8
 class BathKind(enum.Enum):
     STRICT_OHMIC = "strict_ohmic"
     CUTOFF_OHMIC = "cutoff_ohmic"
-    DISCRETE = "discrete"
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +132,6 @@ class BathSpec:
     cutoff: float | None = None
     mode_mass: float | None = None
     mode_coupling: float | None = None
-    modes: ModeSet | None = None
     built_for_mass: float | None = None
 
     def __post_init__(self):
@@ -153,9 +150,6 @@ class BathSpec:
                     "gamma inconsistent with microscopic parameters: "
                     f"stored {self.gamma!r}, implied {implied!r}"
                 )
-        elif self.kind is BathKind.DISCRETE:
-            if self.modes is None:
-                raise DomainError("discrete bath requires a ModeSet")
 
     @classmethod
     def strict_ohmic(cls, gamma: float) -> "BathSpec":
@@ -187,40 +181,6 @@ class BathSpec:
             built_for_mass=system_mass,
         )
 
-    @classmethod
-    def cutoff_ohmic_from_micro(
-        cls, mode_coupling: float, mode_mass: float, cutoff: float, system_mass: float
-    ) -> "BathSpec":
-        """Cutoff-Ohmic bath from microscopic parameters, deriving gamma."""
-        gamma = gamma_from_micro(mode_coupling, mode_mass, cutoff, system_mass)
-        return cls(
-            kind=BathKind.CUTOFF_OHMIC,
-            gamma=gamma,
-            cutoff=cutoff,
-            mode_mass=mode_mass,
-            mode_coupling=mode_coupling,
-            built_for_mass=system_mass,
-        )
-
-    @classmethod
-    def discrete(cls, modes: ModeSet, gamma: float) -> "BathSpec":
-        """Explicit finite bath; gamma is the damping the modes realize."""
-        return cls(kind=BathKind.DISCRETE, gamma=gamma, modes=modes)
-
-
-def ohmic_dos(omega, cutoff):
-    """Ohmic density of states g(omega) = 3*omega^2/Omega^3 below the cutoff.
-
-    Normalized so the integral over [0, inf) is exactly 1.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if not cutoff > 0:
-        raise DomainError("cutoff must be positive")
-    if np.any(omega < 0):
-        raise DomainError("omega must be nonnegative")
-    out = np.where(omega < cutoff, 3.0 * omega**2 / cutoff**3, 0.0)
-    return out if out.ndim else float(out)
-
 
 def gamma_from_micro(ctilde, mtilde, cutoff, system_mass):
     """Damping rate 3*pi*ctilde^2 / (2 * m * mtilde * Omega^3)."""
@@ -234,53 +194,21 @@ def friction_kernel(spec: BathSpec, t):
 
     Cutoff-Ohmic baths give the sinc kernel
     (3*c^2/(mt*Omega^3)) * sin(Omega*t)/t, with a series evaluation of the
-    removable singularity; discrete baths give the cosine sum over modes.
-    The strict-Ohmic kernel is a delta distribution and is rejected.
+    removable singularity.  The strict-Ohmic kernel is a delta distribution
+    and is rejected.
     """
     t = np.asarray(t, dtype=float)
     if spec.kind is BathKind.STRICT_OHMIC:
         raise UnsupportedBathError(
             "strict-Ohmic kernel is distributional; use gamma directly"
         )
-    if spec.kind is BathKind.CUTOFF_OHMIC:
-        amp = 3.0 * spec.mode_coupling**2 / (spec.mode_mass * spec.cutoff**3)
-        x = spec.cutoff * t
-        small = np.abs(x) < _SINC_SERIES_CUT
-        safe_t = np.where(small, 1.0, t)
-        series = spec.cutoff * (1.0 - x**2 / 6.0)
-        value = amp * np.where(small, series, np.sin(x) / safe_t)
-        out = np.where(t < 0, 0.0, value)
-        return out if out.ndim else float(out)
-    weights = spec.modes.kernel_weights()
-    phases = np.multiply.outer(t, spec.modes.omega)
-    value = np.cos(phases) @ weights
+    amp = 3.0 * spec.mode_coupling**2 / (spec.mode_mass * spec.cutoff**3)
+    x = spec.cutoff * t
+    small = np.abs(x) < _SINC_SERIES_CUT
+    safe_t = np.where(small, 1.0, t)
+    series = spec.cutoff * (1.0 - x**2 / 6.0)
+    value = amp * np.where(small, series, np.sin(x) / safe_t)
     out = np.where(t < 0, 0.0, value)
-    return out if out.ndim else float(out)
-
-
-def spectral_density(spec: BathSpec, system: SystemSpec, omega):
-    """Bath spectral density J(omega).
-
-    Strict Ohmic: m*gamma*omega on [0, inf).  Cutoff Ohmic:
-    (pi/2)*(c^2/mt)*g(omega)/omega, which below the cutoff reduces to the
-    same linear law with the gamma implied by the microscopic parameters.
-    Discrete baths have a delta-comb J and are rejected.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega < 0):
-        raise DomainError("omega must be nonnegative")
-    if spec.kind is BathKind.DISCRETE:
-        raise UnsupportedBathError(
-            "spectral density of a discrete bath is a delta comb; "
-            "use the ModeSet directly"
-        )
-    if spec.kind is BathKind.STRICT_OHMIC:
-        out = system.mass * spec.gamma * omega
-        return out if out.ndim else float(out)
-    # (pi/2)*(c^2/mt) * (3*omega^2/Omega^3) / omega, written without the
-    # 0/0 at the origin
-    slope = 3.0 * math.pi * spec.mode_coupling**2 / (2.0 * spec.mode_mass * spec.cutoff**3)
-    out = np.where(omega < spec.cutoff, slope * omega, 0.0)
     return out if out.ndim else float(out)
 
 

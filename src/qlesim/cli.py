@@ -80,6 +80,13 @@ class RunConfig:
                     "omega_max", "cutoff"):
             if not 0 < getattr(self, key) < math.inf:
                 raise _CliError(f"{key} must be positive and finite")
+        # the moments and the loss square these scales; once (m*w0^2)^2 is
+        # normal, m*w0 is nonzero, so the last division cannot fail
+        m, w0 = self.mass, self.omega0
+        if not (_square_is_normal(m) and _square_is_normal(m * w0 * w0)
+                and _square_is_normal(self.hbar / (m * w0))):
+            raise _CliError("the square of mass, mass*omega0^2 or hbar/(mass*omega0) "
+                            "is not a finite normal float")
         for key in ("modes", "realizations", "traj"):
             if getattr(self, key) < 1:
                 raise _CliError(f"{key} must be >= 1")
@@ -122,6 +129,10 @@ class RunConfig:
 
     def quad_config(self) -> QuadratureConfig:
         return QuadratureConfig(omega_max=self.omega_max)
+
+
+def _square_is_normal(x: float) -> bool:
+    return sys.float_info.min <= x * x < math.inf
 
 
 def _parse_field(key: str, value):

@@ -41,8 +41,6 @@ __all__ = [
     "EnergySplit",
     "pk_density",
     "pp_density",
-    "pk_dimensional",
-    "pp_dimensional",
     "density_normalization",
     "density_moment",
     "position_correlation",
@@ -92,26 +90,6 @@ def pp_density(lam, damping):
     if np.any(lam < 0):
         raise DomainError("lam must be nonnegative")
     out = (2.0 / math.pi) * damping / ((1.0 - lam**2) ** 2 + (lam * damping) ** 2)
-    return out if out.ndim else float(out)
-
-
-def pk_dimensional(omega, system: SystemSpec, bath: BathSpec):
-    """P_k(omega) = (2 m / pi) * omega^2 * L(omega), normalized on [0, inf)."""
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega < 0):
-        raise DomainError("omega must be nonnegative")
-    loss = Susceptibility(system, bath).loss(omega)
-    out = (2.0 * system.mass / math.pi) * omega**2 * loss
-    return out if out.ndim else float(out)
-
-
-def pp_dimensional(omega, system: SystemSpec, bath: BathSpec):
-    """P_p(omega) = (2 m w0^2 / pi) * L(omega)."""
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega < 0):
-        raise DomainError("omega must be nonnegative")
-    loss = Susceptibility(system, bath).loss(omega)
-    out = (2.0 * system.mass * system.omega0**2 / math.pi) * loss
     return out if out.ndim else float(out)
 
 

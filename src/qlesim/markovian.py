@@ -118,10 +118,6 @@ class MarkovParams:
         """Fluctuation-dissipation intensity, :func:`noise_intensity`."""
         return noise_intensity(self.system, self.gamma)
 
-    @property
-    def underdamped(self) -> bool:
-        return self.gamma < 2.0 * self.system.omega0
-
     def roots(self) -> CharRoots:
         return char_roots(self.gamma, self.system.omega0)
 

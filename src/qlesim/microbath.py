@@ -8,7 +8,7 @@ where s_j is the mode coordinate measured from its displaced equilibrium
 c_j x(0) / (m_j w_j^2).  Sampling s_j and p_j as independent zero-mean
 Gaussians with the thermal-state variances reproduces every symmetrized
 noise statistic of the quantum bath; the antisymmetric (commutator) part
-has no classical sample representation and is provided analytically only.
+has no classical sample representation.
 
 The memory equation of motion
 
@@ -51,7 +51,6 @@ from .sde import _BLOCK, _SLAB_STEPS, _chunks, _draw
 __all__ = [
     "TrajectoryGrid",
     "initial_slip",
-    "noise_commutator_analytic",
     "noise_autocorrelation_quadrature",
     "ensemble_stats",
     "noise_ensemble_stats",
@@ -115,26 +114,13 @@ def initial_slip(modes: ModeSet, x0: float, t):
     return out if out.ndim else float(out)
 
 
-def noise_commutator_analytic(modes: ModeSet, system: SystemSpec, tau):
-    """<[f(t), f(t')]> = -2 i hbar * sum_j (c_j^2 / 2 m_j w_j) sin(w_j tau).
-
-    Returned as the imaginary coefficient (the sum with its real
-    prefactor); the commutator itself is i times this.  Not sampled: a
-    classical ensemble cannot realize it.
-    """
-    tau = np.asarray(tau, dtype=float)
-    w = modes.coupling**2 / (2.0 * modes.mass * modes.omega)
-    out = -2.0 * system.hbar * (np.sin(np.multiply.outer(tau, modes.omega)) @ w)
-    return out if out.ndim else float(out)
-
-
 def noise_autocorrelation_quadrature(system: SystemSpec, bath: BathSpec, tau,
                                      cfg: QuadratureConfig | None = None) -> float:
     """Continuum symmetric noise autocorrelation (hbar/pi) Int J coth cos.
 
     Only cutoff-Ohmic baths are supported: the strict-Ohmic version is a
-    delta at tau = 0 and a discrete bath's J is a comb (its exact finite-N
-    correlation is the cosine sum over modes instead).
+    delta at tau = 0 (a finite bath's exact correlation is the cosine sum
+    over its modes instead).
     """
     if bath.kind is not BathKind.CUTOFF_OHMIC:
         raise UnsupportedBathError(

@@ -26,7 +26,7 @@ __all__ = ["QuadratureConfig", "coth", "scaled_omega_coth", "integrate_panels"]
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and panel budget for the frequency-domain integrals.
+    """Tolerances and upper cutoff of the frequency-domain integrals.
 
     A narrow resonance needs no setting here: :mod:`qlesim.fdt` removes
     it by its pole pair before quadrature.
@@ -39,14 +39,11 @@ class QuadratureConfig:
     omega_max : float or None
         Upper cutoff for integrals whose integrand decays too slowly to
         be summed to infinity.  None means "no cutoff requested".
-    max_panels : int
-        Hard cap on the number of quadrature panels per integral.
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     omega_max: float | None = None
-    max_panels: int = 2000
 
     def __post_init__(self):
         if not self.rel_tol > 0:
@@ -55,8 +52,6 @@ class QuadratureConfig:
             raise DomainError("abs_tol must be positive")
         if self.omega_max is not None and not self.omega_max > 0:
             raise DomainError("omega_max must be positive when finite")
-        if self.max_panels < 4:
-            raise DomainError("max_panels too small")
 
 
 def coth(x):
@@ -111,18 +106,13 @@ def integrate_panels(f, edges, cfg, *, tau=0.0, tail_to_inf=False, label=""):
     Raises
     ------
     QuadratureError
-        If the summed error bound exceeds the configured tolerance or the
-        panel budget is exhausted.
+        If the summed error bound exceeds the configured tolerance.
     """
     from scipy import integrate
 
     edges = [float(e) for e in edges]
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise DomainError(f"panel edges must be strictly increasing ({label})")
-    if len(edges) > cfg.max_panels:
-        raise QuadratureError(
-            f"{label}: panel budget exceeded ({len(edges)} > {cfg.max_panels})"
-        )
     tau = abs(float(tau))
 
     weight = dict(weight="cos", wvar=tau, maxp1=100) if tau > 0.0 else {}

@@ -1,20 +1,14 @@
-"""Fourier-domain friction and the generalized susceptibility.
+"""The oscillator's loss Im alpha(omega) / omega, its resonance pole and bound state.
 
 The oscillator response to a force at frequency omega is
 
     alpha(omega) = 1 / (m*(omega0^2 - omega^2) - i*omega*mu(omega))
 
 with mu(omega) the one-sided Fourier transform of the friction kernel,
-closed-form for both continuum baths: m*gamma for strict Ohmic, and for
-the cutoff-Ohmic kernel A*sin(Omega t)/t cut off at t = T, with
-a+- = Omega +- |omega|,
-
-    Re mu = (A/2) [Si(a+ T) + sgn(a-) Si(|a-| T)]
-    Im mu = sgn(omega) (A/2) [ln(a+/|a-|) - Ci(a+ T) + Ci(|a-| T)]
-
-As T -> inf, Re mu is m*gamma below the cutoff, half that at it and zero
-above, and Im mu = (m*gamma/pi) ln|(Omega+omega)/(Omega-omega)|.  Above
-the cutoff alpha is therefore real except at one bound state omega_b
+elementary for both continuum baths: m*gamma for strict Ohmic, and for the
+cutoff-Ohmic sinc kernel Re mu = m*gamma below the cutoff Omega, half that
+at it and zero above, with Im mu = (m*gamma/pi) ln|(Omega+omega)/(Omega-omega)|.
+Above the cutoff alpha is therefore real except at one bound state omega_b
 (Ullersma, Physica 32, 27 (1966)), whose delta-function loss
 :meth:`Susceptibility.bound_state` gives.
 """
@@ -23,17 +17,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bath import BathKind, BathSpec, SystemSpec
-from .errors import DomainError, QuadratureError, UnsupportedBathError
+from .errors import DomainError, QuadratureError
 
-__all__ = ["mu_fourier", "susceptibility", "Susceptibility"]
-
-# minimum length of the truncated transform, in units of 1/cutoff
-_MIN_TMAX_FACTOR = 1e3
+__all__ = ["Susceptibility"]
 
 
 def _half_amplitude(bath: BathSpec) -> float:
@@ -41,113 +31,29 @@ def _half_amplitude(bath: BathSpec) -> float:
     return 1.5 * bath.mode_coupling**2 / (bath.mode_mass * bath.cutoff**3)
 
 
-def _sinc_transform(bath: BathSpec, omega, t_max):
-    """(Re mu, Im mu) of the sinc kernel cut off at t_max (may be inf)."""
-    from scipy.special import sici
-
-    a_plus, a_minus = bath.cutoff + np.abs(omega), bath.cutoff - np.abs(omega)
-    at_cut = a_minus == 0.0
-    gap = np.where(at_cut, 1.0, np.abs(a_minus))  # stand-in at the cutoff
-    si_plus, ci_plus = sici(a_plus * t_max)
-    si_minus, ci_minus = sici(gap * t_max)
-    re = si_plus + np.sign(a_minus) * si_minus
-    # at the cutoff ln(a+/|a-|) + Ci(|a-| T) tends to ln(a+ T) + Euler's gamma
-    im = np.where(at_cut, np.log(a_plus * t_max) + np.euler_gamma,
-                  np.log(a_plus / gap) + ci_minus) - ci_plus
-    half_amp = _half_amplitude(bath)
-    return half_amp * re, half_amp * np.sign(omega) * im
-
-
-def mu_fourier(bath: BathSpec, omega, *, system_mass: float = 1.0, t_max_factor: float = 1e4):
-    """One-sided Fourier transform of the friction kernel at real omega.
-
-    Strict Ohmic returns the exact constant ``system_mass * gamma`` (half
-    the delta mass falls inside t >= 0).  Cutoff Ohmic transforms the sinc
-    kernel over [0, T_max], T_max = t_max_factor / Omega with
-    t_max_factor >= 1e3, in closed form; ``t_max_factor=math.inf`` gives
-    the exact transform.  The transform is Hermitian in omega.  Discrete
-    baths have no pointwise transform on the real axis.
-    """
-    omega = float(omega)
-    if bath.kind is BathKind.STRICT_OHMIC:
-        return complex(system_mass * bath.gamma, 0.0)
-    if bath.kind is BathKind.DISCRETE:
-        raise UnsupportedBathError(
-            "discrete-bath friction transform is a principal-value comb; "
-            "not supported pointwise"
-        )
-    if not t_max_factor >= _MIN_TMAX_FACTOR:
-        raise DomainError(f"t_max_factor must be >= {_MIN_TMAX_FACTOR:g}")
-    return complex(*_sinc_transform(bath, omega, t_max_factor / bath.cutoff))
-
-
-def susceptibility(system: SystemSpec, bath: BathSpec, omega):
-    """Generalized susceptibility alpha(omega) for a single frequency."""
-    return Susceptibility(system, bath).alpha(float(omega))
-
-
 @dataclass(frozen=True, eq=False)
 class Susceptibility:
     """alpha(omega) of the oscillator on a continuum bath, in closed form.
 
-    Every method is vectorized over omega and evaluates the exact
-    (untruncated) friction transform pointwise.  For a cutoff-Ohmic bath
-    the loss Im(alpha)/omega is zero above the cutoff apart from the
-    delta at the bound state, which :meth:`bound_state` gives separately.
+    :meth:`loss_scalar` gives the loss Im(alpha)/omega at one real
+    frequency from the exact (untruncated) friction transform.  For a
+    cutoff-Ohmic bath the loss is zero above the cutoff apart from the
+    delta at the bound state, which :meth:`bound_state` gives separately,
+    and :meth:`resonance_pole` continues it off the real axis.
     """
 
     system: SystemSpec
     bath: BathSpec
 
-    def __post_init__(self):
-        if self.bath.kind is BathKind.DISCRETE:
-            raise UnsupportedBathError("no pointwise susceptibility for discrete baths")
-
-    def _transform(self, omega):
-        """(Re mu, Im mu) of the exact friction transform."""
-        if self.bath.kind is BathKind.STRICT_OHMIC:
-            return np.full_like(omega, self.system.mass * self.bath.gamma), np.zeros_like(omega)
-        return _sinc_transform(self.bath, omega, math.inf)
-
-    def _parts(self, omega):
-        """(D, E, Re mu) with 1/alpha = D - i*E, E = omega * Re mu."""
-        re, im = self._transform(omega)
-        d = self.system.mass * (self.system.omega0**2 - omega**2) + omega * im
-        return d, omega * re, re
-
-    def mu(self, omega):
-        """Exact friction transform mu(omega); Im mu is +inf at the cutoff."""
-        re, im = self._transform(np.asarray(omega, dtype=float))
-        out = np.array(re, dtype=complex)
-        out.imag = im
-        return out if out.ndim else complex(out)
-
-    def alpha(self, omega):
-        """Complex susceptibility, vectorized over omega (zero at the cutoff)."""
-        omega = np.asarray(omega, dtype=float)
-        d, e, _ = self._parts(omega)
-        if np.any((d == 0) & (e == 0)):
-            raise DomainError("undamped resonance: susceptibility pole at omega0")
-        out = 1.0 / (d - 1j * e)
-        return out if out.ndim else complex(out)
-
-    def im_alpha(self, omega):
-        out = np.imag(self.alpha(omega))
-        return out if np.ndim(out) else float(out)
-
-    def loss(self, omega):
-        """Im alpha(omega) / omega, regular at omega = 0 and nonnegative.
-
-        This is the natural integrand factor of every fluctuation
-        integral; dividing out omega analytically avoids the 0/0 at the
-        origin.  The bound-state delta is not included.
-        """
-        d, e, re = self._parts(np.asarray(omega, dtype=float))
-        out = re / (d**2 + e**2)
-        return out if out.ndim else float(out)
-
     def loss_scalar(self, w: float) -> float:
-        """:meth:`loss` at one float, in ``math``, for quadrature integrands."""
+        """Im alpha(w) / w at one float, in ``math``, for quadrature integrands.
+
+        Regular at w = 0 and nonnegative, it is the natural integrand factor
+        of every fluctuation integral; dividing out w analytically avoids the
+        0/0 at the origin.  The bound-state delta is not included.  Raises
+        DomainError where |1/alpha|^2 is 0 in floating point, as for a free
+        particle on a strict-Ohmic bath at w = 0.
+        """
         m, w0 = self.system.mass, self.system.omega0
         if self.bath.kind is BathKind.STRICT_OHMIC:
             re, im = m * self.bath.gamma, 0.0
@@ -158,7 +64,11 @@ class Susceptibility:
             re = k * math.pi
             im = math.copysign(k, w) * math.log((cut + abs(w)) / (cut - abs(w)))
         d, e = m * (w0**2 - w * w) + w * im, w * re
-        return re / (d * d + e * e)
+        try:
+            return re / (d * d + e * e)
+        except ZeroDivisionError:
+            raise DomainError(f"loss at omega = {w!r}: |1/alpha|^2 is 0 in floating "
+                              "point") from None
 
     def resonance_pole(self):
         """(p, fbar'(p)) of the resonance of a cutoff-Ohmic bath, or None.
@@ -215,7 +125,7 @@ class Susceptibility:
 
         # omega ln((omega + Omega)/(omega - Omega)) <= 4 Omega once
         # omega - Omega >= Omega, so D < 0 at the upper end of the bracket
-        lo = math.log(np.finfo(float).tiny)
+        lo = math.log(sys.float_info.min)
         hi = math.log(max(cut, math.sqrt(w0**2 + 4.0 * k * cut / m)))
         if not excess(lo) > 0.0:
             return None

@@ -36,8 +36,6 @@ from .sde import exact_discretization, run_ensemble, sample_paths, stationary_co
 
 __all__ = [
     "RwaParams",
-    "rwa_coupling",
-    "rwa_hamiltonian_split",
     "rwa_stationary_analytic",
     "drift_matrix",
     "ehrenfest_residual_exact",
@@ -78,40 +76,6 @@ class RwaParams:
     def narrowband(self) -> bool:
         """True when gamma is small enough for the RWA to be trustworthy."""
         return self.gamma <= _WEAK_COUPLING_RATIO * self.system.omega0
-
-
-def rwa_coupling(c_j, system_mass, mode_mass, omega0, omega_j, hbar: float = 1.0):
-    """Rotating-frame coupling hbar c_j / (2 sqrt(m m_j w0 w_j))."""
-    if min(system_mass, mode_mass, omega0) <= 0:
-        raise DomainError("masses and omega0 must be positive")
-    omega_j = np.asarray(omega_j, dtype=float)
-    if np.any(omega_j <= 0):
-        raise DomainError("mode frequencies must be positive")
-    out = hbar * np.asarray(c_j, dtype=float) / (
-        2.0 * np.sqrt(system_mass * mode_mass * omega0 * omega_j)
-    )
-    return out if np.ndim(out) else float(out)
-
-
-def rwa_hamiltonian_split(c_j, system_mass, mode_mass, omega0, omega_j):
-    """Coupling coefficients after the RWA, written in oscillator variables.
-
-    Returns (position_coefficient, momentum_coefficient): the coordinate
-    coupling keeps half its strength, c_j/2, and the other half reappears
-    as a momentum-momentum coupling c_j / (2 m w0 m_j w_j).  Their ratio
-    is 1 / (m m_j w0 w_j).
-    """
-    if min(system_mass, mode_mass, omega0) <= 0:
-        raise DomainError("masses and omega0 must be positive")
-    omega_j = np.asarray(omega_j, dtype=float)
-    if np.any(omega_j <= 0):
-        raise DomainError("mode frequencies must be positive")
-    c_j = np.asarray(c_j, dtype=float)
-    pos = c_j / 2.0
-    mom = c_j / (2.0 * system_mass * omega0 * mode_mass * omega_j)
-    if np.ndim(pos):
-        return pos, mom
-    return float(pos), float(mom)
 
 
 def drift_matrix(params: RwaParams) -> np.ndarray:

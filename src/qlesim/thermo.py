@@ -12,29 +12,12 @@ coupling vanishes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .bath import SystemSpec
 from .errors import DomainError
 from .quadrature import coth
 
-__all__ = ["ThermoReport", "partition_weak", "mean_energy_weak",
-           "free_particle_kinetic", "report"]
-
-
-@dataclass(frozen=True)
-class ThermoReport:
-    """Weak-coupling partition function, mean energy, and regime tag."""
-
-    partition: float
-    energy: float
-    regime: str
-
-    def __post_init__(self):
-        if not self.partition > 0:
-            raise DomainError("partition function must be positive")
-        if self.regime not in ("oscillator", "free_particle"):
-            raise DomainError("regime must be 'oscillator' or 'free_particle'")
+__all__ = ["partition_weak", "mean_energy_weak", "free_particle_kinetic"]
 
 
 def partition_weak(beta: float, omega0: float, hbar: float = 1.0) -> float:
@@ -73,20 +56,3 @@ def free_particle_kinetic(system: SystemSpec) -> float:
     """
     return 0.5 * system.kB * system.temperature
 
-
-def report(system: SystemSpec) -> ThermoReport:
-    """Thermodynamic summary for the given system.
-
-    The free-particle partition function is volume-dependent, so in that
-    regime the report stores the placeholder 1.0 and the kinetic energy
-    carries the physics.
-    """
-    if system.omega0 == 0:
-        return ThermoReport(
-            partition=1.0,
-            energy=free_particle_kinetic(system),
-            regime="free_particle",
-        )
-    z = partition_weak(system.beta, system.omega0, system.hbar)
-    e = mean_energy_weak(system.beta, system.omega0, system.hbar)
-    return ThermoReport(partition=z, energy=e, regime="oscillator")

@@ -1,4 +1,4 @@
-"""Bath models: density of states, kernels, spectral density, discretization."""
+"""Bath models: kernels, microscopic parameters, discretization."""
 
 import math
 
@@ -16,30 +16,17 @@ from qlesim.bath import (
     discretize_bath,
     friction_kernel,
     gamma_from_micro,
-    ohmic_dos,
-    spectral_density,
 )
 from qlesim.errors import DomainError, UnsupportedBathError
+from qlesim.microbath import initial_slip
 
 
-class TestOhmicDos:
-    def test_direct_substitution_below_cutoff(self):
-        cutoff = 2.0
-        assert ohmic_dos(cutoff / 2, cutoff) == pytest.approx(0.75 / cutoff, rel=1e-15)
-
-    def test_zero_above_cutoff(self):
-        assert ohmic_dos(2.0, 1.0) == 0.0
-
-    def test_normalization_analytic(self):
-        # integral of 3 w^2 / W^3 over [0, W] is exactly 1
-        val, _ = integrate.quad(lambda w: ohmic_dos(w, 3.0), 0.0, 3.0, epsrel=1e-13)
-        assert val == pytest.approx(1.0, abs=1e-12)
-
-    def test_negative_omega_rejected(self):
-        with pytest.raises(DomainError):
-            ohmic_dos(-1.0, 1.0)
-        with pytest.raises(DomainError):
-            ohmic_dos(1.0, -1.0)
+def cutoff_from_micro(coupling, mode_mass, cutoff, system_mass):
+    """Cutoff-Ohmic spec from its microscopic parameters, gamma derived."""
+    return BathSpec(kind=BathKind.CUTOFF_OHMIC,
+                    gamma=gamma_from_micro(coupling, mode_mass, cutoff, system_mass),
+                    cutoff=cutoff, mode_mass=mode_mass, mode_coupling=coupling,
+                    built_for_mass=system_mass)
 
 
 class TestGammaFromMicro:
@@ -67,16 +54,16 @@ class TestGammaFromMicro:
 
 class TestFrictionKernel:
     def test_cutoff_kernel_at_zero(self):
-        bath = BathSpec.cutoff_ohmic_from_micro(1.3, 0.7, 4.0, 1.0)
+        bath = cutoff_from_micro(1.3, 0.7, 4.0, 1.0)
         expected = 3.0 * 1.3**2 / (0.7 * 4.0**2)
         assert friction_kernel(bath, 0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_single_mode_cosine(self):
+        # a finite bath's kernel is its initial-slip force per unit x0
         modes = ModeSet(omega=[2.0], mass=[1.5], coupling=[0.8])
-        bath = BathSpec.discrete(modes, gamma=1.0)
         t = np.linspace(0.0, 5.0, 50)
         expected = 0.8**2 / (1.5 * 2.0**2) * np.cos(2.0 * t)
-        np.testing.assert_allclose(friction_kernel(bath, t), expected, rtol=1e-14)
+        np.testing.assert_allclose(initial_slip(modes, 1.0, t), expected, rtol=1e-14)
 
     def test_kernel_integral_matches_half_delta_mass(self):
         # quadrature of the sinc kernel over [0, 200/W] against m*gamma,
@@ -96,41 +83,6 @@ class TestFrictionKernel:
     def test_causality_exact_zero(self, t):
         bath = BathSpec.cutoff_ohmic(gamma=0.5, cutoff=5.0)
         assert friction_kernel(bath, -t) == 0.0
-
-    def test_causality_discrete(self):
-        modes = ModeSet(omega=[1.0, 2.0], mass=[1.0, 1.0], coupling=[0.1, 0.2])
-        bath = BathSpec.discrete(modes, gamma=0.1)
-        assert friction_kernel(bath, -1e-9) == 0.0
-
-
-class TestSpectralDensity:
-    def test_strict_linear(self):
-        sys_ = SystemSpec(mass=2.0)
-        bath = BathSpec.strict_ohmic(0.4)
-        assert spectral_density(bath, sys_, 1.7) == pytest.approx(
-            2.0 * 0.4 * 1.7, rel=1e-15
-        )
-
-    def test_cutoff_matches_m_gamma_omega_below_cutoff(self):
-        # the proportionality constant of J is pinned so that J/(m gamma w)
-        # is exactly 1 below the cutoff
-        sys_ = SystemSpec(mass=1.6)
-        bath = BathSpec.cutoff_ohmic(gamma=0.7, cutoff=9.0, system_mass=1.6)
-        omega = np.linspace(0.05, 8.95, 200)
-        ratio = spectral_density(bath, sys_, omega) / (1.6 * 0.7 * omega)
-        np.testing.assert_allclose(ratio, 1.0, rtol=1e-12)
-
-    def test_vanishes_at_origin_and_above_cutoff(self):
-        sys_ = SystemSpec()
-        bath = BathSpec.cutoff_ohmic(gamma=0.7, cutoff=9.0)
-        assert spectral_density(bath, sys_, 0.0) == 0.0
-        assert spectral_density(bath, sys_, 9.5) == 0.0
-        assert spectral_density(BathSpec.strict_ohmic(1.0), sys_, 0.0) == 0.0
-
-    def test_discrete_rejected(self):
-        modes = ModeSet(omega=[1.0], mass=[1.0], coupling=[1.0])
-        with pytest.raises(UnsupportedBathError, match="delta comb"):
-            spectral_density(BathSpec.discrete(modes, 1.0), SystemSpec(), 1.0)
 
 
 class TestDiscretizeBath:
@@ -157,9 +109,8 @@ class TestDiscretizeBath:
         scale = friction_kernel(bath, 0.0)
         errors = []
         for n in (100, 1000, 10000):
-            modes = discretize_bath(bath, n)
-            discrete = BathSpec.discrete(modes, bath.gamma)
-            err = np.max(np.abs(friction_kernel(discrete, t) - continuum)) / scale
+            discrete = initial_slip(discretize_bath(bath, n), 1.0, t)
+            err = np.max(np.abs(discrete - continuum)) / scale
             errors.append(err)
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] < 0.05
@@ -201,10 +152,10 @@ class TestSpecValidation:
                 mode_coupling=1.0,
                 built_for_mass=1.0,
             )
-        # the classmethod builds a consistent spec
-        bath = BathSpec.cutoff_ohmic_from_micro(1.0, 1.0, 2.0, 1.0)
-        assert bath.gamma == pytest.approx(
-            gamma_from_micro(1.0, 1.0, 2.0, 1.0), rel=1e-15
+        # the classmethod solves the coupling for a consistent spec
+        bath = BathSpec.cutoff_ohmic(gamma=0.7, cutoff=2.0, system_mass=1.3)
+        assert gamma_from_micro(bath.mode_coupling, bath.mode_mass, 2.0, 1.3) == pytest.approx(
+            0.7, rel=1e-15
         )
 
     def test_bathspec_rejects_nonpositive_gamma(self):

@@ -370,6 +370,33 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert not dump.exists()
 
+    @pytest.mark.parametrize("args", (
+        ["microbath", "--mass", "1e-200", "--modes", "20", "--realizations", "64"],
+        ["sde", "--mass", "1e-200", "--traj", "64", "--steps", "10"],
+        ["rwa", "--mass", "1e-200", "--traj", "64", "--steps", "10"],
+        ["sde", "--mass", "1e160", "--traj", "64", "--steps", "10"],
+        ["microbath", "--mass", "1e160", "--modes", "20", "--realizations", "64"],
+    ), ids=lambda args: f"{args[0]}-{args[2]}")
+    def test_unit_scale_whose_square_leaves_the_floats_is_one(self, args, capsys):
+        # past the check each ends in a ZeroDivisionError or OverflowError
+        # traceback, or (microbath at 1e160) prints a reference wrong by 1e-2
+        code, out, err = run_cli(args, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: the square of mass")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("mass", ("1e150", "1e-150"))
+    @pytest.mark.parametrize("command", ("sde", "rwa"))
+    def test_unit_scale_inside_the_floats_runs(self, command, mass, capsys):
+        code, out, err = run_cli([command, "--mass", mass, "--traj", "64", "--steps", "10"],
+                                 capsys)
+        assert code == 0 and err == ""
+        lines = [line for line in out.splitlines() if not line.startswith("#")][1:]
+        cells = np.array([[float(c) for c in line.split(",")[1:]] for line in lines])
+        assert np.all(np.isfinite(cells))
+        assert np.all(cells[:2, 1] > 0.0)  # the sampled rows' standard errors
+
     def test_bad_grid_is_one(self, capsys):
         code, _, _ = run_cli(["dist", "--grid", "oops"], capsys)
         assert code == 1

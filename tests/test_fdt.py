@@ -13,7 +13,8 @@ from scipy.special import polygamma, psi
 
 from qlesim.bath import BathSpec, SystemSpec
 from qlesim.errors import DomainError, UVDivergenceError
-from qlesim.quadrature import QuadratureConfig
+from qlesim.quadrature import QuadratureConfig, integrate_panels
+from qlesim.response import Susceptibility
 from qlesim import fdt
 
 COTH_HALF = 1.0 / math.tanh(0.5)  # 2.163953413738653
@@ -89,26 +90,24 @@ class TestDensities:
 class TestDimensionalDensities:
     def test_rescaling_consistency(self):
         # w0 * P_k(w0 * lam) equals the dimensionless density; the two
-        # routes go through different formulas
+        # routes go through different formulas: P_p(w) = (2 m w0^2 / pi) L(w)
+        # and P_k(w) = (2 m / pi) w^2 L(w) from the loss L = Im alpha / w
         sys_ = SystemSpec(mass=1.0, omega0=2.0)
-        bath = BathSpec.strict_ohmic(0.6)  # damping ratio 0.3
+        loss = Susceptibility(sys_, BathSpec.strict_ohmic(0.6)).loss_scalar  # damping ratio 0.3
         lam = np.linspace(0.0, 6.0, 100)
-        dimensional = 2.0 * fdt.pk_dimensional(2.0 * lam, sys_, bath)
+        dimensional = [2.0 * (2.0 / math.pi) * (2.0 * x) ** 2 * loss(2.0 * x) for x in lam]
         dimensionless = fdt.pk_density(lam, 0.3)
         np.testing.assert_allclose(dimensional, dimensionless, atol=1e-14, rtol=1e-12)
-        dimensional = 2.0 * fdt.pp_dimensional(2.0 * lam, sys_, bath)
+        dimensional = [2.0 * (2.0 / math.pi) * 4.0 * loss(2.0 * x) for x in lam]
         dimensionless = fdt.pp_density(lam, 0.3)
         np.testing.assert_allclose(dimensional, dimensionless, atol=1e-14, rtol=1e-12)
 
     def test_dimensional_normalization(self):
-        sys_ = SystemSpec(omega0=1.5)
-        bath = BathSpec.strict_ohmic(0.45)
-        cfg = QuadratureConfig()
-        from qlesim.quadrature import integrate_panels
-
+        # P_k(w) = (2 m / pi) w^2 L(w) integrates to 1 over [0, inf)
+        loss = Susceptibility(SystemSpec(omega0=1.5), BathSpec.strict_ohmic(0.45)).loss_scalar
         val, _ = integrate_panels(
-            lambda w: fdt.pk_dimensional(w, sys_, bath), [0.0, 1.5, 10.5, 19.5], cfg,
-            tail_to_inf=True, label="P_k normalization",
+            lambda w: (2.0 / math.pi) * w * w * loss(w), [0.0, 1.5, 10.5, 19.5],
+            QuadratureConfig(), tail_to_inf=True, label="P_k normalization",
         )
         assert val == pytest.approx(1.0, abs=1e-6)
 

@@ -105,10 +105,11 @@ class TestStationaryMoments:
             )
 
     def test_params_invariant_enforced(self):
-        sys_ = SystemSpec()
-        params = mk.MarkovParams.from_system(sys_, 0.1)
-        assert params.underdamped
-        assert not mk.MarkovParams.from_system(sys_, 5.0).underdamped
+        assert mk.MarkovParams.from_system(SystemSpec(), 5.0).gamma == 5.0
+        with pytest.raises(DomainError):
+            mk.MarkovParams.from_system(SystemSpec(), 0.0)
+        with pytest.raises(DomainError):
+            mk.MarkovParams.from_system(SystemSpec(omega0=0.0), 0.1)
 
 
 class TestGreensKernel:

@@ -155,13 +155,6 @@ class TestNoise:
             target = mb.noise_autocorrelation_quadrature(sys_, bath, tau)
             assert abs(exact - target) / s0 < 0.05
 
-    def test_commutator_analytic_form(self):
-        sys_ = SystemSpec()
-        modes = ModeSet(omega=[2.0], mass=[1.0], coupling=[0.5])
-        got = mb.noise_commutator_analytic(modes, sys_, 1.3)
-        expected = -2.0 * (0.25 / (2.0 * 2.0)) * math.sin(2.6)
-        assert got == pytest.approx(expected, rel=1e-13)
-
     def test_quadrature_requires_cutoff_bath(self):
         sys_ = SystemSpec()
         with pytest.raises(UnsupportedBathError):

@@ -2,12 +2,11 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from qlesim import fdt, microbath
 from qlesim.bath import BathSpec, SystemSpec
-from qlesim.errors import DomainError, QuadratureError
+from qlesim.errors import DomainError
 from qlesim.quadrature import (
     QuadratureConfig,
     coth,
@@ -88,7 +87,6 @@ class TestConfig:
             {"abs_tol": -1.0},
             {"abs_tol": 0.0},
             {"omega_max": -2.0},
-            {"max_panels": 1},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -119,8 +117,3 @@ class TestIntegratePanels:
         cfg = QuadratureConfig()
         with pytest.raises(DomainError):
             integrate_panels(lambda x: x, [0.0, 1.0, 0.5], cfg)
-
-    def test_panel_budget_enforced(self):
-        cfg = QuadratureConfig(max_panels=4)
-        with pytest.raises(QuadratureError):
-            integrate_panels(lambda x: x, list(np.linspace(0, 1, 10)), cfg)

@@ -1,4 +1,4 @@
-"""Rotating-wave sector: couplings, Lyapunov moments, Langevin pair."""
+"""Rotating-wave sector: Lyapunov moments, Langevin pair."""
 
 import math
 
@@ -10,37 +10,6 @@ from qlesim import rwa
 from qlesim.sde import exact_discretization
 
 COTH_HALF = 1.0 / math.tanh(0.5)
-
-
-class TestCoupling:
-    def test_unit_parameters(self):
-        assert rwa.rwa_coupling(1.0, 1.0, 1.0, 1.0, 1.0) == pytest.approx(0.5, rel=1e-15)
-
-    def test_linear_in_coupling(self):
-        base = rwa.rwa_coupling(1.0, 1.0, 1.0, 1.0, 2.0)
-        assert rwa.rwa_coupling(3.0, 1.0, 1.0, 1.0, 2.0) == pytest.approx(
-            3.0 * base, rel=1e-15
-        )
-
-    def test_doubles_when_mode_frequency_quartered(self):
-        base = rwa.rwa_coupling(1.0, 1.0, 1.0, 1.0, 4.0)
-        assert rwa.rwa_coupling(1.0, 1.0, 1.0, 1.0, 1.0) == pytest.approx(
-            2.0 * base, rel=1e-15
-        )
-
-
-class TestHamiltonianSplit:
-    def test_position_half(self):
-        pos, _ = rwa.rwa_hamiltonian_split(0.8, 2.0, 3.0, 1.5, 2.5)
-        assert pos == pytest.approx(0.4, rel=1e-15)
-
-    def test_momentum_half_at_unit_parameters(self):
-        _, mom = rwa.rwa_hamiltonian_split(1.0, 1.0, 1.0, 1.0, 1.0)
-        assert mom == pytest.approx(0.5, rel=1e-15)
-
-    def test_ratio_identity(self):
-        pos, mom = rwa.rwa_hamiltonian_split(0.8, 2.0, 3.0, 1.5, 2.5)
-        assert mom / pos == pytest.approx(1.0 / (2.0 * 3.0 * 1.5 * 2.5), rel=1e-14)
 
 
 class TestStationaryAnalytic:

@@ -71,11 +71,3 @@ class TestFreeParticle:
         a = thermo.free_particle_kinetic(SystemSpec(omega0=0.0, hbar=1.0))
         b = thermo.free_particle_kinetic(SystemSpec(omega0=0.0, hbar=137.0))
         assert a == b
-
-    def test_report_regimes(self):
-        osc = thermo.report(SystemSpec())
-        assert osc.regime == "oscillator"
-        assert osc.energy == pytest.approx(0.5 / math.tanh(0.5), rel=1e-14)
-        free = thermo.report(SystemSpec(omega0=0.0))
-        assert free.regime == "free_particle"
-        assert free.energy == 0.5
