@@ -42,6 +42,16 @@ def kernel_transform(bath, w):
     return parts[0], parts[1]
 
 
+def vectorized_loss(bath, m, w0, omega):
+    """The loss on an array of 0 <= omega < cutoff, in numpy, from the elementary transform."""
+    re = m * bath.gamma
+    im = 0.0
+    if bath.kind is BathKind.CUTOFF_OHMIC:
+        im = re / np.pi * np.log((bath.cutoff + omega) / (bath.cutoff - omega))
+    d, e = m * (w0 * w0 - omega * omega) + omega * im, omega * re
+    return re / (d * d + e * e)
+
+
 def loss_from_transform(m, w0, re, im, w):
     """Im alpha / w = Re mu / |m (w0^2 - w^2) + w Im mu - i w Re mu|^2."""
     d, e = m * (w0 * w0 - w * w) + w * im, w * re
@@ -70,7 +80,7 @@ class TestScalarLoss:
             assert susc.loss_scalar(w) == pytest.approx(want, rel=1e-6)
 
     @pytest.mark.parametrize("bath", BATHS, ids=("strict", "cutoff"))
-    def test_matches_elementary_closed_form(self, bath):
+    def test_matches_vectorized_loss(self, bath):
         # uniform on (0, 3), plus omega down to 1e-12 (where a thermal weight
         # takes its series branch) and up to 1e-12 below the cutoff
         susc = Susceptibility(SystemSpec(mass=1.3, omega0=1.1), bath)
@@ -78,11 +88,10 @@ class TestScalarLoss:
         omega = np.concatenate((np.random.default_rng(5).uniform(0.0, 3.0, 9000),
                                 near, 3.0 - near))
         got = np.array([susc.loss_scalar(float(w)) for w in omega])
-        want = np.array([loss_from_transform(1.3, 1.1, *exact_transform(bath, 1.3, w), w)
-                         for w in omega])
-        # near the cutoff Re(1/alpha) = m (w0^2 - w^2) + w Im mu cancels to a
-        # third of its terms and is squared, which makes a few ulp of the loss
-        np.testing.assert_array_max_ulp(got, want, maxulp=8)
+        # math.log and numpy's vectorized log may differ by 1 ulp; near the
+        # cutoff Re(1/alpha) = m (w0^2 - w^2) + w Im mu cancels to a third of
+        # its terms and is squared, which makes that up to 6 ulp of the loss
+        np.testing.assert_array_max_ulp(got, vectorized_loss(bath, 1.3, 1.1, omega), maxulp=8)
 
     def test_zero_at_and_above_the_cutoff(self):
         susc = Susceptibility(SystemSpec(), BathSpec.cutoff_ohmic(gamma=0.5, cutoff=3.0))
@@ -97,7 +106,55 @@ class TestScalarLoss:
         assert susc.loss_scalar(1.0) == pytest.approx(0.5 / 1.25, rel=1e-15)
 
 
+class TestMuFourier:
+    """The friction transform mu(omega) as the loss takes it."""
+
+    def test_strict_is_m_gamma_exactly(self):
+        # Re mu = m gamma and Im mu = 0 at every omega, bit for bit
+        susc = Susceptibility(SystemSpec(mass=2.0, omega0=1.1), BathSpec.strict_ohmic(0.7))
+        for omega in (0.0, 1.0, -3.0, 100.0):
+            assert susc.loss_scalar(omega) == loss_from_transform(2.0, 1.1, 1.4, 0.0, omega)
+
+    def test_hermitian_symmetry(self):
+        # the kernel is real, so mu(-w) = conj mu(w); the loss at -w built
+        # from the kernel's own transform at -w is loss_scalar(-w)
+        bath = BATHS[1]
+        susc = Susceptibility(SystemSpec(mass=1.3, omega0=1.1), bath)
+        for omega in (1.7, 2.2):
+            re_plus, im_plus = kernel_transform(bath, omega)
+            re_minus, im_minus = kernel_transform(bath, -omega)
+            assert complex(re_minus, im_minus) == pytest.approx(complex(re_plus, -im_plus),
+                                                                rel=1e-12)
+            want = loss_from_transform(1.3, 1.1, re_minus, im_minus, -omega)
+            assert susc.loss_scalar(-omega) == pytest.approx(want, rel=1e-6)
+
+    def test_untruncated_transform_is_elementary(self):
+        # Re mu = m gamma below the cutoff, half of it at the cutoff, 0 above;
+        # Im mu = (m gamma / pi) ln|(cutoff + omega) / (cutoff - omega)|
+        bath = BathSpec.cutoff_ohmic(gamma=0.2, cutoff=10.0, system_mass=1.5)
+        susc = Susceptibility(SystemSpec(mass=1.5, omega0=1.1), bath)
+        m_gamma = 1.5 * 0.2
+        for omega in (0.0, 1.0, -3.0, 5.0, 9.9, 10.1, -15.0, 100.0):
+            re = m_gamma if abs(omega) < 10.0 else 0.0
+            im = m_gamma / math.pi * math.log(abs((10.0 + omega) / (10.0 - omega)))
+            want = loss_from_transform(1.5, 1.1, re, im, omega)
+            assert susc.loss_scalar(omega) == pytest.approx(want, rel=1e-13, abs=0.0)
+        # at the cutoff Im mu is infinite, and so is |1/alpha|
+        assert susc.loss_scalar(10.0) == loss_from_transform(1.5, 1.1, 0.5 * m_gamma,
+                                                             math.inf, 10.0) == 0.0
+
+
 class TestSusceptibility:
+    def test_static_response(self):
+        # at omega = 0 the loss is Re mu(0) alpha(0)^2 with Re mu(0) = m gamma = 1
+        # and alpha(0) = 1/(m w0^2)
+        sys_ = SystemSpec(mass=2.0, omega0=3.0)
+        for bath in (BathSpec.strict_ohmic(0.5),
+                     BathSpec.cutoff_ohmic(gamma=0.5, cutoff=4.0, system_mass=2.0)):
+            susc = Susceptibility(sys_, bath)
+            assert susc.loss_scalar(0.0) == pytest.approx(1.0 * (1.0 / (2.0 * 9.0)) ** 2,
+                                                          rel=1e-14)
+
     def test_im_alpha_closed_form(self):
         # w * L(w) = Im alpha = (w gamma / m) / ((w0^2 - w^2)^2 + (w gamma)^2):
         # the strict-Ohmic transform is m gamma exactly
@@ -137,6 +194,15 @@ class TestSusceptibility:
                                   label="kramers-kronig")
         static = (2.0 / math.pi) * val
         assert static == pytest.approx(1.0 / (1.3 * 1.7**2), rel=1e-6)
+
+    def test_cutoff_loss_vanishes_at_and_above_cutoff(self):
+        # above the near-cutoff peak the log divergence of Im mu drives the
+        # loss down to 0 at the cutoff, and Re mu = 0 keeps it 0 above
+        susc = Susceptibility(SystemSpec(), BathSpec.cutoff_ohmic(gamma=0.5, cutoff=3.0))
+        below = [susc.loss_scalar(3.0 * (1.0 - 10.0 ** -k)) for k in range(8, 15)]
+        assert all(a > b > 0.0 for a, b in zip(below, below[1:]))
+        for omega in (3.0, 3.5, 10.0, 1e3, -3.0, -3.5):
+            assert susc.loss_scalar(omega) == 0.0
 
     def test_loss_regular_at_origin(self):
         susc = Susceptibility(SystemSpec(), BathSpec.strict_ohmic(0.3))
