@@ -1,0 +1,75 @@
+"""Golden outputs: the stdout of every command and the three trajectory dumps,
+byte for byte, at fixed seeds and small sizes.
+
+CLI output at a fixed seed is deterministic, so a change to these bytes must be
+deliberate and explained in CHANGES.md.  After such a change, re-record with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from qlesim import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# case -> command line; the sde, rwa and microbath cases also dump two trajectories
+CASES = {
+    "dist": ["dist", "--grid", "0:3:7", "--gammas", "1,0.125"],
+    "corr": ["corr", "--grid", "0:2:3"],
+    "energy": ["energy", "--gammas", "1,0.5", "--format", "json"],
+    "sde": ["sde", "--gamma", "0.2", "--traj", "70", "--steps", "20", "--seed", "3"],
+    "rwa": ["rwa", "--gamma", "0.05", "--traj", "70", "--steps", "20", "--seed", "3",
+            "--dt", "0.7"],
+    "microbath": ["microbath", "--gamma", "0.5", "--modes", "40", "--realizations", "70",
+                  "--steps", "30", "--dt", "0.02", "--seed", "2"],
+    "scan": ["scan", "--gammas", "0.5"],
+}
+_DUMPED = ("sde", "rwa", "microbath")
+
+
+def outputs(case, tmp):
+    """{golden file name: bytes} of one case run in the directory ``tmp``.
+
+    The scan tables are large, so the golden file holds their SHA-256 digests
+    (their rows are those of dist, energy and corr at other arguments).
+    """
+    args = list(CASES[case])
+    dump, scan_dir = tmp / f"{case}_traj.csv", tmp / "scan"
+    if case in _DUMPED:
+        args += ["--dump-traj", str(dump), "--dump-count", "2"]
+    if case == "scan":
+        args += ["--out", str(scan_dir)]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(args) == 0
+    out = {f"{case}.out": stdout.getvalue().replace(str(tmp), "TMP").encode()}
+    if case in _DUMPED:
+        out[f"{case}_traj.csv"] = dump.read_bytes()
+    if case == "scan":
+        out["scan.sha256"] = "".join(
+            f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n"
+            for p in sorted(scan_dir.iterdir())).encode()
+    return out
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_output_matches_golden(case, tmp_path):
+    for name, data in outputs(case, tmp_path).items():
+        assert data.decode() == (GOLDEN / name).read_text(), name
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in CASES:
+            for name, data in outputs(case, Path(tmp)).items():
+                (GOLDEN / name).write_bytes(data)
+                print(f"{GOLDEN / name}: {len(data)} bytes", file=sys.stderr)
