@@ -171,7 +171,12 @@ class BathSpec:
         """
         if not gamma > 0 or not cutoff > 0 or not system_mass > 0 or not mode_mass > 0:
             raise DomainError("all cutoff-Ohmic parameters must be positive")
-        ctilde = math.sqrt(2.0 * system_mass * mode_mass * cutoff**3 * gamma / (3.0 * math.pi))
+        try:
+            ctilde = math.sqrt(2.0 * system_mass * mode_mass * cutoff**3 * gamma / (3.0 * math.pi))
+        except OverflowError:
+            ctilde = math.inf
+        if ctilde == math.inf:
+            raise DomainError("the cutoff-Ohmic coupling is not finite")
         return cls(
             kind=BathKind.CUTOFF_OHMIC,
             gamma=gamma,

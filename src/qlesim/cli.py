@@ -87,6 +87,16 @@ class RunConfig:
                 and _square_is_normal(self.hbar / (m * w0))):
             raise _CliError("the square of mass, mass*omega0^2 or hbar/(mass*omega0) "
                             "is not a finite normal float")
+        # likewise E/(m w0^2), E/m, m E and the finite bath's m gamma cutoff E
+        x = self.hbar * w0 / (2.0 * self.kb * self.temp)
+        energy = 0.5 * self.hbar * w0 / math.tanh(x) if x else math.inf
+        scales = [energy / (m * w0 * w0), energy / m, m * energy]
+        if self.command == "microbath":
+            scales.append(m * self.gamma * self.cutoff * energy)
+        if not all(map(_square_is_normal, scales)):
+            raise _CliError("the square of E/(mass*omega0^2), E/mass, mass*E or (microbath) "
+                            "mass*gamma*cutoff*E is not a finite normal float, "
+                            "E = (hbar*omega0/2) coth(hbar*omega0/(2*kb*temp))")
         for key in ("modes", "realizations", "traj"):
             if getattr(self, key) < 1:
                 raise _CliError(f"{key} must be >= 1")

@@ -85,7 +85,7 @@ class EnsembleResult:
     """Moment estimates from a trajectory ensemble plus RNG provenance.
 
     ``moments`` maps observable names to estimates; ``meta`` records the
-    run parameters that determine the estimates (step size, count, method)
+    run parameters that determine the estimates (step size, count)
     so a result is reproducible from its own metadata.
     """
 

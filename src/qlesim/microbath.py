@@ -241,31 +241,36 @@ def _arrowhead_eigen(alpha, b, d):
     coupled = coupled[~free[coupled]]
     first = np.flatnonzero(np.diff(d[coupled], prepend=-np.inf) > tol)
     size = np.diff(first, append=coupled.size)
-    vals, vecs = np.empty(n + 1), np.zeros((n + 1, n + 1))
+    runs = [coupled[f:f + k] for f, k in zip(first, size) if k > 1]
+    shift, tau = (_secular_roots(alpha, np.add.reduceat(b[coupled] ** 2, first), d[coupled[first]])
+                  if coupled.size else (np.empty(0), np.empty(0)))
+    vals = np.concatenate((d[free], *(np.full(run.size - 1, d[run[0]]) for run in runs),
+                           shift + tau if coupled.size else [alpha]))
+    # eigenpair i is written straight into row[i], its place in ascending order
+    rank = np.argsort(vals, kind="stable")
+    row = np.empty_like(rank)
+    row[rank] = np.arange(n + 1)
+    vecs = np.zeros((n + 1, n + 1))
     col = np.count_nonzero(free)
-    vals[:col] = d[free]
-    vecs[np.arange(col), 1 + np.flatnonzero(free)] = 1.0
-    for g in np.flatnonzero(size > 1):
-        run = coupled[first[g]:first[g] + size[g]]
-        vals[col:col + run.size - 1] = d[run[0]]
-        vecs[col:col + run.size - 1, 1 + run] = np.linalg.qr(b[run, None], "complete")[0][:, 1:].T
+    vecs[row[:col], 1 + np.flatnonzero(free)] = 1.0
+    for run in runs:
+        vecs[np.ix_(row[col:col + run.size - 1], 1 + run)] = (
+            np.linalg.qr(b[run, None], "complete")[0][:, 1:].T)
         col += run.size - 1
-    if coupled.size:
-        shift, tau = _secular_roots(alpha, np.add.reduceat(b[coupled] ** 2, first),
-                                    d[coupled[first]])
-        ratio = d - shift[:, None]
-        ratio -= tau[:, None]
+    if not coupled.size:
+        vecs[row[col], 0] = 1.0
+    for j in range(0, shift.size, _ROOT_BLOCK):  # (block, N) temporaries
+        roots = slice(j, j + _ROOT_BLOCK)
+        ratio = d - shift[roots, None]
+        ratio -= tau[roots, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(b, ratio, out=ratio)
         # a decoupled mode has no part in a coupled eigenvector, even on its root
         ratio[:, free] = 0.0
         u0 = 1.0 / np.sqrt(1.0 + (ratio * ratio).sum(1))
-        vals[col:], vecs[col:, 0] = shift + tau, u0
-        np.multiply(ratio, -u0[:, None], out=vecs[col:, 1:])
-    else:
-        vals[col], vecs[col, 0] = alpha, 1.0
-    rank = np.argsort(vals, kind="stable")
-    return vals[rank], vecs[rank]
+        vecs[row[col:][roots], 0] = u0
+        vecs[row[col:][roots], 1:] = ratio * -u0[:, None]
+    return vals[rank], vecs
 
 
 class _NormalModes:
@@ -288,15 +293,16 @@ class _NormalModes:
 
     def __init__(self, modes: ModeSet, system: SystemSpec):
         root = np.sqrt(np.concatenate(([system.mass], modes.mass)))
-        eigval, vecs = _arrowhead_eigen(
+        eigval, proj = _arrowhead_eigen(
             system.omega0**2 + modes.kernel_weights().sum() / system.mass,
             -modes.coupling / (root[0] * root[1:]), modes.omega**2)
         self.freq = np.sqrt(np.clip(eigval, 0.0, None))
-        self.amp = vecs[:, 0] / root[0]
-        proj = vecs * root
+        self.amp = proj[:, 0] / root[0]
+        proj *= root  # U^T to P in place; p_rows scales a view of it
         sd_s, sd_p = np.sqrt(thermal_variances(modes, system))
         self.start = proj @ np.concatenate(([1.0], modes.coupling / (modes.mass * modes.omega**2)))
-        self.s_rows, self.p_rows = proj[:, 1:] * sd_s, proj[:, 1:] * (sd_p / modes.mass)
+        self.s_rows, self.p_rows = proj[:, 1:] * sd_s, proj[:, 1:]
+        self.p_rows *= sd_p / modes.mass
 
     def basis(self, times):
         """(cos - 1, sin / W, -W sin) of W t, each (len(times), N+1) times a."""

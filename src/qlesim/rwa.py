@@ -117,10 +117,11 @@ def ehrenfest_residual_exact(params: RwaParams, dt: float) -> float:
 
 
 def simulate_rwa(params: RwaParams, dt: float, n_steps: int, n_traj: int,
-                 seed: int, method: str = "exact", chunk_size: int = 2048) -> EnsembleResult:
+                 seed: int, chunk_size: int = 2048) -> EnsembleResult:
     """Monte Carlo moments of the RWA Langevin pair.
 
-    Same stepping, start and streams as :func:`qlesim.markovian.simulate_sde`.
+    Same exact Gaussian step, start and streams as
+    :func:`qlesim.markovian.simulate_sde`, so any step size is unbiased.
     Reported moments: ``x2``, ``p2``, the symmetrized cross moment ``xp``,
     and ``ehrenfest``, the mean square of the discrete residual
     (x_{k+1} - x_k)/dt - p_k/m.  The
@@ -143,18 +144,17 @@ def simulate_rwa(params: RwaParams, dt: float, n_steps: int, n_traj: int,
         "ehrenfest": lambda prev, s: ((s[:, 0] - prev[:, 0]) / dt - prev[:, 1] / m) ** 2,
     }
     return run_ensemble(drift_matrix(params), _diffusion_matrix(params), dt, n_steps, n_traj,
-                        seed, observables, chunk_size, method,
+                        seed, observables, chunk_size,
                         {"gamma": params.gamma, "noise_bandwidth": 1.0 / dt})
 
 
-def sample_trajectories(params: RwaParams, dt: float, n_steps: int, n_traj: int,
-                        seed: int, method: str = "exact"):
+def sample_trajectories(params: RwaParams, dt: float, n_steps: int, n_traj: int, seed: int):
     """(times, x, p, f_x, f_p) of the first ``n_traj`` trajectories of :func:`simulate_rwa`.
 
     Arrays are (n_steps + 1, n_traj); f_x, f_p are each channel's noise
     kick per step over dt, zero in the final slot.
     """
     states, kicks = sample_paths(drift_matrix(params), _diffusion_matrix(params),
-                                 dt, n_steps, n_traj, seed, method)
+                                 dt, n_steps, n_traj, seed)
     return (dt * np.arange(n_steps + 1), states[:, :, 0], states[:, :, 1],
             kicks[:, :, 0] / dt, kicks[:, :, 1] / dt)

@@ -6,10 +6,11 @@ Both dynamics are stable 2x2 linear systems
 
 whose transition over a step h is Gaussian with mean e^{A h} S and
 covariance Sigma - e^{A h} Sigma e^{A h}^T, where Sigma solves the
-Lyapunov equation A Sigma + Sigma A^T + Q = 0.  Both propagator and
-Sigma have 2x2 closed forms, so the per-step update is exact for any step
-size and never overflows; the plain Euler-Maruyama scheme is kept as a
-cross-check mode.
+Lyapunov equation A Sigma + Sigma A^T + Q = 0.  Both have 2x2 closed forms:
+:func:`propagator_coefficients` is the one evaluation of e^{A t} in the
+package, and :func:`stationary_covariance` gives Sigma.  There is one
+scheme, the exact Gaussian step, unbiased at any step size and free of
+overflow.
 
 Engine contract, shared with the finite bath of :mod:`.microbath`: members
 come in blocks of 64 and chunks of whole blocks; block b fills row-major
@@ -35,8 +36,8 @@ import numpy as np
 from .ensemble import EnsembleResult, MomentAccumulator
 from .errors import DomainError, UnstableIntegrationError
 
-__all__ = ["stationary_covariance", "exact_discretization", "noise_factor",
-           "stepper", "run_ensemble", "sample_paths"]
+__all__ = ["stationary_covariance", "propagator_coefficients", "exact_discretization",
+           "noise_factor", "run_ensemble", "sample_paths"]
 
 # trajectories per stream; steps per stream draw; steps per observable slab
 _BLOCK, _BLOCK_STEPS, _SLAB_STEPS = 64, 1024, 64
@@ -66,38 +67,47 @@ def stationary_covariance(drift, diffusion):
     return (det * q + b @ q @ b.T) / (-2.0 * tr * det)
 
 
+def propagator_coefficients(tr, det, t):
+    """(c0, c1) with e^{A t} = c0 I + c1 (A - s I), s = tr A/2, for a 2x2
+    drift A with trace ``tr`` < 0 < ``det`` (its determinant) and t >= 0.
+
+    With r = sqrt(s^2 - det A), the slow root det A/(s - r) (free of
+    cancellation), u = r t and g = e^{slow t} / (1 + tanh u),
+
+        c0 = Re g,   c1 = Re[g t tanh(u)/u],
+
+    which is e^{s t} [cosh u, sinh(u)/r] with |1 + tanh u| >= 1: exact at
+    critical damping (u = 0) and free of overflow.
+    """
+    s = 0.5 * tr
+    r = cmath.sqrt(s * s - det)
+    u = r * t
+    th = cmath.tanh(u)
+    grow = cmath.exp(det / (s - r) * t) / (1.0 + th)
+    return grow.real, (grow * t * (th / u if u else 1.0)).real
+
+
 def exact_discretization(drift, diffusion, dt):
     """(E, Q_dt) of the stable 2x2 linear SDE with drift A and noise
-    covariance rate Q: the propagator E = e^{A dt} and the exact per-step
-    noise covariance Q_dt = Sigma - E Sigma E^T (see :func:`stationary_covariance`).
-
-    With s = tr A/2, r = sqrt(s^2 - det A), the slow root det A/(s - r)
-    (free of cancellation) and u = r dt,
-
-        E = e^{slow dt} / (1 + tanh u) * (I + dt tanh(u)/u (A - s I)),
-
-    which is e^{s dt} [cosh u I + sinh(u)/r (A - s I)] with |1 + tanh u| >= 1:
-    exact at critical damping (u = 0) and free of overflow.  Q_dt carries an
-    absolute error of order eps * |Sigma|, so at steps far below the
-    relaxation time its relative error grows as |Sigma| / |Q dt|.
+    covariance rate Q: the propagator E = e^{A dt} of
+    :func:`propagator_coefficients` and the exact per-step noise covariance
+    Q_dt = Sigma - E Sigma E^T (see :func:`stationary_covariance`).  Q_dt
+    carries an absolute error of order eps * |Sigma|, so at steps far below
+    the relaxation time its relative error grows as |Sigma| / |Q dt|.
     """
     if not dt > 0:
         raise DomainError("dt must be positive")
     a, _, tr, det = _stable_2x2(drift, diffusion)
-    cov, s = stationary_covariance(a, diffusion), 0.5 * tr
-    r = cmath.sqrt(s * s - det)
-    u = r * dt
-    t = cmath.tanh(u)
-    grow = cmath.exp(det / (s - r) * dt) / (1.0 + t)
-    c0, c1 = grow.real, (grow * dt * (t / u if u else 1.0)).real
-    prop = c0 * np.eye(2) + c1 * (a - s * np.eye(2))
+    cov = stationary_covariance(a, diffusion)
+    c0, c1 = propagator_coefficients(tr, det, dt)
+    prop = c0 * np.eye(2) + c1 * (a - 0.5 * tr * np.eye(2))
     q_dt = cov - prop @ cov @ prop.T
     return prop, 0.5 * (q_dt + q_dt.T)
 
 
 def noise_factor(cov):
     """Lower Cholesky factor L, L @ L.T = cov, of a 2x2 covariance; continuous
-    in cov, with a zero first column where cov[0, 0] <= 0 (Euler's diag(0, q dt))."""
+    in cov, with a zero first column where cov[0, 0] <= 0."""
     (a, b), (_, c) = np.asarray(cov, dtype=float)
     if not a > 0:
         return np.array([[0.0, 0.0], [0.0, math.sqrt(max(c, 0.0))]])
@@ -105,25 +115,13 @@ def noise_factor(cov):
     return np.array([[l00, 0.0], [b / l00, math.sqrt(max(c - (b / l00) ** 2, 0.0))]])
 
 
-def stepper(drift, diffusion, dt, n_steps, n_traj, method="exact"):
-    """Checked propagator E, noise factor L of one step and start factor
-    noise_factor(Sigma): the closed-form :func:`exact_discretization` for
-    'exact', or E = I + A dt and covariance Q dt for 'euler' (started from
-    the same Sigma), which requires dt * omega0 <= 0.01 with
-    omega0 = sqrt|det A| (omega0 of the Markov drift).
-    """
-    if method not in ("exact", "euler"):
-        raise DomainError("method must be 'exact' or 'euler'")
+def _stepper(drift, diffusion, dt, n_steps, n_traj):
+    """Checked propagator E, noise factor L of one exact step and start
+    factor noise_factor(Sigma) of the stable 2x2 linear SDE."""
     if not 0 < dt < math.inf or n_steps < 1 or n_traj < 1:
         raise DomainError("dt, n_steps and n_traj must be positive (dt finite)")
-    start = noise_factor(stationary_covariance(drift, diffusion))
-    if method == "exact":
-        prop, q_dt = exact_discretization(drift, diffusion, dt)
-        return prop, noise_factor(q_dt), start
-    a, q, _, det = _stable_2x2(drift, diffusion)
-    if dt * math.sqrt(det) > 0.01:
-        raise DomainError("euler mode requires dt * omega0 <= 0.01, omega0 = sqrt|det A|")
-    return np.eye(2) + a * dt, noise_factor(q * dt), start
+    prop, q_dt = exact_discretization(drift, diffusion, dt)
+    return prop, noise_factor(q_dt), noise_factor(stationary_covariance(drift, diffusion))
 
 
 def _chunks(seed, n, chunk_size):
@@ -204,37 +202,33 @@ def _chunk_sums(prop, factor, start, n_steps, observables, streams):
     return sums, states[-1].copy()
 
 
-def run_ensemble(drift, diffusion, dt, n_steps, n_traj, seed, observables, chunk_size,
-                 method="exact", meta=None):
-    """Ensemble of the linear SDE stepped by :func:`stepper`: moments
+def run_ensemble(drift, diffusion, dt, n_steps, n_traj, seed, observables, chunk_size, meta=None):
+    """Ensemble of the linear SDE under its exact step: moments
     ``observables[name](prev, state)`` on (rows, dim) slabs, each trajectory
     started from N(0, Sigma) and time-averaged over its ``n_steps`` steps.
-    Raises :class:`UnstableIntegrationError` when a chunk ends non-finite or
-    with |x| > 1e6 sqrt(Sigma[0, 0]), padding trajectories aside.  The
-    ``meta`` mapping extends the result's dt, n_steps and method.
+    Raises :class:`UnstableIntegrationError` when a chunk ends non-finite
+    (overflowing noise), padding trajectories aside.  The ``meta`` mapping
+    extends the result's dt and n_steps.
     """
-    prop, factor, start = stepper(drift, diffusion, dt, n_steps, n_traj, method)
-    bound = 1e6 * start[0, 0]
+    prop, factor, start = _stepper(drift, diffusion, dt, n_steps, n_traj)
     accs = {name: MomentAccumulator() for name in observables}
     for streams, count in _chunks(seed, n_traj, chunk_size):
         sums, state = _chunk_sums(prop, factor, start, n_steps, observables, streams)
-        state = state[:count]
-        if not np.all(np.isfinite(state)) or np.max(np.abs(state[:, 0])) > bound:
-            raise UnstableIntegrationError(
-                "SDE trajectories diverged; reduce dt or use method='exact'")
+        if not np.all(np.isfinite(state[:count])):
+            raise UnstableIntegrationError("SDE trajectories diverged to non-finite values")
         for name, acc in accs.items():
-            acc.update_batch(sums[name][:len(state)] / n_steps)
+            acc.update_batch(sums[name][:count] / n_steps)
     return EnsembleResult({name: acc.estimate() for name, acc in accs.items()}, n_traj, seed,
-                          meta={"dt": dt, "n_steps": n_steps, "method": method, **(meta or {})})
+                          meta={"dt": dt, "n_steps": n_steps, **(meta or {})})
 
 
-def sample_paths(drift, diffusion, dt, n_steps, n_traj, seed, method="exact"):
+def sample_paths(drift, diffusion, dt, n_steps, n_traj, seed):
     """(states, kicks) of the first ``n_traj`` trajectories of
     :func:`run_ensemble`, each of shape (n_steps + 1, n_traj, dim); kicks[k]
     drives states[k] -> states[k + 1] and the last kick is zero.  Whole
     blocks are drawn, start first, then sliced.
     """
-    prop, factor, start = stepper(drift, diffusion, dt, n_steps, n_traj, method)
+    prop, factor, start = _stepper(drift, diffusion, dt, n_steps, n_traj)
     (streams, _), = _chunks(seed, n_traj, n_traj)
     states, kicks = np.zeros((2, n_steps + 1, _BLOCK * len(streams), len(prop)))
     _draw(streams, start, states[:1])

@@ -158,6 +158,13 @@ class TestSpecValidation:
             0.7, rel=1e-15
         )
 
+    @pytest.mark.parametrize("cutoff, mass", ((1e200, 1.0), (1e103, 1.0), (1.0, 1e300)))
+    def test_cutoff_ohmic_rejects_infinite_coupling(self, cutoff, mass):
+        # cutoff^3 raised OverflowError, and a finite product past the floats
+        # made an infinite coupling
+        with pytest.raises(DomainError, match="coupling is not finite"):
+            BathSpec.cutoff_ohmic(gamma=0.1, cutoff=cutoff, system_mass=mass, mode_mass=mass)
+
     def test_bathspec_rejects_nonpositive_gamma(self):
         with pytest.raises(DomainError):
             BathSpec.strict_ohmic(0.0)

@@ -397,6 +397,37 @@ class TestExitCodes:
         assert np.all(np.isfinite(cells))
         assert np.all(cells[:2, 1] > 0.0)  # the sampled rows' standard errors
 
+    @pytest.mark.parametrize("args", (
+        ["sde", "--temp", "1e300", "--traj", "64", "--steps", "10"],
+        ["rwa", "--temp", "1e300", "--traj", "64", "--steps", "10"],
+        ["microbath", "--temp", "1e300", "--modes", "20", "--realizations", "64"],
+        ["microbath", "--cutoff", "1e200", "--modes", "20", "--realizations", "64"],
+    ), ids=lambda args: f"{args[0]}-{args[1][2:]}")
+    def test_thermal_scale_whose_square_leaves_the_floats_is_one(self, args, capsys):
+        # past the check the sampled rows printed std_error inf with exit 0,
+        # and the cutoff ended in an OverflowError traceback
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the square of E/(mass*omega0^2)")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ("sde", "rwa", "microbath"))
+    def test_thermal_scale_inside_the_floats_runs(self, command, capsys):
+        size = (["--modes", "20", "--realizations", "64"] if command == "microbath"
+                else ["--traj", "64", "--steps", "10"])
+        code, out, err = run_cli([command, "--temp", "1e150", *size], capsys)
+        assert code == 0 and err == ""
+        lines = [line for line in out.splitlines() if not line.startswith("#")][1:]
+        cells = np.array([[float(c) for c in line.split(",")[2:]] for line in lines])
+        assert np.all(np.isfinite(cells))
+
+    def test_cutoff_coupling_past_the_floats_is_one(self, capsys):
+        # cutoff^3 overflows while the noise scale m gamma cutoff E is still normal
+        code, out, err = run_cli(["microbath", "--cutoff", "1e103", "--modes", "20",
+                                  "--realizations", "64"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: the cutoff-Ohmic coupling is not finite\n"
+
     def test_bad_grid_is_one(self, capsys):
         code, _, _ = run_cli(["dist", "--grid", "oops"], capsys)
         assert code == 1

@@ -1,4 +1,4 @@
-"""Markovian limit: noise intensity, roots, stationary moments, SDE."""
+"""Markovian limit: noise intensity, impulse response, stationary moments, SDE."""
 
 import math
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qlesim.bath import SystemSpec
 from qlesim.errors import DomainError
 from qlesim import markovian as mk
-from qlesim.sde import exact_discretization, noise_factor
+from qlesim.sde import exact_discretization, noise_factor, propagator_coefficients
 
 COTH_HALF = 1.0 / math.tanh(0.5)
 
@@ -40,31 +40,6 @@ class TestNoiseIntensity:
             mk.noise_intensity(SystemSpec(), 0.0)
         with pytest.raises(DomainError):
             mk.noise_intensity(SystemSpec(omega0=0.0), 0.1)
-
-
-class TestCharRoots:
-    def test_critical_damping_double_root(self):
-        roots = mk.char_roots(2.0, 1.0)
-        assert roots.omega_plus == pytest.approx(-1.0, rel=1e-12)
-        assert roots.omega_minus == pytest.approx(-1.0, rel=1e-12)
-
-    def test_weak_damping_expansion(self):
-        roots = mk.char_roots(1e-3, 1.0)
-        assert roots.omega_plus == pytest.approx(complex(-5e-4, 1.0), rel=1e-6)
-        assert roots.omega_minus == pytest.approx(complex(-5e-4, -1.0), rel=1e-6)
-
-    @given(
-        st.floats(min_value=1e-3, max_value=50.0),
-        st.floats(min_value=1e-3, max_value=50.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_vieta_identities(self, gamma, omega0):
-        roots = mk.char_roots(gamma, omega0)
-        total = roots.omega_plus + roots.omega_minus
-        product = roots.omega_plus * roots.omega_minus
-        assert total.real == pytest.approx(-gamma, rel=1e-12)
-        assert abs(total.imag) <= 1e-12 * gamma
-        assert product.real == pytest.approx(omega0**2, rel=1e-12)
 
 
 class TestStationaryMoments:
@@ -112,53 +87,35 @@ class TestStationaryMoments:
             mk.MarkovParams.from_system(SystemSpec(omega0=0.0), 0.1)
 
 
+def _kernel(gamma, w0, times):
+    """Impulse response K(t) = [e^{A t}]_{01} = c1(t) of x'' + gamma x' + w0^2 x,
+    the kernel :func:`mk.stationary_double_integral` integrates."""
+    return np.array([propagator_coefficients(-gamma, w0 * w0, t)[1] for t in times])
+
+
 class TestGreensKernel:
     def test_zero_at_origin(self):
-        roots = mk.char_roots(0.3, 1.0)
-        assert mk.greens_solution_kernel(roots, 0.0) == 0.0
+        assert propagator_coefficients(-0.3, 1.0, 0.0) == (1.0, 0.0)
 
     def test_underdamped_sine_form(self):
         gamma, w0 = 0.3, 1.2
-        roots = mk.char_roots(gamma, w0)
         wd = math.sqrt(w0**2 - gamma**2 / 4.0)
         t = np.linspace(0.0, 20.0, 200)
         expected = np.exp(-0.5 * gamma * t) * np.sin(wd * t) / wd
-        np.testing.assert_allclose(
-            mk.greens_solution_kernel(roots, t), expected, rtol=1e-12, atol=1e-15
-        )
+        np.testing.assert_allclose(_kernel(gamma, w0, t), expected, rtol=1e-12, atol=1e-15)
 
     def test_overdamped_real(self):
-        roots = mk.char_roots(5.0, 1.0)
+        # (e^{slow t} - e^{fast t}) / (slow - fast), slow and fast = -1/2 (5 -+ sqrt 21)
         t = np.linspace(0.0, 10.0, 50)
-        vals = mk.greens_solution_kernel(roots, t)
-        assert np.all(np.isfinite(vals))
-        assert np.all(vals[1:] >= 0.0)
+        slow, fast = -0.5 * (5.0 - math.sqrt(21.0)), -0.5 * (5.0 + math.sqrt(21.0))
+        vals = _kernel(5.0, 1.0, t)
+        assert np.all(vals[1:] > 0.0)
+        np.testing.assert_allclose(vals, (np.exp(slow * t) - np.exp(fast * t)) / (slow - fast),
+                                   rtol=1e-12, atol=1e-15)
 
     def test_critical_limit_form(self):
-        roots = mk.CharRoots(complex(-1.0, 0.0), complex(-1.0, 0.0))
         t = np.linspace(0.0, 5.0, 20)
-        np.testing.assert_allclose(
-            mk.greens_solution_kernel(roots, t), t * np.exp(-t), rtol=1e-12
-        )
-
-    def test_convolution_reproduces_euler_trajectory(self):
-        # the free response of the drawn start plus the recorded noise kicks
-        # convolved with the kernel rebuild the Euler trajectory to first
-        # order in dt
-        sys_ = SystemSpec()
-        params = mk.MarkovParams.from_system(sys_, 0.2)
-        dt, n = 0.01, 2000
-        times, xs, vs, force = mk.sample_trajectories(params, dt, n, 1, seed=9,
-                                                      method="euler")
-        roots = params.roots()
-        kick = force[:-1, 0] * dt / sys_.mass  # velocity increments
-        kernel = mk.greens_solution_kernel(roots, times)
-        rebuilt = (xs[0, 0] * (mk._greens_kernel_deriv(roots, times) + params.gamma * kernel)
-                   + vs[0, 0] * kernel)
-        for k in range(n):
-            rebuilt[k + 1:] += kernel[1:n + 1 - k] * kick[k]
-        scale = np.max(np.abs(xs[:, 0])) or 1.0
-        assert np.max(np.abs(rebuilt - xs[:, 0])) / scale < 0.05
+        np.testing.assert_allclose(_kernel(2.0, 1.0, t), t * np.exp(-t), rtol=1e-12)
 
 
 class TestSimulateSde:
@@ -229,21 +186,6 @@ class TestSimulateSde:
         b = mk.simulate_sde(params, dt=5.0, n_steps=50, n_traj=100, seed=3,
                             chunk_size=100)
         assert a["x2"].mean == pytest.approx(b["x2"].mean, rel=1e-12)
-
-    def test_euler_mode_requires_small_step(self):
-        sys_ = SystemSpec()
-        params = mk.MarkovParams.from_system(sys_, 0.2)
-        with pytest.raises(DomainError, match="euler"):
-            mk.simulate_sde(params, dt=0.5, n_steps=10, n_traj=4, seed=0,
-                            method="euler")
-
-    def test_euler_mode_agrees_roughly(self):
-        sys_ = SystemSpec()
-        params = mk.MarkovParams.from_system(sys_, 0.5)
-        res = mk.simulate_sde(params, dt=0.01, n_steps=4000, n_traj=400,
-                              seed=11, method="euler")
-        x2_ref, _ = mk.stationary_moments_analytic(params)
-        assert res["x2"].mean == pytest.approx(x2_ref, rel=0.15)
 
     def test_noise_factor_semidefinite(self):
         cov = np.array([[1e-30, 0.0], [0.0, 2.0]])

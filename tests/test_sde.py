@@ -188,13 +188,12 @@ def test_chunk_memory_one_buffer_at_worker_count(monkeypatch, workers):
 
 
 def test_divergence_guard():
-    # a stable drift whose Euler step is not (|1 - 1e4 dt| >> 1) although it
-    # passes the dt * sqrt|det A| <= 0.01 gate; the exact step cannot diverge
-    drift = np.array([[0.0, 1.0], [-1e-6, -1e4]])
-    with pytest.raises(UnstableIntegrationError, match="diverged"):
-        sde.run_ensemble(drift, np.diag([0.0, 1.0]), 1.0, n_steps=10, n_traj=4, seed=0,
-                         observables={"x2": lambda prev, s: s[:, 0] ** 2},
-                         chunk_size=4, method="euler")
+    # the exact step cannot diverge, but noise past the floats makes the
+    # states non-finite: Sigma[1, 1] = 1e308 / 0.2 overflows
+    drift = np.array([[0.0, 1.0], [-1.0, -0.1]])
+    with np.errstate(all="ignore"), pytest.raises(UnstableIntegrationError, match="diverged"):
+        sde.run_ensemble(drift, np.diag([0.0, 1e308]), 1.0, n_steps=10, n_traj=4, seed=0,
+                         observables={"x2": lambda prev, s: s[:, 0] ** 2}, chunk_size=4)
 
 
 def test_run_ensemble_rejects_stray_keyword():
@@ -206,7 +205,7 @@ def test_run_ensemble_rejects_stray_keyword():
                          chunk_size=4, burn_in=1.0)
     params = rwa.RwaParams.from_system(SystemSpec(), 0.05)
     assert rwa.simulate_rwa(params, 0.5, 10, 4, seed=5).meta == {
-        "dt": 0.5, "n_steps": 10, "method": "exact", "gamma": 0.05, "noise_bandwidth": 2.0}
+        "dt": 0.5, "n_steps": 10, "gamma": 0.05, "noise_bandwidth": 2.0}
 
 
 @pytest.mark.parametrize("chunk_size", (0, -5))
@@ -277,6 +276,24 @@ def test_closed_forms_match_scipy_and_van_loan():
                 _, q_ref = _van_loan(drift, diffusion, dt)
                 assert np.max(np.abs(q_dt - q_ref)) <= 1e-12 * np.max(np.abs(cov)), \
                     (w0, gamma, kind, dt)
+
+
+def test_kicks_convolved_with_propagator_rebuild_paths():
+    # states[n] = e^{A n dt} states[0] + sum_k e^{A (n - 1 - k) dt} kicks[k], with
+    # each power of the step taken from the closed form at j dt
+    markov = mk.MarkovParams.from_system(SystemSpec(), 0.2)
+    pair = rwa.RwaParams.from_system(SystemSpec(), 0.05)
+    dt, n = 0.05, 400
+    for drift, diffusion in (mk._linear_system(markov),
+                             (rwa.drift_matrix(pair), rwa._diffusion_matrix(pair))):
+        states, kicks = sde.sample_paths(drift, diffusion, dt, n, 2, seed=9)
+        tr, det = np.trace(drift), np.linalg.det(drift)
+        powers = np.array([c0 * np.eye(2) + c1 * (drift - 0.5 * tr * np.eye(2)) for c0, c1 in
+                           (sde.propagator_coefficients(tr, det, j * dt) for j in range(n + 1))])
+        rebuilt = np.einsum("nij,rj->nri", powers, states[0])
+        for k in range(n):
+            rebuilt[k + 1:] += np.einsum("nij,rj->nri", powers[:n - k], kicks[k])
+        assert np.max(np.abs(rebuilt - states)) < 1e-10 * np.max(np.abs(states))
 
 
 def test_noise_factor_continuous_at_isotropic_covariance():
