@@ -43,6 +43,8 @@ EXIT_IO = 3
 FIGURE_DAMPINGS = (1.0, 0.5, 0.125, 0.0125)
 
 COMMANDS = ("dist", "corr", "energy", "sde", "rwa", "microbath", "scan")
+# largest microbath mode phase w t: cos and sin there err by about 1e9 * eps = 2e-7 rad
+MAX_PHASE = 1e9
 
 
 class _CliError(DomainError):
@@ -112,6 +114,13 @@ class RunConfig:
             raise _CliError("gammas must be positive and finite")
         if self.grid:
             parse_grid(self.grid)
+        if self.command == "microbath":
+            BathSpec.cutoff_ohmic(self.gamma, self.cutoff, system_mass=m)  # a finite coupling
+            end = self.steps * (self.dt or 0.09 / self.cutoff) if self.steps else 20.0 / self.gamma
+            phase = self.cutoff * max(end, 25.0 / w0)  # at the grid end or last noise time
+            if not phase <= MAX_PHASE:
+                raise _CliError(f"cutoff * max(steps * dt, 25/omega0) = {phase:.3g} exceeds "
+                                f"{MAX_PHASE:.0e}: mode phases that large are not resolved")
         return self
 
     def to_params(self) -> dict:

@@ -100,11 +100,11 @@ def stationary_moments_analytic(params: MarkovParams):
 def stationary_double_integral(params: MarkovParams, which: str = "x2") -> float:
     """Brute-force quadrature of the stationary-moment double integral.
 
-    The delta collapses one time integral; the survivor
-    (Gn/2m^2) * Int_0^T K(s)^2 ds (or K'(s)^2 for the velocity) is summed
-    numerically out to T = 200 / gamma.  The impulse response K(s) = c1(s)
-    and its derivative K'(s) = c0(s) - (gamma/2) c1(s) are entries of the
-    propagator e^{A s} = c0 I + c1 (A + gamma/2 I) of
+    The delta collapses one time integral; the survivor (Gn/2m^2) * Int_0^T K(s)^2 ds
+    (or K'(s)^2 for the velocity) is summed numerically to T = 100 / kappa, kappa the
+    slow decay rate of K, with a panel break at 100 / (gamma - kappa).  The impulse
+    response K(s) = c1(s) and its derivative K'(s) = c0(s) - (gamma/2) c1(s) are entries
+    of the propagator e^{A s} = c0 I + c1 (A + gamma/2 I) of
     :func:`qlesim.sde.propagator_coefficients`.  Used to audit the closed
     forms and the noise-convention factor of two.
     """
@@ -118,7 +118,11 @@ def stationary_double_integral(params: MarkovParams, which: str = "x2") -> float
         c0, c1 = propagator_coefficients(-gamma, w0sq, s)
         return (c1 if which == "x2" else c0 - 0.5 * gamma * c1) ** 2
 
-    val, _ = integrate.quad(f, 0.0, 200.0 / gamma, limit=2000, epsabs=1e-13, epsrel=1e-11)
+    half = 0.5 * gamma  # kappa: half, overdamped w0^2 / (half + sqrt(half^2 - w0^2))
+    slow = half if half * half <= w0sq else w0sq / (half + (half * half - w0sq) ** 0.5)
+    edges = sorted({0.0, 100.0 / (gamma - slow), 100.0 / slow})
+    val = sum(integrate.quad(f, a, b, limit=2000, epsabs=1e-13, epsrel=1e-11)[0]
+              for a, b in zip(edges, edges[1:]))
     return params.noise / (2.0 * params.system.mass**2) * val
 
 

@@ -27,12 +27,12 @@ normal modes cost O(N^2) time (Gu & Eisenstat, SIAM J. Matrix Anal. Appl.
 
 So f(t), x(t) and v(t) at any time are each mean + row @ z, where z holds
 a realization's 2N standard normals (the s normals first) and the row
-carries the thermal standard deviations.  A pass builds the rows of all
-its values once and applies them to each chunk of draws in one matmul;
-the exact moments are the row norms, mean^2 + |row|^2.  Realization i is
-column i % 64 of the (2N, 64) fill of the (seed, i // 64) block stream of
-:mod:`.sde`, so it depends on (seed, i) alone; ensembles run in chunks with
-mergeable moment accumulators, so chunked and serial runs agree.
+carries the thermal standard deviations.  A pass builds its rows once (the
+normal modes' a block at a time, from O(N) data) and applies them to each
+(2N, 64) block of normals as drawn; the exact moments are the row norms,
+mean^2 + |row|^2.  Realization i is column i % 64 of the (seed, i // 64)
+block stream of :mod:`.sde`, so it depends on (seed, i) alone; chunks merge
+their moment accumulators, so chunked and serial runs agree.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .bath import BathKind, BathSpec, ModeSet, SystemSpec
 from .ensemble import EnsembleResult, MomentAccumulator
 from .errors import ConvergenceError, DomainError, UnstableIntegrationError, UnsupportedBathError
 from .quadrature import QuadratureConfig, integrate_panels, scaled_omega_coth
-from .sde import _BLOCK, _SLAB_STEPS, _chunks, _draw
+from .sde import _BLOCK, _SLAB_STEPS, _chunks, _draw, _draw_pool
 
 __all__ = [
     "TrajectoryGrid",
@@ -224,14 +224,15 @@ def _secular_roots(alpha, w, d):
 
 
 def _arrowhead_eigen(alpha, b, d):
-    """Ascending eigenvalues and, as rows, orthonormal eigenvectors of the
-    symmetric arrowhead matrix [[alpha, b^T], [b, diag(d)]].
+    """Ascending eigenvalues of the symmetric arrowhead matrix [[alpha, b^T], [b, diag(d)]]
+    and a function yielding its orthonormal eigenvectors, (u0[i], u[i]) of rank ranks[i],
+    as (ranks, u0, u) blocks of at most ``_ROOT_BLOCK`` built from O(N) data.
 
     A coupling that is zero to rounding leaves (d_j, e_j) an eigenpair.  Each
     run of coupled equal poles acts as one pole of weight |b_run|^2, plus
-    decoupled eigenvectors orthogonal to b_run.  The rest are the roots lam
-    of the secular equation (:func:`_secular_roots`), with eigenvectors
-    proportional to (1, b / (lam - d)).
+    decoupled eigenvectors orthogonal to b_run; these few come first.  The
+    rest are the roots lam of the secular equation (:func:`_secular_roots`),
+    with eigenvectors proportional to (1, b / (lam - d)).
     """
     n = d.size
     tol = 8.0 * np.finfo(float).eps * (max(abs(alpha), np.abs(d).max()) + np.linalg.norm(b))
@@ -246,35 +247,39 @@ def _arrowhead_eigen(alpha, b, d):
                   if coupled.size else (np.empty(0), np.empty(0)))
     vals = np.concatenate((d[free], *(np.full(run.size - 1, d[run[0]]) for run in runs),
                            shift + tau if coupled.size else [alpha]))
-    # eigenpair i is written straight into row[i], its place in ascending order
+    # eigenpair i has rank row[i] in ascending order
     rank = np.argsort(vals, kind="stable")
     row = np.empty_like(rank)
     row[rank] = np.arange(n + 1)
-    vecs = np.zeros((n + 1, n + 1))
+    deflated = np.zeros((n + 1 - shift.size, n + 1))
     col = np.count_nonzero(free)
-    vecs[row[:col], 1 + np.flatnonzero(free)] = 1.0
+    deflated[np.arange(col), 1 + np.flatnonzero(free)] = 1.0
     for run in runs:
-        vecs[np.ix_(row[col:col + run.size - 1], 1 + run)] = (
+        deflated[col:col + run.size - 1, 1 + run] = (
             np.linalg.qr(b[run, None], "complete")[0][:, 1:].T)
         col += run.size - 1
     if not coupled.size:
-        vecs[row[col], 0] = 1.0
-    for j in range(0, shift.size, _ROOT_BLOCK):  # (block, N) temporaries
-        roots = slice(j, j + _ROOT_BLOCK)
-        ratio = d - shift[roots, None]
-        ratio -= tau[roots, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(b, ratio, out=ratio)
-        # a decoupled mode has no part in a coupled eigenvector, even on its root
-        ratio[:, free] = 0.0
-        u0 = 1.0 / np.sqrt(1.0 + (ratio * ratio).sum(1))
-        vecs[row[col:][roots], 0] = u0
-        vecs[row[col:][roots], 1:] = ratio * -u0[:, None]
-    return vals[rank], vecs
+        deflated[col, 0] = 1.0
+
+    def vectors():
+        yield row[:len(deflated)], deflated[:, 0].copy(), deflated[:, 1:].copy()
+        for j in range(0, shift.size, _ROOT_BLOCK):  # (block, N) temporaries
+            roots = slice(j, j + _ROOT_BLOCK)
+            ratio = d - shift[roots, None]
+            ratio -= tau[roots, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(b, ratio, out=ratio)
+            # a decoupled mode has no part in a coupled eigenvector, even on its root
+            ratio[:, free] = 0.0
+            u0 = 1.0 / np.sqrt(1.0 + (ratio * ratio).sum(1))
+            ratio *= -u0[:, None]
+            yield row[len(deflated):][roots], u0, ratio
+
+    return vals[rank], vectors
 
 
 class _NormalModes:
-    """Exact response of the oscillator and its N modes.
+    """Exact response of the oscillator and its N modes, from O(N) data.
 
     In coordinates z = (x, q_1..q_N) with masses M the Hessian has
     K_00 = m w0^2 + sum_j c_j^2 / (m_j w_j^2), K_0j = -c_j and
@@ -288,37 +293,46 @@ class _NormalModes:
     where a = U[0] / sqrt(m) and P = U^T M^1/2.  At w0 = 0 one W_k is zero
     and sin(W t) / W takes its limit t.  Started at (x0, 0) in the displaced
     preparation, P z = x0 * start + s_rows @ z[:N] and P z' = p_rows @ z[N:]
-    for the 2N standard normals z.
+    for the 2N standard normals z, with rows built a block at a time.
     """
 
     def __init__(self, modes: ModeSet, system: SystemSpec):
         root = np.sqrt(np.concatenate(([system.mass], modes.mass)))
-        eigval, proj = _arrowhead_eigen(
+        eigval, self._vectors = _arrowhead_eigen(
             system.omega0**2 + modes.kernel_weights().sum() / system.mass,
             -modes.coupling / (root[0] * root[1:]), modes.omega**2)
         self.freq = np.sqrt(np.clip(eigval, 0.0, None))
-        self.amp = proj[:, 0] / root[0]
-        proj *= root  # U^T to P in place; p_rows scales a view of it
         sd_s, sd_p = np.sqrt(thermal_variances(modes, system))
-        self.start = proj @ np.concatenate(([1.0], modes.coupling / (modes.mass * modes.omega**2)))
-        self.s_rows, self.p_rows = proj[:, 1:] * sd_s, proj[:, 1:]
-        self.p_rows *= sd_p / modes.mass
+        self._root, self._sd_s, self._sd_p = root, sd_s, sd_p / modes.mass
+        self._unit = modes.coupling / (modes.mass * modes.omega**2)
 
-    def basis(self, times):
-        """(cos - 1, sin / W, -W sin) of W t, each (len(times), N+1) times a."""
-        wt = np.multiply.outer(times, self.freq)
-        # cos - 1 about the exact initial values keeps t = 0 exact
-        cosm1 = -2.0 * np.sin(0.5 * wt) ** 2 * self.amp
-        sinc = times[:, None] * np.sinc(wt / np.pi) * self.amp
-        return cosm1, sinc, -self.freq * np.sin(wt) * self.amp
+    def _rows(self):
+        """(ranks, a, start, s_rows, p_rows) of each block of normal modes."""
+        for ranks, u0, proj in self._vectors():
+            proj *= self._root[1:]  # the mode columns of U^T to those of P, in place
+            start = u0 * self._root[0] + proj @ self._unit
+            s_rows = proj * self._sd_s
+            proj *= self._sd_p
+            yield ranks, u0 / self._root[0], start, s_rows, proj
 
     def response(self, times, x0):
         """(mean, rows) of x at ``times`` followed by v at ``times``: each
         value is mean + rows @ z for a realization's 2N standard normals z."""
-        cosm1, sinc, dsin = self.basis(times)
-        mean = x0 * np.concatenate((1.0 + cosm1 @ self.start, dsin @ self.start))
-        return mean, np.block([[cosm1 @ self.s_rows, sinc @ self.p_rows],
-                               [dsin @ self.s_rows, cosm1 @ self.p_rows]])
+        mean = rows = 0.0
+        for k, amp, start, s, p in self._rows():
+            cosm1, sinc, dsin = _basis(times, self.freq[k], amp)
+            mean = mean + np.concatenate((cosm1 @ start, dsin @ start))
+            rows = rows + np.block([[cosm1 @ s, sinc @ p], [dsin @ s, cosm1 @ p]])
+        return x0 * (np.repeat([1.0, 0.0], times.size) + mean), rows
+
+
+def _basis(times, freq, amp):
+    """(cos - 1, sin / W, -W sin) of W t, each (len(times), len(freq)) times a."""
+    wt = np.multiply.outer(times, freq)
+    # cos - 1 about the exact initial values keeps t = 0 exact
+    cosm1 = -2.0 * np.sin(0.5 * wt) ** 2 * amp
+    sinc = times[:, None] * np.sinc(wt / np.pi) * amp
+    return cosm1, sinc, -freq * np.sin(wt) * amp
 
 
 def _finite(values):
@@ -327,23 +341,11 @@ def _finite(values):
     return values
 
 
-def _normals(n_real: int, seed: int, chunk_size: int, n_normals: int):
-    """(n_normals, count) standard normals per chunk of realizations
-    0..n_real-1: one ``_draw`` per chunk into one buffer that serves every
-    chunk, so each view is valid until the next chunk."""
-    draws = None
-    for streams, count in _chunks(seed, n_real, chunk_size):
-        if draws is None:
-            draws = np.empty((n_normals, _BLOCK * len(streams), 1))
-        _draw(streams, None, draws[:, :_BLOCK * len(streams)])
-        yield draws[:, :count, 0]
-
-
 def _ensemble(modes: ModeSet, system: SystemSpec, taus, origins, n_real: int, seed: int,
               chunk_size: int, final=None):
     """(noise statistics, [<x^2>, <v^2>] estimates) of one pass that applies
     the noise rows and the ``final`` (mean, rows) of x(T) and v(T), if
-    given, to each chunk of normals in one matmul."""
+    given, to each block of normals as it is drawn."""
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if np.any(taus < 0):
         raise DomainError("lags must be nonnegative")
@@ -359,14 +361,19 @@ def _ensemble(modes: ModeSet, system: SystemSpec, taus, origins, n_real: int, se
         rows = np.vstack((rows, final_rows))
     mean_acc, corr_acc = ([MomentAccumulator() for _ in taus] for _ in range(2))
     moment_acc = [MomentAccumulator() for _ in mean]
-    for z in _normals(n_real, seed, chunk_size, rows.shape[1]):
-        y = _finite(rows @ z)
-        f_base = y[base_idx]
-        for j in range(taus.size):
-            mean_acc[j].update_batch(y[tau_idx[j]])
-            corr_acc[j].update_batch((f_base * y[lag_idx[j]]).mean(axis=0))
-        for acc, m, values in zip(moment_acc, mean, y[len(times):]):
-            acc.update_batch((m + values) ** 2)
+    buf = None  # one buffer serves every chunk
+    with _draw_pool():
+        for streams, count in _chunks(seed, n_real, chunk_size):
+            if buf is None:
+                buf = np.empty((len(rows), _BLOCK * len(streams)))
+            _draw(streams, rows, buf[:, :_BLOCK * len(streams)])
+            y = _finite(buf[:, :count])
+            f_base = y[base_idx]
+            for j in range(taus.size):
+                mean_acc[j].update_batch(y[tau_idx[j]])
+                corr_acc[j].update_batch((f_base * y[lag_idx[j]]).mean(axis=0))
+            for acc, m, values in zip(moment_acc, mean, y[len(times):]):
+                acc.update_batch((m + values) ** 2)
     return ({"taus": taus, "mean": [acc.estimate() for acc in mean_acc],
              "autocorr": [acc.estimate() for acc in corr_acc]},
             [acc.estimate() for acc in moment_acc])
@@ -444,14 +451,16 @@ def sample_trajectories(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid
     grid.check_resolves(modes)
     normal_modes, times, n = _normal_modes or _NormalModes(modes, system), grid.times, modes.count
     series = np.empty((3, times.size, n_traj))
-    blocks = _normals(_BLOCK * -(-n_traj // _BLOCK), seed, _BLOCK, 2 * n)
-    for first, z in zip(range(0, n_traj, _BLOCK), blocks):
-        pz = x0 * normal_modes.start[:, None] + normal_modes.s_rows @ z[:n]
-        pp = normal_modes.p_rows @ z[n:]
-        width = min(_BLOCK, n_traj - first)
+    z, (pz, pp), amp = np.empty((2 * n, _BLOCK)), np.empty((2, n + 1, _BLOCK)), np.empty(n + 1)
+    for first, (streams, width) in zip(range(0, n_traj, _BLOCK), _chunks(seed, n_traj, _BLOCK)):
+        _draw(streams, None, z)
+        for k, amp_k, start, s_rows, p_rows in normal_modes._rows():
+            amp[k] = amp_k
+            pz[k] = x0 * start[:, None] + s_rows @ z[:n]
+            pp[k] = p_rows @ z[n:]
         for a in range(0, times.size, _SLAB_STEPS):
             t = times[a:a + _SLAB_STEPS]
-            cosm1, sinc, dsin = normal_modes.basis(t)
+            cosm1, sinc, dsin = _basis(t, normal_modes.freq, amp)
             for out, values in zip(series, (x0 + cosm1 @ pz + sinc @ pp, dsin @ pz + cosm1 @ pp,
                                             _noise_rows(modes, system, t) @ z)):
                 out[a:a + t.size, first:first + width] = values[:, :width]

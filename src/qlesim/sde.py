@@ -16,17 +16,19 @@ Engine contract, shared with the finite bath of :mod:`.microbath`: members
 come in blocks of 64 and chunks of whole blocks; block b fills row-major
 tiles of normals from its (seed, b) stream and member i takes column i % 64
 of block i // 64, so it depends on (seed, i) alone, not on the ensemble size,
-chunking or tiling.  Block streams fill on a thread pool that lives for one
-draw, one contiguous group of streams per worker (up to the usable CPUs);
-since each stream writes only its own 64 columns, results do not depend on
-the worker count.  SDE trajectories start from N(0, Sigma), drawn first; a
-chunk steps in one (tile steps + 1, chunk, dim) buffer; observables sum in
-step order.
+chunking or tiling; each tile is mapped into its stream's 64 columns as
+drawn.  An ensemble call runs one thread pool (up to the usable CPUs), each
+worker taking a contiguous group of streams, so results do not depend on the
+worker count.  SDE trajectories start from N(0, Sigma), drawn first; a chunk
+steps in one (slab steps + 1, chunk, dim) buffer, one 64-step slab of draws
+at a time; observables sum in step order.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
+import contextvars
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -39,11 +41,12 @@ from .errors import DomainError, UnstableIntegrationError
 __all__ = ["stationary_covariance", "propagator_coefficients", "exact_discretization",
            "noise_factor", "run_ensemble", "sample_paths"]
 
-# trajectories per stream; steps per stream draw; steps per observable slab
-_BLOCK, _BLOCK_STEPS, _SLAB_STEPS = 64, 1024, 64
+# trajectories per stream; steps per draw and observable slab; fewest blocks per SDE worker
+_BLOCK, _SLAB_STEPS, _GROUP_BLOCKS = 64, 64, 8
 # threads for the block draws: the usable CPUs
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+_POOL = contextvars.ContextVar("qlesim_draw_pool", default=None)
 
 
 def _stable_2x2(drift, diffusion):
@@ -139,39 +142,50 @@ def _chunks(seed, n, chunk_size):
                 for b in blocks], min(n - _BLOCK * first, _BLOCK * len(blocks)))
 
 
+def _in_groups(pool, work, items, least=1):
+    """[work(group) for contiguous groups of ``items``]: up to one group of at
+    least ``least`` per worker of ``pool`` (None: one group), the first here."""
+    groups = np.array_split(items, max(min(_WORKERS, len(items) // least), 1) if pool else 1)
+    futures = [pool.submit(work, group) for group in groups[1:]]
+    return [work(groups[0])] + [future.result() for future in futures]  # re-raises
+
+
+@contextlib.contextmanager
+def _draw_pool():
+    """Draw on one pool of threads (``_POOL`` in this context), joined on exit."""
+    with ThreadPoolExecutor(max(_WORKERS - 1, 1)) as pool:
+        token = _POOL.set(pool)
+        try:
+            yield
+        finally:
+            _POOL.reset(token)
+
+
 def _draw(streams, factor, out):
-    """Fill ``out`` (rows, 64 per stream, dim) with standard normals, one
-    row-major tile per stream: SDE kicks with time-step rows, each times the
-    2x2 noise ``factor``, or finite-bath mode normals (dim 1, factor None),
-    copied as drawn, with one row per normal.
-
-    Contiguous groups of streams fill on up to ``_WORKERS`` threads (normal
-    fills, copies and matmul release the GIL).  The workers share the rows of
-    one tile of scratch and fill each stream in pieces of their share; a
-    stream fills in C order, so the values are those of one serial fill.
+    """Fill each stream's 64 columns of ``out`` with a linear map of one
+    row-major tile of its standard normals: SDE kicks, ``out`` (rows, 64 per
+    stream, dim), each dim-vector times the 2x2 noise ``factor``; finite-bath
+    values, ``out`` (values, 64 per stream), ``factor @ tile`` of a (2N, 64)
+    tile with one row per normal, or the tile itself where ``factor`` is None.
+    Stream groups fill on the :func:`_draw_pool` open here, if any, each in one
+    scratch tile (fills and matmul release the GIL), a stream in C order.
     """
-    rows = len(out)
-    factor_t = None if factor is None else np.ascontiguousarray(factor.T)
-    workers = min(_WORKERS, len(streams), rows)
-    tile = np.empty((rows, _BLOCK, out.shape[2]))
+    if out.ndim == 3:
+        shape, factor_t = out[:, :_BLOCK].shape, np.ascontiguousarray(factor.T)
+        apply = lambda tile, dest: np.matmul(tile, factor_t, out=dest)
+    elif factor is None:
+        shape, apply = out[:, :_BLOCK].shape, lambda tile, dest: np.copyto(dest, tile)
+    else:
+        shape = (factor.shape[1], _BLOCK)
+        apply = lambda tile, dest: np.matmul(factor, tile, out=dest)
 
-    def fill(group, scratch):
+    def fill(group):
+        tile = np.empty(shape)
         for k in group:
-            for r in range(0, rows, len(scratch)):
-                piece = scratch[:rows - r]
-                streams[k].standard_normal(out=piece)
-                dest = out[r:r + len(piece), k * _BLOCK:(k + 1) * _BLOCK]
-                if factor_t is None:
-                    np.copyto(dest, piece)
-                else:
-                    np.matmul(piece, factor_t, out=dest)
+            streams[k].standard_normal(out=tile)
+            apply(tile, out[:, k * _BLOCK:(k + 1) * _BLOCK])
 
-    groups = np.array_split(np.arange(len(streams)), workers)
-    if workers == 1:
-        fill(groups[0], tile)
-        return
-    with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(fill, groups, np.array_split(tile, workers)))  # re-raises a worker's error
+    _in_groups(_POOL.get(), fill, range(len(streams)))
 
 
 def _propagate(prop, states):
@@ -184,21 +198,19 @@ def _propagate(prop, states):
 def _chunk_sums(prop, factor, start, n_steps, observables, streams):
     """Per-trajectory sums of the observables over ``n_steps`` steps from a start
     drawn with factor ``start``, and the final states; the one buffer dies here."""
-    buf = np.zeros((min(_BLOCK_STEPS, n_steps) + 1, _BLOCK * len(streams), len(prop)))
+    buf = np.zeros((min(_SLAB_STEPS, n_steps) + 1, _BLOCK * len(streams), len(prop)))
     sums = {name: np.zeros(buf.shape[1]) for name in observables}
-    _draw(streams, start, buf[-1:])  # first in each stream; row 0 of the first tile
-    for first in range(0, n_steps, _BLOCK_STEPS):
-        # states[r] is the state after first + r steps; row 0 ends the previous run
-        states = buf[:min(_BLOCK_STEPS, n_steps - first) + 1]
+    _draw(streams, start, buf[-1:])  # first in each stream; row 0 of the first slab
+    for first in range(0, n_steps, _SLAB_STEPS):
+        # states[r] is the state after first + r steps; row 0 ends the previous slab
+        states = buf[:min(_SLAB_STEPS, n_steps - first) + 1]
         states[0] = buf[-1]
         _draw(streams, factor, states[1:])
         _propagate(prop, states)
-        for a in range(1, len(states), _SLAB_STEPS):
-            b = min(a + _SLAB_STEPS, len(states))
-            prev, cur = (states[i:i + b - a].reshape(-1, len(prop)) for i in (a - 1, a))
-            for name, f in observables.items():
-                # a reduction seeded with the running sum adds in step order
-                sums[name] = np.vstack([sums[name], f(prev, cur).reshape(b - a, -1)]).sum(0)
+        prev, cur = (states[i:len(states) - 1 + i].reshape(-1, len(prop)) for i in (0, 1))
+        for name, f in observables.items():
+            # a reduction seeded with the running sum adds in step order
+            sums[name] = np.vstack([sums[name], f(prev, cur).reshape(len(states) - 1, -1)]).sum(0)
     return sums, states[-1].copy()
 
 
@@ -212,12 +224,18 @@ def run_ensemble(drift, diffusion, dt, n_steps, n_traj, seed, observables, chunk
     """
     prop, factor, start = _stepper(drift, diffusion, dt, n_steps, n_traj)
     accs = {name: MomentAccumulator() for name in observables}
-    for streams, count in _chunks(seed, n_traj, chunk_size):
-        sums, state = _chunk_sums(prop, factor, start, n_steps, observables, streams)
-        if not np.all(np.isfinite(state[:count])):
-            raise UnstableIntegrationError("SDE trajectories diverged to non-finite values")
-        for name, acc in accs.items():
-            acc.update_batch(sums[name][:count] / n_steps)
+    # a worker steps its streams through the whole chunk, drawing serially: one
+    # hand-off per chunk, where one per slab of draws stalled on a busy host
+    with ThreadPoolExecutor(max(_WORKERS - 1, 1)) as pool:
+        for streams, count in _chunks(seed, n_traj, chunk_size):
+            parts = _in_groups(pool, lambda group: _chunk_sums(
+                prop, factor, start, n_steps, observables, group), streams, _GROUP_BLOCKS)
+            state = np.concatenate([state for _, state in parts])
+            sums = {name: np.concatenate([part[name] for part, _ in parts]) for name in observables}
+            if not np.all(np.isfinite(state[:count])):
+                raise UnstableIntegrationError("SDE trajectories diverged to non-finite values")
+            for name, acc in accs.items():
+                acc.update_batch(sums[name][:count] / n_steps)
     return EnsembleResult({name: acc.estimate() for name, acc in accs.items()}, n_traj, seed,
                           meta={"dt": dt, "n_steps": n_steps, **(meta or {})})
 

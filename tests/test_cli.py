@@ -428,18 +428,36 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == "error: the cutoff-Ohmic coupling is not finite\n"
 
+    @pytest.mark.parametrize("cutoff", ("1e30", "1e100"))
+    def test_unresolvable_mode_phase_is_one(self, cutoff, capsys):
+        # the default grid ends at 200, so the fastest mode turns cutoff * 200
+        # rad: past the check 1e30 printed gle_moment_x2 0 +- 0 and 1e100 a
+        # std_error inf and a nan reference, with exit 0
+        code, out, err = run_cli(["microbath", "--cutoff", cutoff, "--modes", "20",
+                                  "--realizations", "64"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cutoff * max(steps * dt, 25/omega0)")
+        assert len(err.splitlines()) == 1
+
     def test_bad_grid_is_one(self, capsys):
         code, _, _ = run_cli(["dist", "--grid", "oops"], capsys)
         assert code == 1
 
 
-def run_fresh(args):
-    """``python *args`` in a fresh interpreter that imports this qlesim."""
+def start_fresh(args):
+    """``python *args`` started in a fresh interpreter that imports this qlesim."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=120)
+    return subprocess.Popen([sys.executable, *args], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+
+
+def run_fresh(args):
+    """``python *args`` run to its end in a fresh interpreter that imports this qlesim."""
+    with start_fresh(args) as proc:
+        out, err = proc.communicate(timeout=120)
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
 
 
 def test_python_dash_m_runs_the_cli(capsys):
@@ -471,6 +489,38 @@ def test_closed_form_commands_load_no_scipy():
     loaded = json.loads(done.stdout)
     assert loaded["import"] == loaded["sde"] == loaded["rwa"] == loaded["dist"] == []
     assert "scipy.integrate" in loaded["corr"]  # the probe does see an import
+
+
+RSS_PROBE = """
+import json, resource, sys
+import qlesim.cli, scipy.integrate
+if len(sys.argv) > 1:
+    assert qlesim.cli.main(json.loads(sys.argv[1])) == 0
+print(json.dumps([resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024,
+                  [name for name in sys.modules
+                   if name.partition(".")[0] in ("numpy", "scipy", "qlesim")]]))
+"""
+
+
+def test_ensemble_peak_rss_bounded_by_the_chunk(tmp_path):
+    # fresh processes that import the same modules first, one of them to do
+    # nothing else: the (1025, 2048, 2) SDE tile, or the (2N, 2048) draws and
+    # the (N+1) x N rows, took about 33 MB more than that one
+    runs = [["sde", "--traj", "2048", "--steps", "1000"],
+            ["microbath", "--modes", "1000", "--realizations", "2048", "--steps", "10"]]
+    runs = [[*argv, "--out", str(tmp_path / argv[0])] for argv in runs]
+    probes = [[], *([json.dumps(argv)] for argv in runs)]  # the idle one first
+    procs = [start_fresh(["-c", RSS_PROBE, *args]) for args in probes]
+    results = []
+    for proc in procs:
+        with proc:
+            out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        results.append(json.loads(out))
+    (base, imported), *ran = results
+    for argv, (peak, loaded) in zip(runs, ran):
+        assert set(loaded) <= set(imported), (argv[0], set(loaded) - set(imported))
+        assert peak - base < 16e6, (argv[0], (peak - base) / 1e6)
 
 
 @pytest.mark.parametrize("command", ("corr", "energy"))

@@ -67,9 +67,11 @@ class TestStationaryMoments:
     def test_double_integral_confirms_convention(self):
         # quadrature of the collapsed Green's-function double integral with
         # the half-intensity symmetric correlation lands on the closed form;
-        # the literal full-intensity reading would give exactly twice this
+        # the literal full-intensity reading would give exactly twice this.
+        # Overdamped, the horizon follows the slow rate: stopped at 200 / gamma,
+        # x2 read 0.68193 at gamma = 20 and 0.042117 at 100
         sys_ = SystemSpec()
-        for gamma in (0.05, 0.3, 2.5):
+        for gamma in (0.05, 0.3, 2.5, 5.0, 20.0, 100.0):
             params = mk.MarkovParams.from_system(sys_, gamma)
             x2, v2 = mk.stationary_moments_analytic(params)
             assert mk.stationary_double_integral(params, "x2") == pytest.approx(

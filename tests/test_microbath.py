@@ -10,7 +10,7 @@ from scipy.linalg import expm
 from qlesim.bath import BathSpec, ModeSet, SystemSpec, discretize_bath
 from qlesim.errors import ConvergenceError, DomainError, UnsupportedBathError
 from qlesim.quadrature import QuadratureConfig
-from qlesim import cli, fdt, microbath as mb
+from qlesim import cli, fdt, microbath as mb, sde
 
 
 def make_bath(gamma=0.5, cutoff=3.0, n_modes=300):
@@ -332,24 +332,12 @@ class TestNormalModes:
             tracemalloc.stop()
         assert peak < 8e6, peak
 
-    def test_memory_bounded_by_one_chunk_of_draws(self):
-        # two chunks of 2048 realizations; the peak was 5.2 (noise) and 4.3
-        # (GLE) chunks of draws with one generator and one copy per realization
-        sys_ = SystemSpec()
-        _, modes = make_bath(n_modes=500)
-        grid = mb.TrajectoryGrid(dt=0.03, n_steps=100)
-        draws = 2 * modes.count * 2048 * 8
-        for call in (lambda: mb.noise_ensemble_stats(modes, sys_, [0.0, 0.5], n_real=4096,
-                                                     seed=1, chunk_size=2048),
-                     lambda: mb.gle_ensemble_moments(modes, sys_, grid, n_real=4096, seed=1,
-                                                     chunk_size=2048)):
-            tracemalloc.start()
-            try:
-                call()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 3 * draws, peak / draws
+    def test_pass_memory_bounded_by_the_chunk(self, monkeypatch):
+        # the CLI's one pass at N = 1000 and 2,048 realizations, normal modes
+        # included: the (2N, 2048) draws (32.8 MB) and the (N+1) x N s and p
+        # rows (16 MB) are never held
+        peak = pass_peak(1000, monkeypatch)
+        assert peak < 8e6, peak
 
     def test_one_draw_buffer_serves_every_chunk(self):
         # a new buffer per chunk kept two chunks of draws alive at the
@@ -473,19 +461,41 @@ def mass_weighted_hessian(modes, sys_):
     return hessian(modes, sys_) / np.outer(root, root), root
 
 
-def eigh_normal_modes(modes, sys_):
+def eigh_normal_modes(modes, sys_, monkeypatch):
     """The oracle: a _NormalModes whose decomposition is the dense
-    ``np.linalg.eigh`` of the mass-weighted Hessian."""
-    oracle = object.__new__(mb._NormalModes)
-    weighted, root = mass_weighted_hessian(modes, sys_)
+    ``np.linalg.eigh`` of the mass-weighted Hessian, as one block."""
+    weighted, _ = mass_weighted_hessian(modes, sys_)
     eigval, vecs = np.linalg.eigh(weighted)
-    oracle.freq = np.sqrt(np.clip(eigval, 0.0, None))
-    oracle.amp = vecs[0] / root[0]
-    proj = vecs.T * root
-    sd_s, sd_p = np.sqrt(mb.thermal_variances(modes, sys_))
-    oracle.start = proj @ np.concatenate(([1.0], modes.coupling / (modes.mass * modes.omega**2)))
-    oracle.s_rows, oracle.p_rows = proj[:, 1:] * sd_s, proj[:, 1:] * (sd_p / modes.mass)
-    return oracle
+    with monkeypatch.context() as patch:
+        patch.setattr(mb, "_arrowhead_eigen", lambda *_: (eigval, lambda: iter(
+            [(np.arange(eigval.size), vecs[0].copy(), vecs[1:].T.copy())])))
+        return mb._NormalModes(modes, sys_)
+
+
+def arrowhead_dense(alpha, b, d):
+    """(vals, vecs) of :func:`mb._arrowhead_eigen`, its blocks of eigenvectors
+    gathered into the rows of vecs; each block is at most ``_ROOT_BLOCK``
+    rows and each rank comes once."""
+    vals, vectors = mb._arrowhead_eigen(alpha, b, d)
+    vecs, seen = np.empty((vals.size, vals.size)), []
+    for ranks, u0, u in vectors():
+        assert ranks.size <= mb._ROOT_BLOCK
+        vecs[ranks, 0], vecs[ranks, 1:] = u0, u
+        seen.append(ranks)
+    np.testing.assert_array_equal(np.sort(np.concatenate(seen)), np.arange(vals.size))
+    return vals, vecs
+
+
+def pass_peak(n_modes, monkeypatch):
+    """tracemalloc peak of one ensemble_stats pass at the CLI's lags and
+    origins, 2,048 realizations, normal modes included, on two draw
+    workers (each holds one (2N, 64) tile)."""
+    monkeypatch.setattr(sde, "_WORKERS", 2)
+    sys_, (_, modes) = SystemSpec(), make_bath(0.5, 3.0, n_modes)
+    grid = mb.TrajectoryGrid(dt=0.03, n_steps=100)
+    taus, origins = np.linspace(0.0, 5.0, 11), np.arange(0.0, 20.0001, 0.5)
+    return traced_peak(lambda: mb.ensemble_stats(modes, sys_, grid, taus, 2048, seed=1,
+                                                 origins=origins))
 
 
 SECULAR_CASES = {
@@ -505,10 +515,10 @@ SECULAR_CASES = {
 
 class TestSecularEquation:
     @pytest.mark.parametrize("case", SECULAR_CASES)
-    def test_matches_eigh_oracle(self, case):
+    def test_matches_eigh_oracle(self, case, monkeypatch):
         sys_, build = SECULAR_CASES[case]
         modes = build()
-        fast, oracle = mb._NormalModes(modes, sys_), eigh_normal_modes(modes, sys_)
+        fast, oracle = mb._NormalModes(modes, sys_), eigh_normal_modes(modes, sys_, monkeypatch)
         # W^2, since the square root turns a zero eigenvalue's rounding
         # (1e-16) into 1e-8
         np.testing.assert_allclose(fast.freq**2, oracle.freq**2, rtol=0, atol=1e-12)
@@ -521,12 +531,19 @@ class TestSecularEquation:
         times = np.array([0.0, 0.7, 13.3, 40.0])
         for got, want in zip(fast.response(times, 0.6), oracle.response(times, 0.6)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+        # and so do the sampled x and v, whose normal-mode coordinates P z do
+        grid = mb.TrajectoryGrid(dt=0.03, n_steps=300)
+        got, want = (mb.sample_trajectories(modes, sys_, grid, 3, seed=2, x0=0.6,
+                                            _normal_modes=normal_modes)[1:3]
+                     for normal_modes in (fast, oracle))
+        for got, want in zip(got, want):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("case", SECULAR_CASES)
     def test_eigenvectors_orthonormal(self, case):
         sys_, build = SECULAR_CASES[case]
         weighted, _ = mass_weighted_hessian(build(), sys_)
-        vals, vecs = mb._arrowhead_eigen(weighted[0, 0], weighted[0, 1:], np.diag(weighted)[1:])
+        vals, vecs = arrowhead_dense(weighted[0, 0], weighted[0, 1:], np.diag(weighted)[1:])
         assert np.all(np.diff(vals) >= 0)
         assert np.max(np.abs(vecs @ vecs.T - np.eye(vals.size))) < 1e-13
         scale = np.max(np.abs(vals))
@@ -542,7 +559,7 @@ class TestSecularEquation:
             alpha = rng.standard_normal() * 10.0 ** rng.uniform(-3, 3)
             matrix = np.diag(np.concatenate(([alpha], d)))
             matrix[0, 1:] = matrix[1:, 0] = b
-            vals, vecs = mb._arrowhead_eigen(alpha, b, d)
+            vals, vecs = arrowhead_dense(alpha, b, d)
             scale = np.max(np.abs(vals))
             np.testing.assert_allclose(vals, np.linalg.eigvalsh(matrix), rtol=0,
                                        atol=1e-14 * scale)
@@ -572,18 +589,11 @@ class TestSecularEquation:
         weights = modes.coupling**2 / (sys_.mass * modes.mass)
         assert traced_peak(lambda: mb._secular_roots(alpha, weights, modes.omega**2)) < 24e6
 
-    def test_construction_peaks_at_what_it_keeps(self):
-        # the eigenvectors go straight into their ranked rows and are scaled
-        # in place: at N = 2000 the peak was 128 MB for 64 MB kept
-        sys_, (_, modes) = SystemSpec(), make_bath(0.5, 3.0, 2000)
-        tracemalloc.start()
-        try:
-            normal_modes = mb._NormalModes(modes, sys_)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert kept >= normal_modes.s_rows.nbytes + normal_modes.p_rows.nbytes
-        assert peak <= 1.25 * kept, (peak, kept)
+    def test_pass_memory_linear_in_modes(self, monkeypatch):
+        # O(N) normal modes and (2N, 64) draw tiles: four times the modes at
+        # most 4.5 times the peak, where (N+1) x N rows would make it 16
+        small, large = pass_peak(1000, monkeypatch), pass_peak(4000, monkeypatch)
+        assert large <= 4.5 * small, (small, large)
 
     def test_unconverged_roots_raise(self, monkeypatch, capsys):
         # one iteration cannot converge the criterion-6 bath: the call

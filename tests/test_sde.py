@@ -22,7 +22,7 @@ def _moments(res):
 
 
 def test_block_length_does_not_change_results(monkeypatch):
-    # 70 steps span several 7-step blocks, with a ragged last one
+    # 70 steps span several 7-step slabs of draws, with a ragged last one
     markov = mk.MarkovParams.from_system(SystemSpec(), 0.2)
     pair = rwa.RwaParams.from_system(SystemSpec(), 0.05)
 
@@ -34,7 +34,7 @@ def test_block_length_does_not_change_results(monkeypatch):
         )
 
     default = run()
-    monkeypatch.setattr(sde, "_BLOCK_STEPS", 7)
+    monkeypatch.setattr(sde, "_SLAB_STEPS", 7)
     assert run() == default
 
 
@@ -94,11 +94,13 @@ def test_first_trajectories_do_not_depend_on_ensemble_or_chunk_size(monkeypatch)
 
 
 def test_worker_count_does_not_change_results(monkeypatch):
-    # 300 trajectories are 5 blocks: a ragged 2-2-1 split over 3 workers, and
-    # fewer blocks than 8 workers; 70 tile rows split 24-23-23 over 3 workers.
-    # chunk_size 200 adds a one-block chunk, and a 2-step draw caps the
-    # workers at its 2 rows.  The finite bath draws 300 realizations of 2 x 40
-    # mode normals the same way, in one chunk or in chunks of 128
+    # An SDE ensemble steps groups of at least 8 blocks per worker: 1,600
+    # trajectories are 25 blocks, a ragged 9-8-8 split over 3 or 8 workers,
+    # and chunk_size 1000 makes chunks of 16 (two groups) and 9 blocks (one);
+    # 300 trajectories (5 blocks, with chunk_size 200 a one-block chunk) step
+    # in one group.  The finite bath draws 300 realizations of 2 x 40 mode
+    # normals in 5 blocks, a ragged 2-2-1 split over 3 workers and fewer
+    # blocks than 8 workers, in one chunk or in chunks of 128
     markov = mk.MarkovParams.from_system(SystemSpec(), 0.2)
     pair = rwa.RwaParams.from_system(SystemSpec(), 0.05)
     drift, diffusion = mk._linear_system(markov)
@@ -111,6 +113,10 @@ def test_worker_count_does_not_change_results(monkeypatch):
             markov, 0.5, 70, 300, seed=4, chunk_size=200))],
         lambda: [v.tobytes() for v in _per_trajectory(monkeypatch, lambda: rwa.simulate_rwa(
             pair, 0.5, 70, 300, seed=4))],
+        lambda: [v.tobytes() for v in _per_trajectory(monkeypatch, lambda: mk.simulate_sde(
+            markov, 0.5, 70, 1600, seed=4))],
+        lambda: [v.tobytes() for v in _per_trajectory(monkeypatch, lambda: rwa.simulate_rwa(
+            pair, 0.5, 70, 1600, seed=4, chunk_size=1000))],
         lambda: [a.tobytes() for a in sde.sample_paths(drift, diffusion, 0.5, 70, 300, seed=4)],
         lambda: [a.tobytes() for a in sde.sample_paths(drift, diffusion, 0.5, 2, 300, seed=4)],
         lambda: _moments(mb.gle_ensemble_moments(modes, SystemSpec(), grid, 300, seed=4,
@@ -160,31 +166,33 @@ def test_noise_memory_bounded_by_block():
     assert peak < 8e6
 
 
-def _chunk_peak_over_buffer():
+def _chunk_peaks():
+    """tracemalloc peaks of 4,096 trajectories (two chunks) at 1,000 and 20,000 steps."""
     params = mk.MarkovParams.from_system(SystemSpec(), 0.1)
-    buffer = (min(sde._BLOCK_STEPS, 1010) + 1) * 2048 * 2 * 8
-    tracemalloc.start()
-    try:
-        mk.simulate_sde(params, dt=10.0, n_steps=1000, n_traj=4096, seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak / buffer
+    peaks = []
+    for n_steps in (1000, 20_000):
+        tracemalloc.start()
+        try:
+            mk.simulate_sde(params, dt=10.0, n_steps=n_steps, n_traj=4096, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
 
 
 def test_chunk_memory_is_one_buffer():
-    # the chunk's states live in one (tile steps + 1, chunk, 2) buffer; a
-    # view of it kept alive across chunks would double the peak
-    ratio = _chunk_peak_over_buffer()
-    assert ratio < 1.25, ratio
+    # a chunk steps in one (64 + 1, 2048, 2) slab buffer, 2.1 MB; the
+    # 1024-step tile peaked at 35 MB, and a whole-run draw grows with the steps
+    peaks = _chunk_peaks()
+    assert max(peaks) < 8e6, peaks
 
 
 @pytest.mark.parametrize("workers", (1, 8))
 def test_chunk_memory_one_buffer_at_worker_count(monkeypatch, workers):
-    # one scratch tile per draw worker would also double the peak
+    # one scratch tile per draw worker, however many workers there are
     monkeypatch.setattr(sde, "_WORKERS", workers)
-    ratio = _chunk_peak_over_buffer()
-    assert ratio < 1.25, ratio
+    peaks = _chunk_peaks()
+    assert max(peaks) < 8e6, peaks
 
 
 def test_divergence_guard():
