@@ -116,7 +116,10 @@ class RunConfig:
             parse_grid(self.grid)
         if self.command == "microbath":
             BathSpec.cutoff_ohmic(self.gamma, self.cutoff, system_mass=m)  # a finite coupling
-            end = self.steps * (self.dt or 0.09 / self.cutoff) if self.steps else 20.0 / self.gamma
+            dt = self.dt or 0.09 / self.cutoff
+            if not (self.steps or 20.0 / self.gamma / dt < math.inf):
+                raise _CliError(f"the default steps 20/(gamma*dt) are not finite at dt = {dt:.3g}")
+            end = self.steps * dt if self.steps else 20.0 / self.gamma
             phase = self.cutoff * max(end, 25.0 / w0)  # at the grid end or last noise time
             if not phase <= MAX_PHASE:
                 raise _CliError(f"cutoff * max(steps * dt, 25/omega0) = {phase:.3g} exceeds "

@@ -31,8 +31,9 @@ carries the thermal standard deviations.  A pass builds its rows once (the
 normal modes' a block at a time, from O(N) data) and applies them to each
 (2N, 64) block of normals as drawn; the exact moments are the row norms,
 mean^2 + |row|^2.  Realization i is column i % 64 of the (seed, i // 64)
-block stream of :mod:`.sde`, so it depends on (seed, i) alone; chunks merge
-their moment accumulators, so chunked and serial runs agree.
+block stream of :mod:`.sde`, so it depends on (seed, i) alone, and a pass
+accumulates on that module's ensemble driver, so chunked and serial runs
+agree.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathKind, BathSpec, ModeSet, SystemSpec
-from .ensemble import EnsembleResult, MomentAccumulator
+from .ensemble import EnsembleResult
 from .errors import ConvergenceError, DomainError, UnstableIntegrationError, UnsupportedBathError
 from .quadrature import QuadratureConfig, integrate_panels, scaled_omega_coth
-from .sde import _BLOCK, _SLAB_STEPS, _chunks, _draw, _draw_pool
+from .sde import _BLOCK, _SLAB_STEPS, _accumulate, _chunks, _draw
 
 __all__ = [
     "TrajectoryGrid",
@@ -359,24 +360,22 @@ def _ensemble(modes: ModeSet, system: SystemSpec, taus, origins, n_real: int, se
     if final is not None:
         mean, final_rows = final
         rows = np.vstack((rows, final_rows))
-    mean_acc, corr_acc = ([MomentAccumulator() for _ in taus] for _ in range(2))
-    moment_acc = [MomentAccumulator() for _ in mean]
-    buf = None  # one buffer serves every chunk
-    with _draw_pool():
-        for streams, count in _chunks(seed, n_real, chunk_size):
-            if buf is None:
-                buf = np.empty((len(rows), _BLOCK * len(streams)))
-            _draw(streams, rows, buf[:, :_BLOCK * len(streams)])
-            y = _finite(buf[:, :count])
-            f_base = y[base_idx]
-            for j in range(taus.size):
-                mean_acc[j].update_batch(y[tau_idx[j]])
-                corr_acc[j].update_batch((f_base * y[lag_idx[j]]).mean(axis=0))
-            for acc, m, values in zip(moment_acc, mean, y[len(times):]):
-                acc.update_batch((m + values) ** 2)
-    return ({"taus": taus, "mean": [acc.estimate() for acc in mean_acc],
-             "autocorr": [acc.estimate() for acc in corr_acc]},
-            [acc.estimate() for acc in moment_acc])
+
+    def work(streams):
+        y = np.empty((len(rows), _BLOCK * len(streams)))
+        _draw(streams, rows, y)
+        values, f_base = {}, y[base_idx]
+        for j in range(taus.size):
+            values["mean", j] = y[tau_idx[j]]
+            values["autocorr", j] = (f_base * y[lag_idx[j]]).mean(axis=0)
+        for k, (m, final_values) in enumerate(zip(mean, y[len(times):])):
+            values["moment", k] = (m + final_values) ** 2
+        return values
+
+    est = _accumulate(seed, n_real, chunk_size, work, 1)
+    return ({"taus": taus, "mean": [est["mean", j] for j in range(taus.size)],
+             "autocorr": [est["autocorr", j] for j in range(taus.size)]},
+            [est["moment", k] for k in range(len(mean))])
 
 
 def ensemble_stats(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid, taus,
@@ -452,8 +451,8 @@ def sample_trajectories(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid
     normal_modes, times, n = _normal_modes or _NormalModes(modes, system), grid.times, modes.count
     series = np.empty((3, times.size, n_traj))
     z, (pz, pp), amp = np.empty((2 * n, _BLOCK)), np.empty((2, n + 1, _BLOCK)), np.empty(n + 1)
-    for first, (streams, width) in zip(range(0, n_traj, _BLOCK), _chunks(seed, n_traj, _BLOCK)):
-        _draw(streams, None, z)
+    for first, ((stream,), width) in zip(range(0, n_traj, _BLOCK), _chunks(seed, n_traj, _BLOCK)):
+        stream.standard_normal(out=z)
         for k, amp_k, start, s_rows, p_rows in normal_modes._rows():
             amp[k] = amp_k
             pz[k] = x0 * start[:, None] + s_rows @ z[:n]

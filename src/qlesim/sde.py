@@ -17,18 +17,19 @@ come in blocks of 64 and chunks of whole blocks; block b fills row-major
 tiles of normals from its (seed, b) stream and member i takes column i % 64
 of block i // 64, so it depends on (seed, i) alone, not on the ensemble size,
 chunking or tiling; each tile is mapped into its stream's 64 columns as
-drawn.  An ensemble call runs one thread pool (up to the usable CPUs), each
-worker taking a contiguous group of streams, so results do not depend on the
-worker count.  SDE trajectories start from N(0, Sigma), drawn first; a chunk
-steps in one (slab steps + 1, chunk, dim) buffer, one 64-step slab of draws
-at a time; observables sum in step order.
+drawn.  Both ensembles run through one driver, :func:`_accumulate`: one
+thread pool per call (up to the usable CPUs), each worker taking a
+contiguous group of a chunk's streams and returning per-member values by
+name, which the driver checks finite and accumulates in member order, so
+results do not depend on the worker count.  SDE trajectories start from
+N(0, Sigma), drawn first; a group steps in one (slab steps + 1, members,
+dim) buffer, one 64-step slab of draws at a time; observables sum in step
+order.
 """
 
 from __future__ import annotations
 
 import cmath
-import contextlib
-import contextvars
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -43,10 +44,9 @@ __all__ = ["stationary_covariance", "propagator_coefficients", "exact_discretiza
 
 # trajectories per stream; steps per draw and observable slab; fewest blocks per SDE worker
 _BLOCK, _SLAB_STEPS, _GROUP_BLOCKS = 64, 64, 8
-# threads for the block draws: the usable CPUs
+# ensemble workers: the usable CPUs
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-_POOL = contextvars.ContextVar("qlesim_draw_pool", default=None)
 
 
 def _stable_2x2(drift, diffusion):
@@ -142,50 +142,45 @@ def _chunks(seed, n, chunk_size):
                 for b in blocks], min(n - _BLOCK * first, _BLOCK * len(blocks)))
 
 
-def _in_groups(pool, work, items, least=1):
-    """[work(group) for contiguous groups of ``items``]: up to one group of at
-    least ``least`` per worker of ``pool`` (None: one group), the first here."""
-    groups = np.array_split(items, max(min(_WORKERS, len(items) // least), 1) if pool else 1)
-    futures = [pool.submit(work, group) for group in groups[1:]]
-    return [work(groups[0])] + [future.result() for future in futures]  # re-raises
-
-
-@contextlib.contextmanager
-def _draw_pool():
-    """Draw on one pool of threads (``_POOL`` in this context), joined on exit."""
+def _accumulate(seed, n, chunk_size, work, least):
+    """Moment estimates, by name, of the per-member values that
+    ``work(streams)`` returns for members 0..n-1 of :func:`_chunks`: each
+    chunk's streams go in up to one contiguous group of at least ``least`` per
+    worker, the first here and the rest on one pool.  Raises
+    :class:`UnstableIntegrationError` on a non-finite value, padding aside.
+    """
+    accs = {}
     with ThreadPoolExecutor(max(_WORKERS - 1, 1)) as pool:
-        token = _POOL.set(pool)
-        try:
-            yield
-        finally:
-            _POOL.reset(token)
+        for streams, count in _chunks(seed, n, chunk_size):
+            groups = np.array_split(streams, max(min(_WORKERS, len(streams) // least), 1))
+            futures = [pool.submit(work, group) for group in groups[1:]]
+            parts = [work(groups[0])] + [future.result() for future in futures]  # re-raises
+            accs = accs or {name: MomentAccumulator() for name in parts[0]}
+            for name, acc in accs.items():
+                values = np.concatenate([part[name] for part in parts])[:count]
+                if not np.all(np.isfinite(values)):
+                    raise UnstableIntegrationError("ensemble members diverged to non-finite values")
+                acc.update_batch(values)
+    return {name: acc.estimate() for name, acc in accs.items()}
 
 
 def _draw(streams, factor, out):
-    """Fill each stream's 64 columns of ``out`` with a linear map of one
-    row-major tile of its standard normals: SDE kicks, ``out`` (rows, 64 per
-    stream, dim), each dim-vector times the 2x2 noise ``factor``; finite-bath
-    values, ``out`` (values, 64 per stream), ``factor @ tile`` of a (2N, 64)
-    tile with one row per normal, or the tile itself where ``factor`` is None.
-    Stream groups fill on the :func:`_draw_pool` open here, if any, each in one
-    scratch tile (fills and matmul release the GIL), a stream in C order.
+    """Fill each stream's 64 columns of ``out``, in stream order, with a
+    linear map of one row-major tile of its standard normals: SDE kicks,
+    ``out`` (rows, 64 per stream, dim), each dim-vector times the 2x2 noise
+    ``factor``; finite-bath values, ``out`` (values, 64 per stream),
+    ``factor @ tile`` of a (2N, 64) tile with one row per normal.
     """
     if out.ndim == 3:
         shape, factor_t = out[:, :_BLOCK].shape, np.ascontiguousarray(factor.T)
         apply = lambda tile, dest: np.matmul(tile, factor_t, out=dest)
-    elif factor is None:
-        shape, apply = out[:, :_BLOCK].shape, lambda tile, dest: np.copyto(dest, tile)
     else:
         shape = (factor.shape[1], _BLOCK)
         apply = lambda tile, dest: np.matmul(factor, tile, out=dest)
-
-    def fill(group):
-        tile = np.empty(shape)
-        for k in group:
-            streams[k].standard_normal(out=tile)
-            apply(tile, out[:, k * _BLOCK:(k + 1) * _BLOCK])
-
-    _in_groups(_POOL.get(), fill, range(len(streams)))
+    tile = np.empty(shape)
+    for k, stream in enumerate(streams):
+        stream.standard_normal(out=tile)
+        apply(tile, out[:, k * _BLOCK:(k + 1) * _BLOCK])
 
 
 def _propagate(prop, states):
@@ -196,8 +191,8 @@ def _propagate(prop, states):
 
 
 def _chunk_sums(prop, factor, start, n_steps, observables, streams):
-    """Per-trajectory sums of the observables over ``n_steps`` steps from a start
-    drawn with factor ``start``, and the final states; the one buffer dies here."""
+    """Per-trajectory time averages of the observables over ``n_steps`` steps
+    from a start drawn with factor ``start``; the one buffer dies here."""
     buf = np.zeros((min(_SLAB_STEPS, n_steps) + 1, _BLOCK * len(streams), len(prop)))
     sums = {name: np.zeros(buf.shape[1]) for name in observables}
     _draw(streams, start, buf[-1:])  # first in each stream; row 0 of the first slab
@@ -211,32 +206,23 @@ def _chunk_sums(prop, factor, start, n_steps, observables, streams):
         for name, f in observables.items():
             # a reduction seeded with the running sum adds in step order
             sums[name] = np.vstack([sums[name], f(prev, cur).reshape(len(states) - 1, -1)]).sum(0)
-    return sums, states[-1].copy()
+    return {name: total / n_steps for name, total in sums.items()}
 
 
 def run_ensemble(drift, diffusion, dt, n_steps, n_traj, seed, observables, chunk_size, meta=None):
     """Ensemble of the linear SDE under its exact step: moments
     ``observables[name](prev, state)`` on (rows, dim) slabs, each trajectory
     started from N(0, Sigma) and time-averaged over its ``n_steps`` steps.
-    Raises :class:`UnstableIntegrationError` when a chunk ends non-finite
-    (overflowing noise), padding trajectories aside.  The ``meta`` mapping
-    extends the result's dt and n_steps.
+    Raises :class:`UnstableIntegrationError` when a time average is
+    non-finite (overflowing noise).  The ``meta`` mapping extends the
+    result's dt and n_steps.
     """
     prop, factor, start = _stepper(drift, diffusion, dt, n_steps, n_traj)
-    accs = {name: MomentAccumulator() for name in observables}
     # a worker steps its streams through the whole chunk, drawing serially: one
     # hand-off per chunk, where one per slab of draws stalled on a busy host
-    with ThreadPoolExecutor(max(_WORKERS - 1, 1)) as pool:
-        for streams, count in _chunks(seed, n_traj, chunk_size):
-            parts = _in_groups(pool, lambda group: _chunk_sums(
-                prop, factor, start, n_steps, observables, group), streams, _GROUP_BLOCKS)
-            state = np.concatenate([state for _, state in parts])
-            sums = {name: np.concatenate([part[name] for part, _ in parts]) for name in observables}
-            if not np.all(np.isfinite(state[:count])):
-                raise UnstableIntegrationError("SDE trajectories diverged to non-finite values")
-            for name, acc in accs.items():
-                acc.update_batch(sums[name][:count] / n_steps)
-    return EnsembleResult({name: acc.estimate() for name, acc in accs.items()}, n_traj, seed,
+    moments = _accumulate(seed, n_traj, chunk_size, lambda streams: _chunk_sums(
+        prop, factor, start, n_steps, observables, streams), _GROUP_BLOCKS)
+    return EnsembleResult(moments, n_traj, seed,
                           meta={"dt": dt, "n_steps": n_steps, **(meta or {})})
 
 

@@ -439,6 +439,15 @@ class TestExitCodes:
         assert err.startswith("error: cutoff * max(steps * dt, 25/omega0)")
         assert len(err.splitlines()) == 1
 
+    def test_default_steps_past_the_floats_is_one(self, capsys):
+        # 20 / (gamma * dt) overflows: past the check the default step count
+        # ended in an OverflowError traceback
+        code, out, err = run_cli(["microbath", "--dt", "1e-320", "--modes", "2",
+                                  "--realizations", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the default steps 20/(gamma*dt)")
+        assert len(err.splitlines()) == 1
+
     def test_bad_grid_is_one(self, capsys):
         code, _, _ = run_cli(["dist", "--grid", "oops"], capsys)
         assert code == 1

@@ -1,7 +1,10 @@
-"""Every public name a qlesim module exports exists and star-imports."""
+"""Every public name a qlesim module exports exists and star-imports, and
+every module-level import is used."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +24,31 @@ def test_all_names_exist_and_star_import(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def _unused_imports(source):
+    """Names bound by the module-level imports of ``source`` that it never
+    reads, other than those re-exported through ``__all__``."""
+    tree = ast.parse(source)
+    bound, exported = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read - exported)
+
+
+def test_unused_import_guard_sees_an_unused_import():
+    assert _unused_imports("import math\nimport os\nfrom .a import b, c\n__all__ = ['c']\n"
+                           "def f():\n    return math.pi\n") == ["b", "os"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(qlesim.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_unused_module_imports(path):
+    assert _unused_imports(path.read_text()) == []

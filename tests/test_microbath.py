@@ -8,7 +8,8 @@ import pytest
 from scipy.linalg import expm
 
 from qlesim.bath import BathSpec, ModeSet, SystemSpec, discretize_bath
-from qlesim.errors import ConvergenceError, DomainError, UnsupportedBathError
+from qlesim.errors import (ConvergenceError, DomainError, UnstableIntegrationError,
+                           UnsupportedBathError)
 from qlesim.quadrature import QuadratureConfig
 from qlesim import cli, fdt, microbath as mb, sde
 
@@ -341,7 +342,8 @@ class TestNormalModes:
 
     def test_one_draw_buffer_serves_every_chunk(self):
         # a new buffer per chunk kept two chunks of draws alive at the
-        # turnover: 2.04 (noise) and 2.63 (GLE) chunks of peak
+        # turnover: 2.04 (noise) and 2.63 (GLE) chunks of peak; a worker
+        # group holds one (2N, 64) tile and its values, never the draws
         sys_ = SystemSpec()
         _, modes = make_bath(n_modes=500)
         grid = mb.TrajectoryGrid(dt=0.03, n_steps=100)
@@ -630,18 +632,38 @@ class TestEmptyEnsembles:
 
 
 def test_microbath_run_draws_each_block_stream_once(monkeypatch, capsys):
-    # 4,200 realizations are 66 blocks in chunks of 32, 32 and 2 blocks; the
-    # noise statistics and the moments share each chunk's one draw
-    draw, keys = mb._draw, []
+    # 4,200 realizations are 66 blocks in chunks of 32, 32 and 2 blocks, each
+    # drawn in one call per worker group (two workers: halves of a chunk);
+    # the noise statistics and the moments share each group's one draw
+    draw, chunks, keys, sizes = mb._draw, sde._chunks, [], []
 
     def counting(streams, factor, out):
         keys.append([(s.bit_generator.seed_seq.entropy, *s.bit_generator.seed_seq.spawn_key)
                      for s in streams])
         draw(streams, factor, out)
 
+    def recording(*args):
+        for streams, count in chunks(*args):
+            sizes.append(len(streams))
+            yield streams, count
+
+    monkeypatch.setattr(sde, "_WORKERS", 2)
+    monkeypatch.setattr(sde, "_chunks", recording)
     monkeypatch.setattr(mb, "_draw", counting)
     assert cli.main(["microbath", "--modes", "50", "--realizations", "4200", "--steps", "10",
                      "--dt", "0.03", "--seed", "3"]) == 0
     capsys.readouterr()
-    assert [len(chunk) for chunk in keys] == [32, 32, 2]
-    assert sum(keys, []) == [(3, 0x5DE, b) for b in range(66)]
+    assert sizes == [32, 32, 2]
+    # the two groups of a chunk draw concurrently, each in stream order
+    groups = sorted(keys)
+    assert [len(group) for group in groups] == [16, 16, 16, 16, 1, 1]
+    assert sum(groups, []) == [(3, 0x5DE, b) for b in range(66)]
+
+
+def test_overflowing_moment_raises():
+    # x(T)^2 leaves the floats while every draw is finite: the draws alone
+    # were checked, and this returned mean inf, se nan without raising
+    _, modes = make_bath(n_modes=16)
+    grid = mb.TrajectoryGrid(dt=0.03, n_steps=10)
+    with np.errstate(over="ignore"), pytest.raises(UnstableIntegrationError, match="diverged"):
+        mb.gle_ensemble_moments(modes, SystemSpec(), grid, 16, seed=1, x0=1e200)

@@ -167,10 +167,10 @@ def test_noise_memory_bounded_by_block():
 
 
 def _chunk_peaks():
-    """tracemalloc peaks of 4,096 trajectories (two chunks) at 1,000 and 20,000 steps."""
+    """tracemalloc peaks of 4,096 trajectories (two chunks) at 1,000 and 4,000 steps."""
     params = mk.MarkovParams.from_system(SystemSpec(), 0.1)
     peaks = []
-    for n_steps in (1000, 20_000):
+    for n_steps in (1000, 4000):
         tracemalloc.start()
         try:
             mk.simulate_sde(params, dt=10.0, n_steps=n_steps, n_traj=4096, seed=1)
@@ -182,7 +182,8 @@ def _chunk_peaks():
 
 def test_chunk_memory_is_one_buffer():
     # a chunk steps in one (64 + 1, 2048, 2) slab buffer, 2.1 MB; the
-    # 1024-step tile peaked at 35 MB, and a whole-run draw grows with the steps
+    # 1024-step tile peaked at 35 MB, and a whole-run draw grows with the
+    # steps (131 MB per chunk at 4,000)
     peaks = _chunk_peaks()
     assert max(peaks) < 8e6, peaks
 
