@@ -378,14 +378,14 @@ def run_microbath(cfg: RunConfig, dump_traj=None, dump_count=1):
     grid = microbath.TrajectoryGrid(dt=dt, n_steps=n_steps)
     final = None
     if dump_traj:
-        # the dump's normal modes also give the ensemble's x(T), v(T) rows;
-        # they and the series are freed before the ensemble pass allocates
+        # one set of normal modes and x(T), v(T) rows serves the dump and the
+        # ensemble; the series are freed before the ensemble pass allocates
         normal_modes = microbath._NormalModes(modes, system)
+        final = normal_modes.response(np.array([grid.dt * grid.n_steps]), 0.0)
         times, *series = microbath.sample_trajectories(
             modes, system, grid, min(dump_count, cfg.realizations), cfg.seed,
-            _normal_modes=normal_modes)
+            _normal_modes=normal_modes, _final=final)
         _write_trajectories(dump_traj, ("x", "v", "f"), times, series)
-        final = normal_modes.response(np.array([grid.dt * grid.n_steps]), 0.0)
         del normal_modes, times, series
 
     taus = np.linspace(0.0, 5.0 / system.omega0, 11)

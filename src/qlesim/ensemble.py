@@ -25,12 +25,6 @@ class MomentAccumulator:
         self.mean = 0.0
         self.m2 = 0.0
 
-    def update(self, x: float):
-        self.n += 1
-        delta = x - self.mean
-        self.mean += delta / self.n
-        self.m2 += delta * (x - self.mean)
-
     def update_batch(self, values):
         values = np.asarray(values, dtype=float).ravel()
         if values.size == 0:

@@ -1,4 +1,4 @@
-"""Finite-N microscopic bath: every sampled value is one linear map of 2N normals.
+"""Finite-N microscopic bath: the k values a pass samples are one linear map of k normals.
 
 A bath prepared in the displaced thermal state generates the noise
 
@@ -27,13 +27,18 @@ normal modes cost O(N^2) time (Gu & Eisenstat, SIAM J. Matrix Anal. Appl.
 
 So f(t), x(t) and v(t) at any time are each mean + row @ z, where z holds
 a realization's 2N standard normals (the s normals first) and the row
-carries the thermal standard deviations.  A pass builds its rows once (the
-normal modes' a block at a time, from O(N) data) and applies them to each
-(2N, 64) block of normals as drawn; the exact moments are the row norms,
-mean^2 + |row|^2.  Realization i is column i % 64 of the (seed, i // 64)
-block stream of :mod:`.sde`, so it depends on (seed, i) alone, and a pass
-accumulates on that module's ensemble driver, so chunked and serial runs
-agree.
+carries the thermal standard deviations; the exact moments are the row
+norms, mean^2 + |row|^2.  A pass samples k values, x(T) and v(T) if asked
+and then f at sorted distinct times, with covariance R R^T for their rows R
+(built once, the normal modes' a block at a time).  It maps each (k, 64)
+tile of normals through F = T^T, F F^T = R R^T, for T the QR factor of R^T:
+F is lower-triangular, so x(T) and v(T) take the tile's first (2, 64)
+normals w alone.  A dump draws z given w: with zeta the stream's next
+(2N, 64) normals and Q the orthonormal QR basis of the x(T), v(T) rows,
+z = zeta + Q (w - Q^T zeta) is exactly N(0, I) and has Q^T z = w.
+Realization i is column i % 64 of the (seed, i // 64) block stream of
+:mod:`.sde`, so it depends on (seed, i) alone, and a pass accumulates on
+that module's ensemble driver, so chunked and serial runs agree.
 """
 
 from __future__ import annotations
@@ -344,9 +349,8 @@ def _finite(values):
 
 def _ensemble(modes: ModeSet, system: SystemSpec, taus, origins, n_real: int, seed: int,
               chunk_size: int, final=None):
-    """(noise statistics, [<x^2>, <v^2>] estimates) of one pass that applies
-    the noise rows and the ``final`` (mean, rows) of x(T) and v(T), if
-    given, to each block of normals as it is drawn."""
+    """(noise statistics, [<x^2>, <v^2>] estimates) of one pass over x(T) and
+    v(T) of the ``final`` (mean, rows), if given, then the noise."""
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if np.any(taus < 0):
         raise DomainError("lags must be nonnegative")
@@ -359,17 +363,19 @@ def _ensemble(modes: ModeSet, system: SystemSpec, taus, origins, n_real: int, se
     rows, mean = _noise_rows(modes, system, times), ()
     if final is not None:
         mean, final_rows = final
-        rows = np.vstack((rows, final_rows))
+        rows = np.vstack((final_rows, rows))
+    factor = np.linalg.qr(rows.T, mode="r").T
 
     def work(streams):
         y = np.empty((len(rows), _BLOCK * len(streams)))
-        _draw(streams, rows, y)
+        _draw(streams, factor, y)
+        final_values, y = y[:len(mean)], y[len(mean):]
         values, f_base = {}, y[base_idx]
         for j in range(taus.size):
             values["mean", j] = y[tau_idx[j]]
             values["autocorr", j] = (f_base * y[lag_idx[j]]).mean(axis=0)
-        for k, (m, final_values) in enumerate(zip(mean, y[len(times):])):
-            values["moment", k] = (m + final_values) ** 2
+        for k, (m, final_k) in enumerate(zip(mean, final_values)):
+            values["moment", k] = (m + final_k) ** 2
         return values
 
     est = _accumulate(seed, n_real, chunk_size, work, 1)
@@ -384,8 +390,7 @@ def ensemble_stats(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid, tau
     """(noise statistics, final-time moments) of one pass over ``n_real``
     realizations: what :func:`noise_ensemble_stats` (lags ``taus`` from
     ``origins``) and :func:`gle_ensemble_moments` (``grid``, ``x0``) return
-    at the same seed and chunk size.  The noise rows and the x(T), v(T)
-    rows form one matrix, so each chunk is drawn once and multiplied once.
+    at the same seed and chunk size (x(T) and v(T) lead the value factor).
     ``_final`` passes in these x(T), v(T) rows from normal modes built before.
     """
     final = _final or _NormalModes(modes, system).response(
@@ -426,33 +431,33 @@ def gle_ensemble_moments(modes: ModeSet, system: SystemSpec, grid: TrajectoryGri
 
 def gle_moments_exact(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid,
                       x0: float = 0.0):
-    """Exact (<x^2>, <v^2>) at the final grid time of the ensemble sampled
-    by :func:`gle_ensemble_moments`, without sampling error.
-
-    x(T) and v(T) are mean + row @ z in the 2N independent standard
-    normals z of a realization, so each moment is mean^2 + |row|^2.
-    """
+    """Exact (<x^2>, <v^2>) at the final grid time of the ensemble sampled by
+    :func:`gle_ensemble_moments`: the row norms mean^2 + |row|^2 of x(T), v(T)."""
     mean, rows = _NormalModes(modes, system).response(np.array([grid.dt * grid.n_steps]), x0)
     return tuple(float(m ** 2 + row @ row) for m, row in zip(mean, rows))
 
 
 def sample_trajectories(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid,
-                        n_traj: int, seed: int, x0: float = 0.0, _normal_modes=None):
+                        n_traj: int, seed: int, x0: float = 0.0, _normal_modes=None,
+                        _final=None):
     """(times, x, v, f) of the first ``n_traj`` realizations of
     :func:`gle_ensemble_moments` on ``grid.times``.
 
     Arrays are (n_steps + 1, n_traj); f is each realization's noise force.
-    Each whole block of 64 draws is first projected onto the normal modes,
-    then the time axis goes in slabs, so memory is that of the output plus
-    one block, and no bit of a series depends on n_traj.  ``_normal_modes``
-    passes in a ``_NormalModes(modes, system)`` built before.
+    Each block's z, drawn given the pass's x(T), v(T) draws, is first
+    projected onto the normal modes, then the time axis goes in slabs, so
+    memory is that of the output plus one block, and no bit of a series
+    depends on n_traj.  ``_normal_modes`` and ``_final`` pass in a
+    ``_NormalModes(modes, system)`` and its x(T), v(T) rows built before.
     """
     grid.check_resolves(modes)
     normal_modes, times, n = _normal_modes or _NormalModes(modes, system), grid.times, modes.count
-    series = np.empty((3, times.size, n_traj))
-    z, (pz, pp), amp = np.empty((2 * n, _BLOCK)), np.empty((2, n + 1, _BLOCK)), np.empty(n + 1)
+    basis = np.linalg.qr((_final or normal_modes.response(times[-1:], x0))[1].T)[0]
+    series, draws = np.empty((3, times.size, n_traj)), np.empty((2 * n + 2, _BLOCK))
+    w, z, (pz, pp), amp = draws[:2], draws[2:], np.empty((2, n + 1, _BLOCK)), np.empty(n + 1)
     for first, ((stream,), width) in zip(range(0, n_traj, _BLOCK), _chunks(seed, n_traj, _BLOCK)):
-        stream.standard_normal(out=z)
+        stream.standard_normal(out=draws)
+        z += basis @ (w - basis.T @ z)
         for k, amp_k, start, s_rows, p_rows in normal_modes._rows():
             amp[k] = amp_k
             pz[k] = x0 * start[:, None] + s_rows @ z[:n]

@@ -17,14 +17,14 @@ come in blocks of 64 and chunks of whole blocks; block b fills row-major
 tiles of normals from its (seed, b) stream and member i takes column i % 64
 of block i // 64, so it depends on (seed, i) alone, not on the ensemble size,
 chunking or tiling; each tile is mapped into its stream's 64 columns as
-drawn.  Both ensembles run through one driver, :func:`_accumulate`: one
-thread pool per call (up to the usable CPUs), each worker taking a
-contiguous group of a chunk's streams and returning per-member values by
-name, which the driver checks finite and accumulates in member order, so
-results do not depend on the worker count.  SDE trajectories start from
-N(0, Sigma), drawn first; a group steps in one (slab steps + 1, members,
-dim) buffer, one 64-step slab of draws at a time; observables sum in step
-order.
+drawn (a finite-bath tile has one row per sampled value).  Both ensembles
+run through one driver, :func:`_accumulate`: one thread pool per call (up
+to the usable CPUs), each worker taking a contiguous group of a chunk's
+streams and returning per-member values by name, which the driver checks
+finite and accumulates in member order, so results do not depend on the
+worker count.  SDE trajectories start from N(0, Sigma), drawn first; a
+group steps in one (slab steps + 1, members, dim) buffer, one 64-step slab
+of draws at a time; observables sum in step order.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def _draw(streams, factor, out):
     linear map of one row-major tile of its standard normals: SDE kicks,
     ``out`` (rows, 64 per stream, dim), each dim-vector times the 2x2 noise
     ``factor``; finite-bath values, ``out`` (values, 64 per stream),
-    ``factor @ tile`` of a (2N, 64) tile with one row per normal.
+    ``factor @ tile`` of a (k, 64) tile for the (values, k) ``factor``.
     """
     if out.ndim == 3:
         shape, factor_t = out[:, :_BLOCK].shape, np.ascontiguousarray(factor.T)

@@ -13,8 +13,8 @@ def test_matches_numpy_on_fixed_data():
     rng = np.random.default_rng(0)
     data = rng.normal(3.0, 2.0, size=1000)
     acc = MomentAccumulator()
-    for x in data:
-        acc.update(float(x))
+    acc.update_batch(data)
+    assert acc.n == data.size
     assert acc.mean == pytest.approx(float(np.mean(data)), rel=1e-12)
     assert acc.variance == pytest.approx(float(np.var(data, ddof=1)), rel=1e-12)
     assert acc.std_error == pytest.approx(
@@ -23,13 +23,14 @@ def test_matches_numpy_on_fixed_data():
 
 
 def test_batch_update_equals_scalar_updates():
+    # one batch against merges of one-element batches, one value at a time
     rng = np.random.default_rng(1)
     data = rng.normal(size=500)
     one = MomentAccumulator()
     one.update_batch(data)
     two = MomentAccumulator()
     for x in data:
-        two.update(float(x))
+        two.update_batch([x])
     assert one.n == two.n
     assert one.mean == pytest.approx(two.mean, rel=1e-13)
     assert one.m2 == pytest.approx(two.m2, rel=1e-10)
@@ -67,7 +68,7 @@ def test_empty_and_single_sample():
     acc = MomentAccumulator()
     acc.update_batch(np.array([]))
     assert acc.n == 0
-    acc.update(1.5)
+    acc.update_batch([1.5])
     assert acc.mean == 1.5
     assert np.isnan(acc.std_error)
 

@@ -19,11 +19,32 @@ def make_bath(gamma=0.5, cutoff=3.0, n_modes=300):
     return bath, discretize_bath(bath, n_modes)
 
 
-def block_normals(modes, seed, block):
-    """The (2N, 64) standard normals of a block stream, s rows then p rows:
-    realization 64 * block + k is column k."""
-    stream = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x5DE, block)))
-    return stream.standard_normal((2 * modes.count, 64))
+def block_stream(seed, block):
+    """The (seed, block) stream: realization 64 * block + k is column k of its tiles."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x5DE, block)))
+
+
+def pass_values(rows, seed, block):
+    """(k, 64) values of a pass over the k value ``rows`` on one block: the
+    stream's first (k, 64) tile times F = T^T, the QR factor T of rows^T."""
+    factor = np.linalg.qr(rows.T, mode="r").T
+    return factor @ block_stream(seed, block).standard_normal((factor.shape[1], 64))
+
+
+def dump_normals(final_rows, seed, block):
+    """The (2N, 64) normals z of a block's dumped realizations, s rows then p
+    rows: z = zeta + Q (w - Q^T zeta), with w the stream's first (2, 64)
+    normals, zeta its next (2N, 64) and Q the orthonormal QR basis of the
+    x(T), v(T) ``final_rows``."""
+    stream = block_stream(seed, block)
+    w, zeta = stream.standard_normal((2, 64)), stream.standard_normal((final_rows.shape[1], 64))
+    basis = np.linalg.qr(final_rows.T)[0]
+    return zeta + basis @ (w - basis.T @ zeta)
+
+
+def final_rows(modes, sys_, grid):
+    """The (2, 2N) rows of x(T) and v(T) at the final grid time."""
+    return mb._NormalModes(modes, sys_).response(np.array([grid.dt * grid.n_steps]), 0.0)[1]
 
 
 def thermal_start(modes, sys_, normals):
@@ -181,7 +202,7 @@ class TestInitialSlip:
         x0 = 0.9
         grid = mb.TrajectoryGrid(dt=0.02, n_steps=300)
         f = mb.sample_trajectories(modes, sys_, grid, 3, seed=5, x0=x0)[3][:, 2]
-        s, p = thermal_start(modes, sys_, block_normals(modes, 5, 0)[:, 2])
+        s, p = thermal_start(modes, sys_, dump_normals(final_rows(modes, sys_, grid), 5, 0)[:, 2])
         shift = modes.coupling * x0 / (modes.mass * modes.omega**2)
         g = mode_sum(modes, grid.times, s + shift, p)
         slip = mb.initial_slip(modes, x0, grid.times)
@@ -412,11 +433,24 @@ class TestNormalModes:
         noise = mb.noise_ensemble_stats(modes, sys_, taus, 300, seed=6, origins=origins,
                                         chunk_size=2048)
         moments = mb.gle_ensemble_moments(modes, sys_, grid, 300, seed=6, x0=0.3)
-        np.testing.assert_array_equal(stats["taus"], noise["taus"])
-        pairs = [(stats[k][j], noise[k][j]) for k in ("mean", "autocorr") for j in range(3)]
-        for a, b in pairs + [(res[name], moments[name]) for name in ("x2", "v2")]:
+        for a, b in [(res[name], moments[name]) for name in ("x2", "v2")]:
             assert (a.mean, a.se, a.n) == pytest.approx((b.mean, b.se, b.n), rel=1e-12)
         assert (res.n_traj, res.seed, res.meta) == (moments.n_traj, moments.seed, moments.meta)
+        # the noise of each pass against its realizations rebuilt from the
+        # streams: the value rows are x(T), v(T) (if sampled) and then the
+        # noise at the sorted distinct times of the lags, origins and their sums
+        times = np.unique(np.concatenate([taus, origins, np.add.outer(taus, origins).ravel()]))
+        at = lambda t: np.searchsorted(times, t)
+        noise_rows = mb._noise_rows(modes, sys_, times)
+        for got, rows in ((stats, np.vstack((final_rows(modes, sys_, grid), noise_rows))),
+                          (noise, noise_rows)):
+            y = np.hstack([pass_values(rows, 6, b) for b in range(5)])[-len(times):, :300]
+            np.testing.assert_array_equal(got["taus"], taus)
+            for j, tau in enumerate(taus):
+                corr = np.mean([y[at(t0)] * y[at(t0 + tau)] for t0 in origins], axis=0)
+                for est, values in ((got["mean"][j], y[at(tau)]), (got["autocorr"][j], corr)):
+                    expected = (values.mean(), values.std(ddof=1) / math.sqrt(300), 300)
+                    assert (est.mean, est.se, est.n) == pytest.approx(expected, rel=1e-12)
 
     def test_sample_trajectories_are_the_ensemble_realizations(self):
         sys_ = SystemSpec()
@@ -430,9 +464,13 @@ class TestNormalModes:
         res = mb.gle_ensemble_moments(modes, sys_, grid, n_real=70, seed=5, x0=0.2)
         assert res["x2"].mean == pytest.approx(np.mean(x[-1] ** 2), rel=1e-12)
         assert res["v2"].mean == pytest.approx(np.mean(v[-1] ** 2), rel=1e-12)
-        # realization 66 is column 2 of block 1's (2N, 64) fill, s rows then p
-        # rows; its x and v against the exponential of the phase-space generator
-        s, p = thermal_start(modes, sys_, block_normals(modes, 5, 1)[:, 2])
+        # realization 66 is column 2 of block 1: its normals z reproduce the
+        # pass's x(T), v(T) draws, and its x and v match the exponential of the
+        # phase-space generator
+        rows = final_rows(modes, sys_, grid)
+        z = dump_normals(rows, 5, 1)[:, 2]
+        np.testing.assert_allclose(rows @ z, pass_values(rows, 5, 1)[:, 2], rtol=0, atol=1e-12)
+        s, p = thermal_start(modes, sys_, z)
         np.testing.assert_allclose(f[:, 66], mode_sum(modes, grid.times, s, p),
                                    rtol=0, atol=1e-12)
         gen, unit, _ = phase_space(modes, sys_)
@@ -440,6 +478,25 @@ class TestNormalModes:
         states = np.array([expm(gen * t) @ start for t in grid.times])
         np.testing.assert_allclose(x[:, 66], states[:, 0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(v[:, 66], states[:, modes.count + 1], rtol=0, atol=1e-12)
+
+    def test_value_factor_reproduces_the_gram_matrix(self, monkeypatch):
+        # the criterion-6 bath at the CLI's lags and origins: 53 value rows of
+        # numerical rank below 53, whose lower-triangular k x k factor F must
+        # still have F F^T = R R^T to rounding
+        sys_, (_, modes) = SystemSpec(), make_bath(0.5, 3.0, 1000)
+        grid = mb.TrajectoryGrid(dt=0.03, n_steps=int(round(20.0 / 0.5 / 0.03)))
+        taus, origins = np.linspace(0.0, 5.0, 11), np.arange(0.0, 20.0001, 0.5)
+        final = mb._NormalModes(modes, sys_).response(np.array([grid.dt * grid.n_steps]), 0.0)
+        factors, draw = [], mb._draw
+        monkeypatch.setattr(mb, "_draw", lambda streams, factor, out: (
+            factors.append(factor), draw(streams, factor, out)))
+        mb.ensemble_stats(modes, sys_, grid, taus, 64, seed=1, origins=origins, _final=final)
+        times = np.unique(np.concatenate([taus, origins, np.add.outer(taus, origins).ravel()]))
+        rows = np.vstack((final[1], mb._noise_rows(modes, sys_, times)))
+        gram, (factor,) = rows @ rows.T, factors
+        assert factor.shape == (53, 53) and np.linalg.matrix_rank(rows) < 53
+        np.testing.assert_array_equal(np.triu(factor, 1), 0.0)
+        assert np.linalg.norm(factor @ factor.T - gram) <= 1e-13 * np.linalg.norm(gram)
 
     def test_realizations_do_not_depend_on_ensemble_or_chunk_size(self):
         sys_ = SystemSpec()
@@ -634,12 +691,15 @@ class TestEmptyEnsembles:
 def test_microbath_run_draws_each_block_stream_once(monkeypatch, capsys):
     # 4,200 realizations are 66 blocks in chunks of 32, 32 and 2 blocks, each
     # drawn in one call per worker group (two workers: halves of a chunk);
-    # the noise statistics and the moments share each group's one draw
-    draw, chunks, keys, sizes = mb._draw, sde._chunks, [], []
+    # the noise statistics and the moments share each group's one draw, one
+    # tile per stream with a row per value (x(T), v(T) and 51 noise times),
+    # not per normal (2N = 100)
+    draw, chunks, keys, sizes, tiles = mb._draw, sde._chunks, [], [], []
 
     def counting(streams, factor, out):
         keys.append([(s.bit_generator.seed_seq.entropy, *s.bit_generator.seed_seq.spawn_key)
                      for s in streams])
+        tiles.append((len(out), factor.shape[1]))
         draw(streams, factor, out)
 
     def recording(*args):
@@ -658,6 +718,7 @@ def test_microbath_run_draws_each_block_stream_once(monkeypatch, capsys):
     groups = sorted(keys)
     assert [len(group) for group in groups] == [16, 16, 16, 16, 1, 1]
     assert sum(groups, []) == [(3, 0x5DE, b) for b in range(66)]
+    assert tiles == [(53, 53)] * 6
 
 
 def test_overflowing_moment_raises():
