@@ -31,15 +31,21 @@ def pass_values(rows, seed, block):
     return factor @ block_stream(seed, block).standard_normal((factor.shape[1], 64))
 
 
-def dump_normals(final_rows, seed, block):
+def dump_normals(rows, seed, block):
     """The (2N, 64) normals z of a block's dumped realizations, s rows then p
     rows: z = zeta + Q (w - Q^T zeta), with w the stream's first (2, 64)
     normals, zeta its next (2N, 64) and Q the orthonormal QR basis of the
-    x(T), v(T) ``final_rows``."""
+    x(T), v(T) ``rows``."""
     stream = block_stream(seed, block)
-    w, zeta = stream.standard_normal((2, 64)), stream.standard_normal((final_rows.shape[1], 64))
-    basis = np.linalg.qr(final_rows.T)[0]
+    w, zeta = stream.standard_normal((2, 64)), stream.standard_normal((rows.shape[1], 64))
+    basis = np.linalg.qr(rows.T)[0]
     return zeta + basis @ (w - basis.T @ zeta)
+
+
+def value_times(taus, origins):
+    """The noise times of a pass, sorted and distinct: its value rows are x(T)
+    and v(T), if sampled, then the noise at these times."""
+    return np.unique(np.concatenate([taus, origins, np.add.outer(taus, origins).ravel()]))
 
 
 def final_rows(modes, sys_, grid):
@@ -436,10 +442,8 @@ class TestNormalModes:
         for a, b in [(res[name], moments[name]) for name in ("x2", "v2")]:
             assert (a.mean, a.se, a.n) == pytest.approx((b.mean, b.se, b.n), rel=1e-12)
         assert (res.n_traj, res.seed, res.meta) == (moments.n_traj, moments.seed, moments.meta)
-        # the noise of each pass against its realizations rebuilt from the
-        # streams: the value rows are x(T), v(T) (if sampled) and then the
-        # noise at the sorted distinct times of the lags, origins and their sums
-        times = np.unique(np.concatenate([taus, origins, np.add.outer(taus, origins).ravel()]))
+        # the noise of each pass against its realizations rebuilt from the streams
+        times = value_times(taus, origins)
         at = lambda t: np.searchsorted(times, t)
         noise_rows = mb._noise_rows(modes, sys_, times)
         for got, rows in ((stats, np.vstack((final_rows(modes, sys_, grid), noise_rows))),
@@ -491,8 +495,7 @@ class TestNormalModes:
         monkeypatch.setattr(mb, "_draw", lambda streams, factor, out: (
             factors.append(factor), draw(streams, factor, out)))
         mb.ensemble_stats(modes, sys_, grid, taus, 64, seed=1, origins=origins, _final=final)
-        times = np.unique(np.concatenate([taus, origins, np.add.outer(taus, origins).ravel()]))
-        rows = np.vstack((final[1], mb._noise_rows(modes, sys_, times)))
+        rows = np.vstack((final[1], mb._noise_rows(modes, sys_, value_times(taus, origins))))
         gram, (factor,) = rows @ rows.T, factors
         assert factor.shape == (53, 53) and np.linalg.matrix_rank(rows) < 53
         np.testing.assert_array_equal(np.triu(factor, 1), 0.0)
