@@ -33,9 +33,13 @@ and then f at sorted distinct times, with covariance R R^T for their rows R
 (built once, the normal modes' a block at a time).  It maps each (k, 64)
 tile of normals through F = T^T, F F^T = R R^T, for T the QR factor of R^T:
 F is lower-triangular, so x(T) and v(T) take the tile's first (2, 64)
-normals w alone.  A dump draws z given w: with zeta the stream's next
-(2N, 64) normals and Q the orthonormal QR basis of the x(T), v(T) rows,
-z = zeta + Q (w - Q^T zeta) is exactly N(0, I) and has Q^T z = w.
+normals w alone.  F is unique only for a full-rank Gram matrix, and at
+the CLI's lags R R^T has rank 46 of 53, so a bitwise-equal sample needs
+bitwise-equal value rows: rows that move by rounding re-map normals to
+values, and sampled cells move (by far less than their standard errors).
+A dump draws z given w: with zeta the stream's next (2N, 64) normals and
+Q the orthonormal QR basis of the x(T), v(T) rows, z = zeta + Q (w -
+Q^T zeta) is exactly N(0, I) and has Q^T z = w.
 Realization i is column i % 64 of the (seed, i // 64) block stream of
 :mod:`.sde`, so it depends on (seed, i) alone, and a pass accumulates on
 that module's ensemble driver, so chunked and serial runs agree.
@@ -169,6 +173,16 @@ def _secular_roots(alpha, w, d):
     bisects when that leaves the sign bracket.  A root has converged when
     the function is below its rounding error or the step below the
     resolution of tau.
+
+    A block of roots iterates on two (block, N) buffers.  One holds d - p:
+    it is filled when the block starts, once more after the first iteration
+    moves roots to their upper poles, and when converged roots leave.  The
+    other holds the reciprocals 1 / (d - lam), written as (d - p) - tau and
+    inverted in place.  The sums of w / (d - lam), of w / |d - lam| (after
+    an in-place abs) and of w / (d - lam)^2 without the near pole's term
+    (zeroed, then squared in place) are each one row-ordered einsum over
+    it.  An einsum sums a row the same way whatever rows sit beside it; a
+    BLAS product does not, and would make the roots depend on the block.
     """
     n, eps = d.size, np.finfo(float).eps
     spread = math.sqrt(w.sum())
@@ -183,30 +197,33 @@ def _secular_roots(alpha, w, d):
     # the outer ends are bounds, not poles: the model's far pole goes beyond them
     far[[0, n]] *= 2.0
     tau, unconverged = 0.5 * (lo + hi), 0
-    for act in np.split(k, range(_ROOT_BLOCK, n + 1, _ROOT_BLOCK)):  # (block, N) temporaries
+    poles, recip = np.empty((2, min(_ROOT_BLOCK, n + 1), n))
+    for act in np.split(k, range(_ROOT_BLOCK, n + 1, _ROOT_BLOCK)):
         for it in range(_SECULAR_ITERATIONS):
             t = tau[act]
-            diff = d - shift[act, None]
-            diff -= t[:, None]
-            terms = w / diff
-            g = t - (alpha - shift[act]) + terms.sum(1)
-            live = np.abs(g) > 8.0 * eps * (np.abs(alpha - shift[act]) + np.abs(t)
-                                            + np.abs(terms).sum(1))
-            if not live.all():
-                act, t, g, diff, terms = act[live], t[live], g[live], diff[live], terms[live]
-            lo[act] = np.where(g < 0, t, lo[act])
-            hi[act] = np.where(g > 0, t, hi[act])
+            if it < 2 or act.size < len(diff):
+                # d - p, again once iteration 0 has moved poles or roots have left
+                diff = np.subtract(d, shift[act, None], out=poles[:act.size])
+            r = np.subtract(diff, t[:, None], out=recip[:act.size])
+            np.reciprocal(r, out=r)
+            g = t - (alpha - shift[act]) + np.einsum("ij,j->i", r, w)
+            bound = np.einsum("ij,j->i", np.abs(r, out=r), w)
+            live = np.abs(g) > 8.0 * eps * (np.abs(alpha - shift[act]) + np.abs(t) + bound)
             if not it:
                 # an inner root above its gap's midpoint is solved for from the upper pole
-                up = (g < 0) & (act > 0) & (act < n)
+                up = live & (g < 0) & (act > 0) & (act < n)
                 sel = act[up]
                 shift[sel], near[sel], far[sel], lo[sel], hi[sel] = (
                     ends[sel + 1], sel, -gap[sel], -0.5 * gap[sel], 0.0)
                 t = np.where(up, -0.5 * gap[act], t)
-            slope = np.divide(terms, diff, out=diff)
-            slope[np.arange(act.size), near[act]] = 0.0
+            r[np.arange(act.size), near[act]] = 0.0
+            slope = np.einsum("ij,j->i", np.square(r, out=r), w)
+            if not live.all():
+                act, t, g, slope = act[live], t[live], g[live], slope[live]
+            lo[act] = np.where(g < 0, t, lo[act])
+            hi[act] = np.where(g > 0, t, hi[act])
             near_w, d_near, d_far = w[near[act]], -t, far[act] - t
-            far_w = (1.0 + slope.sum(1)) * d_far**2
+            far_w = (1.0 + slope) * d_far**2
             a = g - near_w / d_near - far_w / d_far
             # the model's root t + eta: a eta^2 - bb eta + c = 0, eta between d_near and d_far
             bb, c = a * (d_near + d_far) + near_w + far_w, d_near * d_far * g
@@ -300,6 +317,13 @@ class _NormalModes:
     and sin(W t) / W takes its limit t.  Started at (x0, 0) in the displaced
     preparation, P z = x0 * start + s_rows @ z[:N] and P z' = p_rows @ z[N:]
     for the 2N standard normals z, with rows built a block at a time.
+
+    :meth:`response` builds its rows coefficients first: a block's (cos - 1,
+    sin / W, -W sin) of W t times a, stacked (3 len(times), block), takes
+    one product with the block's raw eigenvectors, and the mode columns'
+    scales (M^1/2, then sd_s or sd_p / m_j) go once on the (3 len(times), N)
+    sum.  The dump's :meth:`_rows` scales each block, since it projects a
+    block's normals onto every mode.
     """
 
     def __init__(self, modes: ModeSet, system: SystemSpec):
@@ -324,11 +348,17 @@ class _NormalModes:
     def response(self, times, x0):
         """(mean, rows) of x at ``times`` followed by v at ``times``: each
         value is mean + rows @ z for a realization's 2N standard normals z."""
-        mean = rows = 0.0
-        for k, amp, start, s, p in self._rows():
-            cosm1, sinc, dsin = _basis(times, self.freq[k], amp)
-            mean = mean + np.concatenate((cosm1 @ start, dsin @ start))
-            rows = rows + np.block([[cosm1 @ s, sinc @ p], [dsin @ s, cosm1 @ p]])
+        sums, sums0 = np.zeros((3 * times.size, self._sd_s.size)), np.zeros(3 * times.size)
+        for k, u0, u in self._vectors():
+            coef = np.vstack(_basis(times, self.freq[k], u0 / self._root[0]))
+            sums += coef @ u
+            sums0 += coef @ u0
+        sums *= self._root[1:]  # the mode columns of U^T to those of P
+        start = self._root[0] * sums0 + sums @ self._unit
+        cosm1, sinc, dsin = np.split(sums, 3)
+        rows = np.block([[cosm1 * self._sd_s, sinc * self._sd_p],
+                         [dsin * self._sd_s, cosm1 * self._sd_p]])
+        mean = np.concatenate(np.split(start, 3)[::2])
         return x0 * (np.repeat([1.0, 0.0], times.size) + mean), rows
 
 
