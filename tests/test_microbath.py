@@ -643,6 +643,20 @@ class TestSecularEquation:
             np.testing.assert_array_equal(shift, solves[-1][0])
             np.testing.assert_array_equal(tau, solves[-1][1])
 
+    @pytest.mark.parametrize("case", ("criterion6", "hand_made"))
+    def test_response_does_not_depend_on_the_block(self, case, monkeypatch):
+        # each block's coefficients take one product with its own eigenvectors
+        # into one sum: a rank or slice mixed up between blocks shows here
+        sys_, build = SECULAR_CASES[case]
+        modes, times, got = build(), np.array([0.0, 0.7, 40.0]), []
+        for block in (3, 64, modes.count + 1):
+            monkeypatch.setattr(mb, "_ROOT_BLOCK", block)
+            got.append(mb._NormalModes(modes, sys_).response(times, 0.6))
+        for response in got[:-1]:
+            for part, want in zip(response, got[-1]):
+                np.testing.assert_allclose(part, want, rtol=0,
+                                           atol=1e-14 * np.max(np.abs(want)))
+
     def test_root_temporaries_are_one_block(self):
         # (128, N) temporaries: 10 MB at N = 2000, where a single block
         # of all N + 1 roots peaks at 143 MB
