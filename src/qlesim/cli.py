@@ -415,9 +415,8 @@ def _write_trajectories(path, names, times, series):
     with open(path, "w") as fh:
         fh.write(",".join(("realization", "t", *names)) + "\n")
         for j in range(series[0].shape[1]):
-            for i in range(times.size):
-                cells = [times[i]] + [s[i, j] for s in series]
-                fh.write(f"{j}," + ",".join(io.format_number(float(c)) for c in cells) + "\n")
+            for row in np.column_stack([times] + [s[:, j] for s in series]).tolist():
+                fh.write(f"{j}," + io.format_row(row) + "\n")
 
 
 RUNNERS = {

@@ -15,9 +15,10 @@ import math
 
 from .errors import DomainError
 
-__all__ = ["format_number", "format_param", "write_table", "parse_config_text"]
+__all__ = ["format_number", "format_row", "format_param", "write_table", "parse_config_text"]
 
 DATA_FORMAT = ".12g"
+_FLOAT_ONLY = frozenset([float])
 
 
 def format_number(value) -> str:
@@ -29,6 +30,14 @@ def format_number(value) -> str:
             return "nan"
         return format(value, DATA_FORMAT)
     return str(value)
+
+
+def format_row(cells) -> str:
+    """One CSV data row: the cells as :func:`format_number` renders them,
+    comma-joined, in one %-format when every cell is a Python float."""
+    if set(map(type, cells)) <= _FLOAT_ONLY:
+        return ",".join(["%" + DATA_FORMAT] * len(cells)) % tuple(cells)
+    return ",".join(map(format_number, cells))
 
 
 def format_param(value) -> str:
@@ -69,13 +78,15 @@ def _write_csv(stream, command, params, columns, units, rows, block_column):
     stream.write("# units: " + ",".join(units) + "\n")
     stream.write(",".join(columns) + "\n")
     block_idx = columns.index(block_column) if block_column else None
-    last_block = object()
+    last_key = last_block = object()
     for row in rows:
-        cells = [format_number(v) for v in row]
-        if block_idx is not None and cells[block_idx] != last_block:
-            last_block = cells[block_idx]
-            stream.write(f"# block: {columns[block_idx]}={last_block}\n")
-        stream.write(",".join(cells) + "\n")
+        # one object renders one way, so a block's rows that share it are not re-rendered
+        if block_idx is not None and row[block_idx] is not last_key:
+            last_key = row[block_idx]
+            if format_number(last_key) != last_block:
+                last_block = format_number(last_key)
+                stream.write(f"# block: {columns[block_idx]}={last_block}\n")
+        stream.write(format_row(row) + "\n")
 
 
 def _write_json(stream, command, params, columns, units, rows):

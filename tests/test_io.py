@@ -3,10 +3,12 @@
 import io as std_io
 import json
 
+import numpy as np
 import pytest
 
 from qlesim.errors import DomainError
-from qlesim.io import format_number, format_param, parse_config_text, write_table
+from qlesim.io import (format_number, format_param, format_row, parse_config_text,
+                       write_table)
 
 
 def test_format_number_significant_digits():
@@ -14,6 +16,13 @@ def test_format_number_significant_digits():
     assert format_number(0.5) == "0.5"
     assert format_number(1.0 / 3.0) == "0.333333333333"
     assert format_number(3) == "3"
+
+
+def test_format_row_is_format_number_per_cell():
+    # a row of floats takes one %-format; any other row goes cell by cell
+    for row in ((1.0, 1.0 / 3.0, -0.0, float("nan"), float("-inf"), 5e-324, 1.5e16),
+                (np.float64(0.1), 2.5e-7), ("name", 2.5, True, 7), ()):
+        assert format_row(row) == ",".join(format_number(v) for v in row)
 
 
 def test_format_param_roundtrips_floats():
