@@ -155,7 +155,7 @@ def _noise_rows(modes: ModeSet, system: SystemSpec, times):
 
 
 # iterations of :func:`_secular_roots` before it raises, and the roots it iterates together
-_SECULAR_ITERATIONS, _ROOT_BLOCK = 50, 128
+_SECULAR_ITERATIONS, _ROOT_BLOCK = 50, 64
 
 
 def _secular_roots(alpha, w, d):
@@ -197,7 +197,11 @@ def _secular_roots(alpha, w, d):
     # the outer ends are bounds, not poles: the model's far pole goes beyond them
     far[[0, n]] *= 2.0
     tau, unconverged = 0.5 * (lo + hi), 0
-    poles, recip = np.empty((2, min(_ROOT_BLOCK, n + 1), n))
+    # two arrays, not one of twice the size: freeing a larger array raises
+    # malloc's mmap threshold, and later temporaries then stay resident in
+    # the heap (one (2, 128, N) array added 0.9 MB of peak RSS at N = 1000)
+    shape = (min(_ROOT_BLOCK, n + 1), n)
+    poles, recip = np.empty(shape), np.empty(shape)
     for act in np.split(k, range(_ROOT_BLOCK, n + 1, _ROOT_BLOCK)):
         for it in range(_SECULAR_ITERATIONS):
             t = tau[act]

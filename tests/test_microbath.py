@@ -658,8 +658,8 @@ class TestSecularEquation:
                                            atol=1e-14 * np.max(np.abs(want)))
 
     def test_root_temporaries_are_one_block(self):
-        # (128, N) temporaries: 10 MB at N = 2000, where a single block
-        # of all N + 1 roots peaks at 143 MB
+        # two (64, N) buffers: 2.4 MB at N = 2000, where a single block
+        # of all N + 1 roots peaks at 65 MB
         sys_, (_, modes) = SystemSpec(), make_bath(0.5, 3.0, 2000)
         alpha = sys_.omega0**2 + modes.kernel_weights().sum() / sys_.mass
         weights = modes.coupling**2 / (sys_.mass * modes.mass)
