@@ -20,7 +20,9 @@ from qlesim import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# case -> command line; the sde, rwa and microbath cases also dump two trajectories
+# case -> command line; the cases of the sde, rwa and microbath commands also dump two
+# trajectories
+_DUMPED = ("sde", "rwa", "microbath")
 CASES = {
     "dist": ["dist", "--grid", "0:3:7", "--gammas", "1,0.125"],
     "corr": ["corr", "--grid", "0:2:3"],
@@ -31,8 +33,15 @@ CASES = {
     "microbath": ["microbath", "--gamma", "0.5", "--modes", "40", "--realizations", "70",
                   "--steps", "30", "--dt", "0.02", "--seed", "2"],
     "scan": ["scan", "--gammas", "0.5"],
+    # at m = omega0 = T = 1 a dropped mass or (m omega0)^2 factor cannot show
+    "microbath_mass": ["microbath", "--mass", "2.5", "--gamma", "0.3", "--cutoff", "4",
+                       "--modes", "60", "--realizations", "70", "--steps", "30",
+                       "--dt", "0.02", "--seed", "2"],
+    "sde_mass": ["sde", "--mass", "2.5", "--omega0", "1.3", "--gamma", "0.2", "--traj", "70",
+                 "--steps", "20", "--seed", "3"],
+    "rwa_mass": ["rwa", "--mass", "2.5", "--omega0", "1.3", "--gamma", "0.05", "--traj", "70",
+                 "--steps", "20", "--seed", "3", "--dt", "0.7"],
 }
-_DUMPED = ("sde", "rwa", "microbath")
 
 
 def outputs(case, tmp):
@@ -43,7 +52,8 @@ def outputs(case, tmp):
     """
     args = list(CASES[case])
     dump, scan_dir = tmp / f"{case}_traj.csv", tmp / "scan"
-    if case in _DUMPED:
+    dumped = args[0] in _DUMPED
+    if dumped:
         args += ["--dump-traj", str(dump), "--dump-count", "2"]
     if case == "scan":
         args += ["--out", str(scan_dir)]
@@ -51,7 +61,7 @@ def outputs(case, tmp):
     with contextlib.redirect_stdout(stdout):
         assert cli.main(args) == 0
     out = {f"{case}.out": stdout.getvalue().replace(str(tmp), "TMP").encode()}
-    if case in _DUMPED:
+    if dumped:
         out[f"{case}_traj.csv"] = dump.read_bytes()
     if case == "scan":
         out["scan.sha256"] = "".join(
