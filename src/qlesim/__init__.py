@@ -11,7 +11,7 @@ quadrature, special-function or root-finding call.
 """
 
 from .bath import BathKind, BathSpec, ModeSet, SystemSpec
-from .ensemble import EnsembleResult, MomentAccumulator, MomentEstimate
+from .ensemble import MomentAccumulator, MomentEstimate
 from .errors import (
     DomainError,
     QlesimError,
@@ -28,7 +28,6 @@ __all__ = [
     "BathSpec",
     "ModeSet",
     "SystemSpec",
-    "EnsembleResult",
     "MomentAccumulator",
     "MomentEstimate",
     "EnergySplit",

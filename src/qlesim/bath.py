@@ -5,8 +5,10 @@ Two continuum baths are supported:
 * ``STRICT_OHMIC``: delta-function friction kernel, J(omega) = m*gamma*omega.
   The kernel is distributional, so every consumer handles this case through
   the damping rate directly rather than integrating the kernel numerically.
-* ``CUTOFF_OHMIC``: density of states g(omega) = 3*omega^2 / Omega^3 below a
-  sharp cutoff Omega, giving the sinc friction kernel.
+* ``CUTOFF_OHMIC``: unit-mass modes with density of states
+  g(omega) = 3*omega^2 / Omega^3 below a sharp cutoff Omega, giving the sinc
+  friction kernel.  Their one coupling is derived from gamma, Omega and the
+  system mass (:attr:`BathSpec.coupling`).
 
 A finite bath is a :class:`ModeSet` of explicit oscillators, built by
 :func:`discretize_bath` from a cutoff-Ohmic spec for microscopic simulation.
@@ -28,7 +30,6 @@ __all__ = [
     "ModeSet",
     "SystemSpec",
     "BathSpec",
-    "gamma_from_micro",
     "friction_kernel",
     "discretize_bath",
 ]
@@ -105,10 +106,6 @@ class SystemSpec:
             raise DomainError("hbar and kB must be positive")
 
     @property
-    def beta(self) -> float:
-        return 1.0 / (self.kB * self.temperature)
-
-    @property
     def thermal_coth_scale(self) -> float:
         """The coefficient a in coth(a * omega), a = hbar / (2 kB T)."""
         return self.hbar / (2.0 * self.kB * self.temperature)
@@ -120,36 +117,38 @@ class SystemSpec:
 
 @dataclass(frozen=True, eq=False)
 class BathSpec:
-    """A bath model plus the damping rate gamma it produces.
+    """A bath model, the damping rate gamma it produces and the system mass.
 
-    For ``CUTOFF_OHMIC`` the microscopic parameters (mode mass, coupling,
-    cutoff) and the system mass the spec was built against are stored, and
-    gamma is required to equal 3*pi*c^2 / (2*m*mt*Omega^3) for that mass.
+    A ``CUTOFF_OHMIC`` bath is made of unit-mass modes below the cutoff
+    Omega; their coupling :attr:`coupling` is derived from gamma, Omega and
+    the system mass, so every microscopic quantity follows from the three.
     """
 
     kind: BathKind
     gamma: float
     cutoff: float | None = None
-    mode_mass: float | None = None
-    mode_coupling: float | None = None
-    built_for_mass: float | None = None
+    system_mass: float = 1.0
 
     def __post_init__(self):
         if not self.gamma > 0:
             raise DomainError("gamma must be positive")
         if self.kind is BathKind.CUTOFF_OHMIC:
-            for name in ("cutoff", "mode_mass", "mode_coupling", "built_for_mass"):
-                val = getattr(self, name)
-                if val is None or not val > 0:
-                    raise DomainError(f"cutoff-Ohmic bath requires positive {name}")
-            implied = gamma_from_micro(
-                self.mode_coupling, self.mode_mass, self.cutoff, self.built_for_mass
-            )
-            if not math.isclose(self.gamma, implied, rel_tol=1e-9):
-                raise DomainError(
-                    "gamma inconsistent with microscopic parameters: "
-                    f"stored {self.gamma!r}, implied {implied!r}"
-                )
+            if self.cutoff is None or not self.cutoff > 0 or not self.system_mass > 0:
+                raise DomainError("cutoff-Ohmic bath requires a positive cutoff and system mass")
+            if self.coupling == math.inf:
+                raise DomainError("the cutoff-Ohmic coupling is not finite")
+
+    @property
+    def coupling(self) -> float:
+        """Coupling c = sqrt(2 m Omega^3 gamma / (3 pi)) of the unit-mass modes.
+
+        It scales as cutoff^(3/2), which is exactly the scaling that keeps
+        gamma = 3 pi c^2 / (2 m Omega^3) finite as the cutoff grows.
+        """
+        try:
+            return math.sqrt(2.0 * self.system_mass * self.cutoff**3 * self.gamma / (3.0 * math.pi))
+        except OverflowError:
+            return math.inf
 
     @classmethod
     def strict_ohmic(cls, gamma: float) -> "BathSpec":
@@ -157,49 +156,18 @@ class BathSpec:
         return cls(kind=BathKind.STRICT_OHMIC, gamma=gamma)
 
     @classmethod
-    def cutoff_ohmic(
-        cls,
-        gamma: float,
-        cutoff: float,
-        system_mass: float = 1.0,
-        mode_mass: float = 1.0,
-    ) -> "BathSpec":
-        """Cutoff-Ohmic bath with the coupling solved for the target gamma.
-
-        The coupling scales as cutoff^(3/2), which is exactly the scaling
-        that keeps gamma finite as the cutoff grows.
-        """
-        if not gamma > 0 or not cutoff > 0 or not system_mass > 0 or not mode_mass > 0:
-            raise DomainError("all cutoff-Ohmic parameters must be positive")
-        try:
-            ctilde = math.sqrt(2.0 * system_mass * mode_mass * cutoff**3 * gamma / (3.0 * math.pi))
-        except OverflowError:
-            ctilde = math.inf
-        if ctilde == math.inf:
-            raise DomainError("the cutoff-Ohmic coupling is not finite")
-        return cls(
-            kind=BathKind.CUTOFF_OHMIC,
-            gamma=gamma,
-            cutoff=cutoff,
-            mode_mass=mode_mass,
-            mode_coupling=ctilde,
-            built_for_mass=system_mass,
-        )
-
-
-def gamma_from_micro(ctilde, mtilde, cutoff, system_mass):
-    """Damping rate 3*pi*ctilde^2 / (2 * m * mtilde * Omega^3)."""
-    if min(ctilde, mtilde, cutoff, system_mass) <= 0:
-        raise DomainError("all microscopic parameters must be positive")
-    return 3.0 * math.pi * ctilde**2 / (2.0 * system_mass * mtilde * cutoff**3)
+    def cutoff_ohmic(cls, gamma: float, cutoff: float, system_mass: float = 1.0) -> "BathSpec":
+        """Cutoff-Ohmic bath of damping rate gamma on a system of mass ``system_mass``."""
+        return cls(kind=BathKind.CUTOFF_OHMIC, gamma=gamma, cutoff=cutoff,
+                   system_mass=system_mass)
 
 
 def friction_kernel(spec: BathSpec, t):
     """Memory kernel mu(t), causal (exactly zero for t < 0).
 
     Cutoff-Ohmic baths give the sinc kernel
-    (3*c^2/(mt*Omega^3)) * sin(Omega*t)/t, with a series evaluation of the
-    removable singularity.  The strict-Ohmic kernel is a delta distribution
+    (3*c^2/Omega^3) * sin(Omega*t)/t of unit-mass modes, with a series
+    evaluation of the removable singularity.  The strict-Ohmic kernel is a delta distribution
     and is rejected.
     """
     t = np.asarray(t, dtype=float)
@@ -207,7 +175,7 @@ def friction_kernel(spec: BathSpec, t):
         raise UnsupportedBathError(
             "strict-Ohmic kernel is distributional; use gamma directly"
         )
-    amp = 3.0 * spec.mode_coupling**2 / (spec.mode_mass * spec.cutoff**3)
+    amp = 3.0 * spec.coupling**2 / spec.cutoff**3
     x = spec.cutoff * t
     small = np.abs(x) < _SINC_SERIES_CUT
     safe_t = np.where(small, 1.0, t)
@@ -221,9 +189,10 @@ def discretize_bath(spec: BathSpec, n_modes: int) -> ModeSet:
     """Deterministic quantile discretization of a cutoff-Ohmic bath.
 
     Mode j sits at the midpoint quantile of the omega^2 density,
-    omega_j = Omega * ((j - 1/2)/N)^(1/3), with equal masses and couplings
-    ctilde/sqrt(N).  Quantile placement is reproducible and converges to
-    the continuum kernel faster than random sampling.
+    omega_j = Omega * ((j - 1/2)/N)^(1/3), with unit masses and equal
+    couplings c/sqrt(N), c the spec's :attr:`BathSpec.coupling`.  Quantile
+    placement is reproducible and converges to the continuum kernel faster
+    than random sampling.
     """
     if spec.kind is not BathKind.CUTOFF_OHMIC:
         raise UnsupportedBathError("only cutoff-Ohmic baths can be discretized")
@@ -231,6 +200,5 @@ def discretize_bath(spec: BathSpec, n_modes: int) -> ModeSet:
         raise DomainError("n_modes must be >= 1")
     j = np.arange(1, n_modes + 1, dtype=float)
     omega = spec.cutoff * ((j - 0.5) / n_modes) ** (1.0 / 3.0)
-    mass = np.full(n_modes, spec.mode_mass)
-    coupling = np.full(n_modes, spec.mode_coupling / math.sqrt(n_modes))
-    return ModeSet(omega=omega, mass=mass, coupling=coupling)
+    coupling = np.full(n_modes, spec.coupling / math.sqrt(n_modes))
+    return ModeSet(omega=omega, mass=np.ones(n_modes), coupling=coupling)

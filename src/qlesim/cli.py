@@ -344,19 +344,17 @@ def _rwa_rows(params, dt, steps, traj, seed):
     ]
 
 
-# command -> (parameter class, report rows, trajectory sampler, dump columns)
+# command -> (report rows, trajectory sampler, dump columns)
 LINEAR_MODELS = {
-    "sde": (markovian.MarkovParams, _sde_rows, markovian.sample_trajectories,
-            ("x", "v", "f")),
-    "rwa": (rwa_mod.RwaParams, _rwa_rows, rwa_mod.sample_trajectories,
-            ("x", "p", "f_x", "f_p")),
+    "sde": (_sde_rows, markovian.sample_trajectories, ("x", "v", "f")),
+    "rwa": (_rwa_rows, rwa_mod.sample_trajectories, ("x", "p", "f_x", "f_p")),
 }
 
 
 def run_linear_sde(cfg: RunConfig, dump_traj=None, dump_count=1):
     """Moment report of the Markovian (``sde``) or rotating-wave (``rwa``) ensemble."""
-    params_cls, report, sample, dump_columns = LINEAR_MODELS[cfg.command]
-    params = params_cls.from_system(cfg.system(), cfg.gamma)
+    report, sample, dump_columns = LINEAR_MODELS[cfg.command]
+    params = markovian.MarkovParams(cfg.system(), cfg.gamma)
     dt = cfg.dt or 1.0 / cfg.gamma
     steps = cfg.steps or 1000
     rows = report(params, dt, steps, cfg.traj, cfg.seed)

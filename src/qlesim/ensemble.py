@@ -8,13 +8,11 @@ commutation error).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-
-__all__ = ["MomentAccumulator", "MomentEstimate", "EnsembleResult"]
+__all__ = ["MomentAccumulator", "MomentEstimate"]
 
 
 class MomentAccumulator:
@@ -72,25 +70,3 @@ class MomentEstimate:
     mean: float
     se: float
     n: int
-
-
-@dataclass(frozen=True)
-class EnsembleResult:
-    """Moment estimates from a trajectory ensemble plus RNG provenance.
-
-    ``moments`` maps observable names to estimates; ``meta`` records the
-    run parameters that determine the estimates (step size, count)
-    so a result is reproducible from its own metadata.
-    """
-
-    moments: dict
-    n_traj: int
-    seed: int
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.n_traj < 1:
-            raise DomainError("n_traj must be >= 1")
-
-    def __getitem__(self, key: str) -> MomentEstimate:
-        return self.moments[key]

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import SystemSpec
-from .ensemble import EnsembleResult
 from .errors import DomainError
-from .sde import propagator_coefficients, run_ensemble, sample_paths
+from .sde import propagator_coefficients, run_ensemble, sample_paths, stationary_covariance
 
 __all__ = [
     "MarkovParams",
@@ -61,7 +60,7 @@ def noise_intensity_classical(system: SystemSpec, gamma: float) -> float:
 
 @dataclass(frozen=True)
 class MarkovParams:
-    """Oscillator and damping; the Markovian noise intensity follows from them."""
+    """Oscillator and damping; the Markovian and the two RWA noise intensities follow from them."""
 
     system: SystemSpec
     gamma: float
@@ -69,10 +68,6 @@ class MarkovParams:
     def __post_init__(self):
         if not self.gamma > 0 or not self.system.omega0 > 0:
             raise DomainError("gamma and omega0 must be positive")
-
-    @classmethod
-    def from_system(cls, system: SystemSpec, gamma: float) -> "MarkovParams":
-        return cls(system=system, gamma=gamma)
 
     @property
     def noise(self) -> float:
@@ -91,10 +86,8 @@ def stationary_moments_analytic(params: MarkovParams):
 
     independent of gamma, matching the weak-coupling energies.
     """
-    sys_ = params.system
-    x2 = params.noise / (4.0 * sys_.mass**2 * params.gamma * sys_.omega0**2)
-    v2 = params.noise / (4.0 * sys_.mass**2 * params.gamma)
-    return x2, v2
+    cov = stationary_covariance(*_linear_system(params))
+    return float(cov[0, 0]), float(cov[1, 1])
 
 
 def stationary_double_integral(params: MarkovParams, which: str = "x2") -> float:
@@ -135,7 +128,7 @@ def _linear_system(params: MarkovParams):
 
 
 def simulate_sde(params: MarkovParams, dt: float, n_steps: int, n_traj: int,
-                 seed: int, chunk_size: int = 2048) -> EnsembleResult:
+                 seed: int, chunk_size: int = 2048) -> dict:
     """Monte Carlo stationary moments of the Markovian oscillator SDE.
 
     Noise enters the velocity with per-step variance consistent with the
@@ -148,12 +141,12 @@ def simulate_sde(params: MarkovParams, dt: float, n_steps: int, n_traj: int,
     of :func:`qlesim.sde.run_ensemble`; standard errors are computed across
     trajectories.
 
-    Returns an :class:`EnsembleResult` with moments ``x2`` and ``v2``.
+    Returns the {name: MomentEstimate} dict of ``x2`` and ``v2``.
     """
     return run_ensemble(
         *_linear_system(params), dt, n_steps, n_traj, seed,
         {"x2": lambda prev, s: s[:, 0] ** 2, "v2": lambda prev, s: s[:, 1] ** 2},
-        chunk_size, {"gamma": params.gamma})
+        chunk_size)
 
 
 def sample_trajectories(params: MarkovParams, dt: float, n_steps: int, n_traj: int, seed: int):

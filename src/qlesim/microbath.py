@@ -53,7 +53,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathKind, BathSpec, ModeSet, SystemSpec
-from .ensemble import EnsembleResult
 from .errors import ConvergenceError, DomainError, UnstableIntegrationError, UnsupportedBathError
 from .quadrature import QuadratureConfig, integrate_panels, scaled_omega_coth
 from .sde import _BLOCK, _SLAB_STEPS, _accumulate, _chunks, _draw
@@ -138,7 +137,7 @@ def noise_autocorrelation_quadrature(system: SystemSpec, bath: BathSpec, tau,
         )
     cfg = cfg or QuadratureConfig()
     a = system.thermal_coth_scale
-    slope = 3.0 * math.pi * bath.mode_coupling**2 / (2.0 * bath.mode_mass * bath.cutoff**3)
+    slope = 3.0 * math.pi * bath.coupling**2 / (2.0 * bath.cutoff**3)
     integrand = lambda w: slope * scaled_omega_coth(w, a)
     edges = np.linspace(0.0, bath.cutoff, 9)
     value, _ = integrate_panels(integrand, edges, cfg, tau=abs(float(tau)),
@@ -421,7 +420,7 @@ def _ensemble(modes: ModeSet, system: SystemSpec, taus, origins, n_real: int, se
 def ensemble_stats(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid, taus,
                    n_real: int, seed: int, origins=None, x0: float = 0.0,
                    chunk_size: int = 2048, _final=None):
-    """(noise statistics, final-time moments) of one pass over ``n_real``
+    """(noise statistics, final-time moments dict) of one pass over ``n_real``
     realizations: what :func:`noise_ensemble_stats` (lags ``taus`` from
     ``origins``) and :func:`gle_ensemble_moments` (``grid``, ``x0``) return
     at the same seed and chunk size (x(T) and v(T) lead the value factor).
@@ -430,9 +429,7 @@ def ensemble_stats(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid, tau
     final = _final or _NormalModes(modes, system).response(
         np.array([grid.dt * grid.n_steps]), x0)
     stats, (x2, v2) = _ensemble(modes, system, taus, origins, n_real, seed, chunk_size, final)
-    return stats, EnsembleResult({"x2": x2, "v2": v2}, n_real, seed,
-                                 meta={"dt": grid.dt, "n_steps": grid.n_steps, "x0": float(x0),
-                                       "n_modes": modes.count})
+    return stats, {"x2": x2, "v2": v2}
 
 
 def noise_ensemble_stats(modes: ModeSet, system: SystemSpec, taus, n_real: int,
@@ -452,12 +449,13 @@ def noise_ensemble_stats(modes: ModeSet, system: SystemSpec, taus, n_real: int,
 
 def gle_ensemble_moments(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid,
                          n_real: int, seed: int, x0: float = 0.0,
-                         chunk_size: int = 2048) -> EnsembleResult:
+                         chunk_size: int = 2048) -> dict:
     """Ensemble moments of the memory dynamics at the final grid time.
 
     Starts every realization at (x0, 0) with bath modes drawn from the
-    displaced thermal state; reports <x^2> and <v^2> at t = n_steps * dt,
-    where each realization is propagated exactly, so any dt is allowed.
+    displaced thermal state; returns the {name: MomentEstimate} dict of
+    <x^2> and <v^2> (``x2``, ``v2``) at t = n_steps * dt, where each
+    realization is propagated exactly, so any dt is allowed.
     """
     return ensemble_stats(modes, system, grid, [], n_real, seed, origins=[], x0=x0,
                           chunk_size=chunk_size)[1]

@@ -28,7 +28,7 @@ __all__ = ["Susceptibility"]
 
 def _half_amplitude(bath: BathSpec) -> float:
     """A/2 of the sinc kernel A*sin(Omega t)/t, i.e. m*gamma/pi."""
-    return 1.5 * bath.mode_coupling**2 / (bath.mode_mass * bath.cutoff**3)
+    return 1.5 * bath.coupling**2 / bath.cutoff**3
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,25 +17,21 @@ linear SDE: its stationary covariance, its exact step and the exact mean
 square of the discrete anomaly all follow from the closed forms of
 :mod:`qlesim.sde`, with no matrix-equation solver.
 
-The same symmetric-intensity convention as :mod:`qlesim.markovian`
-applies (white-noise covariance rate I/2 per channel).
+The parameters and the symmetric-intensity convention are those of
+:mod:`qlesim.markovian` (:class:`~qlesim.markovian.MarkovParams`;
+white-noise covariance rate I/2 per channel).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import SystemSpec
-from .ensemble import EnsembleResult
-from .errors import DomainError
-from .markovian import noise_intensity
+from .markovian import MarkovParams
 from .sde import exact_discretization, run_ensemble, sample_paths, stationary_covariance
 
 __all__ = [
-    "RwaParams",
     "rwa_stationary_analytic",
     "drift_matrix",
     "ehrenfest_residual_exact",
@@ -47,48 +43,20 @@ __all__ = [
 _WEAK_COUPLING_RATIO = 0.1
 
 
-@dataclass(frozen=True)
-class RwaParams:
-    """Oscillator and damping; the two RWA noise intensities follow from them."""
-
-    system: SystemSpec
-    gamma: float
-
-    def __post_init__(self):
-        if not self.gamma > 0 or not self.system.omega0 > 0:
-            raise DomainError("gamma and omega0 must be positive")
-
-    @classmethod
-    def from_system(cls, system: SystemSpec, gamma: float) -> "RwaParams":
-        return cls(system=system, gamma=gamma)
-
-    @property
-    def intensity_x(self) -> float:
-        """I_x = I_p / (m w0)^2 = (2 gamma hbar / m w0) coth(hbar w0 / 2 kB T)."""
-        return self.intensity_p / (self.system.mass * self.system.omega0) ** 2
-
-    @property
-    def intensity_p(self) -> float:
-        """I_p = 2 m gamma hbar w0 coth(hbar w0 / 2 kB T), the Markovian intensity."""
-        return noise_intensity(self.system, self.gamma)
-
-    @property
-    def narrowband(self) -> bool:
-        """True when gamma is small enough for the RWA to be trustworthy."""
-        return self.gamma <= _WEAK_COUPLING_RATIO * self.system.omega0
-
-
-def drift_matrix(params: RwaParams) -> np.ndarray:
+def drift_matrix(params: MarkovParams) -> np.ndarray:
     """Drift of the (x, p) pair; its eigenvalues are -gamma +/- i omega0."""
     m, w0 = params.system.mass, params.system.omega0
     return np.array([[-params.gamma, 1.0 / m], [-m * w0 * w0, -params.gamma]])
 
 
-def _diffusion_matrix(params: RwaParams) -> np.ndarray:
-    return np.diag([params.intensity_x / 2.0, params.intensity_p / 2.0])
+def _diffusion_matrix(params: MarkovParams) -> np.ndarray:
+    """diag(I_x, I_p) / 2: I_p is the Markovian intensity, I_x = I_p / (m w0)^2."""
+    intensity_p = params.noise
+    intensity_x = intensity_p / (params.system.mass * params.system.omega0) ** 2
+    return np.diag([intensity_x / 2.0, intensity_p / 2.0])
 
 
-def rwa_stationary_analytic(params: RwaParams):
+def rwa_stationary_analytic(params: MarkovParams):
     """Exact stationary (<x^2>, <p^2>), the diagonal of the closed-form
     Lyapunov solution :func:`qlesim.sde.stationary_covariance`.
 
@@ -101,7 +69,7 @@ def rwa_stationary_analytic(params: RwaParams):
     return float(cov[0, 0]), float(cov[1, 1])
 
 
-def ehrenfest_residual_exact(params: RwaParams, dt: float) -> float:
+def ehrenfest_residual_exact(params: MarkovParams, dt: float) -> float:
     """Stationary mean square of the residual (x_{k+1} - x_k)/dt - p_k/m.
 
     Under the exact update S_{k+1} = E S_k + w_k the residual is
@@ -116,8 +84,8 @@ def ehrenfest_residual_exact(params: RwaParams, dt: float) -> float:
     return float(c @ stationary_covariance(drift, diffusion) @ c + q_dt[0, 0] / dt**2)
 
 
-def simulate_rwa(params: RwaParams, dt: float, n_steps: int, n_traj: int,
-                 seed: int, chunk_size: int = 2048) -> EnsembleResult:
+def simulate_rwa(params: MarkovParams, dt: float, n_steps: int, n_traj: int,
+                 seed: int, chunk_size: int = 2048) -> dict:
     """Monte Carlo moments of the RWA Langevin pair.
 
     Same exact Gaussian step, start and streams as
@@ -128,12 +96,12 @@ def simulate_rwa(params: RwaParams, dt: float, n_steps: int, n_traj: int,
     residual is driven by the white x-noise, so its magnitude grows with
     the sampling bandwidth; its exact stationary value for the exact
     update is :func:`ehrenfest_residual_exact`, about I_x/(2 dt) for small
-    dt.
+    dt.  Returns the {name: MomentEstimate} dict of the four.
 
     Outside the narrowband regime (gamma > omega0/10) the approximation is
     unjustified, and simulation warns.
     """
-    if not params.narrowband:
+    if params.gamma > _WEAK_COUPLING_RATIO * params.system.omega0:
         warnings.warn("gamma exceeds omega0/10; RWA dynamics is physically dubious here",
                       stacklevel=2)
     m = params.system.mass
@@ -144,11 +112,10 @@ def simulate_rwa(params: RwaParams, dt: float, n_steps: int, n_traj: int,
         "ehrenfest": lambda prev, s: ((s[:, 0] - prev[:, 0]) / dt - prev[:, 1] / m) ** 2,
     }
     return run_ensemble(drift_matrix(params), _diffusion_matrix(params), dt, n_steps, n_traj,
-                        seed, observables, chunk_size,
-                        {"gamma": params.gamma, "noise_bandwidth": 1.0 / dt})
+                        seed, observables, chunk_size)
 
 
-def sample_trajectories(params: RwaParams, dt: float, n_steps: int, n_traj: int, seed: int):
+def sample_trajectories(params: MarkovParams, dt: float, n_steps: int, n_traj: int, seed: int):
     """(times, x, p, f_x, f_p) of the first ``n_traj`` trajectories of :func:`simulate_rwa`.
 
     Arrays are (n_steps + 1, n_traj); f_x, f_p are each channel's noise

@@ -36,7 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .ensemble import EnsembleResult, MomentAccumulator
+from .ensemble import MomentAccumulator
 from .errors import DomainError, UnstableIntegrationError
 
 __all__ = ["stationary_covariance", "propagator_coefficients", "exact_discretization",
@@ -209,21 +209,18 @@ def _chunk_sums(prop, factor, start, n_steps, observables, streams):
     return {name: total / n_steps for name, total in sums.items()}
 
 
-def run_ensemble(drift, diffusion, dt, n_steps, n_traj, seed, observables, chunk_size, meta=None):
-    """Ensemble of the linear SDE under its exact step: moments
-    ``observables[name](prev, state)`` on (rows, dim) slabs, each trajectory
-    started from N(0, Sigma) and time-averaged over its ``n_steps`` steps.
-    Raises :class:`UnstableIntegrationError` when a time average is
-    non-finite (overflowing noise).  The ``meta`` mapping extends the
-    result's dt and n_steps.
+def run_ensemble(drift, diffusion, dt, n_steps, n_traj, seed, observables, chunk_size):
+    """Ensemble of the linear SDE under its exact step: the {name:
+    MomentEstimate} dict of ``observables[name](prev, state)`` on (rows, dim)
+    slabs, each trajectory started from N(0, Sigma) and time-averaged over
+    its ``n_steps`` steps.  Raises :class:`UnstableIntegrationError` when a
+    time average is non-finite (overflowing noise).
     """
     prop, factor, start = _stepper(drift, diffusion, dt, n_steps, n_traj)
     # a worker steps its streams through the whole chunk, drawing serially: one
     # hand-off per chunk, where one per slab of draws stalled on a busy host
-    moments = _accumulate(seed, n_traj, chunk_size, lambda streams: _chunk_sums(
+    return _accumulate(seed, n_traj, chunk_size, lambda streams: _chunk_sums(
         prop, factor, start, n_steps, observables, streams), _GROUP_BLOCKS)
-    return EnsembleResult(moments, n_traj, seed,
-                          meta={"dt": dt, "n_steps": n_steps, **(meta or {})})
 
 
 def sample_paths(drift, diffusion, dt, n_steps, n_traj, seed):

@@ -76,7 +76,7 @@ def test_criterion_4_classical_limit():
 def test_criterion_5_oracle_triangle():
     with criterion(5, "quadrature, closed-form and Monte Carlo moments agree"):
         sys_ = SystemSpec()
-        params = mk.MarkovParams.from_system(sys_, 0.1)
+        params = mk.MarkovParams(sys_, 0.1)
 
         x2_closed, v2_closed = mk.stationary_moments_analytic(params)
         weak = fdt.weak_coupling_energy(sys_)
@@ -131,7 +131,7 @@ def test_criterion_7_rwa_consistency():
         target = 0.5 * COTH_HALF
 
         def deviation(ratio):
-            params = rwa.RwaParams.from_system(sys_, ratio * sys_.omega0)
+            params = mk.MarkovParams(sys_, ratio * sys_.omega0)
             x2, p2 = rwa.rwa_stationary_analytic(params)
             dev_x = abs(sys_.mass * sys_.omega0**2 * x2 / target - 1.0)
             dev_p = abs(p2 / (sys_.mass * target) - 1.0)
@@ -162,7 +162,7 @@ def test_criterion_9_noise_convention_audit():
     with criterion(9, "half-intensity symmetric convention fixes the stationary moments"):
         sys_ = SystemSpec()
         for gamma in (0.05, 0.3):
-            params = mk.MarkovParams.from_system(sys_, gamma)
+            params = mk.MarkovParams(sys_, gamma)
             numeric_x2 = mk.stationary_double_integral(params, "x2")
             numeric_v2 = mk.stationary_double_integral(params, "v2")
             adopted_x2 = sys_.hbar / (2.0 * sys_.mass * sys_.omega0) * COTH_HALF

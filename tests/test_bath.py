@@ -15,47 +15,44 @@ from qlesim.bath import (
     SystemSpec,
     discretize_bath,
     friction_kernel,
-    gamma_from_micro,
 )
 from qlesim.errors import DomainError, UnsupportedBathError
 from qlesim.microbath import initial_slip
 
 
-def cutoff_from_micro(coupling, mode_mass, cutoff, system_mass):
-    """Cutoff-Ohmic spec from its microscopic parameters, gamma derived."""
-    return BathSpec(kind=BathKind.CUTOFF_OHMIC,
-                    gamma=gamma_from_micro(coupling, mode_mass, cutoff, system_mass),
-                    cutoff=cutoff, mode_mass=mode_mass, mode_coupling=coupling,
-                    built_for_mass=system_mass)
-
-
 class TestGammaFromMicro:
+    """gamma = 3 pi c^2 / (2 m Omega^3) through the derived coupling c of unit-mass modes."""
+
     def test_unit_parameters(self):
-        assert gamma_from_micro(1.0, 1.0, 1.0, 1.0) == pytest.approx(
-            3.0 * math.pi / 2.0, rel=1e-15
-        )
+        bath = BathSpec.cutoff_ohmic(gamma=3.0 * math.pi / 2.0, cutoff=1.0, system_mass=1.0)
+        assert bath.coupling == pytest.approx(1.0, rel=1e-15)
 
     def test_cutoff_scaling_keeps_gamma_fixed(self):
         # coupling ~ cutoff^(3/2) holds gamma constant as the cutoff grows
-        base = gamma_from_micro(1.0, 1.0, 1.0, 1.0)
+        base = BathSpec.cutoff_ohmic(gamma=0.3, cutoff=1.0).coupling
         for cutoff in (10.0, 100.0, 1000.0):
-            scaled = gamma_from_micro(cutoff**1.5, 1.0, cutoff, 1.0)
-            assert scaled == pytest.approx(base, rel=1e-12)
+            scaled = BathSpec.cutoff_ohmic(gamma=0.3, cutoff=cutoff).coupling
+            assert scaled == pytest.approx(base * cutoff**1.5, rel=1e-12)
 
     def test_doubling_mass_halves_gamma(self):
-        assert gamma_from_micro(1.0, 1.0, 1.0, 2.0) == pytest.approx(
-            0.5 * gamma_from_micro(1.0, 1.0, 1.0, 1.0), rel=1e-15
-        )
+        # c^2 ~ m: one coupling gives half the damping on twice the mass
+        one = BathSpec.cutoff_ohmic(gamma=0.3, cutoff=2.0, system_mass=1.0).coupling
+        two = BathSpec.cutoff_ohmic(gamma=0.15, cutoff=2.0, system_mass=2.0).coupling
+        assert two == pytest.approx(one, rel=1e-15)
+        doubled = BathSpec.cutoff_ohmic(gamma=0.3, cutoff=2.0, system_mass=2.0).coupling
+        assert doubled**2 == pytest.approx(2.0 * one**2, rel=1e-15)
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(DomainError):
-            gamma_from_micro(0.0, 1.0, 1.0, 1.0)
+        for gamma, cutoff, mass in ((0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0)):
+            with pytest.raises(DomainError):
+                BathSpec.cutoff_ohmic(gamma=gamma, cutoff=cutoff, system_mass=mass)
 
 
 class TestFrictionKernel:
     def test_cutoff_kernel_at_zero(self):
-        bath = cutoff_from_micro(1.3, 0.7, 4.0, 1.0)
-        expected = 3.0 * 1.3**2 / (0.7 * 4.0**2)
+        # mu(0) = (2 m gamma / pi) * Omega
+        bath = BathSpec.cutoff_ohmic(gamma=0.7, cutoff=4.0, system_mass=1.3)
+        expected = 2.0 * 1.3 * 0.7 / math.pi * 4.0
         assert friction_kernel(bath, 0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_single_mode_cosine(self):
@@ -95,9 +92,9 @@ class TestDiscretizeBath:
         bath = BathSpec.cutoff_ohmic(gamma=0.5, cutoff=2.0)
         modes = discretize_bath(bath, 64)
         np.testing.assert_allclose(
-            modes.coupling, bath.mode_coupling / 8.0, rtol=1e-15
+            modes.coupling, bath.coupling / 8.0, rtol=1e-15
         )
-        np.testing.assert_allclose(modes.mass, bath.mode_mass, rtol=1e-15)
+        assert np.all(modes.mass == 1.0)
 
     def test_kernel_converges_to_sinc(self):
         # sup over t in [0, 10/W] of |mu_N - mu_inf| / mu_inf(0): decreasing
@@ -143,27 +140,19 @@ class TestSpecValidation:
         assert SystemSpec(omega0=0.0).omega0 == 0.0
 
     def test_bathspec_gamma_consistency_enforced(self):
-        with pytest.raises(DomainError, match="inconsistent"):
-            BathSpec(
-                kind=BathKind.CUTOFF_OHMIC,
-                gamma=1.0,
-                cutoff=2.0,
-                mode_mass=1.0,
-                mode_coupling=1.0,
-                built_for_mass=1.0,
-            )
-        # the classmethod solves the coupling for a consistent spec
+        # the coupling is derived, so it gives back gamma for any system mass
         bath = BathSpec.cutoff_ohmic(gamma=0.7, cutoff=2.0, system_mass=1.3)
-        assert gamma_from_micro(bath.mode_coupling, bath.mode_mass, 2.0, 1.3) == pytest.approx(
-            0.7, rel=1e-15
-        )
+        implied = 3.0 * math.pi * bath.coupling**2 / (2.0 * 1.3 * 2.0**3)
+        assert implied == pytest.approx(0.7, rel=1e-15)
+        with pytest.raises(DomainError, match="cutoff"):
+            BathSpec(kind=BathKind.CUTOFF_OHMIC, gamma=0.7)
 
-    @pytest.mark.parametrize("cutoff, mass", ((1e200, 1.0), (1e103, 1.0), (1.0, 1e300)))
+    @pytest.mark.parametrize("cutoff, mass", ((1e200, 1.0), (1e103, 1.0), (1.0, 1e308)))
     def test_cutoff_ohmic_rejects_infinite_coupling(self, cutoff, mass):
         # cutoff^3 raised OverflowError, and a finite product past the floats
         # made an infinite coupling
         with pytest.raises(DomainError, match="coupling is not finite"):
-            BathSpec.cutoff_ohmic(gamma=0.1, cutoff=cutoff, system_mass=mass, mode_mass=mass)
+            BathSpec.cutoff_ohmic(gamma=0.1, cutoff=cutoff, system_mass=mass)
 
     def test_bathspec_rejects_nonpositive_gamma(self):
         with pytest.raises(DomainError):

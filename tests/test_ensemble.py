@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlesim.ensemble import EnsembleResult, MomentAccumulator, MomentEstimate
-from qlesim.errors import DomainError
+from qlesim.ensemble import MomentAccumulator
 
 
 def test_matches_numpy_on_fixed_data():
@@ -71,11 +70,3 @@ def test_empty_and_single_sample():
     acc.update_batch([1.5])
     assert acc.mean == 1.5
     assert np.isnan(acc.std_error)
-
-
-def test_ensemble_result_access():
-    est = MomentEstimate(mean=1.0, se=0.1, n=10)
-    res = EnsembleResult(moments={"x2": est}, n_traj=10, seed=42)
-    assert res["x2"].mean == 1.0
-    with pytest.raises(DomainError):
-        EnsembleResult(moments={}, n_traj=0, seed=1)

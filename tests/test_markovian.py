@@ -45,21 +45,21 @@ class TestNoiseIntensity:
 class TestStationaryMoments:
     def test_closed_forms(self):
         sys_ = SystemSpec()
-        params = mk.MarkovParams.from_system(sys_, 0.2)
+        params = mk.MarkovParams(sys_, 0.2)
         x2, v2 = mk.stationary_moments_analytic(params)
         assert x2 == pytest.approx(0.5 * COTH_HALF, rel=1e-14)
         assert v2 == pytest.approx(0.5 * COTH_HALF, rel=1e-14)
 
     def test_gamma_independence(self):
         sys_ = SystemSpec()
-        a = mk.stationary_moments_analytic(mk.MarkovParams.from_system(sys_, 0.01))
-        b = mk.stationary_moments_analytic(mk.MarkovParams.from_system(sys_, 0.1))
+        a = mk.stationary_moments_analytic(mk.MarkovParams(sys_, 0.01))
+        b = mk.stationary_moments_analytic(mk.MarkovParams(sys_, 0.1))
         assert a[0] == pytest.approx(b[0], rel=1e-12)
         assert a[1] == pytest.approx(b[1], rel=1e-12)
 
     def test_classical_equipartition(self):
         sys_ = SystemSpec(hbar=1e-8)
-        params = mk.MarkovParams.from_system(sys_, 0.2)
+        params = mk.MarkovParams(sys_, 0.2)
         x2, v2 = mk.stationary_moments_analytic(params)
         assert sys_.mass * v2 == pytest.approx(1.0, rel=1e-12)
         assert sys_.mass * sys_.omega0**2 * x2 == pytest.approx(1.0, rel=1e-12)
@@ -72,7 +72,7 @@ class TestStationaryMoments:
         # x2 read 0.68193 at gamma = 20 and 0.042117 at 100
         sys_ = SystemSpec()
         for gamma in (0.05, 0.3, 2.5, 5.0, 20.0, 100.0):
-            params = mk.MarkovParams.from_system(sys_, gamma)
+            params = mk.MarkovParams(sys_, gamma)
             x2, v2 = mk.stationary_moments_analytic(params)
             assert mk.stationary_double_integral(params, "x2") == pytest.approx(
                 x2, rel=1e-9
@@ -82,11 +82,11 @@ class TestStationaryMoments:
             )
 
     def test_params_invariant_enforced(self):
-        assert mk.MarkovParams.from_system(SystemSpec(), 5.0).gamma == 5.0
+        assert mk.MarkovParams(SystemSpec(), 5.0).gamma == 5.0
         with pytest.raises(DomainError):
-            mk.MarkovParams.from_system(SystemSpec(), 0.0)
+            mk.MarkovParams(SystemSpec(), 0.0)
         with pytest.raises(DomainError):
-            mk.MarkovParams.from_system(SystemSpec(omega0=0.0), 0.1)
+            mk.MarkovParams(SystemSpec(omega0=0.0), 0.1)
 
 
 def _kernel(gamma, w0, times):
@@ -142,7 +142,7 @@ class TestSimulateSde:
         # stationary covariance satisfies S = E S E^T + Q_dt for the exact
         # one-step update
         sys_ = SystemSpec()
-        params = mk.MarkovParams.from_system(sys_, 0.2)
+        params = mk.MarkovParams(sys_, 0.2)
         drift = np.array([[0.0, 1.0], [-1.0, -0.2]])
         q_rate = params.noise / 2.0
         diffusion = np.array([[0.0, 0.0], [0.0, q_rate]])
@@ -155,7 +155,7 @@ class TestSimulateSde:
 
     def test_matches_analytic_within_three_sigma(self):
         sys_ = SystemSpec()
-        params = mk.MarkovParams.from_system(sys_, 0.1)
+        params = mk.MarkovParams(sys_, 0.1)
         res = mk.simulate_sde(params, dt=10.0, n_steps=200, n_traj=3000, seed=21)
         x2_ref, v2_ref = mk.stationary_moments_analytic(params)
         assert abs(res["x2"].mean - x2_ref) < 3.0 * res["x2"].se
@@ -165,7 +165,7 @@ class TestSimulateSde:
     @pytest.mark.parametrize("temp", (0.1, 1.0, 10.0))
     def test_parameter_grid_three_sigma(self, gamma, temp):
         sys_ = SystemSpec(temperature=temp)
-        params = mk.MarkovParams.from_system(sys_, gamma)
+        params = mk.MarkovParams(sys_, gamma)
         res = mk.simulate_sde(params, dt=1.0 / gamma, n_steps=100,
                               n_traj=1000, seed=5)
         x2_ref, v2_ref = mk.stationary_moments_analytic(params)
@@ -174,7 +174,7 @@ class TestSimulateSde:
 
     def test_determinism_bit_exact(self):
         sys_ = SystemSpec()
-        params = mk.MarkovParams.from_system(sys_, 0.2)
+        params = mk.MarkovParams(sys_, 0.2)
         a = mk.simulate_sde(params, dt=5.0, n_steps=50, n_traj=64, seed=3)
         b = mk.simulate_sde(params, dt=5.0, n_steps=50, n_traj=64, seed=3)
         assert a["x2"].mean == b["x2"].mean
@@ -182,7 +182,7 @@ class TestSimulateSde:
 
     def test_chunking_invariance(self):
         sys_ = SystemSpec()
-        params = mk.MarkovParams.from_system(sys_, 0.2)
+        params = mk.MarkovParams(sys_, 0.2)
         a = mk.simulate_sde(params, dt=5.0, n_steps=50, n_traj=100, seed=3,
                             chunk_size=7)
         b = mk.simulate_sde(params, dt=5.0, n_steps=50, n_traj=100, seed=3,

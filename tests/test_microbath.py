@@ -441,7 +441,6 @@ class TestNormalModes:
         moments = mb.gle_ensemble_moments(modes, sys_, grid, 300, seed=6, x0=0.3)
         for a, b in [(res[name], moments[name]) for name in ("x2", "v2")]:
             assert (a.mean, a.se, a.n) == pytest.approx((b.mean, b.se, b.n), rel=1e-12)
-        assert (res.n_traj, res.seed, res.meta) == (moments.n_traj, moments.seed, moments.meta)
         # the noise of each pass against its realizations rebuilt from the streams
         times = value_times(taus, origins)
         at = lambda t: np.searchsorted(times, t)

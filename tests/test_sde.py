@@ -18,13 +18,13 @@ from qlesim.errors import DomainError, UnstableIntegrationError
 
 
 def _moments(res):
-    return {name: (est.mean, est.se) for name, est in res.moments.items()}
+    return {name: (est.mean, est.se) for name, est in res.items()}
 
 
 def test_block_length_does_not_change_results(monkeypatch):
     # 70 steps span several 7-step slabs of draws, with a ragged last one
-    markov = mk.MarkovParams.from_system(SystemSpec(), 0.2)
-    pair = rwa.RwaParams.from_system(SystemSpec(), 0.05)
+    markov = mk.MarkovParams(SystemSpec(), 0.2)
+    pair = mk.MarkovParams(SystemSpec(), 0.05)
 
     def run():
         return (
@@ -64,8 +64,8 @@ def _step_average(series, n_steps):
 
 def test_first_trajectories_do_not_depend_on_ensemble_or_chunk_size(monkeypatch):
     # 70 steps of dt = 0.5; trajectories 0..4 of every ensemble
-    markov = mk.MarkovParams.from_system(SystemSpec(), 0.2)
-    pair = rwa.RwaParams.from_system(SystemSpec(), 0.05)
+    markov = mk.MarkovParams(SystemSpec(), 0.2)
+    pair = mk.MarkovParams(SystemSpec(), 0.05)
     k, dt, steps = 5, 0.5, 70
     for simulate, params in ((mk.simulate_sde, markov), (rwa.simulate_rwa, pair)):
         def run(n_traj, chunk_size):
@@ -101,8 +101,8 @@ def test_worker_count_does_not_change_results(monkeypatch):
     # in one group.  The finite bath draws 300 realizations of 2 x 40 mode
     # normals in 5 blocks, a ragged 2-2-1 split over 3 workers and fewer
     # blocks than 8 workers, in one chunk or in chunks of 128
-    markov = mk.MarkovParams.from_system(SystemSpec(), 0.2)
-    pair = rwa.RwaParams.from_system(SystemSpec(), 0.05)
+    markov = mk.MarkovParams(SystemSpec(), 0.2)
+    pair = mk.MarkovParams(SystemSpec(), 0.05)
     drift, diffusion = mk._linear_system(markov)
     modes = discretize_bath(BathSpec.cutoff_ohmic(gamma=0.5, cutoff=3.0), 40)
     grid = mb.TrajectoryGrid(dt=0.03, n_steps=20)
@@ -147,7 +147,7 @@ def test_worker_count_does_not_change_results(monkeypatch):
 
 
 def test_rwa_chunking_invariance():
-    params = rwa.RwaParams.from_system(SystemSpec(), 0.05)
+    params = mk.MarkovParams(SystemSpec(), 0.05)
     a = rwa.simulate_rwa(params, dt=5.0, n_steps=50, n_traj=100, seed=3, chunk_size=7)
     b = rwa.simulate_rwa(params, dt=5.0, n_steps=50, n_traj=100, seed=3, chunk_size=100)
     for name in ("x2", "p2", "xp", "ehrenfest"):
@@ -156,7 +156,7 @@ def test_rwa_chunking_invariance():
 
 def test_noise_memory_bounded_by_block():
     # the whole-run draw held 32 x 20,100 x 2 doubles (about 10 MB) twice
-    params = rwa.RwaParams.from_system(SystemSpec(), 0.1)
+    params = mk.MarkovParams(SystemSpec(), 0.1)
     tracemalloc.start()
     try:
         rwa.simulate_rwa(params, dt=1.0, n_steps=20_000, n_traj=32, seed=1)
@@ -168,7 +168,7 @@ def test_noise_memory_bounded_by_block():
 
 def _chunk_peaks():
     """tracemalloc peaks of 4,096 trajectories (two chunks) at 1,000 and 4,000 steps."""
-    params = mk.MarkovParams.from_system(SystemSpec(), 0.1)
+    params = mk.MarkovParams(SystemSpec(), 0.1)
     peaks = []
     for n_steps in (1000, 4000):
         tracemalloc.start()
@@ -206,29 +206,26 @@ def test_divergence_guard():
 
 
 def test_run_ensemble_rejects_stray_keyword():
-    # meta is one explicit mapping: the removed burn_in must not slip into it
+    # the removed burn_in is not taken silently
     with pytest.raises(TypeError, match="burn_in"):
         sde.run_ensemble(np.array([[0.0, 1.0], [-1.0, -0.1]]), np.diag([0.0, 0.2]), 0.5,
                          n_steps=10, n_traj=4, seed=0,
                          observables={"x2": lambda prev, s: s[:, 0] ** 2},
                          chunk_size=4, burn_in=1.0)
-    params = rwa.RwaParams.from_system(SystemSpec(), 0.05)
-    assert rwa.simulate_rwa(params, 0.5, 10, 4, seed=5).meta == {
-        "dt": 0.5, "n_steps": 10, "gamma": 0.05, "noise_bandwidth": 2.0}
 
 
 @pytest.mark.parametrize("chunk_size", (0, -5))
 def test_nonpositive_chunk_size_raises(chunk_size):
     # was a bare "range() arg 3 must not be zero" at 0
-    params = mk.MarkovParams.from_system(SystemSpec(), 0.1)
+    params = mk.MarkovParams(SystemSpec(), 0.1)
     with pytest.raises(DomainError, match="chunk_size"):
         mk.simulate_sde(params, dt=0.5, n_steps=10, n_traj=4, seed=1, chunk_size=chunk_size)
 
 
 def test_negative_seed_raises():
     # was numpy's "expected non-negative integer"
-    markov = mk.MarkovParams.from_system(SystemSpec(), 0.1)
-    pair = rwa.RwaParams.from_system(SystemSpec(), 0.1)
+    markov = mk.MarkovParams(SystemSpec(), 0.1)
+    pair = mk.MarkovParams(SystemSpec(), 0.1)
     modes = discretize_bath(BathSpec.cutoff_ohmic(gamma=0.5, cutoff=3.0), 16)
     grid = mb.TrajectoryGrid(dt=0.03, n_steps=10)
     for call in (lambda: mk.simulate_sde(markov, 0.5, 10, 4, seed=-1),
@@ -260,9 +257,9 @@ def _oracle_drifts():
         crit = 2.0 * w0
         for gamma in (1e-4, 1e-2, 0.1, 0.5, 1.0, crit, crit * (1 + 1e-9),
                       crit * (1 - 1e-9), 5.0, 20.0):
-            markov = mk.MarkovParams.from_system(SystemSpec(omega0=w0), gamma)
+            markov = mk.MarkovParams(SystemSpec(omega0=w0), gamma)
             yield w0, gamma, "markov", *mk._linear_system(markov)
-            pair = rwa.RwaParams.from_system(SystemSpec(omega0=w0), gamma)
+            pair = mk.MarkovParams(SystemSpec(omega0=w0), gamma)
             yield w0, gamma, "rwa", rwa.drift_matrix(pair), rwa._diffusion_matrix(pair)
 
 
@@ -273,7 +270,7 @@ def test_closed_forms_match_scipy_and_van_loan():
         assert np.max(np.abs(cov - ref)) <= 1e-12 * np.max(np.abs(ref)), (w0, gamma, kind)
         if kind == "markov":
             x2, v2 = mk.stationary_moments_analytic(
-                mk.MarkovParams.from_system(SystemSpec(omega0=w0), gamma))
+                mk.MarkovParams(SystemSpec(omega0=w0), gamma))
             np.testing.assert_allclose(cov, np.diag([x2, v2]), rtol=1e-14, atol=0.0)
         fast = np.max(np.abs(np.linalg.eigvals(drift).real))
         for dt in ORACLE_DTS:
@@ -290,8 +287,8 @@ def test_closed_forms_match_scipy_and_van_loan():
 def test_kicks_convolved_with_propagator_rebuild_paths():
     # states[n] = e^{A n dt} states[0] + sum_k e^{A (n - 1 - k) dt} kicks[k], with
     # each power of the step taken from the closed form at j dt
-    markov = mk.MarkovParams.from_system(SystemSpec(), 0.2)
-    pair = rwa.RwaParams.from_system(SystemSpec(), 0.05)
+    markov = mk.MarkovParams(SystemSpec(), 0.2)
+    pair = mk.MarkovParams(SystemSpec(), 0.05)
     dt, n = 0.05, 400
     for drift, diffusion in (mk._linear_system(markov),
                              (rwa.drift_matrix(pair), rwa._diffusion_matrix(pair))):
@@ -308,7 +305,7 @@ def test_kicks_convolved_with_propagator_rebuild_paths():
 def test_noise_factor_continuous_at_isotropic_covariance():
     # the RWA Q_dt is sigma^2 I; its eigh factor was a LAPACK tie-break, which a
     # 1e-15 off-diagonal turned by 45 degrees (max |dL| = 0.76 at this step)
-    pair = rwa.RwaParams.from_system(SystemSpec(), 0.1)
+    pair = mk.MarkovParams(SystemSpec(), 0.1)
     _, q_dt = sde.exact_discretization(rwa.drift_matrix(pair), rwa._diffusion_matrix(pair), 1.0)
     base = np.eye(2) * q_dt[0, 0]
     factor = sde.noise_factor(base)
@@ -340,11 +337,11 @@ def test_unstable_or_non_2x2_drift_raises(drift):
 def test_exact_step_at_long_steps():
     # fast * dt >= 25: the Van Loan step gave x2 = 370 (sde) and all-zero
     # moments with a negative Ehrenfest reference (rwa)
-    markov = mk.MarkovParams.from_system(SystemSpec(), 5.0)
+    markov = mk.MarkovParams(SystemSpec(), 5.0)
     res = mk.simulate_sde(markov, dt=5.0, n_steps=100, n_traj=500, seed=3)
     for name, ref in zip(("x2", "v2"), mk.stationary_moments_analytic(markov)):
         assert abs(res[name].mean - ref) < 5.0 * res[name].se, name
-    pair = rwa.RwaParams.from_system(SystemSpec(), 3.0)
+    pair = mk.MarkovParams(SystemSpec(), 3.0)
     with pytest.warns(UserWarning, match="dubious"):
         res = rwa.simulate_rwa(pair, dt=8.0, n_steps=100, n_traj=500, seed=3)
     for name, ref in zip(("x2", "p2"), rwa.rwa_stationary_analytic(pair)):
@@ -354,7 +351,7 @@ def test_exact_step_at_long_steps():
 
 
 def test_ehrenfest_exact_at_long_step_against_scipy():
-    pair = rwa.RwaParams.from_system(SystemSpec(), 3.0)
+    pair = mk.MarkovParams(SystemSpec(), 3.0)
     drift, diffusion, dt = rwa.drift_matrix(pair), rwa._diffusion_matrix(pair), 8.0
     prop, cov = expm(drift * dt), solve_continuous_lyapunov(drift, -diffusion)
     q_dt = cov - prop @ cov @ prop.T
@@ -366,8 +363,8 @@ def test_ehrenfest_exact_at_long_step_against_scipy():
 
 def _drifts():
     """(name, params, simulate, A, Q) at the Markov and RWA drifts of the stream tests."""
-    markov = mk.MarkovParams.from_system(SystemSpec(), 0.2)
-    pair = rwa.RwaParams.from_system(SystemSpec(), 0.05)
+    markov = mk.MarkovParams(SystemSpec(), 0.2)
+    pair = mk.MarkovParams(SystemSpec(), 0.05)
     yield "markov", markov, mk.simulate_sde, *mk._linear_system(markov)
     yield "rwa", pair, rwa.simulate_rwa, rwa.drift_matrix(pair), rwa._diffusion_matrix(pair)
 
@@ -385,7 +382,6 @@ def test_start_is_stationary():
         for row in (0, steps):
             z = (states[row].T @ states[row] / n - cov) / sd
             assert np.all(np.abs(z) < 4.0), (name, row, z)
-        assert "burn_steps" not in simulate(params, 0.5, 10, 4, seed=5).meta
 
 
 def _exact_row(drift, diffusion, dt, n_steps, form):
@@ -422,8 +418,8 @@ def test_printed_std_error_is_exact(seed):
     # variance of n_traj rows has relative sd sqrt((kurtosis - 1) / n_traj))
     gamma, n_steps, n_traj = 0.1, 200, 4000
     dt, system = 1.0 / gamma, SystemSpec()
-    markov = mk.MarkovParams.from_system(system, gamma)
-    pair = rwa.RwaParams.from_system(system, gamma)
+    markov = mk.MarkovParams(system, gamma)
+    pair = mk.MarkovParams(system, gamma)
     x2, p2, xp = np.zeros((3, 4, 4))
     x2[2, 2] = p2[3, 3] = 1.0
     xp[2, 3] = xp[3, 2] = 0.5

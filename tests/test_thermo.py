@@ -42,7 +42,8 @@ class TestMeanEnergy:
         from qlesim.fdt import weak_coupling_energy
 
         sys_ = SystemSpec(omega0=1.7, temperature=0.6)
-        assert thermo.mean_energy_weak(sys_.beta, 1.7, 1.0) == pytest.approx(
+        beta = 1.0 / (sys_.kB * sys_.temperature)
+        assert thermo.mean_energy_weak(beta, 1.7, 1.0) == pytest.approx(
             weak_coupling_energy(sys_), rel=1e-14
         )
 
