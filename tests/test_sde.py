@@ -362,11 +362,11 @@ def test_ehrenfest_exact_at_long_step_against_scipy():
 
 
 def _drifts():
-    """(name, params, simulate, A, Q) at the Markov and RWA drifts of the stream tests."""
+    """(name, A, Q) at the Markov and RWA drifts of the stream tests."""
     markov = mk.MarkovParams(SystemSpec(), 0.2)
     pair = mk.MarkovParams(SystemSpec(), 0.05)
-    yield "markov", markov, mk.simulate_sde, *mk._linear_system(markov)
-    yield "rwa", pair, rwa.simulate_rwa, rwa.drift_matrix(pair), rwa._diffusion_matrix(pair)
+    yield "markov", *mk._linear_system(markov)
+    yield "rwa", rwa.drift_matrix(pair), rwa._diffusion_matrix(pair)
 
 
 def test_start_is_stationary():
@@ -375,7 +375,7 @@ def test_start_is_stationary():
     # mean of s_i s_j over n members has variance (S_ii S_jj + S_ij^2) / n.
     # (a start at rest is 56.6 sd low at row 0, and the slow RWA 8.3 sd low at row 40)
     n, steps = 6400, 40
-    for name, params, simulate, drift, diffusion in _drifts():
+    for name, drift, diffusion in _drifts():
         cov = sde.stationary_covariance(drift, diffusion)
         sd = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / n)
         states, _ = sde.sample_paths(drift, diffusion, 0.5, steps, n, seed=5)
