@@ -21,7 +21,7 @@ from qlesim import cli
 GOLDEN = Path(__file__).parent / "golden"
 
 # case -> command line; the cases of the sde, rwa and microbath commands also dump two
-# trajectories
+# trajectories, or the --dump-count a case sets itself
 _DUMPED = ("sde", "rwa", "microbath")
 CASES = {
     "dist": ["dist", "--grid", "0:3:7", "--gammas", "1,0.125"],
@@ -34,6 +34,9 @@ CASES = {
                   "--steps", "30", "--dt", "0.02", "--seed", "2"],
     "scan": ["scan", "--gammas", "0.5"],
     # at m = omega0 = T = 1 a dropped mass or (m omega0)^2 factor cannot show
+    # 70 realizations dump two blocks of 64: the second block's draws are pinned too
+    "microbath_blocks": ["microbath", "--gamma", "0.5", "--modes", "20", "--realizations", "70",
+                         "--steps", "4", "--dt", "0.02", "--seed", "2", "--dump-count", "70"],
     "microbath_mass": ["microbath", "--mass", "2.5", "--gamma", "0.3", "--cutoff", "4",
                        "--modes", "60", "--realizations", "70", "--steps", "30",
                        "--dt", "0.02", "--seed", "2"],
@@ -54,7 +57,9 @@ def outputs(case, tmp):
     dump, scan_dir = tmp / f"{case}_traj.csv", tmp / "scan"
     dumped = args[0] in _DUMPED
     if dumped:
-        args += ["--dump-traj", str(dump), "--dump-count", "2"]
+        args += ["--dump-traj", str(dump)]
+        if "--dump-count" not in args:
+            args += ["--dump-count", "2"]
     if case == "scan":
         args += ["--out", str(scan_dir)]
     stdout = io.StringIO()
