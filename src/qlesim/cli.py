@@ -374,22 +374,14 @@ def run_microbath(cfg: RunConfig, dump_traj=None, dump_count=1):
     dt = cfg.dt or 0.09 / cfg.cutoff
     n_steps = cfg.steps or int(round(20.0 / cfg.gamma / dt))
     grid = microbath.TrajectoryGrid(dt=dt, n_steps=n_steps)
-    final = None
-    if dump_traj:
-        # one set of normal modes and x(T), v(T) rows serves the dump and the
-        # ensemble; the series are freed before the ensemble pass allocates
-        normal_modes = microbath._NormalModes(modes, system)
-        final = normal_modes.response(np.array([grid.dt * grid.n_steps]), 0.0)
-        times, *series = microbath.sample_trajectories(
-            modes, system, grid, min(dump_count, cfg.realizations), cfg.seed,
-            _normal_modes=normal_modes, _final=final)
-        _write_trajectories(dump_traj, ("x", "v", "f"), times, series)
-        del normal_modes, times, series
-
     taus = np.linspace(0.0, 5.0 / system.omega0, 11)
     origins = np.arange(0.0, 20.0001, 0.5) / system.omega0
-    stats, res = microbath.ensemble_stats(modes, system, grid, taus, cfg.realizations, cfg.seed,
-                                          origins=origins, _final=final)
+    stats, res, dump = microbath.ensemble_stats(
+        modes, system, grid, taus, cfg.realizations, cfg.seed, origins=origins,
+        n_dump=min(dump_count, cfg.realizations) if dump_traj else 0)
+    if dump is not None:
+        times, *series = dump
+        _write_trajectories(dump_traj, ("x", "v", "f"), times, series)
 
     rows = []
     for tau, mean_est, corr_est in zip(stats["taus"], stats["mean"], stats["autocorr"]):

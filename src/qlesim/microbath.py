@@ -28,18 +28,19 @@ normal modes cost O(N^2) time (Gu & Eisenstat, SIAM J. Matrix Anal. Appl.
 So f(t), x(t) and v(t) at any time are each mean + row @ z, where z holds
 a realization's 2N standard normals (the s normals first) and the row
 carries the thermal standard deviations; the exact moments are the row
-norms, mean^2 + |row|^2.  A pass samples k values, x(T) and v(T) if asked
-and then f at sorted distinct times, with covariance R R^T for their rows R
-(built once, the normal modes' a block at a time).  It maps each (k, 64)
-tile of normals through F = T^T, F F^T = R R^T, for T the QR factor of R^T:
-F is lower-triangular, so x(T) and v(T) take the tile's first (2, 64)
-normals w alone.  F is unique only for a full-rank Gram matrix, and at
-the CLI's lags R R^T has rank 46 of 53, so a bitwise-equal sample needs
-bitwise-equal value rows: rows that move by rounding re-map normals to
-values, and sampled cells move (by far less than their standard errors).
-A dump draws z given w: with zeta the stream's next (2N, 64) normals and
-Q the orthonormal QR basis of the x(T), v(T) rows, z = zeta + Q (w -
-Q^T zeta) is exactly N(0, I) and has Q^T z = w.
+norms, mean^2 + |row|^2.  :func:`ensemble_stats` is the one pass: it builds
+the normal modes once and samples k values, x(T) and v(T) and then f at
+sorted distinct times, with covariance R R^T for their rows R (the normal
+modes' a block at a time).  It maps each (k, 64) tile of normals through
+F = T^T, F F^T = R R^T, for T the QR factor of R^T: F is lower-triangular,
+so x(T) and v(T) take the tile's first (2, 64) normals w alone.  F is
+unique only for a full-rank Gram matrix, and at the CLI's lags R R^T has
+rank 46 of 53, so a bitwise-equal sample needs bitwise-equal value rows:
+rows that move by rounding re-map normals to values, and sampled cells
+move (by far less than their standard errors).  The pass's dump of its
+first realizations on the grid draws z given w: with zeta the stream's
+next (2N, 64) normals and Q the orthonormal QR basis of the x(T), v(T)
+rows, z = zeta + Q (w - Q^T zeta) is exactly N(0, I) and has Q^T z = w.
 Realization i is column i % 64 of the (seed, i // 64) block stream of
 :mod:`.sde`, so it depends on (seed, i) alone, and a pass accumulates on
 that module's ensemble driver, so chunked and serial runs agree.
@@ -62,10 +63,7 @@ __all__ = [
     "initial_slip",
     "noise_autocorrelation_quadrature",
     "ensemble_stats",
-    "noise_ensemble_stats",
-    "gle_ensemble_moments",
     "gle_moments_exact",
-    "sample_trajectories",
 ]
 
 
@@ -380,10 +378,24 @@ def _finite(values):
     return values
 
 
-def _ensemble(modes: ModeSet, system: SystemSpec, taus, origins, n_real: int, seed: int,
-              chunk_size: int, final=None):
-    """(noise statistics, [<x^2>, <v^2>] estimates) of one pass over x(T) and
-    v(T) of the ``final`` (mean, rows), if given, then the noise."""
+def ensemble_stats(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid, taus,
+                   n_real: int, seed: int, origins=None, x0: float = 0.0,
+                   chunk_size: int = 2048, n_dump: int = 0):
+    """(noise statistics, final-time moments, dump) of one pass over ``n_real``
+    realizations, each started at (x0, 0) with the modes drawn from the
+    displaced thermal state.
+
+    The noise statistics hold per-lag estimates of the mean noise f(tau) and
+    of the symmetric autocorrelation <f(t0) f(t0 + tau)>: for classical
+    samples the operator ordering is immaterial, and the ensemble is
+    stationary, so averaging the product over the time ``origins`` t0
+    within each realization before accumulating tightens the standard
+    error without biasing it.  The moments are <x^2> and <v^2> (``x2``,
+    ``v2``) at t = n_steps * dt, each realization propagated exactly, so
+    any dt is allowed.  The dump is None, or the (times, x, v, f) of the
+    first ``n_dump`` realizations on ``grid.times``, which must resolve
+    every mode.  The normal modes and the x(T), v(T) rows are built once.
+    """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if np.any(taus < 0):
         raise DomainError("lags must be nonnegative")
@@ -393,98 +405,52 @@ def _ensemble(modes: ModeSet, system: SystemSpec, taus, origins, n_real: int, se
                              return_inverse=True)
     tau_idx, base_idx, lag_idx = np.split(where, [taus.size, taus.size + origins.size])
     lag_idx = lag_idx.reshape(taus.size, origins.size)
-    rows, mean = _noise_rows(modes, system, times), ()
-    if final is not None:
-        mean, final_rows = final
-        rows = np.vstack((final_rows, rows))
+    if n_dump:
+        grid.check_resolves(modes)
+    normal_modes = _NormalModes(modes, system)
+    mean, final_rows = normal_modes.response(np.array([grid.dt * grid.n_steps]), x0)
+    dump = (_trajectories(modes, system, normal_modes, final_rows, grid.times, n_dump, seed, x0)
+            if n_dump else None)
+    # x(T) and v(T) lead the value factor
+    rows = np.vstack((final_rows, _noise_rows(modes, system, times)))
     factor = np.linalg.qr(rows.T, mode="r").T
 
     def work(streams):
         y = np.empty((len(rows), _BLOCK * len(streams)))
         _draw(streams, factor, y)
-        final_values, y = y[:len(mean)], y[len(mean):]
-        values, f_base = {}, y[base_idx]
+        (x, v), f = mean[:, None] + y[:2], y[2:]
+        values, f_base = {"x2": x ** 2, "v2": v ** 2}, f[base_idx]
         for j in range(taus.size):
-            values["mean", j] = y[tau_idx[j]]
-            values["autocorr", j] = (f_base * y[lag_idx[j]]).mean(axis=0)
-        for k, (m, final_k) in enumerate(zip(mean, final_values)):
-            values["moment", k] = (m + final_k) ** 2
+            values["mean", j] = f[tau_idx[j]]
+            values["autocorr", j] = (f_base * f[lag_idx[j]]).mean(axis=0)
         return values
 
     est = _accumulate(seed, n_real, chunk_size, work, 1)
     return ({"taus": taus, "mean": [est["mean", j] for j in range(taus.size)],
              "autocorr": [est["autocorr", j] for j in range(taus.size)]},
-            [est["moment", k] for k in range(len(mean))])
-
-
-def ensemble_stats(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid, taus,
-                   n_real: int, seed: int, origins=None, x0: float = 0.0,
-                   chunk_size: int = 2048, _final=None):
-    """(noise statistics, final-time moments dict) of one pass over ``n_real``
-    realizations: what :func:`noise_ensemble_stats` (lags ``taus`` from
-    ``origins``) and :func:`gle_ensemble_moments` (``grid``, ``x0``) return
-    at the same seed and chunk size (x(T) and v(T) lead the value factor).
-    ``_final`` passes in these x(T), v(T) rows from normal modes built before.
-    """
-    final = _final or _NormalModes(modes, system).response(
-        np.array([grid.dt * grid.n_steps]), x0)
-    stats, (x2, v2) = _ensemble(modes, system, taus, origins, n_real, seed, chunk_size, final)
-    return stats, {"x2": x2, "v2": v2}
-
-
-def noise_ensemble_stats(modes: ModeSet, system: SystemSpec, taus, n_real: int,
-                         seed: int, origins=None, chunk_size: int = 4096):
-    """Monte Carlo noise statistics over an ensemble of realizations.
-
-    Returns a dict with per-lag estimates of the mean noise f(tau) and of
-    the symmetric autocorrelation at lag tau.  For classical samples the
-    operator ordering is immaterial, so <f(t0) f(t0 + tau)> estimates the
-    symmetrized correlation; the ensemble is stationary, and passing a
-    grid of time ``origins`` averages the product over t0 within each
-    realization before accumulating, which tightens the standard error
-    without biasing it (realizations stay independent units).
-    """
-    return _ensemble(modes, system, taus, origins, n_real, seed, chunk_size)[0]
-
-
-def gle_ensemble_moments(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid,
-                         n_real: int, seed: int, x0: float = 0.0,
-                         chunk_size: int = 2048) -> dict:
-    """Ensemble moments of the memory dynamics at the final grid time.
-
-    Starts every realization at (x0, 0) with bath modes drawn from the
-    displaced thermal state; returns the {name: MomentEstimate} dict of
-    <x^2> and <v^2> (``x2``, ``v2``) at t = n_steps * dt, where each
-    realization is propagated exactly, so any dt is allowed.
-    """
-    return ensemble_stats(modes, system, grid, [], n_real, seed, origins=[], x0=x0,
-                          chunk_size=chunk_size)[1]
+            {"x2": est["x2"], "v2": est["v2"]}, dump)
 
 
 def gle_moments_exact(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid,
                       x0: float = 0.0):
     """Exact (<x^2>, <v^2>) at the final grid time of the ensemble sampled by
-    :func:`gle_ensemble_moments`: the row norms mean^2 + |row|^2 of x(T), v(T)."""
+    :func:`ensemble_stats`: the row norms mean^2 + |row|^2 of x(T), v(T)."""
     mean, rows = _NormalModes(modes, system).response(np.array([grid.dt * grid.n_steps]), x0)
     return tuple(float(m ** 2 + row @ row) for m, row in zip(mean, rows))
 
 
-def sample_trajectories(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid,
-                        n_traj: int, seed: int, x0: float = 0.0, _normal_modes=None,
-                        _final=None):
-    """(times, x, v, f) of the first ``n_traj`` realizations of
-    :func:`gle_ensemble_moments` on ``grid.times``.
+def _trajectories(modes: ModeSet, system: SystemSpec, normal_modes: _NormalModes, final_rows,
+                  times, n_traj: int, seed: int, x0: float):
+    """(times, x, v, f) of the first ``n_traj`` realizations of the pass whose
+    x(T), v(T) rows are ``final_rows``, each array (len(times), n_traj).
 
-    Arrays are (n_steps + 1, n_traj); f is each realization's noise force.
     Each block's z, drawn given the pass's x(T), v(T) draws, is first
     projected onto the normal modes, then the time axis goes in slabs, so
     memory is that of the output plus one block, and no bit of a series
-    depends on n_traj.  ``_normal_modes`` and ``_final`` pass in a
-    ``_NormalModes(modes, system)`` and its x(T), v(T) rows built before.
+    depends on n_traj.
     """
-    grid.check_resolves(modes)
-    normal_modes, times, n = _normal_modes or _NormalModes(modes, system), grid.times, modes.count
-    basis = np.linalg.qr((_final or normal_modes.response(times[-1:], x0))[1].T)[0]
+    n = modes.count
+    basis = np.linalg.qr(final_rows.T)[0]
     series, draws = np.empty((3, times.size, n_traj)), np.empty((2 * n + 2, _BLOCK))
     w, z, (pz, pp), amp = draws[:2], draws[2:], np.empty((2, n + 1, _BLOCK)), np.empty(n + 1)
     for first, ((stream,), width) in zip(range(0, n_traj, _BLOCK), _chunks(seed, n_traj, _BLOCK)):

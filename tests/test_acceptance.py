@@ -108,18 +108,17 @@ def test_criterion_6_microbath_fdt():
         bath = BathSpec.cutoff_ohmic(gamma=0.5, cutoff=3.0, system_mass=sys_.mass)
         modes = discretize_bath(bath, 1000)
 
+        dt = 0.03
+        grid = mb.TrajectoryGrid(dt=dt, n_steps=int(round(20.0 / bath.gamma / dt)))
         taus = np.linspace(0.0, 5.0, 11)
         origins = np.arange(0.0, 20.0001, 0.5)
-        stats = mb.noise_ensemble_stats(modes, sys_, taus, n_real=10_000,
-                                        seed=77, origins=origins)
+        stats = mb.ensemble_stats(modes, sys_, grid, taus, 10_000, seed=77, origins=origins)[0]
         scale = mb.noise_autocorrelation_quadrature(sys_, bath, 0.0)
         for tau, est in zip(taus, stats["autocorr"]):
             target = mb.noise_autocorrelation_quadrature(sys_, bath, tau)
             assert abs(est.mean - target) / scale < 0.05, (tau, est.mean, target)
 
-        dt = 0.03
-        grid = mb.TrajectoryGrid(dt=dt, n_steps=int(round(20.0 / bath.gamma / dt)))
-        res = mb.gle_ensemble_moments(modes, sys_, grid, n_real=10_000, seed=78)
+        res = mb.ensemble_stats(modes, sys_, grid, [], 10_000, seed=78, origins=[])[1]
         x2_ref = fdt.position_correlation(0.0, sys_, bath, QuadratureConfig())
         est = res["x2"]
         assert abs(est.mean - x2_ref) < 3.0 * est.se, (est, x2_ref)

@@ -194,20 +194,15 @@ class TestEnsembleCommands:
     def test_microbath_dump_decomposes_normal_modes_once(self, tmp_path, capsys,
                                                         monkeypatch):
         calls = []
-        eigen, sample = microbath._arrowhead_eigen, microbath.sample_trajectories
+        eigen = microbath._arrowhead_eigen
         monkeypatch.setattr(microbath, "_arrowhead_eigen",
                             lambda *a: calls.append(a) or eigen(*a))
         args = ["microbath", "--modes", "200", "--realizations", "64"]
-        code, shared, _ = run_cli([*args, "--dump-traj", str(tmp_path / "shared.csv")], capsys)
+        code, dumped, _ = run_cli([*args, "--dump-traj", str(tmp_path / "traj.csv")], capsys)
         assert (code, len(calls)) == (0, 1)
-        # the ensemble and the dump each read the same as from their own modes
-        code, own, _ = run_cli(args, capsys)
-        assert (code, len(calls), own) == (0, 2, shared)
-        monkeypatch.setattr(microbath, "sample_trajectories",
-                            lambda *a, _normal_modes=None, **kw: sample(*a, **kw))
-        code, _, _ = run_cli([*args, "--dump-traj", str(tmp_path / "own.csv")], capsys)
-        assert (code, len(calls)) == (0, 4)
-        assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "own.csv").read_bytes()
+        # the ensemble reads the same without the dump
+        code, out, _ = run_cli(args, capsys)
+        assert (code, len(calls), out) == (0, 2, dumped)
 
     def test_sde_long_exact_step_exits_zero(self, capsys):
         # fast * dt = 48: the Van Loan step overflowed and reported divergence
@@ -360,9 +355,9 @@ class TestExitCodes:
         assert "gle_moment_x2" in out
 
         def fail(*a, **kw):
-            raise AssertionError("ensemble ran")
+            raise AssertionError("normal modes built")
 
-        monkeypatch.setattr(cli.microbath, "ensemble_stats", fail)
+        monkeypatch.setattr(cli.microbath, "_NormalModes", fail)
         dump = tmp_path / "traj.csv"
         code, _, err = run_cli([*args, "--dump-traj", str(dump)], capsys)
         assert code == 1

@@ -155,7 +155,8 @@ class TestNoise:
         sys_ = SystemSpec()
         _, modes = make_bath()
         taus = np.linspace(0.0, 4.5, 10)
-        stats = mb.noise_ensemble_stats(modes, sys_, taus, n_real=10_000, seed=2)
+        grid = mb.TrajectoryGrid(dt=0.03, n_steps=100)
+        stats = mb.ensemble_stats(modes, sys_, grid, taus, 10_000, seed=2)[0]
         for est in stats["mean"]:
             assert abs(est.mean) < 4.0 * est.se
 
@@ -165,8 +166,9 @@ class TestNoise:
         sys_ = SystemSpec()
         _, modes = make_bath()
         taus = np.linspace(0.0, 5.0, 6)
-        stats = mb.noise_ensemble_stats(modes, sys_, taus, n_real=20_000, seed=3,
-                                        origins=np.arange(0.0, 10.1, 0.5))
+        grid = mb.TrajectoryGrid(dt=0.03, n_steps=100)
+        stats = mb.ensemble_stats(modes, sys_, grid, taus, 20_000, seed=3,
+                                  origins=np.arange(0.0, 10.1, 0.5))[0]
         var_s, _ = mb.thermal_variances(modes, sys_)
         for tau, est in zip(taus, stats["autocorr"]):
             exact = float((modes.coupling**2 * var_s * np.cos(modes.omega * tau)).sum())
@@ -207,7 +209,8 @@ class TestInitialSlip:
         _, modes = make_bath(n_modes=64)
         x0 = 0.9
         grid = mb.TrajectoryGrid(dt=0.02, n_steps=300)
-        f = mb.sample_trajectories(modes, sys_, grid, 3, seed=5, x0=x0)[3][:, 2]
+        f = mb.ensemble_stats(modes, sys_, grid, [], 3, seed=5, origins=[], x0=x0,
+                              n_dump=3)[2][3][:, 2]
         s, p = thermal_start(modes, sys_, dump_normals(final_rows(modes, sys_, grid), 5, 0)[:, 2])
         shift = modes.coupling * x0 / (modes.mass * modes.omega**2)
         g = mode_sum(modes, grid.times, s + shift, p)
@@ -221,7 +224,8 @@ class TestIntegrateGle:
         sys_ = SystemSpec()
         modes = ModeSet(omega=[1.0], mass=[1.0], coupling=[0.0])
         grid = mb.TrajectoryGrid(dt=0.01, n_steps=1000)
-        _, x, v, f = mb.sample_trajectories(modes, sys_, grid, 1, seed=0, x0=1.0)
+        _, x, v, f = mb.ensemble_stats(modes, sys_, grid, [], 1, seed=0, origins=[], x0=1.0,
+                                       n_dump=1)[2]
         np.testing.assert_allclose(x[:, 0], np.cos(grid.times), atol=1e-8)
         np.testing.assert_allclose(v[:, 0], -np.sin(grid.times), atol=1e-8)
         np.testing.assert_array_equal(f, 0.0)
@@ -237,7 +241,7 @@ class TestIntegrateGle:
         bath, modes = make_bath(gamma=0.5, cutoff=3.0, n_modes=300)
         dt = 0.03
         grid = mb.TrajectoryGrid(dt=dt, n_steps=int(round(40.0 / dt)))
-        res = mb.gle_ensemble_moments(modes, sys_, grid, n_real=2000, seed=23)
+        res = mb.ensemble_stats(modes, sys_, grid, [], 2000, seed=23, origins=[])[1]
         x2_ref = fdt.position_correlation(0.0, sys_, bath, QuadratureConfig())
         v2_ref = fdt.velocity_correlation(0.0, sys_, bath, QuadratureConfig())
         assert abs(res["x2"].mean - x2_ref) < 3.0 * res["x2"].se
@@ -248,7 +252,7 @@ class TestIntegrateGle:
         bath, modes = make_bath(gamma=0.5, cutoff=3.0, n_modes=300)
         dt = 0.03
         grid = mb.TrajectoryGrid(dt=dt, n_steps=int(round(40.0 / dt)))
-        res = mb.gle_ensemble_moments(modes, sys_, grid, n_real=1500, seed=31)
+        res = mb.ensemble_stats(modes, sys_, grid, [], 1500, seed=31, origins=[])[1]
         kt = sys_.kB * sys_.temperature
         assert abs(sys_.mass * res["v2"].mean - kt) < 3.0 * sys_.mass * res["v2"].se
 
@@ -256,16 +260,17 @@ class TestIntegrateGle:
         sys_ = SystemSpec()
         _, modes = make_bath(n_modes=32)
         grid = mb.TrajectoryGrid(dt=0.03, n_steps=100)
-        a = mb.gle_ensemble_moments(modes, sys_, grid, n_real=16, seed=4)
-        b = mb.gle_ensemble_moments(modes, sys_, grid, n_real=16, seed=4)
+        a, b = (mb.ensemble_stats(modes, sys_, grid, [], 16, seed=4, origins=[])[1]
+                for _ in range(2))
         assert a["x2"].mean == b["x2"].mean
 
     def test_single_trajectory_deterministic_given_ics(self):
         sys_ = SystemSpec()
         _, modes = make_bath(n_modes=16)
         grid = mb.TrajectoryGrid(dt=0.03, n_steps=50)
-        first = mb.sample_trajectories(modes, sys_, grid, 1, seed=12)
-        for a, b in zip(first, mb.sample_trajectories(modes, sys_, grid, 1, seed=12)):
+        first, second = (mb.ensemble_stats(modes, sys_, grid, [], 1, seed=12, origins=[],
+                                           n_dump=1)[2] for _ in range(2))
+        for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
 
 
@@ -275,7 +280,7 @@ class TestNormalModes:
         sys_ = SystemSpec()
         _, modes = make_bath(gamma=0.5, cutoff=3.0, n_modes=300)
         grid = mb.TrajectoryGrid(dt=0.03, n_steps=int(round(40.0 / 0.03)))
-        res = mb.gle_ensemble_moments(modes, sys_, grid, n_real=2000, seed=41, x0=x0)
+        res = mb.ensemble_stats(modes, sys_, grid, [], 2000, seed=41, origins=[], x0=x0)[1]
         exact = mb.gle_moments_exact(modes, sys_, grid, x0=x0)
         for name, value in zip(("x2", "v2"), exact):
             assert abs(res[name].mean - value) < 4.0 * res[name].se, (name, value)
@@ -300,7 +305,8 @@ class TestNormalModes:
 
         def residual(dt):
             grid = mb.TrajectoryGrid(dt=dt, n_steps=int(round(10.0 / dt)))
-            _, x, v, f = mb.sample_trajectories(modes, sys_, grid, 1, seed=9, x0=0.4)
+            _, x, v, f = mb.ensemble_stats(modes, sys_, grid, [], 1, seed=9, origins=[],
+                                           x0=0.4, n_dump=1)[2]
             x, v, f = x[:, 0], v[:, 0], f[:, 0]
             mu = mb.initial_slip(modes, 1.0, grid.times)
             worst = 0.0
@@ -322,7 +328,7 @@ class TestNormalModes:
         sys_ = SystemSpec()
         _, modes = make_bath(gamma=0.5, cutoff=3.0, n_modes=300)
         grid = mb.TrajectoryGrid(dt=0.05, n_steps=800)
-        res = mb.gle_ensemble_moments(modes, sys_, grid, n_real=2000, seed=43)
+        res = mb.ensemble_stats(modes, sys_, grid, [], 2000, seed=43, origins=[])[1]
         exact = mb.gle_moments_exact(modes, sys_, grid)
         for name, value in zip(("x2", "v2"), exact):
             assert abs(res[name].mean - value) < 4.0 * res[name].se, (name, value)
@@ -332,7 +338,7 @@ class TestNormalModes:
         _, modes = make_bath(cutoff=3.0)
         grid = mb.TrajectoryGrid(dt=0.05, n_steps=10)
         with pytest.raises(DomainError, match="0.1"):
-            mb.sample_trajectories(modes, sys_, grid, 2, seed=1)
+            mb.ensemble_stats(modes, sys_, grid, [], 2, seed=1, origins=[], n_dump=2)
 
     def test_memory_does_not_grow_with_steps(self):
         sys_ = SystemSpec()
@@ -340,7 +346,7 @@ class TestNormalModes:
         grid = mb.TrajectoryGrid(dt=0.03, n_steps=4000)
         tracemalloc.start()
         try:
-            mb.gle_ensemble_moments(modes, sys_, grid, n_real=64, seed=1)
+            mb.ensemble_stats(modes, sys_, grid, [], 64, seed=1, origins=[])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -353,7 +359,7 @@ class TestNormalModes:
         grid = mb.TrajectoryGrid(dt=0.03, n_steps=10_000_000)
         tracemalloc.start()
         try:
-            mb.gle_ensemble_moments(modes, sys_, grid, n_real=16, seed=1)
+            mb.ensemble_stats(modes, sys_, grid, [], 16, seed=1, origins=[])
             mb.gle_moments_exact(modes, sys_, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -375,11 +381,9 @@ class TestNormalModes:
         _, modes = make_bath(n_modes=500)
         grid = mb.TrajectoryGrid(dt=0.03, n_steps=100)
         draws = 2 * modes.count * 2048 * 8
-        for call in (lambda: mb.noise_ensemble_stats(modes, sys_, [0.0, 0.5], n_real=4096,
-                                                     seed=1, chunk_size=2048),
-                     lambda: mb.gle_ensemble_moments(modes, sys_, grid, n_real=4096, seed=1,
-                                                     chunk_size=2048)):
-            peak = traced_peak(call)
+        for taus, origins in (([0.0, 0.5], None), ([], [])):
+            peak = traced_peak(lambda: mb.ensemble_stats(modes, sys_, grid, taus, 4096, seed=1,
+                                                         origins=origins, chunk_size=2048))
             assert peak <= 1.5 * draws, peak / draws
 
     def test_dump_memory_does_not_grow_with_steps_times_modes(self):
@@ -387,9 +391,9 @@ class TestNormalModes:
         # at 20,000 steps against 30 MB at 2,000
         sys_ = SystemSpec()
         _, modes = make_bath(n_modes=300)
-        short, long = (traced_peak(lambda: mb.sample_trajectories(
-            modes, sys_, mb.TrajectoryGrid(dt=0.03, n_steps=n_steps), 2, seed=1))
-            for n_steps in (2000, 20_000))
+        short, long = (traced_peak(lambda: mb.ensemble_stats(
+            modes, sys_, mb.TrajectoryGrid(dt=0.03, n_steps=n_steps), [], 2, seed=1, origins=[],
+            n_dump=2)) for n_steps in (2000, 20_000))
         assert long <= 2 * short, (short, long)
 
     @pytest.mark.parametrize("omega0", (1.0, 0.0))
@@ -426,7 +430,7 @@ class TestNormalModes:
         a, b = 2.0 * mu * math.sqrt(s2), s2
         m4 = 3.0 * a**4 + 60.0 * a**2 * b**2 + 60.0 * b**4
         spread = math.sqrt((m4 / var**2 - 1.0) / n_real) / 2.0
-        se = mb.gle_ensemble_moments(modes, sys_, grid, n_real, seed, x0=x0)["x2"].se
+        se = mb.ensemble_stats(modes, sys_, grid, [], n_real, seed, origins=[], x0=x0)[1]["x2"].se
         assert abs(se / math.sqrt(var / n_real) - 1.0) < 4.0 * spread, (se, spread)
 
     def test_one_pass_gives_noise_stats_and_moments(self):
@@ -434,37 +438,35 @@ class TestNormalModes:
         _, modes = make_bath(n_modes=40)
         grid = mb.TrajectoryGrid(dt=0.03, n_steps=100)
         taus, origins = [0.0, 0.5, 1.0], [0.0, 0.5, 2.0]
-        stats, res = mb.ensemble_stats(modes, sys_, grid, taus, 300, seed=6, origins=origins,
-                                       x0=0.3)
-        noise = mb.noise_ensemble_stats(modes, sys_, taus, 300, seed=6, origins=origins,
-                                        chunk_size=2048)
-        moments = mb.gle_ensemble_moments(modes, sys_, grid, 300, seed=6, x0=0.3)
+        stats, res, dump = mb.ensemble_stats(modes, sys_, grid, taus, 300, seed=6,
+                                             origins=origins, x0=0.3)
+        assert dump is None
+        # x(T) and v(T) lead the factor, so the noise times leave their draws as they are
+        moments = mb.ensemble_stats(modes, sys_, grid, [], 300, seed=6, origins=[], x0=0.3)[1]
         for a, b in [(res[name], moments[name]) for name in ("x2", "v2")]:
             assert (a.mean, a.se, a.n) == pytest.approx((b.mean, b.se, b.n), rel=1e-12)
-        # the noise of each pass against its realizations rebuilt from the streams
+        # the noise of the pass against its realizations rebuilt from the streams
         times = value_times(taus, origins)
         at = lambda t: np.searchsorted(times, t)
-        noise_rows = mb._noise_rows(modes, sys_, times)
-        for got, rows in ((stats, np.vstack((final_rows(modes, sys_, grid), noise_rows))),
-                          (noise, noise_rows)):
-            y = np.hstack([pass_values(rows, 6, b) for b in range(5)])[-len(times):, :300]
-            np.testing.assert_array_equal(got["taus"], taus)
-            for j, tau in enumerate(taus):
-                corr = np.mean([y[at(t0)] * y[at(t0 + tau)] for t0 in origins], axis=0)
-                for est, values in ((got["mean"][j], y[at(tau)]), (got["autocorr"][j], corr)):
-                    expected = (values.mean(), values.std(ddof=1) / math.sqrt(300), 300)
-                    assert (est.mean, est.se, est.n) == pytest.approx(expected, rel=1e-12)
+        rows = np.vstack((final_rows(modes, sys_, grid), mb._noise_rows(modes, sys_, times)))
+        y = np.hstack([pass_values(rows, 6, b) for b in range(5)])[-len(times):, :300]
+        np.testing.assert_array_equal(stats["taus"], taus)
+        for j, tau in enumerate(taus):
+            corr = np.mean([y[at(t0)] * y[at(t0 + tau)] for t0 in origins], axis=0)
+            for est, values in ((stats["mean"][j], y[at(tau)]), (stats["autocorr"][j], corr)):
+                expected = (values.mean(), values.std(ddof=1) / math.sqrt(300), 300)
+                assert (est.mean, est.se, est.n) == pytest.approx(expected, rel=1e-12)
 
     def test_sample_trajectories_are_the_ensemble_realizations(self):
         sys_ = SystemSpec()
         _, modes = make_bath(n_modes=40)
         grid = mb.TrajectoryGrid(dt=0.03, n_steps=200)
-        times, x, v, f = mb.sample_trajectories(modes, sys_, grid, 70, seed=5, x0=0.2)
+        _, res, (times, x, v, f) = mb.ensemble_stats(modes, sys_, grid, [], 70, seed=5,
+                                                     origins=[], x0=0.2, n_dump=70)
         assert x.shape == v.shape == f.shape == (201, 70)
         np.testing.assert_array_equal(times, grid.times)
         np.testing.assert_array_equal(x[0], 0.2)
         np.testing.assert_array_equal(v[0], 0.0)
-        res = mb.gle_ensemble_moments(modes, sys_, grid, n_real=70, seed=5, x0=0.2)
         assert res["x2"].mean == pytest.approx(np.mean(x[-1] ** 2), rel=1e-12)
         assert res["v2"].mean == pytest.approx(np.mean(v[-1] ** 2), rel=1e-12)
         # realization 66 is column 2 of block 1: its normals z reproduce the
@@ -493,7 +495,7 @@ class TestNormalModes:
         factors, draw = [], mb._draw
         monkeypatch.setattr(mb, "_draw", lambda streams, factor, out: (
             factors.append(factor), draw(streams, factor, out)))
-        mb.ensemble_stats(modes, sys_, grid, taus, 64, seed=1, origins=origins, _final=final)
+        mb.ensemble_stats(modes, sys_, grid, taus, 64, seed=1, origins=origins)
         rows = np.vstack((final[1], mb._noise_rows(modes, sys_, value_times(taus, origins))))
         gram, (factor,) = rows @ rows.T, factors
         assert factor.shape == (53, 53) and np.linalg.matrix_rank(rows) < 53
@@ -504,14 +506,17 @@ class TestNormalModes:
         sys_ = SystemSpec()
         _, modes = make_bath(n_modes=40)
         grid = mb.TrajectoryGrid(dt=0.03, n_steps=50)
-        first = [a[:, :3] for a in mb.sample_trajectories(modes, sys_, grid, 3, seed=5)[1:]]
+        dump = lambda n_traj: mb.ensemble_stats(modes, sys_, grid, [], n_traj, seed=5,
+                                                origins=[], n_dump=n_traj)[2][1:]
+        first = [a[:, :3] for a in dump(3)]
         for n_traj in (64, 65, 200):
-            got = mb.sample_trajectories(modes, sys_, grid, n_traj, seed=5)[1:]
-            assert [a[:, :3].tobytes() for a in got] == [a.tobytes() for a in first], n_traj
-        serial = mb.gle_ensemble_moments(modes, sys_, grid, n_real=200, seed=5, chunk_size=4096)
+            assert [a[:, :3].tobytes() for a in dump(n_traj)] == [a.tobytes() for a in first], \
+                n_traj
+        moments = lambda chunk_size: mb.ensemble_stats(modes, sys_, grid, [], 200, seed=5,
+                                                       origins=[], chunk_size=chunk_size)[1]
+        serial = moments(4096)
         for chunk_size in (1, 64, 65):
-            res = mb.gle_ensemble_moments(modes, sys_, grid, n_real=200, seed=5,
-                                          chunk_size=chunk_size)
+            res = moments(chunk_size)
             for name in ("x2", "v2"):
                 assert res[name].mean == pytest.approx(serial[name].mean, rel=1e-12)
                 assert res[name].se == pytest.approx(serial[name].se, rel=1e-12)
@@ -592,12 +597,13 @@ class TestSecularEquation:
         times = np.array([0.0, 0.7, 13.3, 40.0])
         for got, want in zip(fast.response(times, 0.6), oracle.response(times, 0.6)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
-        # and so do the sampled x and v, whose normal-mode coordinates P z do
-        grid = mb.TrajectoryGrid(dt=0.03, n_steps=300)
-        got, want = (mb.sample_trajectories(modes, sys_, grid, 3, seed=2, x0=0.6,
-                                            _normal_modes=normal_modes)[1:3]
-                     for normal_modes in (fast, oracle))
-        for got, want in zip(got, want):
+        # and so do the dumped x and v, whose normal-mode coordinates P z do
+        grid, dumps = mb.TrajectoryGrid(dt=0.03, n_steps=300), []
+        for normal_modes in (fast, oracle):
+            monkeypatch.setattr(mb, "_NormalModes", lambda *_: normal_modes)
+            dumps.append(mb.ensemble_stats(modes, sys_, grid, [], 3, seed=2, origins=[], x0=0.6,
+                                           n_dump=3)[2][1:3])
+        for got, want in zip(*dumps):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("case", SECULAR_CASES)
@@ -691,17 +697,11 @@ class TestSecularEquation:
 
 class TestEmptyEnsembles:
     @pytest.mark.parametrize("kwargs", ({"n_real": 0}, {"n_real": 4, "chunk_size": 0}))
-    def test_noise_stats_rejects(self, kwargs):
-        _, modes = make_bath(n_modes=16)
-        with pytest.raises(DomainError, match="n_real and chunk_size"):
-            mb.noise_ensemble_stats(modes, SystemSpec(), [0.0], seed=1, **kwargs)
-
-    @pytest.mark.parametrize("kwargs", ({"n_real": 0}, {"n_real": 4, "chunk_size": 0}))
-    def test_gle_moments_rejects(self, kwargs):
+    def test_ensemble_stats_rejects(self, kwargs):
         _, modes = make_bath(n_modes=16)
         grid = mb.TrajectoryGrid(dt=0.03, n_steps=10)
         with pytest.raises(DomainError, match="n_real and chunk_size"):
-            mb.gle_ensemble_moments(modes, SystemSpec(), grid, seed=1, **kwargs)
+            mb.ensemble_stats(modes, SystemSpec(), grid, [0.0], seed=1, **kwargs)
 
 
 def test_microbath_run_draws_each_block_stream_once(monkeypatch, capsys):
@@ -743,4 +743,4 @@ def test_overflowing_moment_raises():
     _, modes = make_bath(n_modes=16)
     grid = mb.TrajectoryGrid(dt=0.03, n_steps=10)
     with np.errstate(over="ignore"), pytest.raises(UnstableIntegrationError, match="diverged"):
-        mb.gle_ensemble_moments(modes, SystemSpec(), grid, 16, seed=1, x0=1e200)
+        mb.ensemble_stats(modes, SystemSpec(), grid, [], 16, seed=1, origins=[], x0=1e200)

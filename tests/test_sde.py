@@ -119,12 +119,12 @@ def test_worker_count_does_not_change_results(monkeypatch):
             pair, 0.5, 70, 1600, seed=4, chunk_size=1000))],
         lambda: [a.tobytes() for a in sde.sample_paths(drift, diffusion, 0.5, 70, 300, seed=4)],
         lambda: [a.tobytes() for a in sde.sample_paths(drift, diffusion, 0.5, 2, 300, seed=4)],
-        lambda: _moments(mb.gle_ensemble_moments(modes, SystemSpec(), grid, 300, seed=4,
-                                                 chunk_size=128)),
-        lambda: mb.noise_ensemble_stats(modes, SystemSpec(), [0.0, 0.3], 300,
-                                        seed=4)["autocorr"],
-        lambda: [a.tobytes() for a in mb.sample_trajectories(modes, SystemSpec(), grid, 300,
-                                                               seed=4)],
+        lambda: _moments(mb.ensemble_stats(modes, SystemSpec(), grid, [], 300, seed=4,
+                                           origins=[], chunk_size=128)[1]),
+        lambda: mb.ensemble_stats(modes, SystemSpec(), grid, [0.0, 0.3], 300,
+                                  seed=4)[0]["autocorr"],
+        lambda: [a.tobytes() for a in mb.ensemble_stats(modes, SystemSpec(), grid, [], 300,
+                                                        seed=4, origins=[], n_dump=300)[2]],
     )
 
     def run(workers):
@@ -231,8 +231,7 @@ def test_negative_seed_raises():
     for call in (lambda: mk.simulate_sde(markov, 0.5, 10, 4, seed=-1),
                  lambda: rwa.simulate_rwa(pair, 0.5, 10, 4, seed=-1),
                  lambda: mk.sample_trajectories(markov, 0.5, 10, 4, seed=-1),
-                 lambda: mb.gle_ensemble_moments(modes, SystemSpec(), grid, 4, seed=-1),
-                 lambda: mb.noise_ensemble_stats(modes, SystemSpec(), [0.0], 4, seed=-1)):
+                 lambda: mb.ensemble_stats(modes, SystemSpec(), grid, [0.0], 4, seed=-1)):
         with pytest.raises(DomainError, match="seed"):
             call()
 
