@@ -150,6 +150,13 @@ class BathSpec:
         except OverflowError:
             return math.inf
 
+    def check_system(self, system: SystemSpec):
+        """Require a cutoff-Ohmic bath's system mass to be ``system.mass``:
+        its coupling, and so its damping, is derived from that mass."""
+        if self.kind is BathKind.CUTOFF_OHMIC and self.system_mass != system.mass:
+            raise DomainError(f"the cutoff-Ohmic bath has system mass {self.system_mass!r}, "
+                              f"the system {system.mass!r}")
+
     @classmethod
     def strict_ohmic(cls, gamma: float) -> "BathSpec":
         """Memoryless Ohmic bath: mu(t) = 2*m*gamma*delta(t)."""

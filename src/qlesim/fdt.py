@@ -70,12 +70,20 @@ def _check_gamma(damping):
 
 
 def pk_density(lam, damping):
-    """Dimensionless kinetic-energy density (2/pi) L^2 G / ((1-L^2)^2 + (L G)^2)."""
+    """Dimensionless kinetic-energy density (2/pi) L^2 G / ((1-L^2)^2 + (L G)^2).
+
+    Above L = 1 it takes the form (2/pi) G / ((1/L - L)^2 + G^2), whose
+    square overflows only where the density is below the smallest float:
+    L^2 and (1 - L^2)^2 overflow from L = 1.2e77.
+    """
     _check_gamma(damping)
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
         raise DomainError("lam must be nonnegative")
-    out = (2.0 / math.pi) * lam**2 * damping / ((1.0 - lam**2) ** 2 + (lam * damping) ** 2)
+    low = lambda x: (2.0 / math.pi) * x**2 * damping / ((1.0 - x**2) ** 2 + (x * damping) ** 2)
+    high = lambda x: (2.0 / math.pi) * damping / ((1.0 / x - x) ** 2 + damping**2)
+    with np.errstate(over="ignore"):
+        out = np.piecewise(lam, [lam > 1.0], [high, low])
     return out if out.ndim else float(out)
 
 

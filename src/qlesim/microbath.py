@@ -133,6 +133,7 @@ def noise_autocorrelation_quadrature(system: SystemSpec, bath: BathSpec, tau,
         raise UnsupportedBathError(
             "continuum noise autocorrelation requires a cutoff-Ohmic bath"
         )
+    bath.check_system(system)
     cfg = cfg or QuadratureConfig()
     a = system.thermal_coth_scale
     slope = 3.0 * math.pi * bath.coupling**2 / (2.0 * bath.cutoff**3)

@@ -45,6 +45,9 @@ class Susceptibility:
     system: SystemSpec
     bath: BathSpec
 
+    def __post_init__(self):
+        self.bath.check_system(self.system)
+
     def loss_scalar(self, w: float) -> float:
         """Im alpha(w) / w at one float, in ``math``, for quadrature integrands.
 

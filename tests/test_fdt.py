@@ -15,7 +15,7 @@ from qlesim.bath import BathSpec, SystemSpec
 from qlesim.errors import DomainError, UVDivergenceError
 from qlesim.quadrature import QuadratureConfig, integrate_panels
 from qlesim.response import Susceptibility
-from qlesim import fdt
+from qlesim import fdt, microbath
 
 COTH_HALF = 1.0 / math.tanh(0.5)  # 2.163953413738653
 FIGURE_DAMPINGS = (1.0, 0.5, 0.125, 0.0125)
@@ -46,6 +46,12 @@ class TestDensities:
     def test_nonnegative(self, lam, damping):
         assert fdt.pk_density(lam, damping) >= 0.0
         assert fdt.pp_density(lam, damping) >= 0.0
+
+    def test_kinetic_density_finite_at_huge_lambda(self):
+        # L^2 and (1 - L^2)^2 overflowed above L = 1.2e77: the density read 0
+        # at L = 1e100 and nan at 1e308
+        assert fdt.pk_density(1e100, 0.5) == pytest.approx(3.183098861837907e-201, rel=1e-12)
+        assert 0.0 <= fdt.pk_density(1e308, 0.5) <= 1e-300
 
     def test_ratio_is_lambda_squared(self):
         lam = np.linspace(0.1, 5.0, 37)
@@ -486,6 +492,22 @@ class TestCutoffBathPath:
         split = fdt.mean_energies(sys_, bath)
         assert split.ep == pytest.approx(1.0, rel=1e-6)
         assert split.ek == pytest.approx(1.0, rel=1e-6)
+
+    def test_bath_mass_must_be_the_system_mass(self):
+        # a bath built for mass 1 under a 2.5-mass oscillator returned the
+        # gamma = 0.2 <x^2> (0.432603) and C_f(0) = 1.17498 without error
+        sys_ = SystemSpec(mass=2.5)
+        wrong = BathSpec.cutoff_ohmic(gamma=0.5, cutoff=3.0)
+        right = BathSpec.cutoff_ohmic(gamma=0.5, cutoff=3.0, system_mass=2.5)
+        with pytest.raises(DomainError, match="system mass"):
+            fdt.position_correlation(0.0, sys_, wrong)
+        with pytest.raises(DomainError, match="system mass"):
+            microbath.noise_autocorrelation_quadrature(sys_, wrong, 0.0)
+        assert fdt.position_correlation(0.0, sys_, right) == pytest.approx(0.432326, rel=1e-5)
+        assert microbath.noise_autocorrelation_quadrature(sys_, right, 0.0) == pytest.approx(
+            2.93745, rel=1e-5)
+        # a strict-Ohmic bath stores no mass
+        assert fdt.position_correlation(0.0, sys_, BathSpec.strict_ohmic(0.5)) > 0.0
 
     def test_cutoff_close_to_strict_at_large_cutoff(self):
         sys_ = SystemSpec()
