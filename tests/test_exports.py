@@ -1,5 +1,5 @@
-"""Every public name a qlesim module exports exists and star-imports, and
-every module-level import is used."""
+"""Every public name a qlesim module exports exists and star-imports, every
+module-level import is used, and no module reads another's private names."""
 
 import ast
 import importlib
@@ -52,3 +52,37 @@ def test_unused_import_guard_sees_an_unused_import():
                          ids=lambda path: path.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+# the qlesim modules by name: from . import name binds one of these
+SUBMODULES = {info.name for info in pkgutil.iter_modules(qlesim.__path__)}
+
+
+def _private_reads(source):
+    """``mod._name`` reads in ``source`` of a qlesim module ``mod`` bound by a
+    module-level ``from . import`` (or ``from qlesim import``).  Importing a
+    private name, as ``from .sde import _BLOCK``, is a declared contract and
+    is not a read."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name
+               for node in tree.body if isinstance(node, ast.ImportFrom)
+               and (node.level, node.module) in ((1, None), (0, "qlesim"))
+               for alias in node.names if alias.name in SUBMODULES}
+    return sorted(f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and node.attr.startswith("_")
+                  and not node.attr.startswith("__"))
+
+
+def test_private_read_guard_sees_a_private_read():
+    assert _private_reads("from . import microbath, rwa as r\nfrom .sde import _BLOCK\n"
+                          "import os\nfrom qlesim import fdt\n"
+                          "a = microbath._NormalModes(r._step, fdt._ohmic_pole)\n"
+                          "b = microbath.ensemble_stats, _BLOCK, os._exit, r.__name__\n"
+                          ) == ["fdt._ohmic_pole", "microbath._NormalModes", "r._step"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(qlesim.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_private_reads_of_other_modules(path):
+    assert _private_reads(path.read_text()) == []
