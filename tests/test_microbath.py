@@ -696,12 +696,22 @@ class TestSecularEquation:
 
 
 class TestEmptyEnsembles:
+    # ensemble_stats is the one pass for both the noise statistics and the
+    # final-time moments; each use is checked as it is called
     @pytest.mark.parametrize("kwargs", ({"n_real": 0}, {"n_real": 4, "chunk_size": 0}))
-    def test_ensemble_stats_rejects(self, kwargs):
+    def test_noise_stats_rejects(self, kwargs):
         _, modes = make_bath(n_modes=16)
         grid = mb.TrajectoryGrid(dt=0.03, n_steps=10)
         with pytest.raises(DomainError, match="n_real and chunk_size"):
-            mb.ensemble_stats(modes, SystemSpec(), grid, [0.0], seed=1, **kwargs)
+            mb.ensemble_stats(modes, SystemSpec(), grid, [0.0, 0.3], origins=[0.0, 0.6],
+                              seed=1, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", ({"n_real": 0}, {"n_real": 4, "chunk_size": 0}))
+    def test_gle_moments_rejects(self, kwargs):
+        _, modes = make_bath(n_modes=16)
+        grid = mb.TrajectoryGrid(dt=0.03, n_steps=10)
+        with pytest.raises(DomainError, match="n_real and chunk_size"):
+            mb.ensemble_stats(modes, SystemSpec(), grid, [0.0], x0=1.0, seed=1, **kwargs)
 
 
 def test_microbath_run_draws_each_block_stream_once(monkeypatch, capsys):
