@@ -44,6 +44,8 @@ CASES = {
                  "--steps", "20", "--seed", "3"],
     "rwa_mass": ["rwa", "--mass", "2.5", "--omega0", "1.3", "--gamma", "0.05", "--traj", "70",
                  "--steps", "20", "--seed", "3", "--dt", "0.7"],
+    # 151 rows per realization: a dump longer than one slab of the dump writer
+    "sde_long": ["sde", "--gamma", "0.2", "--traj", "3", "--steps", "150", "--seed", "3"],
 }
 
 
