@@ -24,6 +24,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -278,10 +279,8 @@ def run_dist(cfg: RunConfig):
     lam = parse_grid(cfg.grid or "0:10:2000")
     rows = []
     for damping in cfg.gammas:
-        pk = fdt.pk_density(lam, damping)
-        pp = fdt.pp_density(lam, damping)
-        for i in range(lam.size):
-            rows.append((damping, float(lam[i]), float(pk[i]), float(pp[i])))
+        rows += zip(repeat(damping), lam.tolist(), fdt.pk_density(lam, damping).tolist(),
+                    fdt.pp_density(lam, damping).tolist())
     columns = ("Gamma", "Lambda", "Pk", "Pp")
     units = ("gamma/omega0", "omega/omega0", "dimensionless", "dimensionless")
     return columns, units, rows, "Gamma"
@@ -401,12 +400,16 @@ def run_microbath(cfg: RunConfig, dump_traj=None, dump_count=1):
     return columns, units, rows, "section"
 
 
+_DUMP_SLAB = 128  # time rows per format call of a dump, so its memory does not grow with --steps
+
+
 def _write_trajectories(path, names, times, series):
     with open(path, "w") as fh:
         fh.write(",".join(("realization", "t", *names)) + "\n")
         for j in range(series[0].shape[1]):
-            for row in np.column_stack([times] + [s[:, j] for s in series]).tolist():
-                fh.write(f"{j}," + io.format_row(row) + "\n")
+            for a in range(0, len(times), _DUMP_SLAB):
+                slab = [times[a:a + _DUMP_SLAB]] + [s[a:a + _DUMP_SLAB, j] for s in series]
+                fh.write(io.format_rows(np.column_stack(slab).tolist(), prefix=f"{j},"))
 
 
 RUNNERS = {

@@ -97,7 +97,8 @@ def pp_density(lam, damping):
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
         raise DomainError("lam must be nonnegative")
-    out = (2.0 / math.pi) * damping / ((1.0 - lam**2) ** 2 + (lam * damping) ** 2)
+    with np.errstate(over="ignore"):  # (1 - L^2)^2 overflows from L = 1.2e77, where Pp is 0
+        out = (2.0 / math.pi) * damping / ((1.0 - lam**2) ** 2 + (lam * damping) ** 2)
     return out if out.ndim else float(out)
 
 

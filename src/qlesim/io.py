@@ -5,17 +5,19 @@ parameters as ``# key=value`` comment lines (re-parseable as a config
 file) followed by a header row and data; JSON renders one object with
 "params", "columns", "units" and "rows".  Both formats run every number
 through the same formatter, so the decimal renderings agree byte for
-byte, and identical inputs produce identical output bytes.
+byte, and identical inputs produce identical output bytes.  A CSV body is
+written one run of rows at a time, each run in one format call.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 from .errors import DomainError
 
-__all__ = ["format_number", "format_row", "format_param", "write_table", "parse_config_text"]
+__all__ = ["format_number", "format_rows", "format_param", "write_table", "parse_config_text"]
 
 DATA_FORMAT = ".12g"
 _FLOAT_ONLY = frozenset([float])
@@ -32,12 +34,16 @@ def format_number(value) -> str:
     return str(value)
 
 
-def format_row(cells) -> str:
-    """One CSV data row: the cells as :func:`format_number` renders them,
-    comma-joined, in one %-format when every cell is a Python float."""
-    if set(map(type, cells)) <= _FLOAT_ONLY:
-        return ",".join(["%" + DATA_FORMAT] * len(cells)) % tuple(cells)
-    return ",".join(map(format_number, cells))
+def format_rows(rows, prefix: str = "") -> str:
+    """One line per row: ``prefix``, then the cells as :func:`format_number`
+    renders them, comma-joined.  Rows of Python floats of one width take one
+    %-format over all their cells; any other rows go cell by cell."""
+    flat = tuple(chain.from_iterable(rows))
+    widths = set(map(len, rows))
+    if len(widths) == 1 and set(map(type, flat)) <= _FLOAT_ONLY:
+        line = prefix.replace("%", "%%") + ",".join(["%" + DATA_FORMAT] * widths.pop()) + "\n"
+        return (line * len(rows)) % flat
+    return "".join(prefix + ",".join(map(format_number, row)) + "\n" for row in rows)
 
 
 def format_param(value) -> str:
@@ -78,15 +84,17 @@ def _write_csv(stream, command, params, columns, units, rows, block_column):
     stream.write("# units: " + ",".join(units) + "\n")
     stream.write(",".join(columns) + "\n")
     block_idx = columns.index(block_column) if block_column else None
-    last_key = last_block = object()
+    run, last_key, last_block = [], object(), None
     for row in rows:
-        # one object renders one way, so a block's rows that share it are not re-rendered
+        # a run ends where the key object changes; equal keys can render apart (0.0, -0.0)
         if block_idx is not None and row[block_idx] is not last_key:
-            last_key = row[block_idx]
+            stream.write(format_rows(run))
+            run, last_key = [], row[block_idx]
             if format_number(last_key) != last_block:
                 last_block = format_number(last_key)
-                stream.write(f"# block: {columns[block_idx]}={last_block}\n")
-        stream.write(format_row(row) + "\n")
+                stream.write(f"# block: {block_column}={last_block}\n")
+        run.append(row)
+    stream.write(format_rows(run))
 
 
 def _write_json(stream, command, params, columns, units, rows):

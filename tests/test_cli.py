@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -527,8 +528,26 @@ def test_ensemble_peak_rss_bounded_by_the_chunk(tmp_path):
         assert peak - base < 16e6, (argv[0], (peak - base) / 1e6)
 
 
-@pytest.mark.parametrize("command", ("corr", "energy"))
-def test_first_quadrature_in_fresh_interpreter_has_clean_stderr(command):
-    # here the first integrate_panels call imports scipy, inside the run
-    done = run_fresh(["-m", "qlesim", command])
+def test_trajectory_dump_memory_flat_in_steps(tmp_path):
+    # a whole realization as a list of rows took 4.5 MB at 20,001 rows and 22.4 MB at 100,001
+    peaks = []
+    for n_rows in (20_001, 100_001):
+        times = np.linspace(0.0, 100.0, n_rows)
+        series = list(np.random.default_rng(1).standard_normal((3, n_rows, 2)))
+        tracemalloc.start()
+        try:
+            cli._write_trajectories(tmp_path / "traj.csv", ("x", "v", "f"), times, series)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 0.5e6, peaks
+
+
+@pytest.mark.parametrize("argv", (["corr"], ["energy"],
+                                  ["dist", "--grid", "0:1e308:3", "--gammas", "0.5"]),
+                         ids=lambda argv: argv[0])
+def test_first_quadrature_in_fresh_interpreter_has_clean_stderr(argv):
+    # here the first integrate_panels call imports scipy, inside the run; the
+    # dist grid squares past the float range, where P_p underflows to 0
+    done = run_fresh(["-m", "qlesim", *argv])
     assert (done.returncode, done.stderr) == (0, "")

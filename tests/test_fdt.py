@@ -53,6 +53,12 @@ class TestDensities:
         assert fdt.pk_density(1e100, 0.5) == pytest.approx(3.183098861837907e-201, rel=1e-12)
         assert 0.0 <= fdt.pk_density(1e308, 0.5) <= 1e-300
 
+    def test_potential_density_zero_at_huge_lambda(self):
+        # (1 - L^2)^2 overflows from L = 1.2e77, where P_p is 0, with no warning
+        assert fdt.pp_density(1e100, 0.5) == 0.0
+        np.testing.assert_array_equal(fdt.pp_density(np.array([0.0, 5e307, 1e308]), 0.5),
+                                      [2 * 0.5 / math.pi, 0.0, 0.0])
+
     def test_ratio_is_lambda_squared(self):
         lam = np.linspace(0.1, 5.0, 37)
         ratio = fdt.pk_density(lam, 0.3) / fdt.pp_density(lam, 0.3)

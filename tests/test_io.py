@@ -5,9 +5,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qlesim.errors import DomainError
-from qlesim.io import (format_number, format_param, format_row, parse_config_text,
+from qlesim.io import (format_number, format_param, format_rows, parse_config_text,
                        write_table)
 
 
@@ -18,11 +20,76 @@ def test_format_number_significant_digits():
     assert format_number(3) == "3"
 
 
-def test_format_row_is_format_number_per_cell():
-    # a row of floats takes one %-format; any other row goes cell by cell
+def test_format_rows_is_format_number_per_cell():
+    # a run of float rows takes one %-format; any other run goes cell by cell
     for row in ((1.0, 1.0 / 3.0, -0.0, float("nan"), float("-inf"), 5e-324, 1.5e16),
                 (np.float64(0.1), 2.5e-7), ("name", 2.5, True, 7), ()):
-        assert format_row(row) == ",".join(format_number(v) for v in row)
+        for prefix in ("", "3,", "%s%%,"):
+            line = prefix + ",".join(format_number(v) for v in row) + "\n"
+            assert format_rows([row], prefix) == line
+            assert format_rows([row] * 3, prefix) == line * 3
+    assert format_rows([(1.0, 2.0), (3.0,)]) == "1,2\n3\n"
+    assert format_rows([]) == ""
+
+
+def per_row_csv(command, params, columns, units, rows, block_column):
+    """The CSV writer as it was with one format call per row: the oracle of
+    the writer that formats a run of rows at once."""
+    out = [f"# command={command}\n"]
+    out += [f"# {key}={format_param(value)}\n" for key, value in params.items()]
+    out += ["# units: " + ",".join(units) + "\n", ",".join(columns) + "\n"]
+    block_idx = columns.index(block_column) if block_column else None
+    last_key = last_block = object()
+    for row in rows:
+        if block_idx is not None and row[block_idx] is not last_key:
+            last_key = row[block_idx]
+            if format_number(last_key) != last_block:
+                last_block = format_number(last_key)
+                out.append(f"# block: {columns[block_idx]}={last_block}\n")
+        if set(map(type, row)) <= {float}:
+            out.append(",".join(["%.12g"] * len(row)) % tuple(row) + "\n")
+        else:
+            out.append(",".join(map(format_number, row)) + "\n")
+    return "".join(out)
+
+
+FLOATS = st.one_of(st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+                                    5e-324, 1.5e16, 1.0 / 3.0]), st.floats())
+CELLS = st.one_of(FLOATS, FLOATS.map(np.float64), st.integers(), st.booleans(),
+                  st.text(max_size=4))
+# block keys: 0.0 and -0.0 are equal but render apart; float("0.5") is equal to 0.5
+# but a distinct object
+FLOAT_KEYS = (0.0, -0.0, 0.5, float("0.5"), float("nan"))
+KEYS = FLOAT_KEYS + (np.float64(0.5), 1, True, "a")
+
+
+@st.composite
+def tables(draw):
+    """(columns, rows, block column): runs of rows that share a key object,
+    of Python floats only or of any cells."""
+    floats_only = draw(st.booleans())
+    cells, keys = (FLOATS, FLOAT_KEYS) if floats_only else (CELLS, KEYS)
+    width = draw(st.integers(1, 4))
+    rows = []
+    for key, n in draw(st.lists(st.tuples(st.sampled_from(keys), st.integers(1, 4)),
+                                max_size=6)):
+        rows += [(key, *draw(st.lists(cells, min_size=width, max_size=width)))
+                 for _ in range(n)]
+    block = draw(st.sampled_from([None, "g", "c0"]))
+    return ["g", *(f"c{i}" for i in range(width))], rows, block
+
+
+@settings(max_examples=300, deadline=None)
+@example((["g", "c0"], [(0.0, 1.0), (-0.0, 2.0), (float("0.5"), 3.0), (float("0.5"), 4.0)],
+          "g"))
+@given(tables())
+def test_write_table_csv_matches_per_row_writer(table):
+    columns, rows, block = table
+    buf = std_io.StringIO()
+    write_table(buf, "demo", {"p": 0.25}, columns, ["-"] * len(columns), rows, fmt="csv",
+                block_column=block)
+    assert buf.getvalue() == per_row_csv("demo", {"p": 0.25}, columns, ["-"] * len(columns),
+                                         rows, block)
 
 
 def test_format_param_roundtrips_floats():
