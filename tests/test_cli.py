@@ -529,7 +529,8 @@ def test_ensemble_peak_rss_bounded_by_the_chunk(tmp_path):
 
 
 def test_trajectory_dump_memory_flat_in_steps(tmp_path):
-    # a whole realization as a list of rows took 4.5 MB at 20,001 rows and 22.4 MB at 100,001
+    # a writer that holds a whole realization as a list of rows peaks at 4.5 MB at
+    # 20,001 rows and at 22.4 MB at 100,001
     peaks = []
     for n_rows in (20_001, 100_001):
         times = np.linspace(0.0, 100.0, n_rows)
