@@ -46,6 +46,11 @@ CASES = {
                  "--steps", "20", "--seed", "3", "--dt", "0.7"],
     # 151 rows per realization: a dump longer than one slab of the dump writer
     "sde_long": ["sde", "--gamma", "0.2", "--traj", "3", "--steps", "150", "--seed", "3"],
+    # the strict-Ohmic loss away from m = omega0 = T = 1
+    "corr_mass": ["corr", "--mass", "2.5", "--omega0", "1.3", "--temp", "0.7", "--gamma", "0.3",
+                  "--grid", "0:2:3"],
+    "energy_mass": ["energy", "--mass", "2.5", "--omega0", "1.3", "--temp", "0.7",
+                    "--gammas", "1,0.125"],
 }
 
 
