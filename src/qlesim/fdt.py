@@ -10,12 +10,12 @@ at w = 0.  The position integral converges absolutely; the velocity
 integrand decays only like 1/w for a strict-Ohmic bath, so its equal-time
 value is log-divergent and an explicit frequency cutoff is required.
 
-Every resonant integral here, strict- or cutoff-Ohmic, takes its narrow
-peak from one pole pair of L near w0 + i gamma/2 (closed form for strict
-Ohmic, Newton's method for a cutoff bath).  Its residues give a
-closed-form resonance term, the weak-coupling limit plus O(gamma), and
-quadrature integrates only the smooth O(gamma) remainder (Grabert,
-Schramm & Ingold, Phys. Rep. 168, 115 (1988)).
+Both continuum baths share one integrand, with L from one
+:class:`~qlesim.response.Susceptibility`, and take its narrow peak from
+the pole pair of L near w0 + i gamma/2 that ``resonance_pole`` gives.  Its
+residues give a closed-form resonance term, the weak-coupling limit plus
+O(gamma), and quadrature integrates only the smooth O(gamma) remainder
+(Grabert, Schramm & Ingold, Phys. Rep. 168, 115 (1988)).
 
 The same dissipation profile defines the normalized frequency densities
 P_k and P_p whose coth-weighted means give the kinetic and potential
@@ -129,10 +129,10 @@ def density_moment(which, order, damping, window=DEFAULT_MOMENT_WINDOW,
         raise DomainError("window must exceed 1, the resonance, and be finite "
                           "where the moment diverges")
     _check_gamma(damping)
-    loss = Susceptibility(SystemSpec(), BathSpec.strict_ohmic(damping)).loss_scalar
+    susc = Susceptibility(SystemSpec(), BathSpec.strict_ohmic(damping))
     return _pole_pair_integral(
-        lambda x: (2.0 / math.pi) * x**n * loss(x), lambda z: (2.0 / math.pi) * z**n,
-        _ohmic_pole(1.0, 1.0, damping), 0.0, [0.0] if tail else [0.0, window],
+        lambda x: (2.0 / math.pi) * x**n * susc.loss_scalar(x), lambda z: (2.0 / math.pi) * z**n,
+        susc.resonance_pole(), 0.0, [0.0] if tail else [0.0, window],
         cfg or QuadratureConfig(), f"P_{which} moment {order}", tail_to_inf=tail)
 
 
@@ -165,18 +165,6 @@ def _pole_pair_tail(c, p, tau, upper):
         return 0.5 * (phase * _exp_e1(-z) + _exp_e1(z) / phase)
 
     return 2.0 * (c * (j(p) - j(-p))).real
-
-
-def _ohmic_pole(m, w0, gamma):
-    """(p, fbar'(p)) of the strict-Ohmic resonance, p = w_d + i gamma/2.
-
-    fbar(z) = m (w0^2 - z^2) + i m gamma z, so fbar'(p) = -2 m w_d.  None
-    when gamma > w0: the peak is then no narrower than w0.
-    """
-    if gamma > w0:
-        return None
-    wd = math.sqrt(w0 * w0 - 0.25 * gamma * gamma)
-    return complex(wd, 0.5 * gamma), complex(-2.0 * m * wd)
 
 
 def _pole_pair_integral(lh, h, pole, tau, edges, cfg, label, tail_to_inf=False, scale=1.0):
@@ -221,42 +209,34 @@ def _pole_pair_integral(lh, h, pole, tau, edges, cfg, label, tail_to_inf=False, 
 def _correlation(tau, system, bath, cfg, velocity):
     if not bath.gamma > 0:
         raise DomainError("bath damping must be positive")
+    if system.omega0 == 0.0 and not velocity:
+        raise DomainError("the position correlation of a free particle "
+                          "(omega0 = 0) diverges at low frequency")
     tau = abs(float(tau))
-    m, w0, a, gamma = system.mass, system.omega0, system.thermal_coth_scale, bath.gamma
+    m, a, gamma = system.mass, system.thermal_coth_scale, bath.gamma
     label = "velocity correlation" if velocity else "position correlation"
     power = 3 if velocity else 1
     upper = math.inf if cfg.omega_max is None else cfg.omega_max
+    s = Susceptibility(system, bath)
+    loss = s.loss_scalar
 
     def h(z):
         return z**power / cmath.tanh(a * z)
 
+    def lh(w):  # float math: numpy on a 0-d array costs ~40 us a call
+        try:
+            return w ** (power - 1) * loss(w) * scaled_omega_coth(w, a)
+        except DomainError:  # 1/alpha = 0 at w = 0, a free particle on either bath,
+            if not velocity:  # where w^2 L -> 1 / Re mu(0) = 1/(m gamma)
+                raise
+            return 1.0 / (m * a * gamma)
+
     if bath.kind is BathKind.STRICT_OHMIC:
         if velocity and math.isinf(upper):
-            raise UVDivergenceError(
-                "velocity correlation is UV-divergent for a strict-Ohmic "
-                "bath (log at tau = 0); set a finite omega_max"
-            )
-        if w0 == 0.0 and not velocity:
-            raise DomainError("the position correlation of a free particle "
-                              "(omega0 = 0) diverges at low frequency")
-
-        def lh(w):  # L h inlined: a helper call would cost ~2 ms a strict-Ohmic pass
-            x = a * w
-            wcoth = (1.0 + x * x / 3.0 - x**4 / 45.0) / a if x < 1e-4 else w / math.tanh(x)
-            w2 = w * w
-            den = (w0 * w0 - w2) ** 2 + gamma * gamma * w2
-            # den = 0 only at w = 0 for a free particle, where L h -> 1/(m a gamma)
-            return (gamma / m) * (w ** (power - 1) * wcoth) / den if den else 1.0 / (m * a * gamma)
-
-        # one panel: the remainder is smooth
-        pole, tail, bound = _ohmic_pole(m, w0, gamma), math.isinf(upper), None
-        edges = [0.0] if tail else [0.0, upper]
+            raise UVDivergenceError("velocity correlation is UV-divergent for a strict-Ohmic "
+                                    "bath (log at tau = 0); set a finite omega_max")
+        edges = [0.0] if math.isinf(upper) else [0.0, upper]  # one panel: the remainder is smooth
     else:
-        s = Susceptibility(system, bath)
-
-        def lh(w):  # float math: numpy on a 0-d array costs ~40 us a call
-            return w ** (power - 1) * s.loss_scalar(w) * scaled_omega_coth(w, a)
-
         # below the cutoff the loss is the resonance plus a smooth part that
         # falls to zero at the cutoff like 1/ln^2, which geometric shoulders
         # resolve; above it the loss is the bound-state delta, in closed form
@@ -264,10 +244,10 @@ def _correlation(tau, system, bath, cfg, velocity):
         upper = min(cut, upper)
         shoulders = cut * (1.0 - 10.0 ** -np.arange(1, 9))
         edges = [0.0, *shoulders[shoulders < upper], upper]
-        pole, tail, bound = s.resonance_pole(), False, s.bound_state()
     # abs_tol bounds C itself, which is hbar/pi times the frequency integral
-    value = _pole_pair_integral(lh, h, pole, tau, edges, cfg, label, tail_to_inf=tail,
-                                scale=system.hbar / math.pi)
+    value = _pole_pair_integral(lh, h, s.resonance_pole(), tau, edges, cfg, label,
+                                tail_to_inf=math.isinf(upper), scale=system.hbar / math.pi)
+    bound = s.bound_state()
     if bound is not None and (cfg.omega_max is None or bound[0] <= cfg.omega_max):
         wb, weight = bound
         value += (weight * (wb**2 if velocity else 1.0) * scaled_omega_coth(wb, a)
@@ -286,8 +266,8 @@ def position_correlation(tau, system: SystemSpec, bath: BathSpec,
     decays like 1/omega^3), for a cutoff bath up to the cutoff, plus the
     closed-form term of its bound state above it.  ``cfg.abs_tol`` bounds
     the error of C itself.  Even in tau by construction.  Raises
-    DomainError for a free particle (omega0 = 0) on a strict-Ohmic bath,
-    whose position correlation diverges.
+    DomainError for a free particle (omega0 = 0) on either bath, whose
+    position correlation diverges.
     """
     cfg = cfg or QuadratureConfig()
     return _correlation(tau, system, bath, cfg, velocity=False)

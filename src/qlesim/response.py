@@ -10,7 +10,8 @@ cutoff-Ohmic sinc kernel Re mu = m*gamma below the cutoff Omega, half that
 at it and zero above, with Im mu = (m*gamma/pi) ln|(Omega+omega)/(Omega-omega)|.
 Above the cutoff alpha is therefore real except at one bound state omega_b
 (Ullersma, Physica 32, 27 (1966)), whose delta-function loss
-:meth:`Susceptibility.bound_state` gives.
+:meth:`Susceptibility.bound_state` gives.  For both baths the resonance peak
+comes from one pole of the continued loss, :meth:`Susceptibility.resonance_pole`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bath import BathKind, BathSpec, SystemSpec
 from .errors import DomainError, QuadratureError
@@ -35,11 +37,11 @@ def _half_amplitude(bath: BathSpec) -> float:
 class Susceptibility:
     """alpha(omega) of the oscillator on a continuum bath, in closed form.
 
-    :meth:`loss_scalar` gives the loss Im(alpha)/omega at one real
-    frequency from the exact (untruncated) friction transform.  For a
-    cutoff-Ohmic bath the loss is zero above the cutoff apart from the
-    delta at the bound state, which :meth:`bound_state` gives separately,
-    and :meth:`resonance_pole` continues it off the real axis.
+    For both baths :attr:`loss_scalar` gives the loss Im(alpha)/omega at
+    one real frequency from the exact (untruncated) friction transform, and
+    :meth:`resonance_pole` continues it off the real axis.  For a cutoff
+    bath the loss is zero above the cutoff apart from the bound-state
+    delta, which :meth:`bound_state` gives separately.
     """
 
     system: SystemSpec
@@ -48,47 +50,62 @@ class Susceptibility:
     def __post_init__(self):
         self.bath.check_system(self.system)
 
-    def loss_scalar(self, w: float) -> float:
+    @cached_property
+    def loss_scalar(self):
         """Im alpha(w) / w at one float, in ``math``, for quadrature integrands.
 
+        A closure over the bath's constants, built once: one call a node.
         Regular at w = 0 and nonnegative, it is the natural integrand factor
         of every fluctuation integral; dividing out w analytically avoids the
         0/0 at the origin.  The bound-state delta is not included.  Raises
         DomainError where |1/alpha|^2 is 0 in floating point, as for a free
-        particle on a strict-Ohmic bath at w = 0.
+        particle on either bath at w = 0.
         """
-        m, w0 = self.system.mass, self.system.omega0
+        m, w02 = self.system.mass, self.system.omega0**2
         if self.bath.kind is BathKind.STRICT_OHMIC:
-            re, im = m * self.bath.gamma, 0.0
+            re = m * self.bath.gamma  # Re mu; Im mu = 0
+
+            def loss(w):
+                d, e = m * (w02 - w * w), w * re
+                try:
+                    return re / (d * d + e * e)
+                except ZeroDivisionError:
+                    raise DomainError(f"loss at omega = {w!r}: |1/alpha|^2 is 0") from None
         else:
             cut, k = self.bath.cutoff, _half_amplitude(self.bath)
-            if not abs(w) < cut:  # zero at and above the cutoff
-                return 0.0
-            re = k * math.pi
-            im = math.copysign(k, w) * math.log((cut + abs(w)) / (cut - abs(w)))
-        d, e = m * (w0**2 - w * w) + w * im, w * re
-        try:
-            return re / (d * d + e * e)
-        except ZeroDivisionError:
-            raise DomainError(f"loss at omega = {w!r}: |1/alpha|^2 is 0 in floating "
-                              "point") from None
+            re = k * math.pi  # Re mu below the cutoff
+
+            def loss(w):
+                if not abs(w) < cut:  # zero at and above the cutoff
+                    return 0.0
+                im = math.copysign(k, w) * math.log((cut + abs(w)) / (cut - abs(w)))
+                d, e = m * (w02 - w * w) + w * im, w * re
+                try:
+                    return re / (d * d + e * e)
+                except ZeroDivisionError:
+                    raise DomainError(f"loss at omega = {w!r}: |1/alpha|^2 is 0") from None
+
+        return loss
 
     def resonance_pole(self):
-        """(p, fbar'(p)) of the resonance of a cutoff-Ohmic bath, or None.
+        """(p, fbar'(p)) of the pole carrying the resonance peak, or None.
 
         Off the real axis the loss continues as (1/f - 1/fbar) / (2 i z),
-        fbar(z) = m (w0^2 - z^2) + i z mubar(z), and below the cutoff
-        mubar(z) = m gamma - i (m gamma / pi) ln((Omega + z) / (Omega - z)).
-        The zero p of fbar near w0 + i gamma/2, found by Newton's method
-        from there, is the pole carrying the resonance peak.  None for other
-        baths, when gamma > w0 and when w0 >= Omega (no peak below the
-        cutoff).  Raises QuadratureError when Newton's method does not
-        converge, rather than lose the pole.
+        fbar(z) = m (w0^2 - z^2) + i z mubar(z).  Strict Ohmic has mubar =
+        m gamma, p = w_d + i gamma/2 and fbar'(p) = -2 m w_d.  Below a cutoff
+        mubar(z) = m gamma - i (m gamma / pi) ln((Omega + z) / (Omega - z)),
+        and Newton's method from w0 + i gamma/2 finds p.  None when gamma >
+        w0 (the peak is no narrower than w0) and when w0 >= Omega (no peak
+        below the cutoff).  Raises QuadratureError when Newton's method does
+        not converge, rather than lose the pole.
         """
-        if self.bath.kind is not BathKind.CUTOFF_OHMIC:
-            return None
         m, w0, g, cut = self.system.mass, self.system.omega0, self.bath.gamma, self.bath.cutoff
-        if g > w0 or not w0 < cut:
+        if g > w0:
+            return None
+        if self.bath.kind is BathKind.STRICT_OHMIC:
+            wd = math.sqrt(w0 * w0 - 0.25 * g * g)
+            return complex(wd, 0.5 * g), complex(-2.0 * m * wd)
+        if not w0 < cut:
             return None
         k = _half_amplitude(self.bath)  # m gamma / pi
 
@@ -115,10 +132,10 @@ class Susceptibility:
         w = pi / (omega_b |D'(omega_b)|).  None for strict-Ohmic baths and
         when omega_b - Omega underflows (w then vanishes as well).
         """
-        from scipy.optimize import brentq
-
         if self.bath.kind is not BathKind.CUTOFF_OHMIC:
             return None
+        from scipy.optimize import brentq
+
         m, w0, cut = self.system.mass, self.system.omega0, self.bath.cutoff
         k = _half_amplitude(self.bath)
 

@@ -403,6 +403,20 @@ class TestStrictOhmicResonance:
             assert got == pytest.approx(direct_strict_ohmic(tau, sys_, 0.5, 1e3, True), rel=1e-8)
 
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1 (Known defect 1): for gamma > 2 w0 "
+                       "the slow pole's Lorentzian at w = 0 is not removed, and at tau = 0 "
+                       "one QUADPACK panel misses it")
+    @pytest.mark.parametrize("gamma,temp,want", [(1e4, 1.0, 1.00017960339),
+                                                 (1e3, 100.0, 100.0003112)])
+    def test_strong_damping_position_variance(self, gamma, temp, want):
+        # the digamma sum at omega_max = inf less the UV tail above 1e3
+        # (7.345e-5 and 1.103e-4); today 0.000179594219239 and 0.000211
+        got = fdt.position_correlation(0.0, SystemSpec(temperature=temp),
+                                       BathSpec.strict_ohmic(gamma),
+                                       QuadratureConfig(omega_max=1e3))
+        assert got == pytest.approx(want, rel=1e-6)
+
+
 # cutoff-Ohmic baths (gamma, cutoff); the last has its cutoff below omega0,
 # so most of the spectral weight sits in the bound state above the cutoff
 CUTOFF_BATHS = [(0.5, 3.0), (1.0, 3.0), (2.0, 3.0), (0.5, 1.5), (0.1, 0.8)]
@@ -514,6 +528,35 @@ class TestCutoffBathPath:
             2.93745, rel=1e-5)
         # a strict-Ohmic bath stores no mass
         assert fdt.position_correlation(0.0, sys_, BathSpec.strict_ohmic(0.5)) > 0.0
+
+    @pytest.mark.parametrize("tau", (0.0, 1.0))
+    def test_free_particle_position_raises(self, tau):
+        # it diverges at low frequency; it returned -3.4935 at tau = 0 and
+        # -3.9859 at tau = 1
+        with pytest.raises(DomainError, match="free particle"):
+            fdt.position_correlation(tau, SystemSpec(omega0=0.0),
+                                     BathSpec.cutoff_ohmic(0.5, 3.0))
+
+    def test_free_particle_velocity(self):
+        # Re mu(0) = m gamma, so w^2 L -> 1/(m gamma) at w = 0 as for strict
+        # Ohmic; QAWO's node at w = 0 raised "loss at omega = 0.0" for
+        # tau >= 3 at cutoff 3 and for tau >= 0.5 at cutoff 30
+        sys_ = SystemSpec(omega0=0.0)
+        cfg = QuadratureConfig(omega_max=1e3)
+        bath = BathSpec.cutoff_ohmic(0.5, 3.0)
+        for tau in (0.0, 1.0, 3.0, 10.0):
+            got = fdt.velocity_correlation(tau, sys_, bath, cfg)
+            assert got == pytest.approx(direct_cutoff_ohmic(tau, sys_, bath, True), rel=1e-9,
+                                        abs=1e-12)
+        for tau in (0.5, 1.0, 3.0, 10.0):  # its bound state underflows: no direct oracle
+            assert math.isfinite(fdt.velocity_correlation(tau, sys_,
+                                                          BathSpec.cutoff_ohmic(2.0, 30.0), cfg))
+        # a cutoff far above the resonance is strict Ohmic to O(gamma / cutoff)
+        strict = BathSpec.strict_ohmic(0.5)
+        c0 = fdt.velocity_correlation(0.0, sys_, strict, cfg)
+        for tau in (1.0, 3.0, 10.0):
+            got = fdt.velocity_correlation(tau, sys_, BathSpec.cutoff_ohmic(0.5, 300.0), cfg)
+            assert abs(got - fdt.velocity_correlation(tau, sys_, strict, cfg)) <= 1e-3 * c0
 
     def test_cutoff_close_to_strict_at_large_cutoff(self):
         sys_ = SystemSpec()

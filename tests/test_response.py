@@ -252,9 +252,21 @@ class TestBoundState:
 
 
 class TestResonancePole:
+    def test_strict_ohmic_pole_in_closed_form(self):
+        # fbar(z) = m (w0^2 - z^2) + i m gamma z vanishes at w_d + i gamma/2,
+        # with fbar'(p) = -2 m p + i m gamma = -2 m w_d
+        p, slope = Susceptibility(SystemSpec(mass=1.3, omega0=1.7),
+                                  BathSpec.strict_ohmic(0.5)).resonance_pole()
+        wd = math.sqrt(1.7**2 - 0.25**2)
+        assert p == pytest.approx(complex(wd, 0.25), rel=1e-15)
+        assert slope == pytest.approx(-2.0 * 1.3 * wd, rel=1e-15)
+        assert abs(1.3 * (1.7**2 - p * p) + 1j * 1.3 * 0.5 * p) < 1e-14
+
     def test_none_without_a_peak_below_the_cutoff(self):
         sys_ = SystemSpec()
-        assert Susceptibility(sys_, BathSpec.strict_ohmic(0.5)).resonance_pole() is None
+        # gamma > w0: the peak is no narrower than w0
+        assert Susceptibility(SystemSpec(mass=1.3, omega0=1.7),
+                              BathSpec.strict_ohmic(1.8)).resonance_pole() is None
         for gamma, cutoff in ((2.0, 3.0), (0.1, 0.8)):  # gamma > w0; w0 above the cutoff
             bath = BathSpec.cutoff_ohmic(gamma=gamma, cutoff=cutoff)
             assert Susceptibility(sys_, bath).resonance_pole() is None
