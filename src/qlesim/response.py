@@ -63,12 +63,13 @@ class Susceptibility:
         """
         m, w02 = self.system.mass, self.system.omega0**2
         if self.bath.kind is BathKind.STRICT_OHMIC:
-            re = m * self.bath.gamma  # Re mu; Im mu = 0
+            g = self.bath.gamma  # Re mu = m gamma, Im mu = 0
+            g_m = g / m
 
-            def loss(w):
-                d, e = m * (w02 - w * w), w * re
+            def loss(w):  # m divided out: m^2 (w0^2 - w^2)^2 would overflow at large m
+                d, e = w02 - w * w, g * w
                 try:
-                    return re / (d * d + e * e)
+                    return g_m / (d * d + e * e)
                 except ZeroDivisionError:
                     raise DomainError(f"loss at omega = {w!r}: |1/alpha|^2 is 0") from None
         else:

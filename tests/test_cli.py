@@ -118,6 +118,18 @@ class TestEnergy:
         assert np.all(np.diff(ratio) < 0)
         assert abs(ratio[-1] - 1.0) < abs(ratio[0] - 1.0)
 
+    def test_large_mass_keeps_the_uv_part(self, capsys):
+        # Ek does not depend on the mass at fixed gamma; at mass 1e150 the
+        # strict loss overflowed above omega = 116 and Ek read 1.19293 for
+        # 1.25907.  The band allows for the absolute quadrature tolerance,
+        # which no longer bounds C ~ 1e-150 (7e-5 relative here)
+        _, unit = data_rows(run_cli(["energy", "--gammas", "0.1"], capsys)[1])
+        code, out, err = run_cli(["energy", "--mass", "1e150", "--gammas", "0.1"], capsys)
+        assert (code, err) == (0, "")
+        header, rows = data_rows(out)
+        ek = header.index("Ek")
+        assert rows[0, ek] == pytest.approx(unit[0, ek], rel=1e-3)
+
 
 class TestEnsembleCommands:
     def test_sde_reproducible_bytes(self, capsys):

@@ -258,6 +258,18 @@ class TestMeanEnergies:
             deviations.append(abs(split.ep - ref))
         assert deviations == sorted(deviations, reverse=True)
 
+    @pytest.mark.parametrize("mass", (1e150, 1e-150))
+    def test_strict_energies_independent_of_mass(self, mass):
+        # at fixed gamma m C_v and m C_x do not depend on m; at m = 1e150,
+        # m^2 (w0^2 - w^2)^2 overflowed above w = 116 and the loss read 0
+        # there, which dropped the UV part of Ek (1.1929 for 1.2591)
+        bath = BathSpec.strict_ohmic(0.1)
+        unit = fdt.mean_energies(SystemSpec(), bath, QuadratureConfig(omega_max=1e3))
+        got = fdt.mean_energies(SystemSpec(mass=mass), bath,
+                                QuadratureConfig(omega_max=1e3, abs_tol=1e-12 / mass))
+        assert got.ek == pytest.approx(unit.ek, rel=1e-12)
+        assert got.ep == pytest.approx(unit.ep, rel=1e-12)
+
     def test_extrapolated_energies_hit_closed_form(self):
         sys_ = SystemSpec()
         split = fdt.extrapolated_weak_energies(sys_)
@@ -536,6 +548,11 @@ class TestCutoffBathPath:
         with pytest.raises(DomainError, match="free particle"):
             fdt.position_correlation(tau, SystemSpec(omega0=0.0),
                                      BathSpec.cutoff_ohmic(0.5, 3.0))
+
+    def test_free_particle_energies_raise(self):
+        # Ep = m w0^2 C_x(0) came out -0.0 from the negative C_x(0)
+        with pytest.raises(DomainError, match="free particle"):
+            fdt.mean_energies(SystemSpec(omega0=0.0), BathSpec.cutoff_ohmic(0.5, 3.0))
 
     def test_free_particle_velocity(self):
         # Re mu(0) = m gamma, so w^2 L -> 1/(m gamma) at w = 0 as for strict
