@@ -120,7 +120,7 @@ class TestEnergy:
 
     def test_large_mass_keeps_the_uv_part(self, capsys):
         # Ek does not depend on the mass at fixed gamma; at mass 1e150 the
-        # strict loss overflowed above omega = 116 and Ek read 1.19293 for
+        # strict loss overflowed above omega = 116 and Ek read 1.19288 for
         # 1.25907.  The band allows for the absolute quadrature tolerance,
         # which no longer bounds C ~ 1e-150 (7e-5 relative here)
         _, unit = data_rows(run_cli(["energy", "--gammas", "0.1"], capsys)[1])

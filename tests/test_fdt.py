@@ -262,7 +262,7 @@ class TestMeanEnergies:
     def test_strict_energies_independent_of_mass(self, mass):
         # at fixed gamma m C_v and m C_x do not depend on m; at m = 1e150,
         # m^2 (w0^2 - w^2)^2 overflowed above w = 116 and the loss read 0
-        # there, which dropped the UV part of Ek (1.1929 for 1.2591)
+        # there, which dropped the UV part of Ek (1.1904 for 1.2591)
         bath = BathSpec.strict_ohmic(0.1)
         unit = fdt.mean_energies(SystemSpec(), bath, QuadratureConfig(omega_max=1e3))
         got = fdt.mean_energies(SystemSpec(mass=mass), bath,
