@@ -51,6 +51,9 @@ CASES = {
                   "--grid", "0:2:3"],
     "energy_mass": ["energy", "--mass", "2.5", "--omega0", "1.3", "--temp", "0.7",
                     "--gammas", "1,0.125"],
+    # a thermal weight with structure at omega ~ kB T / hbar, its Matsubara poles near the axis
+    "corr_lowT": ["corr", "--temp", "0.05", "--gamma", "0.2", "--omega-max", "50",
+                  "--grid", "0:10:6"],
 }
 
 
