@@ -151,7 +151,10 @@ class RunConfig:
                           temperature=self.temp, hbar=self.hbar, kB=self.kb)
 
     def quad_config(self) -> QuadratureConfig:
-        return QuadratureConfig(omega_max=self.omega_max)
+        # abs_tol in the command's unit of C, hbar / (m omega0): a fixed 1e-12
+        # bounds nothing once C itself is far below it, as at a large mass
+        unit = self.hbar / (self.mass * self.omega0)
+        return QuadratureConfig(abs_tol=QuadratureConfig.abs_tol * unit, omega_max=self.omega_max)
 
 
 def _square_is_normal(x: float) -> bool:
@@ -292,13 +295,12 @@ def run_corr(cfg: RunConfig):
     bath = BathSpec.strict_ohmic(cfg.gamma)
     qcfg = cfg.quad_config()
     cx0, cv0 = fdt.weak_limit_correlation(0.0, system)
+    cxs = fdt.position_correlation(taus, system, bath, qcfg).tolist()
+    cvs = fdt.velocity_correlation(taus, system, bath, qcfg).tolist()
     rows = []
-    for tau in taus:
-        cx = fdt.position_correlation(tau, system, bath, qcfg)
-        cv = fdt.velocity_correlation(tau, system, bath, qcfg)
+    for tau, cx, cv in zip(taus.tolist(), cxs, cvs):
         wx, wv = fdt.weak_limit_correlation(tau, system)
-        rows.append((float(tau), cx, cv, wx, wv,
-                     abs(cx - wx) / cx0, abs(cv - wv) / cv0))
+        rows.append((tau, cx, cv, wx, wv, abs(cx - wx) / cx0, abs(cv - wv) / cv0))
     columns = ("tau", "Cx", "Cv", "Cx_weak", "Cv_weak", "dev_x", "dev_v")
     units = ("time", "length^2", "(length/time)^2", "length^2",
              "(length/time)^2", "relative to C(0)", "relative to C(0)")
@@ -382,9 +384,9 @@ def run_microbath(cfg: RunConfig, dump_traj=None, dump_count=1):
         times, *series = dump
         _write_trajectories(dump_traj, ("x", "v", "f"), times, series)
 
+    refs = microbath.noise_autocorrelation_quadrature(system, bath, stats["taus"]).tolist()
     rows = []
-    for tau, mean_est, corr_est in zip(stats["taus"], stats["mean"], stats["autocorr"]):
-        ref = microbath.noise_autocorrelation_quadrature(system, bath, tau)
+    for tau, mean_est, corr_est, ref in zip(stats["taus"], stats["mean"], stats["autocorr"], refs):
         rows.append(("noise_mean", float(tau), mean_est.mean, mean_est.se, 0.0))
         rows.append(("noise_autocorr", float(tau), corr_est.mean, corr_est.se, ref))
 

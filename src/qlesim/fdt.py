@@ -34,7 +34,7 @@ import numpy as np
 
 from .bath import BathKind, BathSpec, SystemSpec
 from .errors import DomainError, UVDivergenceError
-from .quadrature import QuadratureConfig, integrate_panels, scaled_omega_coth
+from .quadrature import _TAU_BLOCK, QuadratureConfig, integrate_cosine, scaled_omega_coth
 from .response import Susceptibility
 
 __all__ = [
@@ -131,49 +131,83 @@ def density_moment(which, order, damping, window=DEFAULT_MOMENT_WINDOW,
     _check_gamma(damping)
     susc = Susceptibility(SystemSpec(), BathSpec.strict_ohmic(damping))
     return _pole_pair_integral(
-        lambda x: (2.0 / math.pi) * x**n * susc.loss_scalar(x), lambda z: (2.0 / math.pi) * z**n,
+        lambda x: (2.0 / math.pi) * x**n * susc.loss(x), lambda z: (2.0 / math.pi) * z**n,
         susc.resonance_pole(), 0.0, [0.0] if tail else [0.0, window],
         cfg or QuadratureConfig(), f"P_{which} moment {order}", tail_to_inf=tail)
 
 
-def _exp_e1(z):
-    """e^z E1(z), also where e^z overflows and E1(z) underflows or overflows."""
+def _exp_e1(z, scaled):
+    """e^(z + shift) E1(z) on complex arrays, from ``scaled`` = z + shift.
+
+    Also where e^z overflows and E1(z) underflows or overflows: for |Re z|
+    >= 700 the asymptotic series sum_n (-1)^n n! / z^(n+1) of e^z E1(z)
+    reaches rounding within a dozen terms.
+    """
     from scipy.special import exp1
 
-    if abs(z.real) < 700.0:
-        return cmath.exp(z) * complex(exp1(z))
-    # |z| >= 700: the asymptotic series sum_n (-1)^n n! / z^(n+1) reaches
-    # rounding within a dozen terms
-    return sum((-1) ** n * math.factorial(n) / z ** (n + 1) for n in range(12))
+    if np.abs(z.real).max() < 700.0:
+        return np.exp(scaled) * exp1(z)
+    near = np.abs(z.real) < 700.0
+    far = np.where(near, 700.0, z)
+    series = sum((-1) ** n * math.factorial(n) / far ** (n + 1) for n in range(12))
+    z = np.where(near, z, 1.0)
+    return np.where(near, np.exp(np.where(near, scaled, 0.0)) * exp1(z),
+                    series * np.exp(scaled - far))
 
 
-def _pole_pair_tail(c, p, tau, upper):
-    """Int_upper^inf 2 Re[c/(w - p) - c/(w + p)] cos(w tau) dw in closed form.
+def _pole_pair_tail(c, p, taus, upper):
+    """Int_upper^inf 2 Re[c/(w - p) - c/(w + p)] cos(w tau) dw in closed form, for each tau.
 
     With u = w - q the cosine splits into e^(+-i u tau) / u, whose integrals
     from upper - q are E1(-+i tau (upper - q)); for Im q > 0 the path stays
     off the branch cut of E1 as long as upper > Re q.
     """
-    if math.isinf(upper):
+    if math.isinf(upper) or c == 0:
         return 0.0
-    if tau == 0.0:
-        return 2.0 * (c * cmath.log((upper + p) / (upper - p))).real
-    phase = cmath.exp(1j * upper * tau)
+    at_zero = 2.0 * (c * cmath.log((upper + p) / (upper - p))).real
+    if not taus.any():
+        return np.full(taus.shape, at_zero)
+    if taus.size > _TAU_BLOCK:  # in blocks, so that the work arrays stay small
+        cuts = range(_TAU_BLOCK, taus.size, _TAU_BLOCK)
+        return np.concatenate([_pole_pair_tail(c, p, block, upper)
+                               for block in np.split(taus, cuts)])
+    # Int cos(w tau) / (w - q) = [e^(i q tau) E1(-z) + e^(-i q tau) E1(z)] / 2 with
+    # z = i tau (upper - q), for q = p and -p; e^(+-i q tau) = e^(+-i upper tau) e^(-+z)
+    zero = taus == 0.0
+    z, scaled = np.moveaxis(np.multiply.outer(np.where(zero, 1.0, taus), np.array(
+        [[-1j * (upper - p), -1j * (upper + p), 1j * (upper - p), 1j * (upper + p)],
+         [1j * p, -1j * p, -1j * p, 1j * p]])), -2, 0)
+    tail = (c * (_exp_e1(z, scaled) @ _PAIR_SIGNS)).real
+    return np.where(zero, at_zero, tail) if zero.any() else tail
 
-    def j(q):  # e^(+-i q tau) E1(-+z) = e^(+-i upper tau) e^(-+z) E1(-+z)
-        z = 1j * tau * (upper - q)
-        return 0.5 * (phase * _exp_e1(-z) + _exp_e1(z) / phase)
 
-    return 2.0 * (c * (j(p) - j(-p))).real
+_PAIR_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
 
-def _pole_pair_integral(lh, h, pole, tau, edges, cfg, label, tail_to_inf=False, scale=1.0):
-    """Int_0^upper L(w) h(w) cos(w tau) dw with the resonance in closed form.
+def _octaves(centre, low, upper):
+    """Panel edges 0 and centre 2^(j + 1/2), from below ``low`` up to ``upper``.
+
+    An octave of w a panel, none of them edged at ``centre``: near w0 the
+    remainder is the difference of two large terms, rounded, and panels
+    that close in on an edge there would resolve that rounding.
+    """
+    edge = centre * 2.0 ** (math.floor(math.log2(low / centre)) + 0.5)
+    edges = [0.0]
+    while edge < upper:
+        edges.append(edge)
+        edge *= 2.0
+    return edges + [upper]
+
+
+def _pole_pair_integral(lh, h, pole, taus, edges, cfg, label, tail_to_inf=False, scale=1.0):
+    """Int_0^upper L(w) h(w) cos(w tau) dw with the resonance in closed form, for each tau.
 
     ``lh`` is the real integrand L h and ``h`` the weight, also at complex
     arguments; ``pole`` is (p, fbar'(p)) with fbar(z) the conjugate of the
-    continued 1/alpha, or None.  The residue of L h at p is
-    c = -h(p) / (2 i p fbar'(p)), and the principal parts of the pole pair
+    continued 1/alpha, or None (for a pole on the imaginary axis, where p and
+    -conj(p) coincide, twice fbar'(p), so that the pair counts it once).  The
+    residue of L h at p is c = -h(p) / (2 i p fbar'(p)), and the principal
+    parts of the pole pair
     Q(w) = 2 Re[c/(w - p) - c/(w + p)] carry the whole resonance: over
     [0, inf) they integrate to -2 pi Im[c e^(i p tau)], the weak-coupling
     limit up to O(gamma).  Their tail above the upper limit (edges[-1], or
@@ -183,6 +217,7 @@ def _pole_pair_integral(lh, h, pole, tau, edges, cfg, label, tail_to_inf=False, 
     code integrates L h itself (Grabert, Schramm & Ingold, Phys. Rep. 168,
     115 (1988)).  ``cfg.abs_tol`` bounds ``scale`` times the integral.
     """
+    taus = np.asarray(taus, dtype=float)
     upper = math.inf if tail_to_inf else edges[-1]
     c, p = 0j, 1j
     if pole is not None and pole[0].real < upper:
@@ -193,16 +228,15 @@ def _pole_pair_integral(lh, h, pole, tau, edges, cfg, label, tail_to_inf=False, 
     def remainder(w):
         return lh(w) - 2.0 * (k / (w * w - p2)).real
 
-    closed = (-2.0 * math.pi * (c * cmath.exp(1j * p * tau)).imag
-              - _pole_pair_tail(c, p, tau, upper))
+    closed = (-2.0 * math.pi * (c * np.exp(1j * p * taus)).imag
+              - _pole_pair_tail(c, p, taus, upper))
     # the remainder is O(gamma) of the value, so its error is judged against
-    # the closed-form part too; the 1/50 offsets the slack of integrate_panels,
-    # so the bound is rel_tol of the whole value.  No panel edge at w0: the
-    # remainder is smooth there, and an edge would add two boundary terms
-    # ~ 1/tau that cancel to the last digits of a value decayed at large tau
-    rcfg = replace(cfg, abs_tol=max(cfg.abs_tol / scale, cfg.rel_tol * abs(closed) / 50.0))
-    value, _ = integrate_panels(remainder, edges, rcfg, tau=tau, tail_to_inf=tail_to_inf,
-                                label=label)
+    # the closed-form part too; the 1/50 offsets the slack of integrate_cosine,
+    # so the bound is rel_tol of the whole value.  The remainder is resolved
+    # once for all tau, so to the smallest of their tolerances
+    tol = max(cfg.abs_tol / scale, cfg.rel_tol * float(np.abs(closed).min()) / 50.0)
+    value, _ = integrate_cosine(remainder, edges, replace(cfg, abs_tol=tol), taus,
+                                tail_to_inf=tail_to_inf, label=label)
     return closed + value
 
 
@@ -212,30 +246,30 @@ def _correlation(tau, system, bath, cfg, velocity):
     if system.omega0 == 0.0 and not velocity:
         raise DomainError("the position correlation of a free particle "
                           "(omega0 = 0) diverges at low frequency")
-    tau = abs(float(tau))
-    m, a, gamma = system.mass, system.thermal_coth_scale, bath.gamma
+    taus = np.abs(np.asarray(tau, dtype=float))
+    a = system.thermal_coth_scale
     label = "velocity correlation" if velocity else "position correlation"
     power = 3 if velocity else 1
     upper = math.inf if cfg.omega_max is None else cfg.omega_max
     s = Susceptibility(system, bath)
-    loss = s.loss_scalar
+    loss = s.loss
 
     def h(z):
         return z**power / cmath.tanh(a * z)
 
-    def lh(w):  # float math: numpy on a 0-d array costs ~40 us a call
-        try:
-            return w ** (power - 1) * loss(w) * scaled_omega_coth(w, a)
-        except DomainError:  # 1/alpha = 0 at w = 0, a free particle on either bath,
-            if not velocity:  # where w^2 L -> 1 / Re mu(0) = 1/(m gamma)
-                raise
-            return 1.0 / (m * a * gamma)
+    def lh(w):
+        out = loss(w) * scaled_omega_coth(w, a)
+        return w * w * out if velocity else out
 
+    # the remainder varies on the scale of w0 (gamma for a free particle) and
+    # of the thermal weight's poles at i pi n / a
+    centre = system.omega0 or bath.gamma
+    low = min(centre, math.pi / a) / 4.0
     if bath.kind is BathKind.STRICT_OHMIC:
         if velocity and math.isinf(upper):
             raise UVDivergenceError("velocity correlation is UV-divergent for a strict-Ohmic "
                                     "bath (log at tau = 0); set a finite omega_max")
-        edges = [0.0] if math.isinf(upper) else [0.0, upper]  # one panel: the remainder is smooth
+        edges = [0.0] if math.isinf(upper) else _octaves(centre, low, upper)
     else:
         # below the cutoff the loss is the resonance plus a smooth part that
         # falls to zero at the cutoff like 1/ln^2, which geometric shoulders
@@ -243,16 +277,18 @@ def _correlation(tau, system, bath, cfg, velocity):
         cut = bath.cutoff
         upper = min(cut, upper)
         shoulders = cut * (1.0 - 10.0 ** -np.arange(1, 9))
-        edges = [0.0, *shoulders[shoulders < upper], upper]
+        edges = [*_octaves(centre, low, min(upper, shoulders[0]))[:-1],
+                 *shoulders[shoulders < upper], upper]
     # abs_tol bounds C itself, which is hbar/pi times the frequency integral
-    value = _pole_pair_integral(lh, h, s.resonance_pole(), tau, edges, cfg, label,
+    value = _pole_pair_integral(lh, h, s.resonance_pole(), taus, edges, cfg, label,
                                 tail_to_inf=math.isinf(upper), scale=system.hbar / math.pi)
     bound = s.bound_state()
     if bound is not None and (cfg.omega_max is None or bound[0] <= cfg.omega_max):
         wb, weight = bound
-        value += (weight * (wb**2 if velocity else 1.0) * scaled_omega_coth(wb, a)
-                  * math.cos(wb * tau))
-    return (system.hbar / math.pi) * value
+        value = value + (weight * (wb**2 if velocity else 1.0) * scaled_omega_coth(wb, a)
+                         * np.cos(wb * taus))
+    out = (system.hbar / math.pi) * value
+    return out if out.ndim else float(out)
 
 
 def position_correlation(tau, system: SystemSpec, bath: BathSpec,

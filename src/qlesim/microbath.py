@@ -55,7 +55,7 @@ import numpy as np
 
 from .bath import BathKind, BathSpec, ModeSet, SystemSpec
 from .errors import ConvergenceError, DomainError, UnstableIntegrationError, UnsupportedBathError
-from .quadrature import QuadratureConfig, integrate_panels, scaled_omega_coth
+from .quadrature import QuadratureConfig, integrate_cosine, scaled_omega_coth
 from .sde import _BLOCK, _SLAB_STEPS, _accumulate, _chunks, _draw
 
 __all__ = [
@@ -122,12 +122,12 @@ def initial_slip(modes: ModeSet, x0: float, t):
 
 
 def noise_autocorrelation_quadrature(system: SystemSpec, bath: BathSpec, tau,
-                                     cfg: QuadratureConfig | None = None) -> float:
+                                     cfg: QuadratureConfig | None = None):
     """Continuum symmetric noise autocorrelation (hbar/pi) Int J coth cos.
 
-    Only cutoff-Ohmic baths are supported: the strict-Ohmic version is a
-    delta at tau = 0 (a finite bath's exact correlation is the cosine sum
-    over its modes instead).
+    At a float tau, or at each of a 1-D array of them.  Only cutoff-Ohmic
+    baths are supported: the strict-Ohmic version is a delta at tau = 0 (a
+    finite bath's exact correlation is the cosine sum over its modes instead).
     """
     if bath.kind is not BathKind.CUTOFF_OHMIC:
         raise UnsupportedBathError(
@@ -139,8 +139,7 @@ def noise_autocorrelation_quadrature(system: SystemSpec, bath: BathSpec, tau,
     slope = 3.0 * math.pi * bath.coupling**2 / (2.0 * bath.cutoff**3)
     integrand = lambda w: slope * scaled_omega_coth(w, a)
     edges = np.linspace(0.0, bath.cutoff, 9)
-    value, _ = integrate_panels(integrand, edges, cfg, tau=abs(float(tau)),
-                                label="noise autocorrelation")
+    value, _ = integrate_cosine(integrand, edges, cfg, tau, label="noise autocorrelation")
     return system.hbar / math.pi * value
 
 

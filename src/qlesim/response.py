@@ -22,6 +22,8 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .bath import BathKind, BathSpec, SystemSpec
 from .errors import DomainError, QuadratureError
 
@@ -33,12 +35,19 @@ def _half_amplitude(bath: BathSpec) -> float:
     return 1.5 * bath.coupling**2 / bath.cutoff**3
 
 
+def _over(re, den, w):
+    """re / den, or DomainError where den, |1/alpha|^2, is 0."""
+    if not den.all():
+        raise DomainError(f"loss at omega = {w[den == 0.0].flat[0]!r}: |1/alpha|^2 is 0")
+    return re / den
+
+
 @dataclass(frozen=True, eq=False)
 class Susceptibility:
     """alpha(omega) of the oscillator on a continuum bath, in closed form.
 
-    For both baths :attr:`loss_scalar` gives the loss Im(alpha)/omega at
-    one real frequency from the exact (untruncated) friction transform, and
+    For both baths :attr:`loss` gives the loss Im(alpha)/omega at real
+    frequencies from the exact (untruncated) friction transform, and
     :meth:`resonance_pole` continues it off the real axis.  For a cutoff
     bath the loss is zero above the cutoff apart from the bound-state
     delta, which :meth:`bound_state` gives separately.
@@ -51,13 +60,13 @@ class Susceptibility:
         self.bath.check_system(self.system)
 
     @cached_property
-    def loss_scalar(self):
-        """Im alpha(w) / w at one float, in ``math``, for quadrature integrands.
+    def loss(self):
+        """Im alpha(w) / w on an array of w, for quadrature integrands.
 
-        A closure over the bath's constants, built once: one call a node.
-        Regular at w = 0 and nonnegative, it is the natural integrand factor
-        of every fluctuation integral; dividing out w analytically avoids the
-        0/0 at the origin.  The bound-state delta is not included.  Raises
+        A closure over the bath's constants, built once.  Regular at w = 0
+        and nonnegative, it is the natural integrand factor of every
+        fluctuation integral; dividing out w analytically avoids the 0/0 at
+        the origin.  The bound-state delta is not included.  Raises
         DomainError where |1/alpha|^2 is 0 in floating point, as for a free
         particle on either bath at w = 0.
         """
@@ -67,24 +76,22 @@ class Susceptibility:
             g_m = g / m
 
             def loss(w):  # m divided out: m^2 (w0^2 - w^2)^2 would overflow at large m
-                d, e = w02 - w * w, g * w
-                try:
-                    return g_m / (d * d + e * e)
-                except ZeroDivisionError:
-                    raise DomainError(f"loss at omega = {w!r}: |1/alpha|^2 is 0") from None
+                w = np.asarray(w, dtype=float)
+                with np.errstate(over="ignore"):  # the loss is 0 where its denominator overflows
+                    d, e = w02 - w * w, g * w
+                    return _over(g_m, d * d + e * e, w)
         else:
             cut, k = self.bath.cutoff, _half_amplitude(self.bath)
             re = k * math.pi  # Re mu below the cutoff
 
-            def loss(w):
-                if not abs(w) < cut:  # zero at and above the cutoff
-                    return 0.0
-                im = math.copysign(k, w) * math.log((cut + abs(w)) / (cut - abs(w)))
-                d, e = m * (w02 - w * w) + w * im, w * re
-                try:
-                    return re / (d * d + e * e)
-                except ZeroDivisionError:
-                    raise DomainError(f"loss at omega = {w!r}: |1/alpha|^2 is 0") from None
+            def loss(w):  # zero at and above the cutoff
+                w = np.asarray(w, dtype=float)
+                inside = np.abs(w) < cut
+                x = np.where(inside, np.abs(w), 0.0)
+                im = np.copysign(k, w) * np.log((cut + x) / (cut - x))
+                with np.errstate(over="ignore"):
+                    d, e = m * (w02 - w * w) + w * im, w * re
+                    return _over(re, np.where(inside, d * d + e * e, math.inf), w)
 
         return loss
 
@@ -93,17 +100,27 @@ class Susceptibility:
 
         Off the real axis the loss continues as (1/f - 1/fbar) / (2 i z),
         fbar(z) = m (w0^2 - z^2) + i z mubar(z).  Strict Ohmic has mubar =
-        m gamma, p = w_d + i gamma/2 and fbar'(p) = -2 m w_d.  Below a cutoff
+        m gamma, p = w_d + i gamma/2 and fbar'(p) = -2 m w_d.  Overdamped,
+        gamma > 2 w0 > 0, its slow pole p = i kappa, kappa = w0^2 / (gamma/2 +
+        sqrt(gamma^2/4 - w0^2)), makes a Lorentzian of width kappa at w = 0
+        that carries almost all of the position variance; there p and
+        -conj(p) are one pole, so the pair is given 2 fbar'(i kappa) =
+        2 i m (gamma - 2 kappa) to count its residue once.  Below a cutoff
         mubar(z) = m gamma - i (m gamma / pi) ln((Omega + z) / (Omega - z)),
-        and Newton's method from w0 + i gamma/2 finds p.  None when gamma >
-        w0 (the peak is no narrower than w0) and when w0 >= Omega (no peak
-        below the cutoff).  Raises QuadratureError when Newton's method does
-        not converge, rather than lose the pole.
+        and Newton's method from w0 + i gamma/2 finds p.  None otherwise when
+        gamma > w0 (the peak is no narrower than w0), and when w0 >= Omega
+        (no peak below the cutoff).  Raises QuadratureError when Newton's
+        method does not converge, rather than lose the pole.
         """
         m, w0, g, cut = self.system.mass, self.system.omega0, self.bath.gamma, self.bath.cutoff
+        strict = self.bath.kind is BathKind.STRICT_OHMIC
+        if strict and g > 2.0 * w0 > 0.0:
+            q = 2.0 * w0 / g  # kappa = w0^2 / (gamma/2 + sqrt(gamma^2/4 - w0^2)), without gamma^2
+            kappa = w0 * q / (1.0 + math.sqrt(1.0 - q * q))
+            return 1j * kappa, 2.0 * (1j * m * (g - 2.0 * kappa))
         if g > w0:
             return None
-        if self.bath.kind is BathKind.STRICT_OHMIC:
+        if strict:
             wd = math.sqrt(w0 * w0 - 0.25 * g * g)
             return complex(wd, 0.5 * g), complex(-2.0 * m * wd)
         if not w0 < cut:

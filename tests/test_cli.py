@@ -119,16 +119,17 @@ class TestEnergy:
         assert abs(ratio[-1] - 1.0) < abs(ratio[0] - 1.0)
 
     def test_large_mass_keeps_the_uv_part(self, capsys):
-        # Ek does not depend on the mass at fixed gamma; at mass 1e150 the
-        # strict loss overflowed above omega = 116 and Ek read 1.19288 for
-        # 1.25907.  The band allows for the absolute quadrature tolerance,
-        # which no longer bounds C ~ 1e-150 (7e-5 relative here)
+        # Ek and Ep do not depend on the mass at fixed gamma; at mass 1e150
+        # the strict loss overflowed above omega = 116 and Ek read 1.19288
+        # for 1.25907, and an absolute tolerance of 1e-12 whatever the mass
+        # bounded nothing of C ~ 1e-150 (Ek 7.1e-5 off)
         _, unit = data_rows(run_cli(["energy", "--gammas", "0.1"], capsys)[1])
         code, out, err = run_cli(["energy", "--mass", "1e150", "--gammas", "0.1"], capsys)
         assert (code, err) == (0, "")
         header, rows = data_rows(out)
-        ek = header.index("Ek")
-        assert rows[0, ek] == pytest.approx(unit[0, ek], rel=1e-3)
+        for column in ("Ek", "Ep"):
+            i = header.index(column)
+            assert rows[0, i] == pytest.approx(unit[0, i], rel=1e-7), column
 
 
 class TestEnsembleCommands:
@@ -505,7 +506,7 @@ def test_closed_form_commands_load_no_scipy():
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout)
     assert loaded["import"] == loaded["sde"] == loaded["rwa"] == loaded["dist"] == []
-    assert "scipy.integrate" in loaded["corr"]  # the probe does see an import
+    assert "scipy.special" in loaded["corr"]  # the probe does see an import
 
 
 RSS_PROBE = """
@@ -560,7 +561,7 @@ def test_trajectory_dump_memory_flat_in_steps(tmp_path):
                                   ["dist", "--grid", "0:1e308:3", "--gammas", "0.5"]),
                          ids=lambda argv: argv[0])
 def test_first_quadrature_in_fresh_interpreter_has_clean_stderr(argv):
-    # here the first integrate_panels call imports scipy, inside the run; the
+    # here the first quadrature call imports scipy, inside the run; the
     # dist grid squares past the float range, where P_p underflows to 0
     done = run_fresh(["-m", "qlesim", *argv])
     assert (done.returncode, done.stderr) == (0, "")

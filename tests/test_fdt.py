@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from scipy.special import polygamma, psi
 
 from qlesim.bath import BathSpec, SystemSpec
 from qlesim.errors import DomainError, UVDivergenceError
-from qlesim.quadrature import QuadratureConfig, integrate_panels
+from qlesim.quadrature import QuadratureConfig, integrate_cosine
 from qlesim.response import Susceptibility
 from qlesim import fdt, microbath
 
@@ -105,7 +106,7 @@ class TestDimensionalDensities:
         # routes go through different formulas: P_p(w) = (2 m w0^2 / pi) L(w)
         # and P_k(w) = (2 m / pi) w^2 L(w) from the loss L = Im alpha / w
         sys_ = SystemSpec(mass=1.0, omega0=2.0)
-        loss = Susceptibility(sys_, BathSpec.strict_ohmic(0.6)).loss_scalar  # damping ratio 0.3
+        loss = Susceptibility(sys_, BathSpec.strict_ohmic(0.6)).loss  # damping ratio 0.3
         lam = np.linspace(0.0, 6.0, 100)
         dimensional = [2.0 * (2.0 / math.pi) * (2.0 * x) ** 2 * loss(2.0 * x) for x in lam]
         dimensionless = fdt.pk_density(lam, 0.3)
@@ -116,8 +117,8 @@ class TestDimensionalDensities:
 
     def test_dimensional_normalization(self):
         # P_k(w) = (2 m / pi) w^2 L(w) integrates to 1 over [0, inf)
-        loss = Susceptibility(SystemSpec(omega0=1.5), BathSpec.strict_ohmic(0.45)).loss_scalar
-        val, _ = integrate_panels(
+        loss = Susceptibility(SystemSpec(omega0=1.5), BathSpec.strict_ohmic(0.45)).loss
+        val, _ = integrate_cosine(
             lambda w: (2.0 / math.pi) * w * w * loss(w), [0.0, 1.5, 10.5, 19.5],
             QuadratureConfig(), tail_to_inf=True, label="P_k normalization",
         )
@@ -315,6 +316,20 @@ def direct_strict_ohmic(tau, sys_, gamma, upper, velocity):
     return sys_.hbar / math.pi * value
 
 
+def geometric_panels_strict_ohmic(gamma, velocity, upper=1e3):
+    """C(0) at m = w0 = hbar = kB T = 1 by QUADPACK on 60 geometric panels
+    from 1e-6 to ``upper``, at epsrel 1e-13: the overdamped peak of width
+    ~1/gamma at w = 0 gets panels of its own scale."""
+    def f(w):
+        weight = w / math.tanh(0.5 * w) if w > 0.0 else 2.0
+        power = 2 if velocity else 0
+        return gamma * w**power * weight / ((1.0 - w * w) ** 2 + (gamma * w) ** 2)
+
+    edges = [0.0, *np.geomspace(1e-6, upper, 60)]
+    return sum(integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for lo, hi in zip(edges, edges[1:])) / math.pi
+
+
 SWEEP_GAMMAS = tuple(10.0**-k for k in range(2, 10))
 CROSS_CHECK_GAMMAS = (1.0, 0.5, 0.125, 0.0125, 1e-4)
 CHANNELS = ((0, fdt.position_correlation), (1, fdt.velocity_correlation))
@@ -415,18 +430,35 @@ class TestStrictOhmicResonance:
             assert got == pytest.approx(direct_strict_ohmic(tau, sys_, 0.5, 1e3, True), rel=1e-8)
 
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1 (Known defect 1): for gamma > 2 w0 "
-                       "the slow pole's Lorentzian at w = 0 is not removed, and at tau = 0 "
-                       "one QUADPACK panel misses it")
     @pytest.mark.parametrize("gamma,temp,want", [(1e4, 1.0, 1.00017960339),
                                                  (1e3, 100.0, 100.0003112)])
     def test_strong_damping_position_variance(self, gamma, temp, want):
         # the digamma sum at omega_max = inf less the UV tail above 1e3
-        # (7.345e-5 and 1.103e-4); today 0.000179594219239 and 0.000211
+        # (7.345e-5 and 1.103e-4); 0.000179594219239 and 0.000211 while the
+        # slow pole of gamma > 2 w0 was left to the quadrature
         got = fdt.position_correlation(0.0, SystemSpec(temperature=temp),
                                        BathSpec.strict_ohmic(gamma),
                                        QuadratureConfig(omega_max=1e3))
         assert got == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("gamma", (700.0, 1000.0, 5000.0))
+    def test_strong_damping_cells_that_raised(self, gamma):
+        # QuadratureError (exit 2) while the slow pole i kappa of gamma > 2 w0
+        # was left to the quadrature; 1.00231691293, 1.00168812686 and
+        # 1.00035829341 with it removed
+        cfg = QuadratureConfig(omega_max=1e3)
+        got = fdt.position_correlation(0.0, SystemSpec(), BathSpec.strict_ohmic(gamma), cfg)
+        want = geometric_panels_strict_ohmic(gamma, velocity=False)
+        assert got == pytest.approx(want, rel=cfg.rel_tol)
+
+    def test_strong_damping_velocity_variance(self):
+        # energy --gammas 300 printed Ek = 119.090079702, 9.3e-8 off, with
+        # no error: the peak of width 1/gamma at w = 0 was left to one panel
+        cfg = QuadratureConfig(omega_max=1e3)
+        got = fdt.velocity_correlation(0.0, SystemSpec(), BathSpec.strict_ohmic(300.0), cfg)
+        want = geometric_panels_strict_ohmic(300.0, velocity=True)
+        assert want == pytest.approx(119.090068658, rel=1e-11)
+        assert got == pytest.approx(want, rel=cfg.rel_tol)
 
 
 # cutoff-Ohmic baths (gamma, cutoff); the last has its cutoff below omega0,
@@ -582,3 +614,39 @@ class TestCutoffBathPath:
         a = fdt.position_correlation(0.0, sys_, cut, QuadratureConfig())
         b = fdt.position_correlation(0.0, sys_, strict, QuadratureConfig())
         assert a == pytest.approx(b, rel=5e-3)
+
+
+class TestTauArrays:
+    """One call for an array of tau: the values of single calls, in bounded memory."""
+
+    @pytest.mark.parametrize("bath,omega_max", [
+        (BathSpec.strict_ohmic(1e-4), 1e3), (BathSpec.strict_ohmic(0.3), 1e3),
+        (BathSpec.strict_ohmic(300.0), 1e3), (BathSpec.cutoff_ohmic(0.5, 3.0), None)],
+        ids=("weak", "moderate", "overdamped", "cutoff"))
+    def test_array_agrees_with_single_calls(self, bath, omega_max):
+        sys_ = SystemSpec(temperature=0.2)
+        cfg = QuadratureConfig(omega_max=omega_max)
+        taus = np.linspace(0.0, 10.0, 41)
+        for _, fn in CHANNELS:
+            got = fn(taus, sys_, bath, cfg)
+            assert got.shape == taus.shape
+            single = np.array([fn(float(tau), sys_, bath, cfg) for tau in taus])
+            assert np.all(np.abs(got - single) <= cfg.rel_tol * abs(single[0])), fn.__name__
+        # a 0-d array is a scalar
+        assert type(fdt.position_correlation(np.float64(2.0), sys_, bath, cfg)) is float
+
+    def test_memory_flat_in_the_number_of_tau(self):
+        # tau goes through the quadrature in blocks: beyond the output array,
+        # 4,000 tau take no more than 400 do, within 1 MB
+        sys_, bath = SystemSpec(), BathSpec.strict_ohmic(1e-4)
+        cfg = QuadratureConfig(omega_max=1e3)
+        fdt.velocity_correlation(np.linspace(0.0, 10.0, 3), sys_, bath, cfg)  # lazy set-up
+        peaks = []
+        for n in (400, 4000):
+            tracemalloc.start()
+            try:
+                out = fdt.velocity_correlation(np.linspace(0.0, 10.0, n), sys_, bath, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1e6, peaks

@@ -1,16 +1,18 @@
 """Quadrature helpers: stable coth, panel integration, config validation."""
 
+import cmath
 import math
 
+import numpy as np
 import pytest
 
 from qlesim import fdt, microbath
 from qlesim.bath import BathSpec, SystemSpec
-from qlesim.errors import DomainError
+from qlesim.errors import DomainError, QuadratureError
 from qlesim.quadrature import (
     QuadratureConfig,
     coth,
-    integrate_panels,
+    integrate_cosine,
     scaled_omega_coth,
 )
 
@@ -48,14 +50,14 @@ class TestCoth:
 
 
 def spied_integrands(monkeypatch, module, call):
-    """The integrands that ``call`` hands to ``module.integrate_panels``."""
-    seen, integrate = [], module.integrate_panels
+    """The integrands that ``call`` hands to ``module.integrate_cosine``."""
+    seen, integrate = [], module.integrate_cosine
 
     def spy(f, *args, **kwargs):
         seen.append(f)
         return integrate(f, *args, **kwargs)
 
-    monkeypatch.setattr(module, "integrate_panels", spy)
+    monkeypatch.setattr(module, "integrate_cosine", spy)
     call()
     return seen
 
@@ -67,12 +69,16 @@ def spied_integrands(monkeypatch, module, call):
     (microbath, lambda: microbath.noise_autocorrelation_quadrature(
         SystemSpec(), BathSpec.cutoff_ohmic(0.5, 3.0), 1.0)),
 ], ids=("strict", "cutoff", "density_moment", "noise_autocorrelation"))
-def test_integrands_map_floats_to_floats(monkeypatch, module, call):
+def test_integrands_map_arrays_to_same_shape_arrays(monkeypatch, module, call):
     integrands = spied_integrands(monkeypatch, module, call)
     assert integrands
+    omega = np.array([[1e-9, 0.7, 2.9], [1.3, 2.2, 0.05]])
     for f in integrands:
-        for omega in (1e-9, 0.7, 2.9):
-            assert type(f(omega)) is float
+        got = f(omega)
+        assert isinstance(got, np.ndarray) and got.dtype == float and got.shape == omega.shape
+        # each element as it comes alone
+        for w, value in zip(omega.ravel(), got.ravel()):
+            assert f(np.array([w]))[0] == value
 
 
 class TestConfig:
@@ -97,8 +103,8 @@ class TestConfig:
 class TestIntegratePanels:
     def test_plain_gaussian(self):
         cfg = QuadratureConfig()
-        val, err = integrate_panels(
-            lambda x: math.exp(-x * x), [0.0, 1.0, 3.0], cfg, tail_to_inf=True,
+        val, err = integrate_cosine(
+            lambda x: np.exp(-x * x), [0.0, 1.0, 3.0], cfg, tail_to_inf=True,
             label="gaussian",
         )
         assert val == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-10)
@@ -107,8 +113,8 @@ class TestIntegratePanels:
     def test_cosine_weight(self):
         # Int_0^inf e^-x cos(2x) dx = 1/5
         cfg = QuadratureConfig()
-        val, _ = integrate_panels(
-            lambda x: math.exp(-x), [0.0, 2.0, 10.0], cfg, tau=2.0,
+        val, _ = integrate_cosine(
+            lambda x: np.exp(-x), [0.0, 2.0, 10.0], cfg, 2.0,
             tail_to_inf=True, label="lorentz line",
         )
         assert val == pytest.approx(0.2, rel=1e-8)
@@ -116,4 +122,69 @@ class TestIntegratePanels:
     def test_nonmonotone_edges_rejected(self):
         cfg = QuadratureConfig()
         with pytest.raises(DomainError):
-            integrate_panels(lambda x: x, [0.0, 1.0, 0.5], cfg)
+            integrate_cosine(lambda x: x, [0.0, 1.0, 0.5], cfg)
+
+
+# tau up to 10 on [0, 1000]: the weight turns through up to 1,600 periods
+TAUS = np.array([0.0, 1e-3, 0.37, 1.0, 2.5, 7.3, 10.0])
+
+
+def exact_monomial(n, upper, tau):
+    """Int_0^upper (w / upper)^n cos(w tau) dw in closed form.
+
+    By parts where the cosine turns through more than a radian, and from the
+    cosine's Taylor series below that, where the by-parts terms would cancel.
+    """
+    kappa = upper * tau
+    if kappa <= 1.0:
+        return upper * sum((-1) ** j * kappa ** (2 * j) / (math.factorial(2 * j) * (n + 2 * j + 1))
+                           for j in range(12))
+    total, term = 0j, 1.0  # term = n! / (n - k)! upper^-k
+    for k in range(n + 1):
+        total += (-1) ** k * term * cmath.exp(1j * kappa) / (1j * tau) ** (k + 1)
+        term *= (n - k) / upper
+    # at w = 0 only the k = n term is left
+    total -= (-1) ** n * math.factorial(n) / upper**n / (1j * tau) ** (n + 1)
+    return total.real
+
+
+class TestIntegrateCosine:
+    """The cosine integrated exactly against the panel interpolants, whatever tau."""
+
+    @pytest.mark.parametrize("n", (0, 1, 3, 7, 15))
+    def test_polynomials_at_large_kappa(self, n):
+        cfg = QuadratureConfig()
+        got, err = integrate_cosine(lambda w: (w / 1e3) ** n, [0.0, 1e3], cfg, TAUS)
+        want = np.array([exact_monomial(n, 1e3, tau) for tau in TAUS])
+        assert np.all(np.abs(got - want) <= err), (got - want, err)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_exponential_at_large_kappa(self):
+        cfg = QuadratureConfig()
+        got, err = integrate_cosine(lambda w: np.exp(-w), [0.0, 1e3], cfg, TAUS)
+        z = -1.0 + 1j * TAUS
+        want = ((np.exp(1e3 * z) - 1.0) / z).real
+        assert np.all(np.abs(got - want) <= err), (got - want, err)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=50.0 * cfg.abs_tol)
+
+    @pytest.mark.parametrize("kink", (0.3, 1.0 / 3.0, 0.7))
+    def test_kink_off_the_edges_matches_or_raises(self, kink):
+        # |w - kink| has no polynomial interpolant of small error on a panel
+        # across the kink: splitting closes in on it, or the quadrature raises
+        def primitive(w, tau):  # of (w - kink) cos(w tau)
+            if tau == 0.0:
+                return 0.5 * (w - kink) ** 2
+            return (w - kink) * math.sin(w * tau) / tau + math.cos(w * tau) / tau**2
+
+        cfg = QuadratureConfig()
+        try:
+            got, err = integrate_cosine(lambda w: np.abs(w - kink), [0.0, 1.0], cfg, TAUS)
+        except QuadratureError:
+            return
+        for tau, value in zip(TAUS, got):
+            want = (primitive(1.0, tau) - 2.0 * primitive(kink, tau) + primitive(0.0, tau))
+            assert abs(value - want) <= 50.0 * max(cfg.abs_tol, cfg.rel_tol * abs(want)), tau
+
+    def test_scalar_tau_gives_floats(self):
+        value, err = integrate_cosine(lambda w: np.exp(-w), [0.0, 5.0], QuadratureConfig(), 1.5)
+        assert type(value) is float and type(err) is float

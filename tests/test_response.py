@@ -8,7 +8,7 @@ from scipy import integrate
 
 from qlesim.bath import BathKind, BathSpec, SystemSpec, friction_kernel
 from qlesim.errors import DomainError
-from qlesim.quadrature import QuadratureConfig, integrate_panels
+from qlesim.quadrature import QuadratureConfig, integrate_cosine
 from qlesim.response import Susceptibility
 
 
@@ -62,7 +62,7 @@ def cutoff_loss_integral(susc):
     """Int_0^cutoff of the loss, the cutoff's log shoulders on their own panels."""
     cut = susc.bath.cutoff
     edges = [0.0, *(cut * (1.0 - 10.0 ** -np.arange(1, 9))), cut]
-    return sum(integrate.quad(susc.loss_scalar, a, b, epsabs=1e-15, epsrel=1e-11, limit=200)[0]
+    return sum(integrate.quad(susc.loss, a, b, epsabs=1e-15, epsrel=1e-11, limit=200)[0]
                for a, b in zip(edges, edges[1:]))
 
 
@@ -77,7 +77,7 @@ class TestScalarLoss:
         susc = Susceptibility(SystemSpec(mass=m, omega0=1.1), bath)
         for w in (0.3, 1.7, 2.2, 2.9):
             want = loss_from_transform(m, 1.1, *kernel_transform(bath, w), w)
-            assert susc.loss_scalar(w) == pytest.approx(want, rel=1e-6)
+            assert susc.loss(w) == pytest.approx(want, rel=1e-6)
 
     @pytest.mark.parametrize("bath", BATHS, ids=("strict", "cutoff"))
     def test_matches_vectorized_loss(self, bath):
@@ -87,7 +87,7 @@ class TestScalarLoss:
         near = np.geomspace(1e-12, 1e-3, 500)
         omega = np.concatenate((np.random.default_rng(5).uniform(0.0, 3.0, 9000),
                                 near, 3.0 - near))
-        got = np.array([susc.loss_scalar(float(w)) for w in omega])
+        got = np.array([susc.loss(float(w)) for w in omega])
         # math.log and numpy's vectorized log may differ by 1 ulp; near the
         # cutoff Re(1/alpha) = m (w0^2 - w^2) + w Im mu cancels to a third of
         # its terms and is squared, which makes that up to 6 ulp of the loss
@@ -96,14 +96,14 @@ class TestScalarLoss:
     def test_zero_at_and_above_the_cutoff(self):
         susc = Susceptibility(SystemSpec(), BathSpec.cutoff_ohmic(gamma=0.5, cutoff=3.0))
         for omega in (3.0, 3.5, 10.0, 1e3, -3.0):
-            assert susc.loss_scalar(omega) == 0.0
+            assert susc.loss(omega) == 0.0
 
     def test_zero_denominator_is_a_domain_error(self):
         # a free particle on a strict-Ohmic bath: 1/alpha(0) = 0
         susc = Susceptibility(SystemSpec(omega0=0.0), BathSpec.strict_ohmic(0.5))
         with pytest.raises(DomainError, match="1/alpha"):
-            susc.loss_scalar(0.0)
-        assert susc.loss_scalar(1.0) == pytest.approx(0.5 / 1.25, rel=1e-15)
+            susc.loss(0.0)
+        assert susc.loss(1.0) == pytest.approx(0.5 / 1.25, rel=1e-15)
 
 
 class TestMuFourier:
@@ -113,11 +113,11 @@ class TestMuFourier:
         # Re mu = m gamma and Im mu = 0 at every omega, bit for bit
         susc = Susceptibility(SystemSpec(mass=2.0, omega0=1.1), BathSpec.strict_ohmic(0.7))
         for omega in (0.0, 1.0, -3.0, 100.0):
-            assert susc.loss_scalar(omega) == loss_from_transform(2.0, 1.1, 1.4, 0.0, omega)
+            assert susc.loss(omega) == loss_from_transform(2.0, 1.1, 1.4, 0.0, omega)
 
     def test_hermitian_symmetry(self):
         # the kernel is real, so mu(-w) = conj mu(w); the loss at -w built
-        # from the kernel's own transform at -w is loss_scalar(-w)
+        # from the kernel's own transform at -w is loss(-w)
         bath = BATHS[1]
         susc = Susceptibility(SystemSpec(mass=1.3, omega0=1.1), bath)
         for omega in (1.7, 2.2):
@@ -126,7 +126,7 @@ class TestMuFourier:
             assert complex(re_minus, im_minus) == pytest.approx(complex(re_plus, -im_plus),
                                                                 rel=1e-12)
             want = loss_from_transform(1.3, 1.1, re_minus, im_minus, -omega)
-            assert susc.loss_scalar(-omega) == pytest.approx(want, rel=1e-6)
+            assert susc.loss(-omega) == pytest.approx(want, rel=1e-6)
 
     def test_untruncated_transform_is_elementary(self):
         # Re mu = m gamma below the cutoff, half of it at the cutoff, 0 above;
@@ -138,9 +138,9 @@ class TestMuFourier:
             re = m_gamma if abs(omega) < 10.0 else 0.0
             im = m_gamma / math.pi * math.log(abs((10.0 + omega) / (10.0 - omega)))
             want = loss_from_transform(1.5, 1.1, re, im, omega)
-            assert susc.loss_scalar(omega) == pytest.approx(want, rel=1e-13, abs=0.0)
+            assert susc.loss(omega) == pytest.approx(want, rel=1e-13, abs=0.0)
         # at the cutoff Im mu is infinite, and so is |1/alpha|
-        assert susc.loss_scalar(10.0) == loss_from_transform(1.5, 1.1, 0.5 * m_gamma,
+        assert susc.loss(10.0) == loss_from_transform(1.5, 1.1, 0.5 * m_gamma,
                                                              math.inf, 10.0) == 0.0
 
 
@@ -152,7 +152,7 @@ class TestSusceptibility:
         for bath in (BathSpec.strict_ohmic(0.5),
                      BathSpec.cutoff_ohmic(gamma=0.5, cutoff=4.0, system_mass=2.0)):
             susc = Susceptibility(sys_, bath)
-            assert susc.loss_scalar(0.0) == pytest.approx(1.0 * (1.0 / (2.0 * 9.0)) ** 2,
+            assert susc.loss(0.0) == pytest.approx(1.0 * (1.0 / (2.0 * 9.0)) ** 2,
                                                           rel=1e-14)
 
     def test_im_alpha_closed_form(self):
@@ -162,25 +162,25 @@ class TestSusceptibility:
         susc = Susceptibility(sys_, BathSpec.strict_ohmic(0.3))
         for omega in np.linspace(0.1, 6.0, 40):
             expected = (1.0 / 1.5) * omega * 0.3 / ((4.0 - omega**2) ** 2 + (omega * 0.3) ** 2)
-            assert omega * susc.loss_scalar(omega) == pytest.approx(expected, rel=1e-13)
+            assert omega * susc.loss(omega) == pytest.approx(expected, rel=1e-13)
 
     def test_resonance_purely_imaginary(self):
         # alpha(w0) = i / (m w0 gamma), so Im alpha(w0) = w0 L(w0) is all of it
         susc = Susceptibility(SystemSpec(mass=1.5, omega0=2.0), BathSpec.strict_ohmic(0.3))
-        assert 2.0 * susc.loss_scalar(2.0) == pytest.approx(1.0 / (1.5 * 2.0 * 0.3), rel=1e-14)
+        assert 2.0 * susc.loss(2.0) == pytest.approx(1.0 / (1.5 * 2.0 * 0.3), rel=1e-14)
 
     def test_reality_condition_exact(self):
         # alpha(-w) = conj alpha(w), so the loss Im alpha / w is even, bit for bit
         for bath in BATHS:
             susc = Susceptibility(SystemSpec(mass=1.3), bath)
             for omega in (0.3, 1.0, 2.99, 4.7):
-                assert susc.loss_scalar(-omega) == susc.loss_scalar(omega)
+                assert susc.loss(-omega) == susc.loss(omega)
 
     def test_passivity_on_log_grid(self):
         omega = np.geomspace(1e-6, 1e6, 241)
         for bath in (BathSpec.strict_ohmic(0.05), BathSpec.cutoff_ohmic(gamma=0.05, cutoff=8.0)):
             susc = Susceptibility(SystemSpec(), bath)
-            losses = [susc.loss_scalar(float(w)) for w in omega]
+            losses = [susc.loss(float(w)) for w in omega]
             assert all(loss >= 0.0 for loss in losses)
             assert all(loss > 0.0 for loss, w in zip(losses, omega) if w < 7.9)
 
@@ -190,7 +190,7 @@ class TestSusceptibility:
         susc = Susceptibility(sys_, BathSpec.strict_ohmic(0.04))
         cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14)
         edges = [0.0, 0.9, 1.7, 2.5, 3.3]  # the peak 1.7 +- 20 damping rates pinned
-        val, _ = integrate_panels(susc.loss_scalar, edges, cfg, tail_to_inf=True,
+        val, _ = integrate_cosine(susc.loss, edges, cfg, tail_to_inf=True,
                                   label="kramers-kronig")
         static = (2.0 / math.pi) * val
         assert static == pytest.approx(1.0 / (1.3 * 1.7**2), rel=1e-6)
@@ -199,14 +199,14 @@ class TestSusceptibility:
         # above the near-cutoff peak the log divergence of Im mu drives the
         # loss down to 0 at the cutoff, and Re mu = 0 keeps it 0 above
         susc = Susceptibility(SystemSpec(), BathSpec.cutoff_ohmic(gamma=0.5, cutoff=3.0))
-        below = [susc.loss_scalar(3.0 * (1.0 - 10.0 ** -k)) for k in range(8, 15)]
+        below = [susc.loss(3.0 * (1.0 - 10.0 ** -k)) for k in range(8, 15)]
         assert all(a > b > 0.0 for a, b in zip(below, below[1:]))
         for omega in (3.0, 3.5, 10.0, 1e3, -3.0, -3.5):
-            assert susc.loss_scalar(omega) == 0.0
+            assert susc.loss(omega) == 0.0
 
     def test_loss_regular_at_origin(self):
         susc = Susceptibility(SystemSpec(), BathSpec.strict_ohmic(0.3))
-        assert susc.loss_scalar(0.0) == pytest.approx(0.3 / 1.0, rel=1e-14)
+        assert susc.loss(0.0) == pytest.approx(0.3 / 1.0, rel=1e-14)
 
 
 class TestBoundState:
