@@ -12,10 +12,14 @@ value is log-divergent and an explicit frequency cutoff is required.
 
 Both continuum baths share one integrand, with L from one
 :class:`~qlesim.response.Susceptibility`, and take its narrow peak from
-the pole pair of L near w0 + i gamma/2 that ``resonance_pole`` gives.  Its
-residues give a closed-form resonance term, the weak-coupling limit plus
-O(gamma), and quadrature integrates only the smooth O(gamma) remainder
-(Grabert, Schramm & Ingold, Phys. Rep. 168, 115 (1988)).
+the pole pair of L near w0 + i gamma/2 that ``resonance_pole`` gives (for
+an overdamped strict-Ohmic oscillator, the slow pole on the imaginary
+axis).  Its residues give a closed-form resonance term, the weak-coupling
+limit plus O(gamma), and quadrature integrates only the smooth O(gamma)
+remainder (Grabert, Schramm & Ingold, Phys. Rep. 168, 115 (1988)).  The
+remainder does not depend on tau: one call resolves it once and
+integrates it against cos(w tau) for a whole array of tau
+(:func:`~qlesim.quadrature.integrate_cosine`).
 
 The same dissipation profile defines the normalized frequency densities
 P_k and P_p whose coth-weighted means give the kinetic and potential
@@ -137,22 +141,18 @@ def density_moment(which, order, damping, window=DEFAULT_MOMENT_WINDOW,
 
 
 def _exp_e1(z, scaled):
-    """e^(z + shift) E1(z) on complex arrays, from ``scaled`` = z + shift.
-
-    Also where e^z overflows and E1(z) underflows or overflows: for |Re z|
-    >= 700 the asymptotic series sum_n (-1)^n n! / z^(n+1) of e^z E1(z)
-    reaches rounding within a dozen terms.
-    """
+    """e^scaled E1(z) on complex arrays, with e^z E1(z) from its asymptotic series
+    sum_n (-1)^n n! / z^(n+1) where |Re z| >= 700: there e^z overflows and E1(z)
+    under- or overflows, and a dozen terms reach rounding."""
     from scipy.special import exp1
 
-    if np.abs(z.real).max() < 700.0:
+    far = np.abs(z.real) >= 700.0
+    if not far.any():
         return np.exp(scaled) * exp1(z)
-    near = np.abs(z.real) < 700.0
-    far = np.where(near, 700.0, z)
-    series = sum((-1) ** n * math.factorial(n) / far ** (n + 1) for n in range(12))
-    z = np.where(near, z, 1.0)
-    return np.where(near, np.exp(np.where(near, scaled, 0.0)) * exp1(z),
-                    series * np.exp(scaled - far))
+    zf = np.where(far, z, 700.0)
+    series = sum((-1) ** n * math.factorial(n) / zf ** (n + 1) for n in range(12))
+    return np.where(far, series * np.exp(scaled - zf),
+                    np.exp(np.where(far, 0.0, scaled)) * exp1(np.where(far, 1.0, z)))
 
 
 def _pole_pair_tail(c, p, taus, upper):
@@ -177,22 +177,15 @@ def _pole_pair_tail(c, p, taus, upper):
     z, scaled = np.moveaxis(np.multiply.outer(np.where(zero, 1.0, taus), np.array(
         [[-1j * (upper - p), -1j * (upper + p), 1j * (upper - p), 1j * (upper + p)],
          [1j * p, -1j * p, -1j * p, 1j * p]])), -2, 0)
-    tail = (c * (_exp_e1(z, scaled) @ _PAIR_SIGNS)).real
+    tail = (c * (_exp_e1(z, scaled) @ np.array([1.0, -1.0, 1.0, -1.0]))).real
     return np.where(zero, at_zero, tail) if zero.any() else tail
 
 
-_PAIR_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
-
-
 def _octaves(centre, low, upper):
-    """Panel edges 0 and centre 2^(j + 1/2), from below ``low`` up to ``upper``.
-
-    An octave of w a panel, none of them edged at ``centre``: near w0 the
-    remainder is the difference of two large terms, rounded, and panels
-    that close in on an edge there would resolve that rounding.
-    """
-    edge = centre * 2.0 ** (math.floor(math.log2(low / centre)) + 0.5)
-    edges = [0.0]
+    """Edges 0 and centre 2^(j + 1/2) from below ``low`` up to ``upper``: an octave a
+    panel, none edged at ``centre``.  Near w0 the remainder is the rounded difference
+    of two large terms, and panels closing in on an edge there would resolve it."""
+    edge, edges = centre * 2.0 ** (math.floor(math.log2(low / centre)) + 0.5), [0.0]
     while edge < upper:
         edges.append(edge)
         edge *= 2.0
@@ -204,18 +197,18 @@ def _pole_pair_integral(lh, h, pole, taus, edges, cfg, label, tail_to_inf=False,
 
     ``lh`` is the real integrand L h and ``h`` the weight, also at complex
     arguments; ``pole`` is (p, fbar'(p)) with fbar(z) the conjugate of the
-    continued 1/alpha, or None (for a pole on the imaginary axis, where p and
-    -conj(p) coincide, twice fbar'(p), so that the pair counts it once).  The
-    residue of L h at p is c = -h(p) / (2 i p fbar'(p)), and the principal
-    parts of the pole pair
-    Q(w) = 2 Re[c/(w - p) - c/(w + p)] carry the whole resonance: over
-    [0, inf) they integrate to -2 pi Im[c e^(i p tau)], the weak-coupling
-    limit up to O(gamma).  Their tail above the upper limit (edges[-1], or
-    inf with ``tail_to_inf``) is subtracted in closed form, and quadrature
-    on the panels sees only L h - Q, which is smooth on the scale of w0.
-    With no pole, or Re p at or above the upper limit, c = 0 and the same
-    code integrates L h itself (Grabert, Schramm & Ingold, Phys. Rep. 168,
-    115 (1988)).  ``cfg.abs_tol`` bounds ``scale`` times the integral.
+    continued 1/alpha, or None (twice fbar'(p) for a pole on the imaginary
+    axis, where p and -conj(p) coincide, so that the pair counts it once).
+    The residue of L h at p is c = -h(p) / (2 i p fbar'(p)), and the
+    principal parts of the pole pair Q(w) = 2 Re[c/(w - p) - c/(w + p)]
+    carry the whole resonance: over [0, inf) they integrate to -2 pi Im[c
+    e^(i p tau)], the weak-coupling limit up to O(gamma).  Their tail above
+    the upper limit (edges[-1], or inf with ``tail_to_inf``) is subtracted in
+    closed form, and quadrature on the panels sees only L h - Q, which is
+    smooth on the scale of w0.  With no pole, or Re p at or above the upper
+    limit, c = 0 and the same code integrates L h itself (Grabert, Schramm &
+    Ingold, Phys. Rep. 168, 115 (1988)).  ``cfg.abs_tol`` bounds ``scale``
+    times the integral.
     """
     taus = np.asarray(taus, dtype=float)
     upper = math.inf if tail_to_inf else edges[-1]
@@ -293,7 +286,7 @@ def _correlation(tau, system, bath, cfg, velocity):
 
 def position_correlation(tau, system: SystemSpec, bath: BathSpec,
                          cfg: QuadratureConfig | None = None):
-    """Symmetrized position autocorrelation C_x(tau).
+    """Symmetrized position autocorrelation C_x(tau), at a float tau or a 1-D array of them.
 
     The closed-form term of the resonance pole pair, which is the
     weak-coupling limit (hbar / 2 m w0) coth(hbar w0 / 2 kB T) cos(w0 tau)
@@ -311,7 +304,7 @@ def position_correlation(tau, system: SystemSpec, bath: BathSpec,
 
 def velocity_correlation(tau, system: SystemSpec, bath: BathSpec,
                          cfg: QuadratureConfig | None = None):
-    """Symmetrized velocity autocorrelation C_v(tau).
+    """Symmetrized velocity autocorrelation C_v(tau), at a float tau or a 1-D array of them.
 
     As :func:`position_correlation`, with the weak-coupling limit
     (hbar w0 / 2 m) coth(hbar w0 / 2 kB T) cos(w0 tau).  A strict-Ohmic

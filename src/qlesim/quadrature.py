@@ -1,24 +1,16 @@
 """Frequency-domain quadrature of f(omega) cos(omega tau), for a whole array of tau at once.
 
-The integrands handed to :func:`integrate_cosine` are smooth on the scale of
-omega0: a narrow resonance, whose width (set by the damping) can be orders of
-magnitude below the integration range, is removed before quadrature by its
-pole pair in closed form (see :mod:`qlesim.fdt`).  Panel edges mark only what
-remains, such as the log shoulders of a bath cutoff.
-
-f does not depend on tau, so it is resolved once: each panel holds the
-interpolant of f at its 16 Gauss-Legendre nodes, and panels are split until
-the interpolants' trailing Legendre coefficients bound their error, summed,
-below the tolerance.  Since |cos| <= 1 that bound holds for every tau.  The
-cosine is then integrated exactly against the interpolant (a Filon-type rule:
-Piessens et al., *QUADPACK*, Springer 1983; Iserles & Norsett, Proc. R. Soc. A
-461, 1383 (2005)): by parts in closed form, from the interpolant's derivatives
-at the panel ends, where the cosine turns through kappa = tau * (half width)
->= 12 radians on the half panel, and where it turns less by a 40-point Gauss
-rule, whose error for such a kappa is below rounding.  So the node count does
-not grow with tau.  Integrands map a numpy array of omega to an array of the
-same shape.  ``import qlesim`` needs only numpy: scipy is imported at its
-first special-function, root-finding or unbounded-panel call.
+The integrands are smooth on the scale of omega0: a narrow resonance is
+removed before quadrature by its pole pair in closed form (see
+:mod:`qlesim.fdt`), and panel edges mark only what remains, such as the log
+shoulders of a bath cutoff.  f does not depend on tau, so it is resolved
+once, by its interpolants at 16 Gauss-Legendre nodes a panel, and the cosine
+is integrated exactly against them: a Filon-type rule (Piessens et al.,
+*QUADPACK*, Springer 1983; Iserles & Norsett, Proc. R. Soc. A 461, 1383
+(2005)) whose node count does not grow with tau.  Integrands map a numpy
+array of omega to an array of the same shape.  ``import qlesim`` needs only
+numpy: scipy is imported at its first special-function, root-finding or
+unbounded-panel call.
 """
 
 from __future__ import annotations
@@ -100,32 +92,24 @@ def scaled_omega_coth(omega, a):
     return out if out.ndim else float(out)
 
 
-# nodes of a panel's interpolant, and the Gauss rule that integrates it where
-# the cosine turns through less than _BY_PARTS radians on the half panel
+# panel nodes; a Gauss rule exact to rounding for p(x) e^(i kappa x), kappa < _BY_PARTS
 _NODES, _DENSE, _BY_PARTS = 16, 40, 12.0
-# tau per block: the work arrays of a block hold (block x panels x _DENSE) floats
-_TAU_BLOCK = 64
-# rounds of panel splitting, and panels split at once, before the quadrature gives up
-_MAX_ROUNDS, _MAX_PANELS = 60, 4096
-# trailing coefficients at this multiple of rounding (relative to the
-# coefficient sum) are resolved: splitting cannot lower them
+# tau a block, panels split at once and rounds of splitting before giving up
+_TAU_BLOCK, _MAX_PANELS, _MAX_ROUNDS = 64, 4096, 60
+# trailing coefficients below this share of the coefficient sum are rounding
 _NOISE = 8.0 * _NODES * np.finfo(float).eps
-_POWERS = np.arange(1, _NODES + 1)
 
 
 @functools.cache
 def _rules():
-    """The nodes x and y, and one map from a panel's node values to what the rules need.
+    """Nodes x and y, and the map from a panel's values at x to, column by column:
 
-    The (_NODES, .) map acts on the values at the 16 nodes x, and gives,
-    in its columns:
-
-    - the Legendre coefficients a_k of the interpolant p;
-    - p at the 40 dense nodes y, times their weights;
-    - c_m p^(m)(+1) and -c_m p^(m)(-1) for m < 16, complex, stored as pairs of
-      floats.  With p^(m)(+-1) = sum_k a_k (+-1)^(k+m) (k+m)! / (2^m m! (k-m)!)
-      and c_m = (-1)^m i^-(m+1), by parts Int_-1^1 p(x) e^(i kappa x) dx =
-      sum_m c_m kappa^-(m+1) [p^(m)(1) e^(i kappa) - p^(m)(-1) e^(-i kappa)].
+    the Legendre coefficients a_k of their interpolant p; p at the dense
+    Gauss nodes y, times the weights; and, as pairs of floats, c_m p^(m)(1)
+    and -c_m p^(m)(-1), m < 16, with p^(m)(+-1) = sum_k a_k (+-1)^(k+m)
+    (k+m)! / (2^m m! (k-m)!) and c_m = (-1)^m i^-(m+1).  By parts,
+    Int_-1^1 p(x) e^(i kappa x) dx = sum_m c_m kappa^-(m+1) [p^(m)(1) e^(i kappa)
+    - p^(m)(-1) e^(-i kappa)].
     """
     from numpy.polynomial import legendre
 
@@ -143,12 +127,11 @@ def _rules():
 
 
 def _resolve(f, edges, tol, label):
-    """Panels (lo, hi), their mapped node values and the error bound of f resolved to ``tol``.
+    """Panels (lo, hi), their mapped values and the error bound of f resolved to ``tol``.
 
-    A panel's bound is 2 h times its trailing coefficients, where these stand
-    above rounding.  While the bounds sum above what ``tol`` leaves, each
-    panel whose bound exceeds an equal share of it is halved, and the others
-    are kept; a panel at rounding is kept as it is.
+    A panel's bound is 2 h times its trailing 4 coefficients, unless these
+    are rounding.  While the bounds sum above what is left of ``tol``, each
+    panel above an equal share of it is halved, and the others are kept.
     """
     x, _, maps = _rules()
     lo, hi = edges[:-1], edges[1:]
@@ -163,11 +146,8 @@ def _resolve(f, edges, tol, label):
         bound = np.where(trail > noise, trail, 0.0)
         if 2.0 * float(half @ bound) <= left:  # an infinite or nan value fails here
             err += 2.0 * float(half @ (trail + noise))
-            if not kept:
-                return lo, hi, mapped, err
             kept.append((lo, hi, mapped))
-            lo, hi, mapped = (np.concatenate(part) for part in zip(*kept))
-            return lo, hi, mapped, err
+            return (*(np.concatenate(part) for part in zip(*kept)), err)
         if not np.isfinite(noise).all():
             raise QuadratureError(f"{label}: the integrand is not finite on "
                                   f"[{lo[0]:.6g}, {hi[-1]:.6g}]", error_bound=math.inf)
@@ -176,41 +156,34 @@ def _resolve(f, edges, tol, label):
         left -= float(bound[ok].sum())
         err += 2.0 * float(half[ok] @ (trail[ok] + noise[ok]))
         kept.append((lo[ok], hi[ok], mapped[ok]))
-        lo, hi = lo[~ok], hi[~ok]
-        mid = 0.5 * (lo + hi)
-        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-    raise QuadratureError(f"{label}: quadrature did not converge: panels still unresolved "
-                          f"after {_MAX_ROUNDS} rounds or beyond {_MAX_PANELS} at once",
-                          error_bound=math.inf)
+        mid = 0.5 * (lo + hi)[~ok]
+        lo, hi = np.concatenate((lo[~ok], mid)), np.concatenate((mid, hi[~ok]))
+    raise QuadratureError(f"{label}: panels still unresolved after {_MAX_ROUNDS} rounds "
+                          f"or beyond {_MAX_PANELS} at once", error_bound=math.inf)
 
 
 def _cosine_panels(lo, hi, mapped, taus):
-    """Sum over the panels of Int p(omega) cos(omega tau) dw, p the node interpolant."""
+    """Sum over the panels of Int p(omega) cos(omega tau) dw, p the interpolants."""
     _, y, _ = _rules()
     half = 0.5 * (hi - lo)
     weighted = mapped[:, _NODES:_NODES + _DENSE, None]
     derivs = mapped[:, _NODES + _DENSE:].view(complex).reshape(len(lo), _NODES, 2)
-    ends = np.empty((len(lo), 2))
-    ends[:, 0], ends[:, 1] = hi, lo
+    ends = np.stack((hi, lo), axis=-1)
     out = np.empty(len(taus))
     for start in range(0, len(taus), _TAU_BLOCK):
         block = taus[start:start + _TAU_BLOCK]
         kappa = np.multiply.outer(block, half)
-        near = kappa < _BY_PARTS
-        # each rule on every (tau, panel) of the block if any needs it, kept where it holds
+        near = kappa < _BY_PARTS  # each rule where any (tau, panel) needs it, kept where it holds
         count = np.count_nonzero(near)
         if count:
             nodes = (lo + half)[:, None] + half[:, None] * y
             part = np.matmul(np.cos(np.multiply.outer(block, nodes))[..., None, :],
                              weighted)[..., 0, 0]
-        if count < near.size:
-            # by parts, over the panel [a, b] of half width h: h Re[S+ e^(i b tau)
-            # - S- e^(i a tau)], S+- = sum_m c_m p^(m)(+-1) u^(m+1), u = 1 / kappa
-            u = 1.0 / np.maximum(kappa, _BY_PARTS)
-            s = np.matmul((u[..., None] ** _POWERS)[..., None, :], derivs)
-            phases = np.exp(1j * np.multiply.outer(block, ends))[..., None]
-            far = np.matmul(s, phases)[..., 0, 0].real
-            part = np.where(near, part, far) if count else far
+        if count < near.size:  # h Re[S+ e^(i b tau) - S- e^(i a tau)] over [a, b],
+            u = 1.0 / np.maximum(kappa, _BY_PARTS)  # S+- = sum_m c_m p^(m)(+-1) u^(m+1)
+            s = np.matmul((u[..., None] ** np.arange(1, _NODES + 1))[..., None, :], derivs)
+            far = np.matmul(s, np.exp(1j * np.multiply.outer(block, ends))[..., None]).real
+            part = np.where(near, part, far[..., 0, 0]) if count else far[..., 0, 0]
         out[start:start + _TAU_BLOCK] = part @ half
     return out
 
@@ -218,50 +191,28 @@ def _cosine_panels(lo, hi, mapped, taus):
 def integrate_cosine(f, edges, cfg, taus=0.0, *, tail_to_inf=False, label=""):
     """Integrate ``f(omega) * cos(omega * tau)`` over panels plus a tail, for every tau.
 
-    Parameters
-    ----------
-    f : callable
-        Smooth integrand (the cos factor is NOT included in f), mapping a
-        numpy array of omega to an array of the same shape.
-    edges : sequence of float
-        Strictly increasing initial panel boundaries, starting at the lower
-        limit; panels are split further until f is resolved.
-    cfg : QuadratureConfig
-        ``abs_tol`` bounds the error of f's interpolant, summed over the
-        panels, whatever tau; ``rel_tol`` enters the final check.
-    taus : float or 1-D array of float
-        Oscillation periods of the cosine weight; 0 disables the weight.
-    tail_to_inf : bool
-        Integrate [edges[-1], inf) as a final panel, by QUADPACK for each tau.
-    label : str
-        Name used in error messages.
+    ``f`` maps an array of omega to an array, without the cosine.  ``edges``
+    are strictly increasing initial panel boundaries from the lower limit;
+    panels are split until the error bound of f's interpolants, summed over
+    the panels, is below ``cfg.abs_tol``, a bound for every tau since |cos|
+    <= 1.  ``taus`` is a float or a 1-D array; 0 disables the weight.  With
+    ``tail_to_inf``, QUADPACK integrates [edges[-1], inf) for each tau.
 
-    Returns
-    -------
-    (values, error_bounds) : floats for a scalar tau, else arrays shaped like taus
-
-    Raises
-    ------
-    QuadratureError
-        If an error bound exceeds 50 times max(abs_tol, rel_tol * |value|),
-        or the panels stop converging.
+    Returns (values, error bounds), floats for a float tau.  Raises
+    QuadratureError if a bound exceeds 50 max(abs_tol, rel_tol |value|), or
+    the panels stop converging.
     """
     edges = np.asarray(edges, dtype=float)
     if (edges[1:] <= edges[:-1]).any():
         raise DomainError(f"panel edges must be strictly increasing ({label})")
     taus = np.abs(np.asarray(taus, dtype=float))
     flat = taus.ravel()
-    total, err = np.zeros(flat.shape), 0.0
+    total, err = np.zeros(flat.shape), np.zeros(flat.shape)
     if len(edges) > 1:
-        lo, hi, mapped, err = _resolve(f, edges, cfg.abs_tol, label)
-        total = _cosine_panels(lo, hi, mapped, flat)
+        lo, hi, mapped, bound = _resolve(f, edges, cfg.abs_tol, label)
+        total, err = _cosine_panels(lo, hi, mapped, flat), err + bound
     if tail_to_inf:
         from scipy import integrate
-
-        err = np.full(flat.shape, err)
-
-        def scalar(w):
-            return float(f(np.array([w]))[0])
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -270,13 +221,12 @@ def integrate_cosine(f, edges, cfg, taus=0.0, *, tail_to_inf=False, label=""):
                 epsabs = cfg.abs_tol
                 if weight:  # QAWF has no relative tolerance
                     epsabs = max(cfg.abs_tol, cfg.rel_tol * max(abs(total[i]), cfg.abs_tol))
-                v, e = integrate.quad(scalar, edges[-1], np.inf, epsabs=epsabs,
+                v, e = integrate.quad(f, edges[-1], np.inf, epsabs=epsabs,
                                       epsrel=cfg.rel_tol, limit=200, **weight)
                 total[i] += v
                 err[i] += e
 
     bad = err > 50.0 * np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
-    err = np.full(flat.shape, err)
     if bad.any():
         i = int(np.argmax(bad))
         raise QuadratureError(
