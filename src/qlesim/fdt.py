@@ -174,10 +174,10 @@ def _pole_pair_tail(c, p, taus, upper):
     # Int cos(w tau) / (w - q) = [e^(i q tau) E1(-z) + e^(-i q tau) E1(z)] / 2 with
     # z = i tau (upper - q), for q = p and -p; e^(+-i q tau) = e^(+-i upper tau) e^(-+z)
     zero = taus == 0.0
-    z, scaled = np.moveaxis(np.multiply.outer(np.where(zero, 1.0, taus), np.array(
+    z, scaled = np.multiply.outer(np.array(
         [[-1j * (upper - p), -1j * (upper + p), 1j * (upper - p), 1j * (upper + p)],
-         [1j * p, -1j * p, -1j * p, 1j * p]])), -2, 0)
-    tail = (c * (_exp_e1(z, scaled) @ np.array([1.0, -1.0, 1.0, -1.0]))).real
+         [1j * p, -1j * p, -1j * p, 1j * p]]), np.where(zero, 1.0, taus))
+    tail = (c * (np.array([1.0, -1.0, 1.0, -1.0]) @ _exp_e1(z, scaled))).real
     return np.where(zero, at_zero, tail) if zero.any() else tail
 
 

@@ -98,6 +98,7 @@ _NODES, _DENSE, _BY_PARTS = 16, 40, 12.0
 _TAU_BLOCK, _MAX_PANELS, _MAX_ROUNDS = 64, 4096, 60
 # trailing coefficients below this share of the coefficient sum are rounding
 _NOISE = 8.0 * _NODES * np.finfo(float).eps
+_POWERS = np.arange(1.0, _NODES + 1.0)
 
 
 @functools.cache
@@ -146,6 +147,8 @@ def _resolve(f, edges, tol, label):
         bound = np.where(trail > noise, trail, 0.0)
         if 2.0 * float(half @ bound) <= left:  # an infinite or nan value fails here
             err += 2.0 * float(half @ (trail + noise))
+            if not kept:
+                return lo, hi, mapped, err
             kept.append((lo, hi, mapped))
             return (*(np.concatenate(part) for part in zip(*kept)), err)
         if not np.isfinite(noise).all():
@@ -168,7 +171,7 @@ def _cosine_panels(lo, hi, mapped, taus):
     half = 0.5 * (hi - lo)
     weighted = mapped[:, _NODES:_NODES + _DENSE, None]
     derivs = mapped[:, _NODES + _DENSE:].view(complex).reshape(len(lo), _NODES, 2)
-    ends = np.stack((hi, lo), axis=-1)
+    ends = np.array([hi, lo]).T
     out = np.empty(len(taus))
     for start in range(0, len(taus), _TAU_BLOCK):
         block = taus[start:start + _TAU_BLOCK]
@@ -181,7 +184,7 @@ def _cosine_panels(lo, hi, mapped, taus):
                              weighted)[..., 0, 0]
         if count < near.size:  # h Re[S+ e^(i b tau) - S- e^(i a tau)] over [a, b],
             u = 1.0 / np.maximum(kappa, _BY_PARTS)  # S+- = sum_m c_m p^(m)(+-1) u^(m+1)
-            s = np.matmul((u[..., None] ** np.arange(1, _NODES + 1))[..., None, :], derivs)
+            s = np.matmul((u[..., None] ** _POWERS)[..., None, :], derivs)
             far = np.matmul(s, np.exp(1j * np.multiply.outer(block, ends))[..., None]).real
             part = np.where(near, part, far[..., 0, 0]) if count else far[..., 0, 0]
         out[start:start + _TAU_BLOCK] = part @ half
@@ -207,13 +210,14 @@ def integrate_cosine(f, edges, cfg, taus=0.0, *, tail_to_inf=False, label=""):
         raise DomainError(f"panel edges must be strictly increasing ({label})")
     taus = np.abs(np.asarray(taus, dtype=float))
     flat = taus.ravel()
-    total, err = np.zeros(flat.shape), np.zeros(flat.shape)
+    total, err = np.zeros(flat.shape), 0.0
     if len(edges) > 1:
-        lo, hi, mapped, bound = _resolve(f, edges, cfg.abs_tol, label)
-        total, err = _cosine_panels(lo, hi, mapped, flat), err + bound
+        lo, hi, mapped, err = _resolve(f, edges, cfg.abs_tol, label)
+        total = _cosine_panels(lo, hi, mapped, flat)
     if tail_to_inf:
         from scipy import integrate
 
+        err = np.full(flat.shape, err)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
             for i, tau in enumerate(flat.tolist()):
@@ -227,6 +231,7 @@ def integrate_cosine(f, edges, cfg, taus=0.0, *, tail_to_inf=False, label=""):
                 err[i] += e
 
     bad = err > 50.0 * np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+    err = np.full(flat.shape, err)
     if bad.any():
         i = int(np.argmax(bad))
         raise QuadratureError(
