@@ -3,6 +3,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -440,6 +441,34 @@ class TestStrictOhmicResonance:
                                        BathSpec.strict_ohmic(gamma),
                                        QuadratureConfig(omega_max=1e3))
         assert got == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("gamma,temp", [(1e3, 0.01), (1e5, 0.01), (1e5, 0.1)])
+    def test_untruncated_overdamped_at_low_temperature(self, gamma, temp):
+        # the digamma sum; gamma = 1e5 raised QuadratureError at T <= 0.1
+        sys_ = SystemSpec(temperature=temp)
+        got = fdt.position_correlation(0.0, sys_, BathSpec.strict_ohmic(gamma), QuadratureConfig())
+        assert got == pytest.approx(strict_ohmic_position_variance(sys_, gamma), rel=1e-9)
+
+    @pytest.mark.parametrize("gamma", (1e-6, 1e-3))
+    def test_free_particle_weak_damping(self, gamma):
+        # the slow pole i gamma of a free particle is left to the quadrature,
+        # which read C_v(0) = 1.8e-6 at gamma = 1e-6 on one panel, and raised
+        # at 1e-3; the oracle gives each Lorentzian decade a panel
+        def f(w):
+            return gamma / (w * w + gamma * gamma) * (w / math.tanh(0.5 * w) if w > 0 else 2.0)
+
+        edges = [0.0, *np.geomspace(1e-12, 1e3, 120)]
+        cfg = QuadratureConfig(omega_max=1e3)
+        for tau in (0.0, 0.7, 3.0):
+            weight = dict(weight="cos", wvar=tau) if tau > 0 else {}
+            with warnings.catch_warnings():  # roundoff notes at 1e-12; rel_tol is what is checked
+                warnings.simplefilter("ignore", integrate.IntegrationWarning)
+                want = sum(integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, limit=400,
+                                          **weight)[0] for lo, hi in zip(edges, edges[1:]))
+            want /= math.pi
+            got = fdt.velocity_correlation(tau, SystemSpec(omega0=0.0),
+                                           BathSpec.strict_ohmic(gamma), cfg)
+            assert got == pytest.approx(want, rel=cfg.rel_tol), tau
 
     @pytest.mark.parametrize("gamma", (700.0, 1000.0, 5000.0))
     def test_strong_damping_cells_that_raised(self, gamma):
