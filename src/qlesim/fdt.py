@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bath import BathKind, BathSpec, SystemSpec
-from .errors import DomainError, UVDivergenceError
+from .errors import DomainError, QuadratureError, UVDivergenceError
 from .quadrature import _TAU_BLOCK, QuadratureConfig, integrate_cosine, scaled_omega_coth
 from .response import Susceptibility
 
@@ -117,27 +117,30 @@ def density_moment(which, order, damping, window=DEFAULT_MOMENT_WINDOW,
 
     The kinetic density has slowly decaying tails (its first moment is
     log-divergent, its second linearly divergent on [0, inf)), so those
-    need a finite window; window = inf raises.  In the delta-function limit
-    both densities concentrate at Lambda = 1 and every windowed moment
-    tends to 1.  P_p is (2/pi) L with m = w0 = 1 and gamma = damping, and
-    P_k = Lambda^2 P_p, so the pole-pair weight is h = (2/pi) Lambda^n,
-    n = order (+2 for P_k).
+    need a finite window; window = inf raises, and elsewhere stands for a
+    finite one whose omitted tail is within ``cfg.abs_tol``.  In the
+    delta-function limit both densities concentrate at Lambda = 1 and every
+    windowed moment tends to 1.  P_p is (2/pi) L with m = w0 = 1 and gamma =
+    damping, and P_k = Lambda^2 P_p, so the pole-pair weight is h = (2/pi)
+    Lambda^n, n = order (+2 for P_k).
     """
     if order < 0:
         raise DomainError("order must be nonnegative")
     if which not in ("k", "p"):
         raise DomainError("which must be 'k' or 'p'")
     n = order + (2 if which == "k" else 0)  # the integrand decays like Lambda^(n-4)
-    tail = math.isinf(window)
-    if not window > 1 or (tail and n > 2):
+    if not window > 1 or (math.isinf(window) and n > 2):
         raise DomainError("window must exceed 1, the resonance, and be finite "
                           "where the moment diverges")
     _check_gamma(damping)
+    cfg = cfg or QuadratureConfig()
+    if math.isinf(window):
+        window = _finite_upper(1.0, damping, 2.0 / math.pi, n, cfg.abs_tol)
     susc = Susceptibility(SystemSpec(), BathSpec.strict_ohmic(damping))
     return _pole_pair_integral(
         lambda x: (2.0 / math.pi) * x**n * susc.loss(x), lambda z: (2.0 / math.pi) * z**n,
-        susc.resonance_pole(), 0.0, [0.0] if tail else [0.0, window],
-        cfg or QuadratureConfig(), f"P_{which} moment {order}", tail_to_inf=tail)
+        susc.resonance_pole(), 0.0, _octaves(1.0, 0.25, window), cfg,
+        f"P_{which} moment {order}")
 
 
 def _exp_e1(z, scaled):
@@ -162,7 +165,7 @@ def _pole_pair_tail(c, p, taus, upper):
     from upper - q are E1(-+i tau (upper - q)); for Im q > 0 the path stays
     off the branch cut of E1 as long as upper > Re q.
     """
-    if math.isinf(upper) or c == 0:
+    if c == 0:
         return 0.0
     at_zero = 2.0 * (c * cmath.log((upper + p) / (upper - p))).real
     if not taus.any():
@@ -192,7 +195,14 @@ def _octaves(centre, low, upper):
     return edges + [upper]
 
 
-def _pole_pair_integral(lh, h, pole, taus, edges, cfg, label, tail_to_inf=False, scale=1.0):
+def _finite_upper(w0, g, h0, s, tol):
+    """W >= 2 w0 where the strict-Ohmic Int_W^inf |L h cos| dw <= tol for every tau, |h| <= h0 w^s:
+    above 2 w0, (w^2 - w0^2)^2 >= (9/16) w^4, so L <= (16/9) g w^-4 with g = gamma/m,
+    and for s < 3 that tail is at most (16/9) g h0 W^(s-3) / (3 - s)."""
+    return max(2.0 * w0, (16.0 / 9.0 * g * h0 / ((3.0 - s) * tol)) ** (1.0 / (3.0 - s)))
+
+
+def _pole_pair_integral(lh, h, pole, taus, edges, cfg, label, scale=1.0):
     """Int_0^upper L(w) h(w) cos(w tau) dw with the resonance in closed form, for each tau.
 
     ``lh`` is the real integrand L h and ``h`` the weight, also at complex
@@ -203,15 +213,17 @@ def _pole_pair_integral(lh, h, pole, taus, edges, cfg, label, tail_to_inf=False,
     principal parts of the pole pair Q(w) = 2 Re[c/(w - p) - c/(w + p)]
     carry the whole resonance: over [0, inf) they integrate to -2 pi Im[c
     e^(i p tau)], the weak-coupling limit up to O(gamma).  Their tail above
-    the upper limit (edges[-1], or inf with ``tail_to_inf``) is subtracted in
-    closed form, and quadrature on the panels sees only L h - Q, which is
-    smooth on the scale of w0.  With no pole, or Re p at or above the upper
-    limit, c = 0 and the same code integrates L h itself (Grabert, Schramm &
-    Ingold, Phys. Rep. 168, 115 (1988)).  ``cfg.abs_tol`` bounds ``scale``
-    times the integral.
+    the upper limit edges[-1] is subtracted in closed form, and quadrature
+    on the panels sees only L h - Q, which is smooth on the scale of w0.
+    With no pole, or Re p at or above the upper limit, c = 0 and the same
+    code integrates L h itself (Grabert, Schramm & Ingold, Phys. Rep. 168,
+    115 (1988)).  ``cfg.abs_tol`` bounds ``scale`` times the integral.
+    Raises QuadratureError where the two parts cancel (the slow pole on a
+    pole of h): the remainder's error bound, after one more resolve, is
+    over 50 max(abs_tol / scale, rel_tol |value|).
     """
     taus = np.asarray(taus, dtype=float)
-    upper = math.inf if tail_to_inf else edges[-1]
+    upper = edges[-1]
     c, p = 0j, 1j
     if pole is not None and pole[0].real < upper:
         p, slope = pole
@@ -223,14 +235,20 @@ def _pole_pair_integral(lh, h, pole, taus, edges, cfg, label, tail_to_inf=False,
 
     closed = (-2.0 * math.pi * (c * np.exp(1j * p * taus)).imag
               - _pole_pair_tail(c, p, taus, upper))
-    # the remainder is O(gamma) of the value, so its error is judged against
-    # the closed-form part too; the 1/50 offsets the slack of integrate_cosine,
-    # so the bound is rel_tol of the whole value.  The remainder is resolved
-    # once for all tau, so to the smallest of their tolerances
-    tol = max(cfg.abs_tol / scale, cfg.rel_tol * float(np.abs(closed).min()) / 50.0)
-    value, _ = integrate_cosine(remainder, edges, replace(cfg, abs_tol=tol), taus,
-                                tail_to_inf=tail_to_inf, label=label)
-    return closed + value
+    # the remainder is O(gamma) of the value, so it is first resolved relative
+    # to the closed-form part, the 1/50 offsetting the slack of the check
+    # below; once for all tau, so to the smallest of their tolerances
+    floor = cfg.abs_tol / scale
+    tol = max(floor, cfg.rel_tol * float(np.abs(closed).min()) / 50.0)
+    for _ in range(2):
+        value, err = integrate_cosine(remainder, edges, replace(cfg, abs_tol=tol), taus,
+                                      label=label)
+        total, err = closed + value, float(np.max(err))
+        tol = max(floor, cfg.rel_tol * float(np.abs(total).min()))
+        if err <= 50.0 * tol:
+            return total
+    raise QuadratureError(f"{label}: the resonance term and the remainder cancel (error "
+                          f"bound {err:.3e})", estimate=float(np.ravel(total)[0]), error_bound=err)
 
 
 def _correlation(tau, system, bath, cfg, velocity):
@@ -259,10 +277,14 @@ def _correlation(tau, system, bath, cfg, velocity):
     centre = system.omega0 or bath.gamma
     low = min(centre, math.pi / a) / 4.0
     if bath.kind is BathKind.STRICT_OHMIC:
-        if velocity and math.isinf(upper):
-            raise UVDivergenceError("velocity correlation is UV-divergent for a strict-Ohmic "
-                                    "bath (log at tau = 0); set a finite omega_max")
-        edges = [0.0] if math.isinf(upper) else _octaves(centre, low, upper)
+        if math.isinf(upper):  # for C_x, h <= coth(2 a w0) w above 2 w0
+            if velocity:
+                raise UVDivergenceError("velocity correlation is UV-divergent for a strict-"
+                                        "Ohmic bath (log at tau = 0); set a finite omega_max")
+            upper = _finite_upper(system.omega0, bath.gamma / system.mass,
+                                  1.0 / math.tanh(2.0 * a * system.omega0), 1,
+                                  cfg.abs_tol * math.pi / system.hbar)
+        edges = _octaves(centre, low, upper)
     else:
         # below the cutoff the loss is the resonance plus a smooth part that
         # falls to zero at the cutoff like 1/ln^2, which geometric shoulders
@@ -274,7 +296,7 @@ def _correlation(tau, system, bath, cfg, velocity):
                  *shoulders[shoulders < upper], upper]
     # abs_tol bounds C itself, which is hbar/pi times the frequency integral
     value = _pole_pair_integral(lh, h, s.resonance_pole(), taus, edges, cfg, label,
-                                tail_to_inf=math.isinf(upper), scale=system.hbar / math.pi)
+                                scale=system.hbar / math.pi)
     bound = s.bound_state()
     if bound is not None and (cfg.omega_max is None or bound[0] <= cfg.omega_max):
         wb, weight = bound
@@ -291,8 +313,8 @@ def position_correlation(tau, system: SystemSpec, bath: BathSpec,
     The closed-form term of the resonance pole pair, which is the
     weak-coupling limit (hbar / 2 m w0) coth(hbar w0 / 2 kB T) cos(w0 tau)
     plus O(gamma), and a quadrature of the smooth remainder: for strict
-    Ohmic up to ``cfg.omega_max`` (to infinity when None; the integrand
-    decays like 1/omega^3), for a cutoff bath up to the cutoff, plus the
+    Ohmic up to ``cfg.omega_max`` (when None, up to where the 1/omega^3 tail
+    left out is below abs_tol), for a cutoff bath up to the cutoff, plus the
     closed-form term of its bound state above it.  ``cfg.abs_tol`` bounds
     the error of C itself.  Even in tau by construction.  Raises
     DomainError for a free particle (omega0 = 0) on either bath, whose

@@ -8,16 +8,16 @@ once, by its interpolants at 16 Gauss-Legendre nodes a panel, and the cosine
 is integrated exactly against them: a Filon-type rule (Piessens et al.,
 *QUADPACK*, Springer 1983; Iserles & Norsett, Proc. R. Soc. A 461, 1383
 (2005)) whose node count does not grow with tau.  Integrands map a numpy
-array of omega to an array of the same shape.  ``import qlesim`` needs only
-numpy: scipy is imported at its first special-function, root-finding or
-unbounded-panel call.
+array of omega to an array of the same shape, on a finite range only
+(:mod:`qlesim.fdt` bounds the tail of an infinite one).  ``import qlesim``
+needs only numpy: scipy is imported at its first special-function or
+root-finding call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,55 +191,30 @@ def _cosine_panels(lo, hi, mapped, taus):
     return out
 
 
-def integrate_cosine(f, edges, cfg, taus=0.0, *, tail_to_inf=False, label=""):
-    """Integrate ``f(omega) * cos(omega * tau)`` over panels plus a tail, for every tau.
+def integrate_cosine(f, edges, cfg, taus=0.0, *, label=""):
+    """Integrate ``f(omega) * cos(omega * tau)`` from edges[0] to edges[-1], for every tau.
 
     ``f`` maps an array of omega to an array, without the cosine.  ``edges``
-    are strictly increasing initial panel boundaries from the lower limit;
-    panels are split until the error bound of f's interpolants, summed over
-    the panels, is below ``cfg.abs_tol``, a bound for every tau since |cos|
-    <= 1.  ``taus`` is a float or a 1-D array; 0 disables the weight.  With
-    ``tail_to_inf``, QUADPACK integrates [edges[-1], inf) for each tau.
+    are at least two strictly increasing initial panel boundaries; panels
+    are split until the error bound of f's interpolants, summed over the
+    panels, is below ``cfg.abs_tol``, a bound for every tau since |cos| <= 1.
+    ``taus`` is a float or a 1-D array; 0 disables the weight.
 
     Returns (values, error bounds), floats for a float tau.  Raises
     QuadratureError if a bound exceeds 50 max(abs_tol, rel_tol |value|), or
     the panels stop converging.
     """
     edges = np.asarray(edges, dtype=float)
-    if (edges[1:] <= edges[:-1]).any():
-        raise DomainError(f"panel edges must be strictly increasing ({label})")
+    if len(edges) < 2 or (edges[1:] <= edges[:-1]).any():
+        raise DomainError(f"panel edges must be two or more, strictly increasing ({label})")
     taus = np.abs(np.asarray(taus, dtype=float))
-    flat = taus.ravel()
-    total, err = np.zeros(flat.shape), 0.0
-    if len(edges) > 1:
-        lo, hi, mapped, err = _resolve(f, edges, cfg.abs_tol, label)
-        total = _cosine_panels(lo, hi, mapped, flat)
-    if tail_to_inf:
-        from scipy import integrate
-
-        err = np.full(flat.shape, err)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            for i, tau in enumerate(flat.tolist()):
-                weight = dict(weight="cos", wvar=tau) if tau > 0.0 else {}
-                epsabs = cfg.abs_tol
-                if weight:  # QAWF has no relative tolerance
-                    epsabs = max(cfg.abs_tol, cfg.rel_tol * max(abs(total[i]), cfg.abs_tol))
-                v, e = integrate.quad(f, edges[-1], np.inf, epsabs=epsabs,
-                                      epsrel=cfg.rel_tol, limit=200, **weight)
-                total[i] += v
-                err[i] += e
-
+    lo, hi, mapped, err = _resolve(f, edges, cfg.abs_tol, label)
+    total = _cosine_panels(lo, hi, mapped, taus.ravel()).reshape(taus.shape)
     bad = err > 50.0 * np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
-    err = np.full(flat.shape, err)
     if bad.any():
-        i = int(np.argmax(bad))
-        raise QuadratureError(
-            f"{label}: quadrature did not converge (error bound {err[i]:.3e}, "
-            f"estimate {total[i]:.6e})",
-            estimate=float(total[i]),
-            error_bound=float(err[i]),
-        )
+        worst = float(total.flat[np.argmax(bad)])
+        raise QuadratureError(f"{label}: quadrature did not converge (error bound {err:.3e}, "
+                              f"estimate {worst:.6e})", estimate=worst, error_bound=err)
     if taus.ndim == 0:
-        return float(total[0]), float(err[0])
-    return total.reshape(taus.shape), err.reshape(taus.shape)
+        return float(total), err
+    return total, np.full(taus.shape, err)

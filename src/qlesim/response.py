@@ -36,9 +36,9 @@ def _half_amplitude(bath: BathSpec) -> float:
 
 
 def _over(re, den, w):
-    """re / den, or DomainError where den, |1/alpha|^2, is 0."""
+    """re / den, or DomainError where den, |1/alpha| or its square, is 0."""
     if not den.all():
-        raise DomainError(f"loss at omega = {w[den == 0.0].flat[0]!r}: |1/alpha|^2 is 0")
+        raise DomainError(f"loss at omega = {w[den == 0.0].flat[0]!r}: |1/alpha| is 0")
     return re / den
 
 
@@ -67,7 +67,7 @@ class Susceptibility:
         and nonnegative, it is the natural integrand factor of every
         fluctuation integral; dividing out w analytically avoids the 0/0 at
         the origin.  The bound-state delta is not included.  Raises
-        DomainError where |1/alpha|^2 is 0 in floating point, as for a free
+        DomainError where |1/alpha| is 0 in floating point, as for a free
         particle on either bath at w = 0.
         """
         m, w02 = self.system.mass, self.system.omega0**2
@@ -89,9 +89,9 @@ class Susceptibility:
                 inside = np.abs(w) < cut
                 x = np.where(inside, np.abs(w), 0.0)
                 im = np.copysign(k, w) * np.log((cut + x) / (cut - x))
-                with np.errstate(over="ignore"):
-                    d, e = m * (w02 - w * w) + w * im, w * re
-                    return _over(re, np.where(inside, d * d + e * e, math.inf), w)
+                with np.errstate(over="ignore"):  # hypot: |1/alpha|^2 overflows at large m
+                    h = np.where(inside, np.hypot(m * (w02 - w * w) + w * im, w * re), math.inf)
+                    return _over(re, h, w) / h
 
         return loss
 

@@ -131,6 +131,21 @@ class TestEnergy:
             i = header.index(column)
             assert rows[0, i] == pytest.approx(unit[0, i], rel=1e-7), column
 
+    def test_slow_pole_on_a_matsubara_frequency(self, capsys):
+        # at gamma = 2.2198... w0 the slow pole sits on 2 pi kB T / hbar, where
+        # the closed-form term and the remainder cancel; exit 0 printed
+        # Ep = 1.98943678865 and Ek = 28.0112699842
+        code, out, err = run_cli(["energy", "--omega0", "10", "--gammas",
+                                  "2.219867961636912"], capsys)
+        if code == 2:
+            assert out == "" and err.startswith("numeric failure: ")
+            assert len(err.splitlines()) == 1
+        else:  # the direct QUADPACK values at omega_max = 1000
+            assert code == 0
+            header, rows = data_rows(out)
+            assert rows[0, header.index("Ep")] == pytest.approx(3.28387414614, rel=1e-9)
+            assert rows[0, header.index("Ek")] == pytest.approx(28.0516590443, rel=1e-9)
+
 
 class TestEnsembleCommands:
     def test_sde_reproducible_bytes(self, capsys):
@@ -394,6 +409,26 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: the square of mass")
         assert len(err.splitlines()) == 1
+
+    def test_microbath_large_mass_rows_scale(self, capsys):
+        # the cutoff loss squared |1/alpha| ~ m w^2, which overflowed at m =
+        # 1e150 above w ~ 100: the gle_moment_v2 reference read 1.19164987544e-150
+        # and x2 1.08108508502e-150, where the unit-mass run gives 1.20829258435
+        # and 1.08108581793
+        args = ["microbath", "--cutoff", "200", "--gamma", "0.1", "--modes", "20",
+                "--realizations", "64"]
+
+        def moments(out):
+            return [[float(c) for c in line.split(",")[1:]]
+                    for line in out.splitlines() if line.startswith("gle_moment")]
+
+        unit = np.array(moments(run_cli(args, capsys)[1]))
+        code, out, err = run_cli([*args, "--mass", "1e150"], capsys)
+        assert (code, err) == (0, "")
+        heavy = np.array(moments(out))
+        assert unit.shape == heavy.shape == (2, 4)
+        np.testing.assert_array_equal(heavy[:, 0], unit[:, 0])  # the times
+        np.testing.assert_allclose(heavy[:, 1:], 1e-150 * unit[:, 1:], rtol=1e-9)
 
     @pytest.mark.parametrize("mass", ("1e150", "1e-150"))
     @pytest.mark.parametrize("command", ("sde", "rwa"))

@@ -2,8 +2,12 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from scipy.optimize import brentq
 from scipy.special import polygamma, psi
 
 from qlesim.bath import BathSpec, SystemSpec
-from qlesim.errors import DomainError, UVDivergenceError
+from qlesim.errors import DomainError, QuadratureError, UVDivergenceError
 from qlesim.quadrature import QuadratureConfig, integrate_cosine
 from qlesim.response import Susceptibility
 from qlesim import fdt, microbath
@@ -117,11 +121,13 @@ class TestDimensionalDensities:
         np.testing.assert_allclose(dimensional, dimensionless, atol=1e-14, rtol=1e-12)
 
     def test_dimensional_normalization(self):
-        # P_k(w) = (2 m / pi) w^2 L(w) integrates to 1 over [0, inf)
+        # P_k(w) = (2 m / pi) w^2 L(w) integrates to 1 over [0, inf); above
+        # 2 w0, L <= (16/9) gamma w^-4, so the tail beyond 1e7 is below
+        # (2/pi) (16/9) 0.45 / 1e7 < 6e-8
         loss = Susceptibility(SystemSpec(omega0=1.5), BathSpec.strict_ohmic(0.45)).loss
         val, _ = integrate_cosine(
-            lambda w: (2.0 / math.pi) * w * w * loss(w), [0.0, 1.5, 10.5, 19.5],
-            QuadratureConfig(), tail_to_inf=True, label="P_k normalization",
+            lambda w: (2.0 / math.pi) * w * w * loss(w),
+            [0.0, 1.5, 10.5, 19.5, 1e3, 1e5, 1e7], QuadratureConfig(), label="P_k normalization",
         )
         assert val == pytest.approx(1.0, abs=1e-6)
 
@@ -284,13 +290,17 @@ def strict_ohmic_position_variance(sys_, gamma):
     """C_x(0) = (kT/m) [1/w0^2 + 2 sum_{n>=1} 1/(nu_n^2 + gamma nu_n + w0^2)],
     nu_n = n nu, nu = 2 pi kT / hbar, summed in digamma form: with
     x, y = (gamma/2 +- sqrt(gamma^2/4 - w0^2)) / nu the sum is
-    Re[(psi(1 + x) - psi(1 + y)) / ((x - y) nu^2)].
+    Re[(psi(1 + x) - psi(1 + y)) / ((x - y) nu^2)], and psi'(1 + x) / nu^2
+    where x = y, at gamma = 2 w0.
     """
     kt = sys_.kB * sys_.temperature
     nu = 2.0 * math.pi * kt / sys_.hbar
     root = cmath.sqrt(0.25 * gamma**2 - sys_.omega0**2)
     x, y = (0.5 * gamma + root) / nu, (0.5 * gamma - root) / nu
-    series = (psi(1.0 + x) - psi(1.0 + y)) / ((x - y) * nu**2)
+    if x == y:
+        series = polygamma(1, 1.0 + x.real) / nu**2
+    else:
+        series = (psi(1.0 + x) - psi(1.0 + y)) / ((x - y) * nu**2)
     return kt / sys_.mass * (1.0 / sys_.omega0**2 + 2.0 * series.real)
 
 
@@ -488,6 +498,83 @@ class TestStrictOhmicResonance:
         want = geometric_panels_strict_ohmic(300.0, velocity=True)
         assert want == pytest.approx(119.090068658, rel=1e-11)
         assert got == pytest.approx(want, rel=cfg.rel_tol)
+
+
+UNBOUNDED_GAMMAS = (1e-6, 1e-3, 0.1, 0.9, 1.0, 1.1, 2.0, 2.5, 10.0, 1e3, 1e5)
+UNBOUNDED_TEMPS = (0.01, 0.1, 1.0, 10.0, 100.0)
+
+UNBOUNDED_PROBE = """
+import sys
+from qlesim import fdt
+from qlesim.bath import BathSpec, SystemSpec
+for tau in (0.0, 7.3):
+    fdt.position_correlation(tau, SystemSpec(), BathSpec.strict_ohmic(0.1))
+fdt.density_normalization("p", 0.1)
+print("scipy.integrate" in sys.modules)
+"""
+
+
+class TestUnboundedUpperLimit:
+    """omega_max = None and window = inf stand for a finite upper limit whose
+    omitted tail of L h is below abs_tol, on the one panel path."""
+
+    @pytest.mark.parametrize("temp", UNBOUNDED_TEMPS)
+    @pytest.mark.parametrize("gamma", UNBOUNDED_GAMMAS)
+    def test_position_variance_matches_digamma(self, gamma, temp):
+        sys_ = SystemSpec(temperature=temp)
+        bath = BathSpec.strict_ohmic(gamma)
+        c0 = fdt.position_correlation(0.0, sys_, bath)
+        assert c0 == pytest.approx(strict_ohmic_position_variance(sys_, gamma), rel=1e-9)
+        assert abs(fdt.position_correlation(7.3, sys_, bath)) <= c0
+
+    def test_no_quadpack_in_a_fresh_interpreter(self):
+        # an unbounded limit went to scipy.integrate.quad, one tau at a time
+        src = str(Path(fdt.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", UNBOUNDED_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
+# at w0 = 10 and kB T = hbar = 1 the slow pole kappa of gamma > 2 w0 sits on the
+# first Matsubara frequency nu = 2 pi at gamma = w0^2 / nu + nu, where the weight
+# kappa cot(kappa / 2) of its closed-form term is infinite
+GAMMA_ON_MATSUBARA = 100.0 / (2.0 * math.pi) + 2.0 * math.pi
+
+
+class TestSlowPoleOnMatsubaraFrequency:
+    """Near the collision the closed-form term and the remainder cancel, e.g.
+    5e14 against 0.06: right to rel_tol of the value, or QuadratureError."""
+
+    @staticmethod
+    def oracles(delta):
+        sys_ = SystemSpec(omega0=10.0)
+        gamma = GAMMA_ON_MATSUBARA * (1.0 + delta)
+        return sys_, BathSpec.strict_ohmic(gamma), [
+            (None, 0.0, strict_ohmic_position_variance(sys_, gamma)),
+            (1e3, 0.0, direct_strict_ohmic(0.0, sys_, gamma, 1e3, False)),
+            (1e3, 1.0, direct_strict_ohmic(1.0, sys_, gamma, 1e3, False))]
+
+    @pytest.mark.parametrize("delta", (0.0, 1e-12, 1e-9))
+    def test_at_the_collision_matches_or_raises(self, delta):
+        # C_x(0) read 0.0397887 for 0.0328423 at delta = 0, still 9e-6 off at
+        # 1e-12 and 1.6e-8 at 1e-9; C_x(1) read 0.0159 for -1.67e-4
+        sys_, bath, cells = self.oracles(delta)
+        for omega_max, tau, want in cells:
+            try:
+                got = fdt.position_correlation(tau, sys_, bath,
+                                               QuadratureConfig(omega_max=omega_max))
+            except QuadratureError:
+                continue
+            assert got == pytest.approx(want, rel=1e-8), (omega_max, tau)
+
+    @pytest.mark.parametrize("delta", (1e-7, -1e-7, 1e-3))
+    def test_near_the_collision_matches(self, delta):
+        sys_, bath, cells = self.oracles(delta)
+        for omega_max, tau, want in cells[:2]:  # C_x(1) is 1e-4 of C_x(0) there
+            got = fdt.position_correlation(tau, sys_, bath, QuadratureConfig(omega_max=omega_max))
+            assert got == pytest.approx(want, rel=1e-9), omega_max
 
 
 # cutoff-Ohmic baths (gamma, cutoff); the last has its cutoff below omega0,

@@ -102,20 +102,19 @@ class TestConfig:
 
 class TestIntegratePanels:
     def test_plain_gaussian(self):
+        # Int_0^inf e^-x^2 dx; the tail beyond 6 is below e^-36 / 12 < 2e-17
         cfg = QuadratureConfig()
         val, err = integrate_cosine(
-            lambda x: np.exp(-x * x), [0.0, 1.0, 3.0], cfg, tail_to_inf=True,
-            label="gaussian",
+            lambda x: np.exp(-x * x), [0.0, 1.0, 3.0, 6.0], cfg, label="gaussian",
         )
         assert val == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-10)
         assert err < 1e-8
 
     def test_cosine_weight(self):
-        # Int_0^inf e^-x cos(2x) dx = 1/5
+        # Int_0^inf e^-x cos(2x) dx = 1/5; the tail beyond 40 is below e^-40 < 5e-18
         cfg = QuadratureConfig()
         val, _ = integrate_cosine(
-            lambda x: np.exp(-x), [0.0, 2.0, 10.0], cfg, 2.0,
-            tail_to_inf=True, label="lorentz line",
+            lambda x: np.exp(-x), [0.0, 2.0, 10.0, 40.0], cfg, 2.0, label="lorentz line",
         )
         assert val == pytest.approx(0.2, rel=1e-8)
 
