@@ -137,10 +137,10 @@ def density_moment(which, order, damping, window=DEFAULT_MOMENT_WINDOW,
     if math.isinf(window):
         window = _finite_upper(1.0, damping, 2.0 / math.pi, n, cfg.abs_tol)
     susc = Susceptibility(SystemSpec(), BathSpec.strict_ohmic(damping))
-    return _pole_pair_integral(
+    return float(_pole_pair_integral(
         lambda x: (2.0 / math.pi) * x**n * susc.loss(x), lambda z: (2.0 / math.pi) * z**n,
         susc.resonance_pole(), 0.0, _octaves(1.0, 0.25, window), cfg,
-        f"P_{which} moment {order}")
+        f"P_{which} moment {order}"))
 
 
 def _exp_e1(z, scaled):

@@ -18,12 +18,13 @@ is not stepped: the oscillator and its modes (with the counterterm) form
 one quadratic Hamiltonian, whose normal modes give x(t) and v(t) exactly at
 any time (Ford, Kac & Mazur 1965; Ullersma 1966), with the same displaced
 preparation q_j(0) = s_j + c_j x(0) / (m_j w_j^2).  The (N+1) x (N+1)
-mass-weighted Hessian is an arrowhead matrix: its eigenvalues are the roots
-of a secular equation, one between each two adjacent squared mode
-frequencies, and each eigenvector is a closed form in its root, so the
-normal modes cost O(N^2) time (Gu & Eisenstat, SIAM J. Matrix Anal. Appl.
-16, 172 (1995); Jakovcevic Stor, Slapnicar & Barlow, Linear Algebra Appl.
-464 (2015)).
+mass-weighted Hessian is an arrowhead matrix, C^T C for a C whose singular
+values, the normal-mode frequencies, are the roots of a secular equation,
+one between each two adjacent mode frequencies: LAPACK's dlasd4 finds each
+in O(N) (R.-C. Li, LAPACK Working Note 89 (1993)).  Each eigenvector is a
+closed form in its root, so the normal modes cost O(N^2) time (Gu &
+Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995); Jakovcevic Stor,
+Slapnicar & Barlow, Linear Algebra Appl. 464 (2015)).
 
 So f(t), x(t) and v(t) at any time are each mean + row @ z, where z holds
 a realization's 2N standard normals (the s normals first) and the row
@@ -151,115 +152,58 @@ def _noise_rows(modes: ModeSet, system: SystemSpec, times):
                       np.sin(phases) * (modes.coupling / (modes.mass * modes.omega) * sd_p)))
 
 
-# iterations of :func:`_secular_roots` before it raises, and the roots it iterates together
-_SECULAR_ITERATIONS, _ROOT_BLOCK = 50, 64
+# the roots whose eigenvectors :func:`_arrowhead_eigen` builds together
+_ROOT_BLOCK = 64
 
 
-def _secular_roots(alpha, w, d):
-    """(p, tau) with the roots lam = p + tau of the secular equation
-    alpha - lam - sum_j w_j / (d_j - lam) = 0 for strictly increasing poles d
-    and positive weights w.
+def _secular_roots(w0, z, sd):
+    """(p, tau) with the roots W = p + tau of the secular equation
+    1 - w0^2 / W^2 + sum_j z_j^2 / (sd_j^2 - W^2) = 0 for strictly increasing
+    positive sd and positive z: the singular values of [[w0, 0], [z, diag(sd)]].
 
-    One root lies below d_0, one in each gap and one above d_{n-1}.  Each
-    is solved for as tau = lam - p from its nearer pole p, so that
-    d_j - lam = (d_j - p) - tau keeps its relative accuracy next to p; an
-    inner root starts at the midpoint of its gap, where the function's sign
-    picks p.  A step goes to the root of a - w_p / tau + S / (f - tau), which
-    keeps the near pole's weight exact and matches value and slope with a
-    and the weight S of the gap's other end f (the fixed-weight method), or
-    bisects when that leaves the sign bracket.  A root has converged when
-    the function is below its rounding error or the step below the
-    resolution of tau.
-
-    A block of roots iterates on two (block, N) buffers.  One holds d - p:
-    it is filled when the block starts, once more after the first iteration
-    moves roots to their upper poles, and when converged roots leave.  The
-    other holds the reciprocals 1 / (d - lam), written as (d - p) - tau and
-    inverted in place.  The sums of w / (d - lam), of w / |d - lam| (after
-    an in-place abs) and of w / (d - lam)^2 without the near pole's term
-    (zeroed, then squared in place) are each one row-ordered einsum over
-    it.  An einsum sums a row the same way whatever rows sit beside it; a
-    BLAS product does not, and would make the roots depend on the block.
+    They are those of diag(0, sd)^2 + y y^T, y = (w0, z), and LAPACK's dlasd4
+    solves for each one (R.-C. Li, LAPACK Working Note 89 (1993)), returning
+    every pole less W to full relative accuracy.  p is the nearer pole and
+    tau = W - p, so that sd_j - W = (sd_j - p) - tau keeps its relative
+    accuracy next to p.  At w0 = 0 the first root is W = 0 exactly, and the
+    others are those of the problem without the pole at 0.
     """
-    n, eps = d.size, np.finfo(float).eps
-    spread = math.sqrt(w.sum())
-    # root k lies in (ends[k], ends[k + 1]); the outer ends bound the spectrum
-    ends = np.concatenate(([min(alpha, d[0]) - spread], d, [max(alpha, d[-1]) + spread]))
-    k = np.arange(n + 1)
-    gap = ends[k + 1] - ends[k]
-    near = np.maximum(k - 1, 0)
-    shift = d[near]
-    lo, hi = ends[k] - shift, ends[k + 1] - shift
-    far = np.where(k > 0, hi, lo)
-    # the outer ends are bounds, not poles: the model's far pole goes beyond them
-    far[[0, n]] *= 2.0
-    tau, unconverged = 0.5 * (lo + hi), 0
-    # two arrays, not one of twice the size: freeing a larger array raises
-    # malloc's mmap threshold, and later temporaries then stay resident in
-    # the heap (one (2, 128, N) array added 0.9 MB of peak RSS at N = 1000)
-    shape = (min(_ROOT_BLOCK, n + 1), n)
-    poles, recip = np.empty(shape), np.empty(shape)
-    for act in np.split(k, range(_ROOT_BLOCK, n + 1, _ROOT_BLOCK)):
-        for it in range(_SECULAR_ITERATIONS):
-            t = tau[act]
-            if it < 2 or act.size < len(diff):
-                # d - p, again once iteration 0 has moved poles or roots have left
-                diff = np.subtract(d, shift[act, None], out=poles[:act.size])
-            r = np.subtract(diff, t[:, None], out=recip[:act.size])
-            np.reciprocal(r, out=r)
-            g = t - (alpha - shift[act]) + np.einsum("ij,j->i", r, w)
-            bound = np.einsum("ij,j->i", np.abs(r, out=r), w)
-            live = np.abs(g) > 8.0 * eps * (np.abs(alpha - shift[act]) + np.abs(t) + bound)
-            if not it:
-                # an inner root above its gap's midpoint is solved for from the upper pole
-                up = live & (g < 0) & (act > 0) & (act < n)
-                sel = act[up]
-                shift[sel], near[sel], far[sel], lo[sel], hi[sel] = (
-                    ends[sel + 1], sel, -gap[sel], -0.5 * gap[sel], 0.0)
-                t = np.where(up, -0.5 * gap[act], t)
-            r[np.arange(act.size), near[act]] = 0.0
-            slope = np.einsum("ij,j->i", np.square(r, out=r), w)
-            if not live.all():
-                act, t, g, slope = act[live], t[live], g[live], slope[live]
-            lo[act] = np.where(g < 0, t, lo[act])
-            hi[act] = np.where(g > 0, t, hi[act])
-            near_w, d_near, d_far = w[near[act]], -t, far[act] - t
-            far_w = (1.0 + slope) * d_far**2
-            a = g - near_w / d_near - far_w / d_far
-            # the model's root t + eta: a eta^2 - bb eta + c = 0, eta between d_near and d_far
-            bb, c = a * (d_near + d_far) + near_w + far_w, d_near * d_far * g
-            q = bb + np.copysign(np.sqrt(np.maximum(bb * bb - 4.0 * a * c, 0.0)), bb)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = 2.0 * c / q
-                step = np.where((step - d_near) * (step - d_far) < 0, step, q / (2.0 * a))
-            small = np.abs(step) <= 2.0 * eps * np.abs(t)
-            new = t + step
-            new = np.where(small | ((new > lo[act]) & (new < hi[act])), new,
-                           0.5 * (lo[act] + hi[act]))
-            tau[act] = new
-            act = act[~small & (np.abs(new - t) > 2.0 * eps * np.abs(t))]
-            if not act.size:
-                break
-        unconverged += act.size
+    from scipy.linalg.lapack import dlasd4  # here, so `import qlesim` needs numpy alone
+
+    roots = np.zeros((2, sd.size + 1))
+    poles, y = (np.concatenate(([0.0], sd)), np.concatenate(([w0], z))) if w0 else (sd, z)
+    n, unconverged = poles.size, 0
+    for k in range(n):
+        # y as it is with rho = 1: a unit y with rho = |y|^2 puts the top root
+        # 1e-12 of the scale off where |y|^2 far exceeds the top pole
+        delta, sigma, _, info = dlasd4(k, poles, y)
+        unconverged += info != 0
+        near = k + 1 if k + 1 < n and abs(delta[k + 1]) < abs(delta[k]) else k
+        # one pole: LAPACK leaves DELTA = 1, and sigma^2 - p^2 = y^2
+        roots[:, k - n] = poles[near], -delta[near] if n > 1 else y[0]**2 / (sigma + poles[0])
     if unconverged:
-        raise ConvergenceError(f"secular equation: {unconverged} of {n + 1} normal modes "
-                               f"unconverged after {_SECULAR_ITERATIONS} iterations")
-    return shift, tau
+        raise ConvergenceError(f"secular equation: {unconverged} of {n} normal modes unconverged")
+    return roots
 
 
-def _arrowhead_eigen(alpha, b, d):
-    """Ascending eigenvalues of the symmetric arrowhead matrix [[alpha, b^T], [b, diag(d)]]
-    and a function yielding its orthonormal eigenvectors, (u0[i], u[i]) of rank ranks[i],
-    as (ranks, u0, u) blocks of at most ``_ROOT_BLOCK`` built from O(N) data.
+def _arrowhead_eigen(w0, b, d):
+    """Ascending eigenvalues of the symmetric arrowhead matrix [[alpha, b^T], [b, diag(d)]],
+    alpha = w0^2 + sum_j b_j^2 / d_j for positive d, and a function yielding its
+    orthonormal eigenvectors, (u0[i], u[i]) of rank ranks[i], as (ranks, u0, u)
+    blocks of at most ``_ROOT_BLOCK`` built from O(N) data.
 
-    A coupling that is zero to rounding leaves (d_j, e_j) an eigenpair.  Each
-    run of coupled equal poles acts as one pole of weight |b_run|^2, plus
-    decoupled eigenvectors orthogonal to b_run; these few come first.  The
-    rest are the roots lam of the secular equation (:func:`_secular_roots`),
-    with eigenvectors proportional to (1, b / (lam - d)).
+    The matrix is C^T C for C = [[w0, 0], [b / sqrt(d), diag(sqrt(d))]], so its
+    eigenvalues are the squared singular values W^2 of C; w0 is taken in place
+    of alpha, whose alpha - sum_j b_j^2 / d_j would cancel.  A coupling that is
+    zero to rounding leaves (d_j, e_j) an eigenpair.  Each run of coupled equal
+    poles acts as one pole of weight |b_run|^2, plus decoupled eigenvectors
+    orthogonal to b_run; these few come first.  The rest are the roots W of
+    the secular equation (:func:`_secular_roots`), with eigenvectors
+    proportional to (1, b / (W^2 - d)), where d_j - W^2 = ((sqrt(d_j) - p) - tau)
+    (sqrt(d_j) + W) keeps its relative accuracy next to the root's pole p.
     """
-    n = d.size
-    tol = 8.0 * np.finfo(float).eps * (max(abs(alpha), np.abs(d).max()) + np.linalg.norm(b))
+    n, sd = d.size, np.sqrt(d)
+    tol = 8.0 * np.finfo(float).eps * (max(w0 * w0 + b @ (b / d), d.max()) + np.linalg.norm(b))
     free = np.abs(b) <= tol
     b = np.where(free, 0.0, b)
     coupled = np.argsort(d, kind="stable")
@@ -267,10 +211,10 @@ def _arrowhead_eigen(alpha, b, d):
     first = np.flatnonzero(np.diff(d[coupled], prepend=-np.inf) > tol)
     size = np.diff(first, append=coupled.size)
     runs = [coupled[f:f + k] for f, k in zip(first, size) if k > 1]
-    shift, tau = (_secular_roots(alpha, np.add.reduceat(b[coupled] ** 2, first), d[coupled[first]])
-                  if coupled.size else (np.empty(0), np.empty(0)))
-    vals = np.concatenate((d[free], *(np.full(run.size - 1, d[run[0]]) for run in runs),
-                           shift + tau if coupled.size else [alpha]))
+    poles = sd[coupled[first]]
+    shift, tau = _secular_roots(w0, np.sqrt(np.add.reduceat(b[coupled] ** 2, first)) / poles, poles)
+    freq = shift + tau
+    vals = np.concatenate((d[free], *(np.full(run.size - 1, d[run[0]]) for run in runs), freq**2))
     # eigenpair i has rank row[i] in ascending order
     rank = np.argsort(vals, kind="stable")
     row = np.empty_like(rank)
@@ -282,20 +226,19 @@ def _arrowhead_eigen(alpha, b, d):
         deflated[col:col + run.size - 1, 1 + run] = (
             np.linalg.qr(b[run, None], "complete")[0][:, 1:].T)
         col += run.size - 1
-    if not coupled.size:
-        deflated[col, 0] = 1.0
 
     def vectors():
         yield row[:len(deflated)], deflated[:, 0].copy(), deflated[:, 1:].copy()
         for j in range(0, shift.size, _ROOT_BLOCK):  # (block, N) temporaries
             roots = slice(j, j + _ROOT_BLOCK)
-            ratio = d - shift[roots, None]
+            ratio = sd - shift[roots, None]
             ratio -= tau[roots, None]
+            ratio *= sd + freq[roots, None]
             with np.errstate(divide="ignore", invalid="ignore"):
                 np.divide(b, ratio, out=ratio)
             # a decoupled mode has no part in a coupled eigenvector, even on its root
             ratio[:, free] = 0.0
-            u0 = 1.0 / np.sqrt(1.0 + (ratio * ratio).sum(1))
+            u0 = 1.0 / np.sqrt(1.0 + np.einsum("ij,ij->i", ratio, ratio))
             ratio *= -u0[:, None]
             yield row[len(deflated):][roots], u0, ratio
 
@@ -330,8 +273,7 @@ class _NormalModes:
     def __init__(self, modes: ModeSet, system: SystemSpec):
         root = np.sqrt(np.concatenate(([system.mass], modes.mass)))
         eigval, self._vectors = _arrowhead_eigen(
-            system.omega0**2 + modes.kernel_weights().sum() / system.mass,
-            -modes.coupling / (root[0] * root[1:]), modes.omega**2)
+            system.omega0, -modes.coupling / (root[0] * root[1:]), modes.omega**2)
         self.freq = np.sqrt(np.clip(eigval, 0.0, None))
         sd_s, sd_p = np.sqrt(thermal_variances(modes, system))
         self._root, self._sd_s, self._sd_p = root, sd_s, sd_p / modes.mass

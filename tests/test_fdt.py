@@ -95,6 +95,11 @@ class TestDensities:
                     dev = abs(fdt.density_moment(which, order, damping) - 1.0)
                     assert dev <= 10.0 * damping, (which, order, damping, dev)
 
+    def test_moments_are_python_floats(self):
+        # as the correlations are at a float tau, not 0-d numpy values
+        assert type(fdt.density_normalization("p", 0.1)) is float
+        assert type(fdt.density_moment("k", 1, 0.1)) is float
+
     def test_moment_requires_window_beyond_peak(self):
         with pytest.raises(DomainError):
             fdt.density_moment("k", 1, 0.1, window=0.5)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, lapack
 
 from qlesim.bath import BathSpec, ModeSet, SystemSpec, discretize_bath
 from qlesim.errors import (ConvergenceError, DomainError, UnstableIntegrationError,
@@ -538,11 +538,11 @@ def eigh_normal_modes(modes, sys_, monkeypatch):
         return mb._NormalModes(modes, sys_)
 
 
-def arrowhead_dense(alpha, b, d):
+def arrowhead_dense(w0, b, d):
     """(vals, vecs) of :func:`mb._arrowhead_eigen`, its blocks of eigenvectors
     gathered into the rows of vecs; each block is at most ``_ROOT_BLOCK``
     rows and each rank comes once."""
-    vals, vectors = mb._arrowhead_eigen(alpha, b, d)
+    vals, vectors = mb._arrowhead_eigen(w0, b, d)
     vecs, seen = np.empty((vals.size, vals.size)), []
     for ranks, u0, u in vectors():
         assert ranks.size <= mb._ROOT_BLOCK
@@ -576,6 +576,12 @@ SECULAR_CASES = {
     "hand_made": (SystemSpec(omega0=0.7), lambda: ModeSet(
         omega=[2.0, 0.5, 1.2, 0.5, 3.0, 0.5, 0.9], mass=[1.0, 2.0, 0.5, 1.5, 1.0, 0.8, 1.2],
         coupling=[0.3, 0.2, 0.0, -0.4, 0.1, 0.25, 0.35])),
+    # one-pole secular problems, where LAPACK leaves no root in its DELTA:
+    # the oscillator alone at its own w0, and a zero eigenvalue beside one coupled mode
+    "uncoupled": (SystemSpec(omega0=1.3), lambda: ModeSet(
+        omega=[1.0, 2.0], mass=[1.0, 1.0], coupling=[0.0, 0.0])),
+    "free_one_mode": (SystemSpec(omega0=0.0), lambda: ModeSet(
+        omega=[0.8, 1.5], mass=[1.0, 1.2], coupling=[0.3, 0.0])),
 }
 
 
@@ -610,43 +616,29 @@ class TestSecularEquation:
     def test_eigenvectors_orthonormal(self, case):
         sys_, build = SECULAR_CASES[case]
         weighted, _ = mass_weighted_hessian(build(), sys_)
-        vals, vecs = arrowhead_dense(weighted[0, 0], weighted[0, 1:], np.diag(weighted)[1:])
+        vals, vecs = arrowhead_dense(sys_.omega0, weighted[0, 1:], np.diag(weighted)[1:])
         assert np.all(np.diff(vals) >= 0)
         assert np.max(np.abs(vecs @ vecs.T - np.eye(vals.size))) < 1e-13
         scale = np.max(np.abs(vals))
         assert np.max(np.abs(vecs @ weighted @ vecs.T - np.diag(vals))) < 1e-13 * scale
 
     def test_wide_scales_match_eigh(self):
-        # poles over six decades and couplings over eight: the rational step
-        # often leaves its sign bracket there, and bisection takes over
+        # poles over six decades, couplings over eight and w0 over six, with
+        # alpha = w0^2 + sum b^2 / d: the positive-semidefinite arrowheads, the
+        # only ones a Hessian can be
         rng = np.random.default_rng(3)
         for _ in range(30):
             d = rng.random(50) * 10.0 ** rng.integers(-3, 4, 50)
             b = rng.standard_normal(50) * 10.0 ** rng.uniform(-6, 2, 50)
-            alpha = rng.standard_normal() * 10.0 ** rng.uniform(-3, 3)
-            matrix = np.diag(np.concatenate(([alpha], d)))
+            w0 = abs(rng.standard_normal()) * 10.0 ** rng.uniform(-3, 3)
+            matrix = np.diag(np.concatenate(([w0**2 + np.sum(b**2 / d)], d)))
             matrix[0, 1:] = matrix[1:, 0] = b
-            vals, vecs = arrowhead_dense(alpha, b, d)
+            vals, vecs = arrowhead_dense(w0, b, d)
             scale = np.max(np.abs(vals))
             np.testing.assert_allclose(vals, np.linalg.eigvalsh(matrix), rtol=0,
                                        atol=1e-14 * scale)
             assert np.max(np.abs(vecs @ vecs.T - np.eye(51))) < 1e-13
             assert np.max(np.abs(vecs @ matrix @ vecs.T - np.diag(vals))) < 1e-14 * scale
-
-    @pytest.mark.parametrize("case", ("criterion6", "hand_made"))
-    def test_blocked_roots_equal_one_block(self, case, monkeypatch):
-        # a root's arithmetic, row sums included, does not depend on the
-        # roots iterated with it
-        sys_, build = SECULAR_CASES[case]
-        modes, solves, solve = build(), [], mb._secular_roots
-        monkeypatch.setattr(mb, "_secular_roots",
-                            lambda *args: solves.append(solve(*args)) or solves[-1])
-        for block in (3, 128, modes.count + 1):
-            monkeypatch.setattr(mb, "_ROOT_BLOCK", block)
-            mb._NormalModes(modes, sys_)
-        for shift, tau in solves[:-1]:
-            np.testing.assert_array_equal(shift, solves[-1][0])
-            np.testing.assert_array_equal(tau, solves[-1][1])
 
     @pytest.mark.parametrize("case", ("criterion6", "hand_made"))
     def test_response_does_not_depend_on_the_block(self, case, monkeypatch):
@@ -663,12 +655,12 @@ class TestSecularEquation:
                                            atol=1e-14 * np.max(np.abs(want)))
 
     def test_root_temporaries_are_one_block(self):
-        # two (64, N) buffers: 2.4 MB at N = 2000, where a single block
-        # of all N + 1 roots peaks at 65 MB
+        # the roots come one at a time on O(N) arrays, and the eigenvectors
+        # wait for their (64, N) blocks: one (N + 1, N) array of all the
+        # roots' pole differences would be 32 MB at N = 2000
         sys_, (_, modes) = SystemSpec(), make_bath(0.5, 3.0, 2000)
-        alpha = sys_.omega0**2 + modes.kernel_weights().sum() / sys_.mass
-        weights = modes.coupling**2 / (sys_.mass * modes.mass)
-        assert traced_peak(lambda: mb._secular_roots(alpha, weights, modes.omega**2)) < 24e6
+        b = -modes.coupling / np.sqrt(sys_.mass * modes.mass)
+        assert traced_peak(lambda: mb._arrowhead_eigen(sys_.omega0, b, modes.omega**2)) < 24e6
 
     def test_pass_memory_linear_in_modes(self, monkeypatch):
         # O(N) normal modes and (2N, 64) draw tiles: four times the modes at
@@ -677,20 +669,14 @@ class TestSecularEquation:
         assert large <= 4.5 * small, (small, large)
 
     def test_unconverged_roots_raise(self, monkeypatch, capsys):
-        # one iteration cannot converge the criterion-6 bath: the call
-        # raises, and the CLI exits with the numeric-failure code
-        monkeypatch.setattr(mb, "_SECULAR_ITERATIONS", 1)
+        # LAPACK reporting one root unconverged: the call raises, and the CLI
+        # exits with the numeric-failure code
+        solve = lapack.dlasd4
+        monkeypatch.setattr(lapack, "dlasd4",
+                            lambda k, *args: (*solve(k, *args)[:3], int(k == 7)))
         _, modes = make_bath(0.5, 3.0, 1000)
-        with pytest.raises(ConvergenceError, match="unconverged"):
+        with pytest.raises(ConvergenceError, match="1 of 1001 normal modes unconverged"):
             mb._NormalModes(modes, SystemSpec())
-        # the count covers every block, as one block of all the roots counts it
-        counts = []
-        for block in (128, modes.count + 1):
-            monkeypatch.setattr(mb, "_ROOT_BLOCK", block)
-            with pytest.raises(ConvergenceError, match="unconverged") as err:
-                mb._NormalModes(modes, SystemSpec())
-            counts.append(int(str(err.value).split()[2]))
-        assert counts[0] == counts[1] > 128
         assert cli.main(["microbath", "--modes", "50", "--realizations", "64"]) == cli.EXIT_NUMERIC
         assert "numeric failure" in capsys.readouterr().err
 
