@@ -209,8 +209,7 @@ def _arrowhead_eigen(w0, b, d):
     coupled = np.argsort(d, kind="stable")
     coupled = coupled[~free[coupled]]
     first = np.flatnonzero(np.diff(d[coupled], prepend=-np.inf) > tol)
-    size = np.diff(first, append=coupled.size)
-    runs = [coupled[f:f + k] for f, k in zip(first, size) if k > 1]
+    runs = [coupled[f:f + k] for f, k in zip(first, np.diff(first, append=coupled.size)) if k > 1]
     poles = sd[coupled[first]]
     shift, tau = _secular_roots(w0, np.sqrt(np.add.reduceat(b[coupled] ** 2, first)) / poles, poles)
     freq = shift + tau
@@ -229,11 +228,12 @@ def _arrowhead_eigen(w0, b, d):
 
     def vectors():
         yield row[:len(deflated)], deflated[:, 0].copy(), deflated[:, 1:].copy()
+        plus = np.empty((min(_ROOT_BLOCK, shift.size), n))  # sd + W of a block
         for j in range(0, shift.size, _ROOT_BLOCK):  # (block, N) temporaries
             roots = slice(j, j + _ROOT_BLOCK)
             ratio = sd - shift[roots, None]
             ratio -= tau[roots, None]
-            ratio *= sd + freq[roots, None]
+            ratio *= np.add(sd, freq[roots, None], out=plus[:ratio.shape[0]])
             with np.errstate(divide="ignore", invalid="ignore"):
                 np.divide(b, ratio, out=ratio)
             # a decoupled mode has no part in a coupled eigenvector, even on its root
