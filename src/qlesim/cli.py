@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import math
 import sys
 import warnings
@@ -203,7 +204,9 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: callers must not mutate it."""
     parser = _Parser(prog="qlesim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

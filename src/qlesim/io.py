@@ -1,12 +1,12 @@
 """Deterministic CSV/JSON table emission and flat config parsing.
 
-Output contract: a table is a parameter block plus rows.  CSV renders the
-parameters as ``# key=value`` comment lines (re-parseable as a config
-file) followed by a header row and data; JSON renders one object with
-"params", "columns", "units" and "rows".  Both formats run every number
-through the same formatter, so the decimal renderings agree byte for
-byte, and identical inputs produce identical output bytes.  A CSV body is
-written one run of rows at a time, each run in one format call.
+Output contract: a table is a parameter block plus rows.  CSV renders the parameters
+as ``# key=value`` comment lines (re-parseable as a config file) followed by a header
+row and data; JSON renders one object with "params", "columns", "units" and "rows".
+Both formats run every number through the same formatter, so the decimal renderings
+agree byte for byte, and identical inputs produce identical output bytes.  A CSV body
+is written one run of rows, rows that share one block-key object, at a time: one
+format call a run, with the key rendered once into its template.
 """
 
 from __future__ import annotations
@@ -38,11 +38,22 @@ def format_rows(rows, prefix: str = "") -> str:
     """One line per row: ``prefix``, then the cells as :func:`format_number`
     renders them, comma-joined.  Rows of Python floats of one width take one
     %-format over all their cells; any other rows go cell by cell."""
-    flat = tuple(chain.from_iterable(rows))
+    return _format_run(rows, prefix)
+
+
+def _format_run(rows, prefix="", key_idx=None, key_text=""):
+    """:func:`format_rows`, where cell ``key_idx`` of every row is one key rendered as
+    ``key_text``: that text sits in the %-format template, in place of a cell."""
+    flat = list(chain.from_iterable(rows))
     widths = set(map(len, rows))
-    if len(widths) == 1 and set(map(type, flat)) <= _FLOAT_ONLY:
-        line = prefix.replace("%", "%%") + ",".join(["%" + DATA_FORMAT] * widths.pop()) + "\n"
-        return (line * len(rows)) % flat
+    if len(widths) == 1:
+        cells = ["%" + DATA_FORMAT] * (width := widths.pop())
+        if key_idx is not None:
+            cells[key_idx] = key_text.replace("%", "%%")
+            del flat[key_idx::width]
+        if set(map(type, flat)) <= _FLOAT_ONLY:
+            line = prefix.replace("%", "%%") + ",".join(cells) + "\n"
+            return (line * len(rows)) % tuple(flat)
     return "".join(prefix + ",".join(map(format_number, row)) + "\n" for row in rows)
 
 
@@ -86,15 +97,16 @@ def _write_csv(stream, command, params, columns, units, rows, block_column):
     block_idx = columns.index(block_column) if block_column else None
     run, last_key, last_block = [], object(), None
     for row in rows:
-        # a run ends where the key object changes; equal keys can render apart (0.0, -0.0)
+        # a run ends where the key object changes, as equal keys can render apart (0.0,
+        # -0.0); it takes one format call, with its key rendered once into the template
         if block_idx is not None and row[block_idx] is not last_key:
-            stream.write(format_rows(run))
+            stream.write(_format_run(run, "", block_idx, last_block))
             run, last_key = [], row[block_idx]
-            if format_number(last_key) != last_block:
-                last_block = format_number(last_key)
-                stream.write(f"# block: {block_column}={last_block}\n")
+            if (text := format_number(last_key)) != last_block:
+                stream.write(f"# block: {block_column}={text}\n")
+            last_block = text
         run.append(row)
-    stream.write(format_rows(run))
+    stream.write(_format_run(run, "", block_idx, last_block))
 
 
 def _write_json(stream, command, params, columns, units, rows):
