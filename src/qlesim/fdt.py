@@ -145,15 +145,15 @@ def density_moment(which, order, damping, window=DEFAULT_MOMENT_WINDOW,
 
 def _exp_e1(z, scaled):
     """e^scaled E1(z) on complex arrays, with e^z E1(z) from its asymptotic series
-    sum_n (-1)^n n! / z^(n+1) where |Re z| >= 700: there e^z overflows and E1(z)
-    under- or overflows, and a dozen terms reach rounding."""
+    -sum_n n! (-1/z)^(n+1) where |Re z| >= 700: there e^z overflows and E1(z) under- or
+    overflows; a dozen terms reach rounding, and powers of 1/z, unlike z^12, stay finite."""
     from scipy.special import exp1
 
     far = np.abs(z.real) >= 700.0
     if not far.any():
         return np.exp(scaled) * exp1(z)
     zf = np.where(far, z, 700.0)
-    series = sum((-1) ** n * math.factorial(n) / zf ** (n + 1) for n in range(12))
+    series = -sum(math.factorial(n) * (-1.0 / zf) ** (n + 1) for n in range(12))
     return np.where(far, series * np.exp(scaled - zf),
                     np.exp(np.where(far, 0.0, scaled)) * exp1(np.where(far, 1.0, z)))
 
