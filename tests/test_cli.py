@@ -107,6 +107,16 @@ class TestCorr:
         assert rows.shape == (41, len(header))
         assert np.all(np.isfinite(rows))
 
+    def test_far_tau_prints_no_nan(self, capsys):
+        # tau = 5e29 and 1e30 printed nan in Cx, Cv, dev_x and dev_v, with three
+        # warning lines, and exit 0: the E1 tail's series overflowed
+        code, out, err = run_cli(["corr", "--grid", "0:1e30:3"], capsys)
+        assert (code, err) == (0, "")
+        header, rows = data_rows(out)
+        assert rows.shape == (3, len(header))
+        assert np.all(np.isfinite(rows))
+        assert "nan" not in out
+
 
 class TestEnergy:
     def test_ratio_monotone_to_one(self, capsys):
@@ -265,6 +275,24 @@ def test_library_warning_is_one_line(capsys):
     code, _, err = run_cli(["rwa", "--gamma", "0.5", *SMALL_RUNS["rwa"]], capsys)
     assert code == 0
     assert err == "warning: gamma exceeds omega0/10; RWA dynamics is physically dubious here\n"
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    # build_parser is built once per process: a failed parse and a --help on the
+    # shared parser, each with options set, must leave the calls after them as if fresh
+    assert cli.build_parser() is cli.build_parser()
+    code, _, err = run_cli(["corr", "--gamma", "0.7", "--grid", "0:1:2", "--format", "xml"],
+                           capsys)
+    assert code == 1 and err.startswith("error:")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["corr", "--temp", "3", "--help"])
+    assert exit_info.value.code == 0
+    assert "--omega-max" in capsys.readouterr().out
+    code, _, err = run_cli(["energy", "--gammas", "1,0.5", "--mass", "2"], capsys)
+    assert (code, err) == (0, "")
+    code, out, err = run_cli(["corr", "--grid", "0:2:3"], capsys)
+    assert (code, err) == (0, "")
+    assert out == (Path(__file__).parent / "golden" / "corr.out").read_text()
 
 
 class TestScanAndFiles:

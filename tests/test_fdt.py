@@ -669,6 +669,17 @@ class TestCutoffBathPath:
         got = fdt.position_correlation(0.0, sys_, bath)
         assert got == pytest.approx(matsubara_position_variance(sys_, bath), rel=1e-7)
 
+    @pytest.mark.parametrize("temp", (1.0, 10.0, 100.0))
+    @pytest.mark.parametrize("gamma", (1e3, 1e4))
+    def test_strong_damping_position_variance_matches_matsubara_sum(self, gamma, temp):
+        # the overdamped cutoff bath, Omega = 100: before the octave panels the
+        # gamma = 1e4 cells read 0.00072, 0.00065 and 0.00053 against 1.00072,
+        # 10.00064 and 100.00047
+        sys_ = SystemSpec(temperature=temp)
+        bath = BathSpec.cutoff_ohmic(gamma=gamma, cutoff=100.0)
+        got = fdt.position_correlation(0.0, sys_, bath)
+        assert got == pytest.approx(matsubara_position_variance(sys_, bath), rel=1e-7)
+
     @pytest.mark.parametrize("gamma,cutoff", CUTOFF_BATHS)
     def test_classical_sum_rules(self, gamma, cutoff):
         # m w0^2 C_x(0) = m C_v(0) = kT for any bath once hbar -> 0
@@ -735,6 +746,27 @@ class TestCutoffBathPath:
         a = fdt.position_correlation(0.0, sys_, cut, QuadratureConfig())
         b = fdt.position_correlation(0.0, sys_, strict, QuadratureConfig())
         assert a == pytest.approx(b, rel=5e-3)
+
+
+FAR_TAU_BATHS = {"strict": (BathSpec.strict_ohmic(0.1), QuadratureConfig(omega_max=1e3)),
+                 "cutoff": (BathSpec.cutoff_ohmic(0.5, 3.0), QuadratureConfig())}
+
+
+@pytest.mark.parametrize("tau", (1e23, 1e30, 1e300))
+@pytest.mark.parametrize("bath", FAR_TAU_BATHS)
+def test_far_tau_is_finite_and_bounded(bath, tau):
+    # the E1 tail's asymptotic series formed z^(n + 1), which overflows once
+    # |z|^12 > 1.8e308: C(1e23) on the strict bath was nan, with warnings
+    sys_ = SystemSpec()
+    spec, cfg = FAR_TAU_BATHS[bath]
+    for _, fn in CHANNELS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fn(tau, sys_, spec, cfg)
+        assert math.isfinite(got), fn.__name__
+        assert abs(got) <= fn(0.0, sys_, spec, cfg), fn.__name__
+        if bath == "strict":  # the resonance has decayed, and the tail is far below abs_tol
+            assert abs(got) <= cfg.abs_tol, fn.__name__
 
 
 class TestTauArrays:

@@ -58,25 +58,28 @@ FLOATS = st.one_of(st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float
 CELLS = st.one_of(FLOATS, FLOATS.map(np.float64), st.integers(), st.booleans(),
                   st.text(max_size=4))
 # block keys: 0.0 and -0.0 are equal but render apart; float("0.5") is equal to 0.5
-# but a distinct object
+# but a distinct object; "%d%%" is text the writer must escape in its format template
 FLOAT_KEYS = (0.0, -0.0, 0.5, float("0.5"), float("nan"))
-KEYS = FLOAT_KEYS + (np.float64(0.5), 1, True, "a")
+KEYS = FLOAT_KEYS + (np.float64(0.5), 1, True, "a", "%d%%")
 
 
 @st.composite
 def tables(draw):
-    """(columns, rows, block column): runs of rows that share a key object,
-    of Python floats only or of any cells."""
-    floats_only = draw(st.booleans())
-    cells, keys = (FLOATS, FLOAT_KEYS) if floats_only else (CELLS, KEYS)
+    """(columns, rows, block column): runs of rows that share a key object in column
+    "g", at a drawn index, with the other cells Python floats only or any cells."""
+    cells = FLOATS if draw(st.booleans()) else CELLS
     width = draw(st.integers(1, 4))
+    at = draw(st.integers(0, width))
     rows = []
-    for key, n in draw(st.lists(st.tuples(st.sampled_from(keys), st.integers(1, 4)),
+    for key, n in draw(st.lists(st.tuples(st.sampled_from(KEYS), st.integers(1, 4)),
                                 max_size=6)):
-        rows += [(key, *draw(st.lists(cells, min_size=width, max_size=width)))
-                 for _ in range(n)]
+        for _ in range(n):
+            row = draw(st.lists(cells, min_size=width, max_size=width))
+            rows.append((*row[:at], key, *row[at:]))
+    columns = [f"c{i}" for i in range(width)]
+    columns.insert(at, "g")
     block = draw(st.sampled_from([None, "g", "c0"]))
-    return ["g", *(f"c{i}" for i in range(width))], rows, block
+    return columns, rows, block
 
 
 @settings(max_examples=300, deadline=None)
