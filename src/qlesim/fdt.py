@@ -12,13 +12,12 @@ value is log-divergent and an explicit frequency cutoff is required.
 
 Both continuum baths share one integrand, with L from one
 :class:`~qlesim.response.Susceptibility`, and take its narrow peak from
-the pole pair of L near w0 + i gamma/2 that ``resonance_pole`` gives (for
-an overdamped strict-Ohmic oscillator, the slow pole on the imaginary
-axis).  Its residues give a closed-form resonance term, the weak-coupling
-limit plus O(gamma), and quadrature integrates only the smooth O(gamma)
-remainder (Grabert, Schramm & Ingold, Phys. Rep. 168, 115 (1988)).  The
-remainder does not depend on tau: one call resolves it once and
-integrates it against cos(w tau) for a whole array of tau
+the pole pair of L near w0 + i gamma/2 that ``resonance_pole`` gives.  Its
+residues give a closed-form resonance term, the weak-coupling limit plus
+O(gamma), and quadrature integrates only the smooth O(gamma) remainder
+(Grabert, Schramm & Ingold, Phys. Rep. 168, 115 (1988)).  The remainder
+does not depend on tau: one call resolves it once and integrates it
+against cos(w tau) for a whole array of tau
 (:func:`~qlesim.quadrature.integrate_cosine`).
 
 The same dissipation profile defines the normalized frequency densities
@@ -207,20 +206,18 @@ def _pole_pair_integral(lh, h, pole, taus, edges, cfg, label, scale=1.0):
 
     ``lh`` is the real integrand L h and ``h`` the weight, also at complex
     arguments; ``pole`` is (p, fbar'(p)) with fbar(z) the conjugate of the
-    continued 1/alpha, or None (twice fbar'(p) for a pole on the imaginary
-    axis, where p and -conj(p) coincide, so that the pair counts it once).
-    The residue of L h at p is c = -h(p) / (2 i p fbar'(p)), and the
-    principal parts of the pole pair Q(w) = 2 Re[c/(w - p) - c/(w + p)]
-    carry the whole resonance: over [0, inf) they integrate to -2 pi Im[c
-    e^(i p tau)], the weak-coupling limit up to O(gamma).  Their tail above
-    the upper limit edges[-1] is subtracted in closed form, and quadrature
-    on the panels sees only L h - Q, which is smooth on the scale of w0.
+    continued 1/alpha, or None.  The residue of L h at p is
+    c = -h(p) / (2 i p fbar'(p)), and the principal parts of the pole pair
+    Q(w) = 2 Re[c/(w - p) - c/(w + p)] carry the whole resonance: over
+    [0, inf) they integrate to -2 pi Im[c e^(i p tau)], the weak-coupling
+    limit up to O(gamma).  Their tail above the upper limit edges[-1] is
+    subtracted in closed form, and quadrature on the panels sees only
+    L h - Q, which is smooth on the scale of w0.
     With no pole, or Re p at or above the upper limit, c = 0 and the same
     code integrates L h itself (Grabert, Schramm & Ingold, Phys. Rep. 168,
     115 (1988)).  ``cfg.abs_tol`` bounds ``scale`` times the integral.
-    Raises QuadratureError where the two parts cancel (the slow pole on a
-    pole of h): the remainder's error bound, after one more resolve, is
-    over 50 max(abs_tol / scale, rel_tol |value|).
+    Raises QuadratureError where the two parts cancel: the remainder's
+    error bound is over 50 max(abs_tol / scale, rel_tol |value|).
     """
     taus = np.asarray(taus, dtype=float)
     upper = edges[-1]
@@ -235,18 +232,15 @@ def _pole_pair_integral(lh, h, pole, taus, edges, cfg, label, scale=1.0):
 
     closed = (-2.0 * math.pi * (c * np.exp(1j * p * taus)).imag
               - _pole_pair_tail(c, p, taus, upper))
-    # the remainder is O(gamma) of the value, so it is first resolved relative
-    # to the closed-form part, the 1/50 offsetting the slack of the check
-    # below; once for all tau, so to the smallest of their tolerances
+    # the remainder is O(gamma) of the value, so it is resolved relative to
+    # the closed-form part, the 1/50 offsetting the slack of the check below;
+    # once for all tau, so to the smallest of their tolerances
     floor = cfg.abs_tol / scale
     tol = max(floor, cfg.rel_tol * float(np.abs(closed).min()) / 50.0)
-    for _ in range(2):
-        value, err = integrate_cosine(remainder, edges, replace(cfg, abs_tol=tol), taus,
-                                      label=label)
-        total, err = closed + value, float(np.max(err))
-        tol = max(floor, cfg.rel_tol * float(np.abs(total).min()))
-        if err <= 50.0 * tol:
-            return total
+    value, err = integrate_cosine(remainder, edges, replace(cfg, abs_tol=tol), taus, label=label)
+    total, err = closed + value, float(np.max(err))
+    if err <= 50.0 * max(floor, cfg.rel_tol * float(np.abs(total).min())):
+        return total
     raise QuadratureError(f"{label}: the resonance term and the remainder cancel (error "
                           f"bound {err:.3e})", estimate=float(np.ravel(total)[0]), error_bound=err)
 

@@ -100,27 +100,18 @@ class Susceptibility:
 
         Off the real axis the loss continues as (1/f - 1/fbar) / (2 i z),
         fbar(z) = m (w0^2 - z^2) + i z mubar(z).  Strict Ohmic has mubar =
-        m gamma, p = w_d + i gamma/2 and fbar'(p) = -2 m w_d.  Overdamped,
-        gamma > 2 w0 > 0, its slow pole p = i kappa, kappa = w0^2 / (gamma/2 +
-        sqrt(gamma^2/4 - w0^2)), makes a Lorentzian of width kappa at w = 0
-        that carries almost all of the position variance; there p and
-        -conj(p) are one pole, so the pair is given 2 fbar'(i kappa) =
-        2 i m (gamma - 2 kappa) to count its residue once.  Below a cutoff
+        m gamma, p = w_d + i gamma/2 and fbar'(p) = -2 m w_d.  Below a cutoff
         mubar(z) = m gamma - i (m gamma / pi) ln((Omega + z) / (Omega - z)),
-        and Newton's method from w0 + i gamma/2 finds p.  None otherwise when
-        gamma > w0 (the peak is no narrower than w0), and when w0 >= Omega
-        (no peak below the cutoff).  Raises QuadratureError when Newton's
-        method does not converge, rather than lose the pole.
+        and Newton's method from w0 + i gamma/2 finds p.  None when gamma > w0
+        (the peak is no narrower than w0, so panels resolve it, as they do
+        the overdamped Lorentzian at w = 0), and when w0 >= Omega (no peak
+        below the cutoff).  Raises QuadratureError when Newton's method does
+        not converge, rather than lose the pole.
         """
         m, w0, g, cut = self.system.mass, self.system.omega0, self.bath.gamma, self.bath.cutoff
-        strict = self.bath.kind is BathKind.STRICT_OHMIC
-        if strict and g > 2.0 * w0 > 0.0:
-            q = 2.0 * w0 / g  # kappa = w0^2 / (gamma/2 + sqrt(gamma^2/4 - w0^2)), without gamma^2
-            kappa = w0 * q / (1.0 + math.sqrt(1.0 - q * q))
-            return 1j * kappa, 2.0 * (1j * m * (g - 2.0 * kappa))
         if g > w0:
             return None
-        if strict:
+        if self.bath.kind is BathKind.STRICT_OHMIC:
             wd = math.sqrt(w0 * w0 - 0.25 * g * g)
             return complex(wd, 0.5 * g), complex(-2.0 * m * wd)
         if not w0 < cut:

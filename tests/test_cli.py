@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from qlesim import cli, microbath
+from qlesim.bath import SystemSpec
 from qlesim.errors import QuadratureError
 from qlesim.io import parse_config_text
+from test_fdt import direct_strict_ohmic
 
 
 def run_cli(args, capsys):
@@ -107,6 +109,17 @@ class TestCorr:
         assert rows.shape == (41, len(header))
         assert np.all(np.isfinite(rows))
 
+    def test_slow_pole_near_a_matsubara_frequency(self, capsys):
+        # gamma 1e-4 from where the slow pole meets 2 pi kB T / hbar: the velocity
+        # channel raised (error bound 3.710e-10) and the command exited 2
+        code, out, err = run_cli(["corr", "--omega0", "10", "--gamma", "22.2009"], capsys)
+        assert (code, err) == (0, "")
+        header, rows = data_rows(out)
+        sys_ = SystemSpec(omega0=10.0)
+        for column, velocity in (("Cx", False), ("Cv", True)):
+            want = direct_strict_ohmic(0.0, sys_, 22.2009, 1e3, velocity)
+            assert rows[0, header.index(column)] == pytest.approx(want, rel=1e-9), column
+
     def test_far_tau_prints_no_nan(self, capsys):
         # tau = 5e29 and 1e30 printed nan in Cx, Cv, dev_x and dev_v, with three
         # warning lines, and exit 0: the E1 tail's series overflowed
@@ -142,19 +155,15 @@ class TestEnergy:
             assert rows[0, i] == pytest.approx(unit[0, i], rel=1e-7), column
 
     def test_slow_pole_on_a_matsubara_frequency(self, capsys):
-        # at gamma = 2.2198... w0 the slow pole sits on 2 pi kB T / hbar, where
-        # the closed-form term and the remainder cancel; exit 0 printed
-        # Ep = 1.98943678865 and Ek = 28.0112699842
+        # at gamma = 2.2198... w0 the slow pole sits on 2 pi kB T / hbar; exit 0
+        # printed Ep = 1.98943678865 and Ek = 28.0112699842, and later exit 2,
+        # while the slow pole had a closed-form term that cancelled the remainder
         code, out, err = run_cli(["energy", "--omega0", "10", "--gammas",
                                   "2.219867961636912"], capsys)
-        if code == 2:
-            assert out == "" and err.startswith("numeric failure: ")
-            assert len(err.splitlines()) == 1
-        else:  # the direct QUADPACK values at omega_max = 1000
-            assert code == 0
-            header, rows = data_rows(out)
-            assert rows[0, header.index("Ep")] == pytest.approx(3.28387414614, rel=1e-9)
-            assert rows[0, header.index("Ek")] == pytest.approx(28.0516590443, rel=1e-9)
+        assert (code, err) == (0, "")
+        header, rows = data_rows(out)  # the direct QUADPACK values at omega_max = 1000
+        assert rows[0, header.index("Ep")] == pytest.approx(3.28387414614, rel=1e-9)
+        assert rows[0, header.index("Ek")] == pytest.approx(28.0516590443, rel=1e-9)
 
 
 class TestEnsembleCommands:

@@ -21,7 +21,7 @@ from qlesim.bath import BathSpec, SystemSpec
 from qlesim.errors import DomainError, QuadratureError, UVDivergenceError
 from qlesim.quadrature import QuadratureConfig, integrate_cosine
 from qlesim.response import Susceptibility
-from qlesim import fdt, microbath
+from qlesim import cli, fdt, microbath
 
 COTH_HALF = 1.0 / math.tanh(0.5)  # 2.163953413738653
 FIGURE_DAMPINGS = (1.0, 0.5, 0.125, 0.0125)
@@ -450,8 +450,8 @@ class TestStrictOhmicResonance:
                                                  (1e3, 100.0, 100.0003112)])
     def test_strong_damping_position_variance(self, gamma, temp, want):
         # the digamma sum at omega_max = inf less the UV tail above 1e3
-        # (7.345e-5 and 1.103e-4); 0.000179594219239 and 0.000211 while the
-        # slow pole of gamma > 2 w0 was left to the quadrature
+        # (7.345e-5 and 1.103e-4); 0.000179594219239 and 0.000211 before octave
+        # panels resolved the width-kappa peak of gamma > 2 w0 at w = 0
         got = fdt.position_correlation(0.0, SystemSpec(temperature=temp),
                                        BathSpec.strict_ohmic(gamma),
                                        QuadratureConfig(omega_max=1e3))
@@ -487,9 +487,9 @@ class TestStrictOhmicResonance:
 
     @pytest.mark.parametrize("gamma", (700.0, 1000.0, 5000.0))
     def test_strong_damping_cells_that_raised(self, gamma):
-        # QuadratureError (exit 2) while the slow pole i kappa of gamma > 2 w0
-        # was left to the quadrature; 1.00231691293, 1.00168812686 and
-        # 1.00035829341 with it removed
+        # QuadratureError (exit 2) before octave panels resolved the width-kappa
+        # peak of gamma > 2 w0 at w = 0; 1.00231691293, 1.00168812686 and
+        # 1.00035829341 since
         cfg = QuadratureConfig(omega_max=1e3)
         got = fdt.position_correlation(0.0, SystemSpec(), BathSpec.strict_ohmic(gamma), cfg)
         want = geometric_panels_strict_ohmic(gamma, velocity=False)
@@ -542,15 +542,16 @@ class TestUnboundedUpperLimit:
         assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
-# at w0 = 10 and kB T = hbar = 1 the slow pole kappa of gamma > 2 w0 sits on the
+# at w0 = 10 and kB T = hbar = 1 the slow pole i kappa of gamma > 2 w0 sits on the
 # first Matsubara frequency nu = 2 pi at gamma = w0^2 / nu + nu, where the weight
-# kappa cot(kappa / 2) of its closed-form term is infinite
+# kappa cot(kappa / 2) of a closed-form term for it would be infinite
 GAMMA_ON_MATSUBARA = 100.0 / (2.0 * math.pi) + 2.0 * math.pi
 
 
 class TestSlowPoleOnMatsubaraFrequency:
-    """Near the collision the closed-form term and the remainder cancel, e.g.
-    5e14 against 0.06: right to rel_tol of the value, or QuadratureError."""
+    """The slow pole is left to the panels, which resolve it whether or not it
+    meets a pole of the thermal weight; a closed-form term for it once
+    cancelled the remainder there, e.g. 5e14 against 0.06, and raised."""
 
     @staticmethod
     def oracles(delta):
@@ -574,12 +575,37 @@ class TestSlowPoleOnMatsubaraFrequency:
                 continue
             assert got == pytest.approx(want, rel=1e-8), (omega_max, tau)
 
+    @pytest.mark.parametrize("delta", (0.0, 1e-12, 1e-9))
+    def test_at_the_collision_matches(self, delta):
+        # each cell raised QuadratureError while the slow pole had a closed form
+        sys_, bath, cells = self.oracles(delta)
+        for omega_max, tau, want in cells:
+            got = fdt.position_correlation(tau, sys_, bath, QuadratureConfig(omega_max=omega_max))
+            assert got == pytest.approx(want, rel=1e-8), (omega_max, tau)
+
     @pytest.mark.parametrize("delta", (1e-7, -1e-7, 1e-3))
     def test_near_the_collision_matches(self, delta):
         sys_, bath, cells = self.oracles(delta)
         for omega_max, tau, want in cells[:2]:  # C_x(1) is 1e-4 of C_x(0) there
             got = fdt.position_correlation(tau, sys_, bath, QuadratureConfig(omega_max=omega_max))
             assert got == pytest.approx(want, rel=1e-9), omega_max
+
+
+def test_cancellation_check_still_raises(monkeypatch, capsys):
+    # no known input fails the check on the remainder's error bound since the
+    # slow pole has no closed form, so one is faked: C raises, the CLI exits 2
+    resolve = fdt.integrate_cosine
+
+    def loose(*args, **kwargs):
+        return resolve(*args, **kwargs)[0], 1.0  # far above 50 rel_tol |value| here
+
+    monkeypatch.setattr(fdt, "integrate_cosine", loose)
+    with pytest.raises(QuadratureError, match="cancel"):
+        fdt.position_correlation(0.0, SystemSpec(), BathSpec.strict_ohmic(0.1))
+    assert cli.main(["corr"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numeric failure: ")
+    assert len(err.splitlines()) == 1
 
 
 # cutoff-Ohmic baths (gamma, cutoff); the last has its cutoff below omega0,

@@ -265,9 +265,11 @@ class TestResonancePole:
 
     def test_none_without_a_peak_below_the_cutoff(self):
         sys_ = SystemSpec()
-        # gamma > w0: the peak is no narrower than w0
-        assert Susceptibility(SystemSpec(mass=1.3, omega0=1.7),
-                              BathSpec.strict_ohmic(1.8)).resonance_pole() is None
+        # gamma > w0: the peak is no narrower than w0; gamma > 2 w0: the panels
+        # resolve the overdamped peak at w = 0 as well
+        for gamma in (1.8, 5.0):
+            assert Susceptibility(SystemSpec(mass=1.3, omega0=1.7),
+                                  BathSpec.strict_ohmic(gamma)).resonance_pole() is None
         for gamma, cutoff in ((2.0, 3.0), (0.1, 0.8)):  # gamma > w0; w0 above the cutoff
             bath = BathSpec.cutoff_ohmic(gamma=gamma, cutoff=cutoff)
             assert Susceptibility(sys_, bath).resonance_pole() is None
