@@ -350,6 +350,29 @@ SWEEP_GAMMAS = tuple(10.0**-k for k in range(2, 10))
 CROSS_CHECK_GAMMAS = (1.0, 0.5, 0.125, 0.0125, 1e-4)
 CHANNELS = ((0, fdt.position_correlation), (1, fdt.velocity_correlation))
 
+# the strict-Ohmic sweep at omega_max = 1e3 as the CLI prints it (12 digits):
+# gamma = 10^-k -> (C_x, C_v) at tau = 0, 1 and 7.3
+SWEEP_PINNED = {
+    2: ("1.08188399822", "1.09975634508", "0.585544380231", "0.576489358523",
+        "0.552657685301", "0.543781909199"),
+    3: ("1.08196742437", "1.08375538402", "0.584689551991", "0.583780354853",
+        "0.567520711633", "0.566603831546"),
+    4: ("1.0819757785", "1.08215458173", "0.584604014404", "0.584513057652",
+        "0.569035041245", "0.568943055332"),
+    5: ("1.08197661403", "1.08199449443", "0.584595460101", "0.584586364056",
+        "0.569186759075", "0.5691775575"),
+    6: ("1.08197669759", "1.08197848563", "0.584594604666", "0.584593695057",
+        "0.569201933711", "0.569201013524"),
+    7: ("1.08197670594", "1.08197688474", "0.584594519122", "0.584594428161",
+        "0.569203451203", "0.569203359184"),
+    8: ("1.08197670678", "1.08197672466", "0.584594510568", "0.584594501472",
+        "0.569203602953", "0.569203593751"),
+    9: ("1.08197670686", "1.08197670865", "0.584594509712", "0.584594508803",
+        "0.569203618128", "0.569203617208"),
+}
+SWEEP_CELLS = [(k, tau, ch, SWEEP_PINNED[k][2 * i + ch]) for k in SWEEP_PINNED
+               for i, tau in enumerate((0.0, 1.0, 7.3)) for ch in (0, 1)]
+
 
 class TestStrictOhmicResonance:
     """Closed-form resonance term plus quadrature of the smooth remainder."""
@@ -384,6 +407,14 @@ class TestStrictOhmicResonance:
                 got = fn(tau, sys_, BathSpec.strict_ohmic(gamma), cfg)
                 band = 3.0 * gamma * c0[ch] + 50.0 * cfg.rel_tol * c0[ch]
                 assert abs(got - weak[ch]) <= band, (fn.__name__, tau, got, weak[ch])
+
+    @pytest.mark.parametrize("k,tau,ch,want", SWEEP_CELLS)
+    def test_single_tau_sweep_cells_are_pinned(self, k, tau, ch, want):
+        # one tau a call, as the benchmark's sweep makes them; no golden file
+        # holds a single-tau value at weak damping
+        got = CHANNELS[ch][1](tau, SystemSpec(), BathSpec.strict_ohmic(10.0**-k),
+                              QuadratureConfig(omega_max=1e3))
+        assert f"{got:.12g}" == want
 
     @pytest.mark.parametrize("gamma", CROSS_CHECK_GAMMAS)
     def test_default_tolerance_agrees_with_tight(self, gamma):
