@@ -57,6 +57,7 @@ __all__ = [
 # window (in units of omega0) for density moments; the moments of P_k have
 # divergent tails, see density_moment
 DEFAULT_MOMENT_WINDOW = 10.0
+_TAIL_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])  # of the four E1 terms of a pole pair's tail
 
 
 @dataclass(frozen=True)
@@ -138,8 +139,8 @@ def density_moment(which, order, damping, window=DEFAULT_MOMENT_WINDOW,
     susc = Susceptibility(SystemSpec(), BathSpec.strict_ohmic(damping))
     return float(_pole_pair_integral(
         lambda x: (2.0 / math.pi) * x**n * susc.loss(x), lambda z: (2.0 / math.pi) * z**n,
-        susc.resonance_pole(), 0.0, _octaves(1.0, 0.25, window), cfg,
-        f"P_{which} moment {order}"))
+        susc.resonance_pole(), np.asarray(0.0), _octaves(1.0, 0.25, window),
+        cfg, f"P_{which} moment {order}"))
 
 
 def _exp_e1(z, scaled):
@@ -166,21 +167,20 @@ def _pole_pair_tail(c, p, taus, upper):
     """
     if c == 0:
         return 0.0
-    at_zero = 2.0 * (c * cmath.log((upper + p) / (upper - p))).real
-    if not taus.any():
-        return np.full(taus.shape, at_zero)
     if taus.size > _TAU_BLOCK:  # in blocks, so that the work arrays stay small
-        cuts = range(_TAU_BLOCK, taus.size, _TAU_BLOCK)
-        return np.concatenate([_pole_pair_tail(c, p, block, upper)
-                               for block in np.split(taus, cuts)])
+        return np.concatenate([_pole_pair_tail(c, p, taus[i:i + _TAU_BLOCK], upper)
+                               for i in range(0, taus.size, _TAU_BLOCK)])
+    nonzero = np.count_nonzero(taus)
+    if nonzero < taus.size:  # tau = 0 takes the log, and the others the E1 pairs
+        zero, at_zero = taus == 0.0, 2.0 * (c * cmath.log((upper + p) / (upper - p))).real
+        rest = _pole_pair_tail(c, p, np.where(zero, 1.0, taus), upper) if nonzero else 0.0
+        return np.where(zero, at_zero, rest)
     # Int cos(w tau) / (w - q) = [e^(i q tau) E1(-z) + e^(-i q tau) E1(z)] / 2 with
     # z = i tau (upper - q), for q = p and -p; e^(+-i q tau) = e^(+-i upper tau) e^(-+z)
-    zero = taus == 0.0
     z, scaled = np.multiply.outer(np.array(
         [[-1j * (upper - p), -1j * (upper + p), 1j * (upper - p), 1j * (upper + p)],
-         [1j * p, -1j * p, -1j * p, 1j * p]]), np.where(zero, 1.0, taus))
-    tail = (c * (np.array([1.0, -1.0, 1.0, -1.0]) @ _exp_e1(z, scaled))).real
-    return np.where(zero, at_zero, tail) if zero.any() else tail
+         [1j * p, -1j * p, -1j * p, 1j * p]]), taus)
+    return (c * (_TAIL_SIGNS @ _exp_e1(z, scaled))).real
 
 
 def _octaves(centre, low, upper):
@@ -191,7 +191,7 @@ def _octaves(centre, low, upper):
     while edge < upper:
         edges.append(edge)
         edge *= 2.0
-    return edges + [upper]
+    return (*edges, upper)
 
 
 def _finite_upper(w0, g, h0, s, tol):
@@ -219,7 +219,6 @@ def _pole_pair_integral(lh, h, pole, taus, edges, cfg, label, scale=1.0):
     Raises QuadratureError where the two parts cancel: the remainder's
     error bound is over 50 max(abs_tol / scale, rel_tol |value|).
     """
-    taus = np.asarray(taus, dtype=float)
     upper = edges[-1]
     c, p = 0j, 1j
     if pole is not None and pole[0].real < upper:
@@ -238,7 +237,7 @@ def _pole_pair_integral(lh, h, pole, taus, edges, cfg, label, scale=1.0):
     floor = cfg.abs_tol / scale
     tol = max(floor, cfg.rel_tol * float(np.abs(closed).min()) / 50.0)
     value, err = integrate_cosine(remainder, edges, replace(cfg, abs_tol=tol), taus, label=label)
-    total, err = closed + value, float(np.max(err))
+    total, err = closed + value, err if isinstance(err, float) else float(err.max())
     if err <= 50.0 * max(floor, cfg.rel_tol * float(np.abs(total).min())):
         return total
     raise QuadratureError(f"{label}: the resonance term and the remainder cancel (error "
@@ -286,8 +285,8 @@ def _correlation(tau, system, bath, cfg, velocity):
         cut = bath.cutoff
         upper = min(cut, upper)
         shoulders = cut * (1.0 - 10.0 ** -np.arange(1, 9))
-        edges = [*_octaves(centre, low, min(upper, shoulders[0]))[:-1],
-                 *shoulders[shoulders < upper], upper]
+        edges = (*_octaves(centre, low, min(upper, shoulders[0]))[:-1],
+                 *shoulders[shoulders < upper].tolist(), upper)
     # abs_tol bounds C itself, which is hbar/pi times the frequency integral
     value = _pole_pair_integral(lh, h, s.resonance_pole(), taus, edges, cfg, label,
                                 scale=system.hbar / math.pi)

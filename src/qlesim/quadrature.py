@@ -3,11 +3,12 @@
 The integrands are smooth on the scale of omega0: a narrow resonance is
 removed before quadrature by its pole pair in closed form (see
 :mod:`qlesim.fdt`), and panel edges mark only what remains, such as the log
-shoulders of a bath cutoff.  f does not depend on tau, so it is resolved
-once, by its interpolants at 16 Gauss-Legendre nodes a panel, and the cosine
-is integrated exactly against them: a Filon-type rule (Piessens et al.,
-*QUADPACK*, Springer 1983; Iserles & Norsett, Proc. R. Soc. A 461, 1383
-(2005)) whose node count does not grow with tau.  Integrands map a numpy
+shoulders of a bath cutoff.  Their panel geometry (nodes, half-widths and
+ends) is built once per edge set.  f does not depend on tau, so it is
+resolved once, by its interpolants at 16 Gauss-Legendre nodes a panel, and
+the cosine is integrated exactly against them: a Filon-type rule (Piessens
+et al., *QUADPACK*, Springer 1983; Iserles & Norsett, Proc. R. Soc. A 461,
+1383 (2005)) whose node count does not grow with tau.  Integrands map a numpy
 array of omega to an array of the same shape, on a finite range only
 (:mod:`qlesim.fdt` bounds the tail of an infinite one).  ``import qlesim``
 needs only numpy: scipy is imported at its first special-function or
@@ -94,8 +95,8 @@ def scaled_omega_coth(omega, a):
 
 # panel nodes; a Gauss rule exact to rounding for p(x) e^(i kappa x), kappa < _BY_PARTS
 _NODES, _DENSE, _BY_PARTS = 16, 40, 12.0
-# tau a block, panels split at once and rounds of splitting before giving up
-_TAU_BLOCK, _MAX_PANELS, _MAX_ROUNDS = 64, 4096, 60
+# tau a block, panels split at once, rounds of splitting before giving up, edge sets kept
+_TAU_BLOCK, _MAX_PANELS, _MAX_ROUNDS, _GEOMETRIES = 64, 4096, 60, 32
 # trailing coefficients below this share of the coefficient sum are rounding
 _NOISE = 8.0 * _NODES * np.finfo(float).eps
 _POWERS = np.arange(1.0, _NODES + 1.0)
@@ -127,30 +128,49 @@ def _rules():
     return x, y, np.hstack((coef.T, dense, (coef.T @ ends).view(float)))
 
 
-def _resolve(f, edges, tol, label):
-    """Panels (lo, hi), their mapped values and the error bound of f resolved to ``tol``.
+@functools.lru_cache(maxsize=_GEOMETRIES)
+def _edge_panels(edges):
+    """Read-only :func:`_panels` of an edge tuple, or None unless it strictly increases."""
+    edges = np.array(edges)
+    if len(edges) < 2 or (edges[1:] <= edges[:-1]).any():
+        return None
+    panels = _panels(edges[:-1], edges[1:])
+    for part in panels:
+        part.flags.writeable = False
+    return panels
+
+
+def _panels(lo, hi):
+    """Panels [lo, hi]: lo, hi, half-widths, 16-node and 40-node abscissae and end pairs."""
+    x, y, _ = _rules()
+    half = 0.5 * (hi - lo)
+    mid = (lo + half)[:, None]
+    return lo, hi, half, mid + half[:, None] * x, mid + half[:, None] * y, np.array([hi, lo]).T
+
+
+def _resolve(f, panels, tol, label):
+    """Panels, their mapped values and the error bound of f resolved to ``tol``.
 
     A panel's bound is 2 h times its trailing 4 coefficients, unless these
     are rounding.  While the bounds sum above what is left of ``tol``, each
     panel above an equal share of it is halved, and the others are kept.
     """
-    x, _, maps = _rules()
-    lo, hi = edges[:-1], edges[1:]
+    _, _, maps = _rules()
     kept, err, left = [], 0.0, tol
     for _ in range(_MAX_ROUNDS):
+        lo, hi, half, nodes = panels[:4]
         if len(lo) > _MAX_PANELS:
             break
-        half = 0.5 * (hi - lo)
-        mapped = f((lo + half)[:, None] + half[:, None] * x) @ maps
+        mapped = f(nodes) @ maps
         a = np.abs(mapped[:, :_NODES])
         trail, noise = a[:, -4:].sum(axis=1), _NOISE * a.sum(axis=1)
         bound = np.where(trail > noise, trail, 0.0)
         if 2.0 * float(half @ bound) <= left:  # an infinite or nan value fails here
             err += 2.0 * float(half @ (trail + noise))
             if not kept:
-                return lo, hi, mapped, err
-            kept.append((lo, hi, mapped))
-            return (*(np.concatenate(part) for part in zip(*kept)), err)
+                return panels, mapped, err
+            lo, hi, mapped = (np.concatenate(part) for part in zip(*kept, (lo, hi, mapped)))
+            return _panels(lo, hi), mapped, err
         if not np.isfinite(noise).all():
             raise QuadratureError(f"{label}: the integrand is not finite on "
                                   f"[{lo[0]:.6g}, {hi[-1]:.6g}]", error_bound=math.inf)
@@ -160,18 +180,16 @@ def _resolve(f, edges, tol, label):
         err += 2.0 * float(half[ok] @ (trail[ok] + noise[ok]))
         kept.append((lo[ok], hi[ok], mapped[ok]))
         mid = 0.5 * (lo + hi)[~ok]
-        lo, hi = np.concatenate((lo[~ok], mid)), np.concatenate((mid, hi[~ok]))
+        panels = _panels(np.concatenate((lo[~ok], mid)), np.concatenate((mid, hi[~ok])))
     raise QuadratureError(f"{label}: panels still unresolved after {_MAX_ROUNDS} rounds "
                           f"or beyond {_MAX_PANELS} at once", error_bound=math.inf)
 
 
-def _cosine_panels(lo, hi, mapped, taus):
+def _cosine_panels(panels, mapped, taus):
     """Sum over the panels of Int p(omega) cos(omega tau) dw, p the interpolants."""
-    _, y, _ = _rules()
-    half = 0.5 * (hi - lo)
+    _, _, half, _, nodes, ends = panels
     weighted = mapped[:, _NODES:_NODES + _DENSE, None]
-    derivs = mapped[:, _NODES + _DENSE:].view(complex).reshape(len(lo), _NODES, 2)
-    ends = np.array([hi, lo]).T
+    derivs = mapped[:, _NODES + _DENSE:].view(complex).reshape(len(half), _NODES, 2)
     out = np.empty(len(taus))
     for start in range(0, len(taus), _TAU_BLOCK):
         block = taus[start:start + _TAU_BLOCK]
@@ -179,7 +197,6 @@ def _cosine_panels(lo, hi, mapped, taus):
         near = kappa < _BY_PARTS  # each rule where any (tau, panel) needs it, kept where it holds
         count = np.count_nonzero(near)
         if count:
-            nodes = (lo + half)[:, None] + half[:, None] * y
             part = np.matmul(np.cos(np.multiply.outer(block, nodes))[..., None, :],
                              weighted)[..., 0, 0]
         if count < near.size:  # h Re[S+ e^(i b tau) - S- e^(i a tau)] over [a, b],
@@ -204,17 +221,15 @@ def integrate_cosine(f, edges, cfg, taus=0.0, *, label=""):
     QuadratureError if a bound exceeds 50 max(abs_tol, rel_tol |value|), or
     the panels stop converging.
     """
-    edges = np.asarray(edges, dtype=float)
-    if len(edges) < 2 or (edges[1:] <= edges[:-1]).any():
+    panels = _edge_panels(tuple(map(float, edges)))
+    if panels is None:
         raise DomainError(f"panel edges must be two or more, strictly increasing ({label})")
     taus = np.abs(np.asarray(taus, dtype=float))
-    lo, hi, mapped, err = _resolve(f, edges, cfg.abs_tol, label)
-    total = _cosine_panels(lo, hi, mapped, taus.ravel()).reshape(taus.shape)
+    panels, mapped, err = _resolve(f, panels, cfg.abs_tol, label)
+    total = _cosine_panels(panels, mapped, taus.ravel()).reshape(taus.shape)
     bad = err > 50.0 * np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
     if bad.any():
         worst = float(total.flat[np.argmax(bad)])
         raise QuadratureError(f"{label}: quadrature did not converge (error bound {err:.3e}, "
                               f"estimate {worst:.6e})", estimate=worst, error_bound=err)
-    if taus.ndim == 0:
-        return float(total), err
-    return total, np.full(taus.shape, err)
+    return (float(total), err) if taus.ndim == 0 else (total, np.full(taus.shape, err))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qlesim import fdt, microbath
+from qlesim import fdt, microbath, quadrature
 from qlesim.bath import BathSpec, SystemSpec
 from qlesim.errors import DomainError, QuadratureError
 from qlesim.quadrature import (
@@ -122,6 +122,48 @@ class TestIntegratePanels:
         cfg = QuadratureConfig()
         with pytest.raises(DomainError):
             integrate_cosine(lambda x: x, [0.0, 1.0, 0.5], cfg)
+        with pytest.raises(DomainError):  # once more, past the cached geometry
+            integrate_cosine(lambda x: x, (0.0, 1.0, 0.5), cfg)
+
+
+class TestPanelGeometry:
+    """The panels of an edge set are built once, read-only, per distinct edge set."""
+
+    EDGES = (0.0, 0.35, 0.7, 1.4, 2.8, 5.0)
+
+    def test_arrays_are_read_only(self):
+        panels = quadrature._edge_panels(self.EDGES)
+        assert panels is quadrature._edge_panels(self.EDGES)
+        for part in panels:
+            with pytest.raises(ValueError):
+                part[0] = 1.0
+
+    @pytest.mark.parametrize("f", (lambda w: np.exp(-w), lambda w: 0.01 / (1e-4 + (w - 0.5) ** 2)),
+                             ids=("kept", "split"))
+    def test_edge_containers_give_identical_values(self, f):
+        # e^-w is resolved on the cached panels, the narrow Lorentzian on split ones
+        taus = np.array([0.0, 1.0, 7.3, 40.0])
+        got = []
+        for warm in (False, True):
+            for edges in (list(self.EDGES), self.EDGES, np.array(self.EDGES)):
+                if not warm:
+                    quadrature._edge_panels.cache_clear()
+                value, err = integrate_cosine(f, edges, QuadratureConfig(), taus)
+                got.append(value.tobytes() + err.tobytes())
+        assert len(set(got)) == 1
+
+    def test_edge_sets_differing_in_one_edge_do_not_share(self):
+        moved = (*self.EDGES[:2], 0.71, *self.EDGES[3:])
+        a, b = quadrature._edge_panels(self.EDGES), quadrature._edge_panels(moved)
+        assert a is not b
+        assert a[0].tolist() == list(self.EDGES[:-1]) and b[0].tolist() == list(moved[:-1])
+
+    def test_cache_size_is_bounded(self):
+        cfg = QuadratureConfig()
+        for k in range(1000):
+            integrate_cosine(np.exp, (0.0, 1.0 + k * 1e-3), cfg)
+        info = quadrature._edge_panels.cache_info()
+        assert info.maxsize == quadrature._GEOMETRIES and info.currsize <= info.maxsize
 
 
 # tau up to 10 on [0, 1000]: the weight turns through up to 1,600 periods
