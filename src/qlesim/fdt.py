@@ -139,7 +139,7 @@ def density_moment(which, order, damping, window=DEFAULT_MOMENT_WINDOW,
     susc = Susceptibility(SystemSpec(), BathSpec.strict_ohmic(damping))
     return float(_pole_pair_integral(
         lambda x: (2.0 / math.pi) * x**n * susc.loss(x), lambda z: (2.0 / math.pi) * z**n,
-        susc.resonance_pole(), np.asarray(0.0), _octaves(1.0, 0.25, window),
+        susc.resonance_pole(), np.asarray(0.0), _octaves(1.0, _width(1.0, damping) / 4.0, window),
         cfg, f"P_{which} moment {order}"))
 
 
@@ -192,6 +192,13 @@ def _octaves(centre, low, upper):
         edges.append(edge)
         edge *= 2.0
     return (*edges, upper)
+
+
+def _width(w0, g):
+    """w0, or for gamma > 2 w0 > 0 the width kappa = w0 q / (1 + sqrt(1 - q^2)), q = 2 w0 / gamma,
+    of the overdamped peak at w = 0, which the octaves must reach; gamma^2 would overflow."""
+    q = 2.0 * w0 / g
+    return w0 * q / (1.0 + math.sqrt(1.0 - q * q)) if 0.0 < q < 1.0 else w0
 
 
 def _finite_upper(w0, g, h0, s, tol):
@@ -265,10 +272,10 @@ def _correlation(tau, system, bath, cfg, velocity):
         out = loss(w) * scaled_omega_coth(w, a)
         return w * w * out if velocity else out
 
-    # the remainder varies on the scale of w0 (gamma for a free particle) and
-    # of the thermal weight's poles at i pi n / a
+    # the remainder varies on the scale of w0 (gamma for a free particle), of
+    # an overdamped peak and of the thermal weight's poles at i pi n / a
     centre = system.omega0 or bath.gamma
-    low = min(centre, math.pi / a) / 4.0
+    low = min(_width(centre, bath.gamma), math.pi / a) / 4.0
     if bath.kind is BathKind.STRICT_OHMIC:
         if math.isinf(upper):  # for C_x, h <= coth(2 a w0) w above 2 w0
             if velocity:

@@ -80,6 +80,12 @@ class TestDensities:
         assert fdt.density_normalization("k", damping) == pytest.approx(1.0, abs=1e-6)
         assert fdt.density_normalization("p", damping) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("damping", (3e16, 1e20, 1e150))
+    def test_normalization_overdamped(self, damping):
+        # P_p holds its weight in a peak of width 1/damping at Lambda = 0,
+        # which the octaves stopped above: at 1e20 it read 9.8e-18
+        assert fdt.density_normalization("p", damping) == pytest.approx(1.0, abs=1e-9)
+
     def test_delta_limit_moments(self):
         # both moments of both densities within 1% of 1 at damping 1e-3,
         # shrinking when the damping drops to 1e-4, and within 10 dampings
@@ -377,8 +383,10 @@ SWEEP_CELLS = [(k, tau, ch, SWEEP_PINNED[k][2 * i + ch]) for k in SWEEP_PINNED
 class TestStrictOhmicResonance:
     """Closed-form resonance term plus quadrature of the smooth remainder."""
 
-    @pytest.mark.parametrize("gamma", (1e-7, 1e-3, 0.5, 1.0, 3.0))
+    @pytest.mark.parametrize("gamma", (1e-7, 1e-3, 0.5, 1.0, 3.0, 3e16, 1e20, 1e150))
     def test_untruncated_position_variance_matches_matsubara_sum(self, gamma):
+        # from gamma = 3e16 the octaves stopped above the overdamped peak of
+        # width w0^2 / gamma at w = 0 and read 3.3e-14, 9.9e-18 and 9.8e-148
         sys_ = SystemSpec()
         bath = BathSpec.strict_ohmic(gamma)
         got = fdt.position_correlation(0.0, sys_, bath, QuadratureConfig())
@@ -727,11 +735,12 @@ class TestCutoffBathPath:
         assert got == pytest.approx(matsubara_position_variance(sys_, bath), rel=1e-7)
 
     @pytest.mark.parametrize("temp", (1.0, 10.0, 100.0))
-    @pytest.mark.parametrize("gamma", (1e3, 1e4))
+    @pytest.mark.parametrize("gamma", (1e3, 1e4, 1e20))
     def test_strong_damping_position_variance_matches_matsubara_sum(self, gamma, temp):
         # the overdamped cutoff bath, Omega = 100: before the octave panels the
         # gamma = 1e4 cells read 0.00072, 0.00065 and 0.00053 against 1.00072,
-        # 10.00064 and 100.00047
+        # 10.00064 and 100.00047; before they reached down to the peak's width
+        # w0^2 / gamma, the gamma = 1e20 cells read about 6e-12
         sys_ = SystemSpec(temperature=temp)
         bath = BathSpec.cutoff_ohmic(gamma=gamma, cutoff=100.0)
         got = fdt.position_correlation(0.0, sys_, bath)
