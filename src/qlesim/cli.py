@@ -114,6 +114,13 @@ class RunConfig:
             raise _CliError("format must be csv or json")
         if not self.gammas or not all(0 < g < math.inf for g in self.gammas):
             raise _CliError("gammas must be positive and finite")
+        # P_k and P_p square each ratio, and the loss (gamma*omega)^2 up to omega_max
+        if self.command in ("dist", "scan") and not all(map(_square_is_normal, self.gammas)):
+            raise _CliError("the square of a gammas ratio is not a finite normal float")
+        tops = {"corr": [self.gamma], "energy": [g * w0 for g in self.gammas],
+                "scan": [g * w0 for g in (*self.gammas, 1e-4)]}.get(self.command, [])
+        if not all(g * self.omega_max * g * self.omega_max < math.inf for g in tops):
+            raise _CliError("the square of gamma*omega_max is not finite (gamma = ratio*omega0)")
         if self.grid:
             parse_grid(self.grid)
         if self.command == "microbath":

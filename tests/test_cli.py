@@ -154,6 +154,14 @@ class TestEnergy:
             i = header.index(column)
             assert rows[0, i] == pytest.approx(unit[0, i], rel=1e-7), column
 
+    def test_overdamped_potential_energy_is_kt(self, capsys):
+        # the octaves stopped above the peak of width omega0 / Gamma at omega =
+        # 0: Ep read 9.83142310421e-18 and Ek_over_Ep 161.884997322, exit 0
+        code, out, err = run_cli(["energy", "--gammas", "1e20"], capsys)
+        assert (code, err) == (0, "")
+        header, rows = data_rows(out)
+        assert rows[0, header.index("Ep")] == pytest.approx(1.0, abs=1e-9)
+
     def test_slow_pole_on_a_matsubara_frequency(self, capsys):
         # at gamma = 2.2198... w0 the slow pole sits on 2 pi kB T / hbar; exit 0
         # printed Ep = 1.98943678865 and Ek = 28.0112699842, and later exit 2,
@@ -491,6 +499,31 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("error: the square of E/(mass*omega0^2)")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("args,what", (
+        (["dist", "--gammas", "1e300", "--grid", "0:2:3"], "a gammas ratio"),
+        (["dist", "--gammas", "1e-300", "--grid", "0:2:3"], "a gammas ratio"),
+        (["energy", "--gammas", "1e300"], "gamma*omega_max"),
+        (["corr", "--gamma", "1e200", "--grid", "0:1:2"], "gamma*omega_max"),
+    ), ids=("dist-huge", "dist-tiny", "energy", "corr"))
+    def test_damping_whose_square_leaves_the_floats_is_one(self, args, what, capsys):
+        # dist ended in an OverflowError traceback, or printed inf for Pk and
+        # Pp with two warnings; energy in a ZeroDivisionError traceback; corr
+        # printed Cx = Cv = 0 with exit 0
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: the square of {what} is not")
+        assert len(err.splitlines()) == 1
+
+    def test_overdamped_inside_the_floats_runs(self, capsys):
+        code, out, err = run_cli(["corr", "--gamma", "1e150", "--grid", "0:1:2"], capsys)
+        assert (code, err) == (0, "")
+        row = [line for line in out.splitlines() if not line.startswith("#")][1]
+        assert row.split(",")[:3] == ["0", "1", "1.59155990289e-145"]
+        code, out, err = run_cli(["energy", "--gammas", "1e-300"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == ("1e-300,1.08197670687,1.08197670687,1,"
+                                        "1.08197670687")
 
     @pytest.mark.parametrize("command", ("sde", "rwa", "microbath"))
     def test_thermal_scale_inside_the_floats_runs(self, command, capsys):
