@@ -130,7 +130,7 @@ def _rules():
 
 @functools.lru_cache(maxsize=_GEOMETRIES)
 def _edge_panels(edges):
-    """Read-only :func:`_panels` of an edge tuple, or None unless it strictly increases."""
+    """Read-only :func:`_panels` of a tuple of two or more strictly increasing edges, else None."""
     edges = np.array(edges)
     if len(edges) < 2 or (edges[1:] <= edges[:-1]).any():
         return None
