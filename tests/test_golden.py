@@ -2,9 +2,10 @@
 byte for byte, at fixed seeds and small sizes.
 
 CLI output at a fixed seed is deterministic, so a change to these bytes must be
-deliberate and explained in CHANGES.md.  After such a change, re-record with
+deliberate and explained in CHANGES.md.  After such a change, re-record the
+cases it moves, and only those, by name (every case when no name is given):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py dist_json corr_json
 """
 
 import contextlib
@@ -54,23 +55,34 @@ CASES = {
     # a thermal weight with structure at omega ~ kB T / hbar, its Matsubara poles near the axis
     "corr_lowT": ["corr", "--temp", "0.05", "--gamma", "0.2", "--omega-max", "50",
                   "--grid", "0:10:6"],
+    # every table shape in JSON: a block column, one float block, str and int cells, a
+    # string block key; and the scan's files in both formats
+    "dist_json": ["dist", "--grid", "0:3:7", "--gammas", "1,0.125", "--format", "json"],
+    "corr_json": ["corr", "--grid", "0:2:3", "--format", "json"],
+    "sde_json": ["sde", "--gamma", "0.2", "--traj", "70", "--steps", "20", "--seed", "3",
+                 "--format", "json"],
+    "microbath_json": ["microbath", "--gamma", "0.5", "--modes", "40", "--realizations", "70",
+                       "--steps", "30", "--dt", "0.02", "--seed", "2", "--format", "json"],
+    "scan_json": ["scan", "--gammas", "0.5", "--format", "json"],
+    # the four figure dampings at their defaults: an 8,000-row dist table
+    "scan_default": ["scan"],
 }
 
 
 def outputs(case, tmp):
     """{golden file name: bytes} of one case run in the directory ``tmp``.
 
-    The scan tables are large, so the golden file holds their SHA-256 digests
+    The scan tables are large, so the golden file of a scan holds their SHA-256 digests
     (their rows are those of dist, energy and corr at other arguments).
     """
     args = list(CASES[case])
     dump, scan_dir = tmp / f"{case}_traj.csv", tmp / "scan"
-    dumped = args[0] in _DUMPED
+    dumped, scan = args[0] in _DUMPED, args[0] == "scan"
     if dumped:
         args += ["--dump-traj", str(dump)]
         if "--dump-count" not in args:
             args += ["--dump-count", "2"]
-    if case == "scan":
+    if scan:
         args += ["--out", str(scan_dir)]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
@@ -78,8 +90,8 @@ def outputs(case, tmp):
     out = {f"{case}.out": stdout.getvalue().replace(str(tmp), "TMP").encode()}
     if dumped:
         out[f"{case}_traj.csv"] = dump.read_bytes()
-    if case == "scan":
-        out["scan.sha256"] = "".join(
+    if scan:
+        out[f"{case}.sha256"] = "".join(
             f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n"
             for p in sorted(scan_dir.iterdir())).encode()
     return out
@@ -92,9 +104,12 @@ def test_output_matches_golden(case, tmp_path):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(CASES)
+    if unknown := [name for name in names if name not in CASES]:
+        sys.exit(f"unknown golden cases: {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        for case in CASES:
+    for case in names:
+        with tempfile.TemporaryDirectory() as tmp:  # one a case, as under pytest
             for name, data in outputs(case, Path(tmp)).items():
                 (GOLDEN / name).write_bytes(data)
                 print(f"{GOLDEN / name}: {len(data)} bytes", file=sys.stderr)
