@@ -25,7 +25,6 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -285,18 +284,18 @@ def config_from_args(args) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: each returns (columns, units, blocks, block column), the
+# body as io.write_table's blocks, a float64 array a block where every cell is a float
 
 
 def run_dist(cfg: RunConfig):
     lam = parse_grid(cfg.grid or "0:10:2000")
-    rows = []
-    for damping in cfg.gammas:
-        rows += zip(repeat(damping), lam.tolist(), fdt.pk_density(lam, damping).tolist(),
-                    fdt.pp_density(lam, damping).tolist())
+    blocks = [(damping, np.column_stack((lam, fdt.pk_density(lam, damping),
+                                         fdt.pp_density(lam, damping))))
+              for damping in cfg.gammas]
     columns = ("Gamma", "Lambda", "Pk", "Pp")
     units = ("gamma/omega0", "omega/omega0", "dimensionless", "dimensionless")
-    return columns, units, rows, "Gamma"
+    return columns, units, blocks, "Gamma"
 
 
 def run_corr(cfg: RunConfig):
@@ -305,16 +304,14 @@ def run_corr(cfg: RunConfig):
     bath = BathSpec.strict_ohmic(cfg.gamma)
     qcfg = cfg.quad_config()
     cx0, cv0 = fdt.weak_limit_correlation(0.0, system)
-    cxs = fdt.position_correlation(taus, system, bath, qcfg).tolist()
-    cvs = fdt.velocity_correlation(taus, system, bath, qcfg).tolist()
-    rows = []
-    for tau, cx, cv in zip(taus.tolist(), cxs, cvs):
-        wx, wv = fdt.weak_limit_correlation(tau, system)
-        rows.append((tau, cx, cv, wx, wv, abs(cx - wx) / cx0, abs(cv - wv) / cv0))
+    cx = fdt.position_correlation(taus, system, bath, qcfg)
+    cv = fdt.velocity_correlation(taus, system, bath, qcfg)
+    wx, wv = fdt.weak_limit_correlation(taus, system)
+    rows = np.column_stack((taus, cx, cv, wx, wv, np.abs(cx - wx) / cx0, np.abs(cv - wv) / cv0))
     columns = ("tau", "Cx", "Cv", "Cx_weak", "Cv_weak", "dev_x", "dev_v")
     units = ("time", "length^2", "(length/time)^2", "length^2",
              "(length/time)^2", "relative to C(0)", "relative to C(0)")
-    return columns, units, rows, None
+    return columns, units, [(None, rows)], None
 
 
 def run_energy(cfg: RunConfig):
@@ -328,7 +325,7 @@ def run_energy(cfg: RunConfig):
         rows.append((damping, split.ek, split.ep, split.ek / split.ep, e_weak))
     columns = ("Gamma", "Ek", "Ep", "Ek_over_Ep", "E_weak")
     units = ("gamma/omega0", "energy", "energy", "dimensionless", "energy")
-    return columns, units, rows, None
+    return columns, units, [(None, rows)], None
 
 
 def _sde_rows(params, dt, steps, traj, seed):
@@ -375,7 +372,7 @@ def run_linear_sde(cfg: RunConfig, dump_traj=None, dump_count=1):
         _write_trajectories(dump_traj, dump_columns, times, series)
     columns = ("quantity", "value", "std_error", "n", "reference")
     units = ("name", "natural units", "natural units", "count", "analytic")
-    return columns, units, rows, None
+    return columns, units, [(None, rows)], None
 
 
 def run_microbath(cfg: RunConfig, dump_traj=None, dump_count=1):
@@ -395,21 +392,21 @@ def run_microbath(cfg: RunConfig, dump_traj=None, dump_count=1):
         _write_trajectories(dump_traj, ("x", "v", "f"), times, series)
 
     refs = microbath.noise_autocorrelation_quadrature(system, bath, stats["taus"]).tolist()
-    rows = []
+    blocks = []
     for tau, mean_est, corr_est, ref in zip(stats["taus"], stats["mean"], stats["autocorr"], refs):
-        rows.append(("noise_mean", float(tau), mean_est.mean, mean_est.se, 0.0))
-        rows.append(("noise_autocorr", float(tau), corr_est.mean, corr_est.se, ref))
+        blocks.append(("noise_mean", [(float(tau), mean_est.mean, mean_est.se, 0.0)]))
+        blocks.append(("noise_autocorr", [(float(tau), corr_est.mean, corr_est.se, ref)]))
 
     x2_ref = fdt.position_correlation(0.0, system, bath)
     v2_ref = fdt.velocity_correlation(0.0, system, bath)
-    rows.append(("gle_moment_x2", grid.dt * grid.n_steps, res["x2"].mean,
-                 res["x2"].se, x2_ref))
-    rows.append(("gle_moment_v2", grid.dt * grid.n_steps, res["v2"].mean,
-                 res["v2"].se, v2_ref))
+    blocks.append(("gle_moment_x2", [(grid.dt * grid.n_steps, res["x2"].mean,
+                                      res["x2"].se, x2_ref)]))
+    blocks.append(("gle_moment_v2", [(grid.dt * grid.n_steps, res["v2"].mean,
+                                      res["v2"].se, v2_ref)]))
 
     columns = ("section", "key", "value", "std_error", "reference")
     units = ("name", "time or label", "natural units", "natural units", "quadrature")
-    return columns, units, rows, "section"
+    return columns, units, blocks, "section"
 
 
 _DUMP_SLAB = 128  # time rows per format call of a dump, so its memory does not grow with --steps
@@ -421,7 +418,7 @@ def _write_trajectories(path, names, times, series):
         for j in range(series[0].shape[1]):
             for a in range(0, len(times), _DUMP_SLAB):
                 slab = [times[a:a + _DUMP_SLAB]] + [s[a:a + _DUMP_SLAB, j] for s in series]
-                fh.write(io.format_rows(np.column_stack(slab).tolist(), prefix=f"{j},"))
+                fh.write(io.format_rows(np.column_stack(slab), prefix=f"{j},"))
 
 
 RUNNERS = {
@@ -442,10 +439,10 @@ def run_scan(cfg: RunConfig):
         sub = dataclasses.replace(cfg, command=command, out="", grid="")
         if command == "corr":
             sub = dataclasses.replace(sub, gamma=1e-4 * cfg.omega0)
-        columns, units, rows, block = RUNNERS[command](sub)
+        columns, units, blocks, block = RUNNERS[command](sub)
         path = out_dir / f"{name}.{cfg.format}"
         with open(path, "w") as fh:
-            io.write_table(fh, command, sub.to_params(), columns, units, rows,
+            io.write_table(fh, command, sub.to_params(), columns, units, blocks,
                            fmt=cfg.format, block_column=block)
         written.append(str(path))
     return written
@@ -473,13 +470,13 @@ def main(argv=None) -> int:
                     print(path)
                 return EXIT_OK
             if cfg.command in RUNNERS:
-                columns, units, rows, block = RUNNERS[cfg.command](cfg)
+                columns, units, blocks, block = RUNNERS[cfg.command](cfg)
             else:
                 run = run_microbath if cfg.command == "microbath" else run_linear_sde
-                columns, units, rows, block = run(cfg, args.dump_traj, args.dump_count)
+                columns, units, blocks, block = run(cfg, args.dump_traj, args.dump_count)
         with open(cfg.out, "w") if cfg.out else contextlib.nullcontext(sys.stdout) as fh:
             io.write_table(fh, cfg.command, cfg.to_params(), columns, units,
-                           rows, fmt=cfg.format, block_column=block)
+                           blocks, fmt=cfg.format, block_column=block)
     except (ConvergenceError, QuadratureError, UnstableIntegrationError,
             FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

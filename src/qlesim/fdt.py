@@ -340,17 +340,17 @@ def velocity_correlation(tau, system: SystemSpec, bath: BathSpec,
 
 
 def weak_limit_correlation(tau, system: SystemSpec):
-    """Closed-form weak-coupling (gamma -> 0+) correlations.
+    """Closed-form weak-coupling (gamma -> 0+) correlations, at a float tau or an array.
 
     Returns (C_x, C_v) = (hbar/(2 m w0), hbar w0/(2 m)) * coth(hbar w0 / 2 kB T) * cos(w0 tau).
     """
     w0 = system.omega0
     if not w0 > 0:
         raise DomainError("weak-coupling closed form needs omega0 > 0")
-    c = float(system.thermal_coth(w0)) * math.cos(w0 * tau)
+    c = float(system.thermal_coth(w0)) * np.cos(w0 * np.asarray(tau, dtype=float))
     cx = system.hbar / (2.0 * system.mass * w0) * c
     cv = system.hbar * w0 / (2.0 * system.mass) * c
-    return cx, cv
+    return (cx, cv) if c.ndim else (float(cx), float(cv))
 
 
 def weak_coupling_energy(system: SystemSpec) -> float:

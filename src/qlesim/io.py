@@ -4,23 +4,25 @@ Output contract: a table is a parameter block plus rows.  CSV renders the parame
 as ``# key=value`` comment lines (re-parseable as a config file) followed by a header
 row and data; JSON renders one object with "params", "columns", "units" and "rows".
 Both formats run every number through the same formatter, so the decimal renderings
-agree byte for byte, and identical inputs produce identical output bytes.  A CSV body
-is written one run of rows, rows that share one block-key object, at a time: one
-format call a run, with the key rendered once into its template.
+agree byte for byte, and identical inputs produce identical output bytes.  A table
+body comes in as blocks, each its key (the block column's value, or None) and its
+rows without that column: a 2-D float64 array, which CSV renders in one %-format
+call with the key rendered once into its template, or row tuples, rendered cell by
+cell.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain
+
+import numpy as np
 
 from .errors import DomainError
 
 __all__ = ["format_number", "format_rows", "format_param", "write_table", "parse_config_text"]
 
 DATA_FORMAT = ".12g"
-_FLOAT_ONLY = frozenset([float])
 
 
 def format_number(value) -> str:
@@ -36,25 +38,31 @@ def format_number(value) -> str:
 
 def format_rows(rows, prefix: str = "") -> str:
     """One line per row: ``prefix``, then the cells as :func:`format_number`
-    renders them, comma-joined.  Rows of Python floats of one width take one
-    %-format over all their cells; any other rows go cell by cell."""
-    return _format_run(rows, prefix)
+    renders them, comma-joined.  A 2-D float64 array takes one %-format over all
+    its cells; any other rows go cell by cell."""
+    return _format_block(rows, prefix)
 
 
-def _format_run(rows, prefix="", key_idx=None, key_text=""):
-    """:func:`format_rows`, where cell ``key_idx`` of every row is one key rendered as
-    ``key_text``: that text sits in the %-format template, in place of a cell."""
-    flat = list(chain.from_iterable(rows))
-    widths = set(map(len, rows))
-    if len(widths) == 1:
-        cells = ["%" + DATA_FORMAT] * (width := widths.pop())
+def _format_block(rows, prefix="", key_idx=None, key_text=""):
+    """:func:`format_rows`, with ``key_text`` put in as cell ``key_idx`` of every row;
+    a float64 array has it in its %-format template."""
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+        cells = ["%" + DATA_FORMAT] * rows.shape[1]
         if key_idx is not None:
-            cells[key_idx] = key_text.replace("%", "%%")
-            del flat[key_idx::width]
-        if set(map(type, flat)) <= _FLOAT_ONLY:
-            line = prefix.replace("%", "%%") + ",".join(cells) + "\n"
-            return (line * len(rows)) % tuple(flat)
-    return "".join(prefix + ",".join(map(format_number, row)) + "\n" for row in rows)
+            cells.insert(key_idx, key_text.replace("%", "%%"))
+        line = prefix.replace("%", "%%") + ",".join(cells) + "\n"
+        return (line * len(rows)) % tuple(rows.ravel().tolist())
+    return "".join(prefix + ",".join(cells) + "\n"
+                   for cells in _cells(rows, key_idx, key_text, format_number))
+
+
+def _cells(rows, key_idx, key_text, render):
+    """Each row's cells as ``render`` gives them, with ``key_text`` put in at ``key_idx``."""
+    for row in rows.tolist() if isinstance(rows, np.ndarray) else rows:
+        cells = list(map(render, row))
+        if key_idx is not None:
+            cells.insert(key_idx, key_text)
+        yield cells
 
 
 def format_param(value) -> str:
@@ -72,45 +80,46 @@ def write_table(stream, command: str, params: dict, columns, units, rows,
                 fmt: str = "csv", block_column: str | None = None):
     """Write one table in the requested format.
 
-    ``units`` labels each column; ``block_column`` (CSV only) inserts a
-    comment line whenever that column's value changes, visually grouping
-    rows into blocks.
+    ``units`` labels each column.  ``rows`` is the body as a sequence of blocks
+    ``(key, rows)``: with ``block_column`` set, ``key`` is that column's value for
+    the block's rows, which leave the column out, and CSV inserts a comment line
+    wherever the key's text changes, visually grouping rows into blocks; without
+    it, ``key`` is None and the rows hold every column.
     """
     columns = list(columns)
     units = list(units)
     if len(units) != len(columns):
         raise DomainError("units must label every column")
+    key_idx = columns.index(block_column) if block_column else None
     if fmt == "csv":
-        _write_csv(stream, command, params, columns, units, rows, block_column)
+        _write_csv(stream, command, params, columns, units, rows, key_idx)
     elif fmt == "json":
-        _write_json(stream, command, params, columns, units, rows)
+        _write_json(stream, command, params, columns, units, rows, key_idx)
     else:
         raise DomainError(f"unknown output format {fmt!r}")
 
 
-def _write_csv(stream, command, params, columns, units, rows, block_column):
+def _write_csv(stream, command, params, columns, units, blocks, key_idx):
     stream.write(f"# command={command}\n")
     for key, value in params.items():
         stream.write(f"# {key}={format_param(value)}\n")
     stream.write("# units: " + ",".join(units) + "\n")
     stream.write(",".join(columns) + "\n")
-    block_idx = columns.index(block_column) if block_column else None
-    run, last_key, last_block = [], object(), None
-    for row in rows:
-        # a run ends where the key object changes, as equal keys can render apart (0.0,
-        # -0.0); it takes one format call, with its key rendered once into the template
-        if block_idx is not None and row[block_idx] is not last_key:
-            stream.write(_format_run(run, "", block_idx, last_block))
-            run, last_key = [], row[block_idx]
-            if (text := format_number(last_key)) != last_block:
-                stream.write(f"# block: {block_column}={text}\n")
-            last_block = text
-        run.append(row)
-    stream.write(_format_run(run, "", block_idx, last_block))
+    last = None
+    for key, rows in blocks:
+        text = "" if key_idx is None else format_number(key)
+        if key_idx is not None and text != last:
+            stream.write(f"# block: {columns[key_idx]}={text}\n")
+        last = text
+        stream.write(_format_block(rows, "", key_idx, text))
 
 
-def _write_json(stream, command, params, columns, units, rows):
-    # rows are rendered by hand so numeric literals match the CSV cells
+def _json_cell(value):  # by hand, so that numeric literals match the CSV cells
+    text = json.dumps(value) if isinstance(value, str) else format_number(value)
+    return json.dumps(text) if text == "nan" else text
+
+
+def _write_json(stream, command, params, columns, units, blocks, key_idx):
     stream.write("{\n")
     stream.write(f'  "command": {json.dumps(command)},\n')
     stream.write('  "params": {')
@@ -121,15 +130,9 @@ def _write_json(stream, command, params, columns, units, rows):
     stream.write('  "units": ' + json.dumps(list(units)) + ",\n")
     stream.write('  "rows": [\n')
     body = []
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, str):
-                cells.append(json.dumps(v))
-            else:
-                text = format_number(v)
-                cells.append(json.dumps(text) if text == "nan" else text)
-        body.append("    [" + ", ".join(cells) + "]")
+    for key, rows in blocks:
+        body += ("    [" + ", ".join(cells) + "]"
+                 for cells in _cells(rows, key_idx, _json_cell(key), _json_cell))
     stream.write(",\n".join(body))
     stream.write("\n  ]\n}\n")
 

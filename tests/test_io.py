@@ -21,15 +21,27 @@ def test_format_number_significant_digits():
 
 
 def test_format_rows_is_format_number_per_cell():
-    # a run of float rows takes one %-format; any other run goes cell by cell
+    # a float64 array takes one %-format; any other rows go cell by cell
     for row in ((1.0, 1.0 / 3.0, -0.0, float("nan"), float("-inf"), 5e-324, 1.5e16),
                 (np.float64(0.1), 2.5e-7), ("name", 2.5, True, 7), ()):
         for prefix in ("", "3,", "%s%%,"):
             line = prefix + ",".join(format_number(v) for v in row) + "\n"
             assert format_rows([row], prefix) == line
             assert format_rows([row] * 3, prefix) == line * 3
+            if row and not isinstance(row[0], str):
+                assert format_rows(np.array([row] * 3, dtype=float), prefix) == line * 3
     assert format_rows([(1.0, 2.0), (3.0,)]) == "1,2\n3\n"
     assert format_rows([]) == ""
+    assert format_rows(np.empty((0, 3))) == ""
+
+
+def test_int_array_goes_cell_by_cell():
+    # '%.12g' % 10**18 is 1e+18, but format_number gives the integer
+    rows = np.array([[10**18, -3]])
+    assert format_rows(rows, "7,") == "7,1000000000000000000,-3\n"
+    buf = std_io.StringIO()
+    write_table(buf, "demo", {}, ["a", "g", "b"], ["-"] * 3, [(0.5, rows)], block_column="g")
+    assert buf.getvalue().endswith("# block: g=0.5\n1000000000000000000,0.5,-3\n")
 
 
 def per_row_csv(command, params, columns, units, rows, block_column):
@@ -51,6 +63,23 @@ def per_row_csv(command, params, columns, units, rows, block_column):
         else:
             out.append(",".join(map(format_number, row)) + "\n")
     return "".join(out)
+
+
+def blocks(columns, rows, block_column):
+    """The rows as write_table's blocks, split by the old identity rule: a block ends
+    where the key object changes, and its rows leave the key column out; a block of
+    Python floats only is a float64 array, as the CLI's runners hand it."""
+    if block_column is None:
+        out = [(None, list(rows))]
+    else:
+        idx, out, last = columns.index(block_column), [], object()
+        for row in rows:
+            if row[idx] is not last:
+                last = row[idx]
+                out.append((last, []))
+            out[-1][1].append((*row[:idx], *row[idx + 1:]))
+    return [(key, np.array(part, dtype=float) if part and all(
+        type(v) is float for row in part for v in row) else part) for key, part in out]
 
 
 FLOATS = st.one_of(st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"),
@@ -89,10 +118,28 @@ def tables(draw):
 def test_write_table_csv_matches_per_row_writer(table):
     columns, rows, block = table
     buf = std_io.StringIO()
-    write_table(buf, "demo", {"p": 0.25}, columns, ["-"] * len(columns), rows, fmt="csv",
-                block_column=block)
+    write_table(buf, "demo", {"p": 0.25}, columns, ["-"] * len(columns),
+                blocks(columns, rows, block), fmt="csv", block_column=block)
     assert buf.getvalue() == per_row_csv("demo", {"p": 0.25}, columns, ["-"] * len(columns),
                                          rows, block)
+    # JSON puts each block's key back in its column
+    split, whole = std_io.StringIO(), std_io.StringIO()
+    write_table(split, "demo", {}, columns, ["-"] * len(columns), blocks(columns, rows, block),
+                fmt="json", block_column=block)
+    write_table(whole, "demo", {}, columns, ["-"] * len(columns), [(None, rows)], fmt="json")
+    assert split.getvalue() == whole.getvalue()
+
+
+def test_float_array_blocks_match_per_row_writer():
+    specials = [float("nan"), 0.0, -0.0, float("inf"), float("-inf"), 5e-324, 1.5e16]
+    rows = [(key, a, b) for key in (0.5, -0.0) for a, b in zip(specials, specials[::-1])]
+    columns = ["c0", "g", "c1"]
+    for block in (None, "g", "c0"):
+        body = blocks(columns, rows, block)
+        assert all(isinstance(part, np.ndarray) for _, part in body)
+        buf = std_io.StringIO()
+        write_table(buf, "demo", {}, columns, ["-"] * 3, body, block_column=block)
+        assert buf.getvalue() == per_row_csv("demo", {}, columns, ["-"] * 3, rows, block)
 
 
 def test_format_param_roundtrips_floats():
@@ -104,7 +151,7 @@ def test_format_param_roundtrips_floats():
 def test_csv_layout():
     buf = std_io.StringIO()
     write_table(buf, "demo", {"gamma": 0.1}, ["a", "b"], ["u1", "u2"],
-                [(1.0, 2.0), (3.0, 4.0)], fmt="csv")
+                blocks(["a", "b"], [(1.0, 2.0), (3.0, 4.0)], None), fmt="csv")
     lines = buf.getvalue().splitlines()
     assert lines[0] == "# command=demo"
     assert lines[1] == "# gamma=0.1"
@@ -115,8 +162,9 @@ def test_csv_layout():
 
 def test_block_comments_group_rows():
     buf = std_io.StringIO()
-    write_table(buf, "demo", {}, ["g", "x"], ["-", "-"],
-                [(1.0, 0.1), (1.0, 0.2), (2.0, 0.3)], fmt="csv", block_column="g")
+    rows = [(1.0, 0.1), (1.0, 0.2), (2.0, 0.3)]
+    write_table(buf, "demo", {}, ["g", "x"], ["-", "-"], blocks(["g", "x"], rows, "g"),
+                fmt="csv", block_column="g")
     text = buf.getvalue()
     assert text.count("# block: g=1") == 1
     assert text.count("# block: g=2") == 1
@@ -125,8 +173,9 @@ def test_block_comments_group_rows():
 def test_json_is_valid_and_numbers_match_csv():
     rows = [(0.5, 1.0 / 7.0), (2.0, 1e-9)]
     csv_buf, json_buf = std_io.StringIO(), std_io.StringIO()
-    write_table(csv_buf, "demo", {"p": 1}, ["a", "b"], ["-", "-"], rows, fmt="csv")
-    write_table(json_buf, "demo", {"p": 1}, ["a", "b"], ["-", "-"], rows, fmt="json")
+    body = blocks(["a", "b"], rows, None)
+    write_table(csv_buf, "demo", {"p": 1}, ["a", "b"], ["-", "-"], body, fmt="csv")
+    write_table(json_buf, "demo", {"p": 1}, ["a", "b"], ["-", "-"], body, fmt="json")
     parsed = json.loads(json_buf.getvalue())
     assert parsed["columns"] == ["a", "b"]
     csv_cells = [
