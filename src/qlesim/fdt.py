@@ -122,7 +122,8 @@ def density_moment(which, order, damping, window=DEFAULT_MOMENT_WINDOW,
     delta-function limit both densities concentrate at Lambda = 1 and every
     windowed moment tends to 1.  P_p is (2/pi) L with m = w0 = 1 and gamma =
     damping, and P_k = Lambda^2 P_p, so the pole-pair weight is h = (2/pi)
-    Lambda^n, n = order (+2 for P_k).
+    Lambda^n, n = order (+2 for P_k).  For n >= 1 raises DomainError where
+    (1 - window^2)^2 + (damping * window)^2 overflows: the loss reads 0 there.
     """
     if order < 0:
         raise DomainError("order must be nonnegative")
@@ -136,6 +137,10 @@ def density_moment(which, order, damping, window=DEFAULT_MOMENT_WINDOW,
     cfg = cfg or QuadratureConfig()
     if math.isinf(window):
         window = _finite_upper(1.0, damping, 2.0 / math.pi, n, cfg.abs_tol)
+    d, e = 1.0 - window * window, damping * window  # the loss reads 0 where d^2 + e^2 overflows
+    if n and not d * d + e * e < math.inf:
+        raise DomainError("the loss's denominator overflows inside the window, where "
+                          "this moment's weight is not negligible")
     susc = Susceptibility(SystemSpec(), BathSpec.strict_ohmic(damping))
     return float(_pole_pair_integral(
         lambda x: (2.0 / math.pi) * x**n * susc.loss(x), lambda z: (2.0 / math.pi) * z**n,
@@ -284,6 +289,11 @@ def _correlation(tau, system, bath, cfg, velocity):
             upper = _finite_upper(system.omega0, bath.gamma / system.mass,
                                   1.0 / math.tanh(2.0 * a * system.omega0), 1,
                                   cfg.abs_tol * math.pi / system.hbar)
+        elif velocity:  # the loss reads 0 where (w0^2 - w^2)^2 + (gamma w)^2 overflows
+            d, e = system.omega0**2 - upper * upper, bath.gamma * upper
+            if not d * d + e * e < math.inf:
+                raise DomainError("the loss's denominator overflows below omega_max, where "
+                                  "the velocity correlation's weight is not negligible")
         edges = _octaves(centre, low, upper)
     else:
         # below the cutoff the loss is the resonance plus a smooth part that
@@ -294,10 +304,10 @@ def _correlation(tau, system, bath, cfg, velocity):
         shoulders = cut * (1.0 - 10.0 ** -np.arange(1, 9))
         edges = (*_octaves(centre, low, min(upper, shoulders[0]))[:-1],
                  *shoulders[shoulders < upper].tolist(), upper)
+    bound = s.bound_state()
     # abs_tol bounds C itself, which is hbar/pi times the frequency integral
     value = _pole_pair_integral(lh, h, s.resonance_pole(), taus, edges, cfg, label,
                                 scale=system.hbar / math.pi)
-    bound = s.bound_state()
     if bound is not None and (cfg.omega_max is None or bound[0] <= cfg.omega_max):
         wb, weight = bound
         value = value + (weight * (wb**2 if velocity else 1.0) * scaled_omega_coth(wb, a)
@@ -333,7 +343,8 @@ def velocity_correlation(tau, system: SystemSpec, bath: BathSpec,
     bath requires a finite ``cfg.omega_max``: the remainder decays only
     like 1/omega, so the result depends logarithmically on that cutoff at
     tau = 0 and the caller owns the choice.  Weak-coupling values are
-    cutoff-insensitive because the resonance term carries the weight.
+    cutoff-insensitive because the resonance term carries the weight.  Raises DomainError
+    on a strict-Ohmic bath where (w0^2 - w^2)^2 + (gamma w)^2 overflows at omega_max.
     """
     cfg = cfg or QuadratureConfig()
     return _correlation(tau, system, bath, cfg, velocity=True)

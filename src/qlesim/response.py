@@ -139,7 +139,8 @@ class Susceptibility:
         Above the cutoff Re mu = 0, and D = Re(1/alpha) falls strictly from
         +inf at Omega to -inf, so it has exactly one zero omega_b; there
         w = pi / (omega_b |D'(omega_b)|).  None for strict-Ohmic baths and
-        when omega_b - Omega underflows (w then vanishes as well).
+        when omega_b - Omega underflows (w then vanishes as well).  Raises
+        DomainError where D overflows on the bracket (gamma ~ 1e250 at Omega = 3).
         """
         if self.bath.kind is not BathKind.CUTOFF_OHMIC:
             return None
@@ -156,6 +157,9 @@ class Susceptibility:
         # omega - Omega >= Omega, so D < 0 at the upper end of the bracket
         lo = math.log(sys.float_info.min)
         hi = math.log(max(cut, math.sqrt(w0**2 + 4.0 * k * cut / m)))
+        if not math.isfinite(excess(lo) + excess(hi)):
+            raise DomainError(f"bound state: D overflows on its bracket (gamma = "
+                              f"{self.bath.gamma:.3g}, cutoff = {cut:.3g})")
         if not excess(lo) > 0.0:
             return None
         u = brentq(excess, lo, hi, xtol=1e-15)

@@ -515,6 +515,14 @@ class TestExitCodes:
         assert err.startswith(f"error: the square of {what} is not")
         assert len(err.splitlines()) == 1
 
+    def test_omega_max_whose_loss_leaves_the_floats_is_one(self, capsys):
+        # above omega = 1.16e77 the strict loss's (w0^2 - w^2)^2 overflows and it read 0:
+        # at --omega-max 1e100 corr printed Cv(0) = 6.69 (about 8.4) with exit 0
+        code, out, err = run_cli(["corr", "--omega-max", "1e100", "--grid", "0:1:2"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the loss's denominator overflows")
+        assert len(err.splitlines()) == 1
+
     def test_overdamped_inside_the_floats_runs(self, capsys):
         code, out, err = run_cli(["corr", "--gamma", "1e150", "--grid", "0:1:2"], capsys)
         assert (code, err) == (0, "")

@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 from scipy.special import polygamma, psi
 
 from qlesim.bath import BathSpec, SystemSpec
-from qlesim.errors import DomainError, QuadratureError, UVDivergenceError
+from qlesim.errors import DomainError, QlesimError, QuadratureError, UVDivergenceError
 from qlesim.quadrature import QuadratureConfig, integrate_cosine
 from qlesim.response import Susceptibility
 from qlesim import cli, fdt, microbath
@@ -85,6 +85,19 @@ class TestDensities:
         # P_p holds its weight in a peak of width 1/damping at Lambda = 0,
         # which the octaves stopped above: at 1e20 it read 9.8e-18
         assert fdt.density_normalization("p", damping) == pytest.approx(1.0, abs=1e-9)
+
+    def test_moments_raise_where_the_loss_leaves_the_floats(self):
+        # from (damping * window)^2 = inf the loss reads 0 inside the window, and
+        # moments with weight there read low: P_k's normalization 8.5e-47 at 1e100,
+        # its integral over [0, 10] 8.6e-155 at 1e154 for 6.4e-154; (1 - window^2)^2
+        # overflows from 1.16e77, and the normalization read 1 - 5.5e-8 at 1e70
+        assert 1e150 * fdt.density_moment("k", 0, 1e150) == pytest.approx(20.0 / math.pi,
+                                                                           rel=1e-9)
+        for which, order, damping, window in (("k", 0, 1e154, 10.0), ("k", 2, 1e200, 10.0),
+                                              ("p", 1, 1e160, 10.0), ("k", 0, 1e100, math.inf),
+                                              ("k", 0, 1e70, math.inf)):
+            with pytest.raises(DomainError):
+                fdt.density_moment(which, order, damping, window)
 
     def test_delta_limit_moments(self):
         # both moments of both densities within 1% of 1 at damping 1e-3,
@@ -448,6 +461,25 @@ class TestStrictOhmicResonance:
         c0 = fdt.velocity_correlation(0.0, sys_, bath, tight)
         assert abs(got - ref) <= 50.0 * cfg.rel_tol * c0
 
+    def test_velocity_raises_where_the_loss_leaves_the_floats(self):
+        # the loss's (gamma w)^2 overflows from gamma w = 1.3e154: at omega_max = 1e3
+        # C_v(0) read 9.0e-155 at gamma = 1e154 for 1.59e-149, and 8.6e-247 at 1e200;
+        # (w0^2 - w^2)^2 from w = 1.16e77: at omega_max = 1e100 C_v(0) read 6.69 for 8.4
+        sys_, cfg = SystemSpec(), QuadratureConfig(omega_max=1e3)
+        for upper in (1.17e77, 1e100):
+            with pytest.raises(DomainError):
+                fdt.velocity_correlation(0.0, sys_, BathSpec.strict_ohmic(0.1),
+                                         QuadratureConfig(omega_max=upper))
+        scaled = [g * fdt.velocity_correlation(0.0, sys_, BathSpec.strict_ohmic(g), cfg)
+                  for g in (1e100, 1e150)]
+        assert scaled[1] == pytest.approx(scaled[0], rel=1e-9)
+        for g in (1e154, 1e200):
+            with pytest.raises(DomainError):
+                fdt.velocity_correlation(0.0, sys_, BathSpec.strict_ohmic(g), cfg)
+        # C_x loses only a tail of about 1e-154 there
+        cx = fdt.position_correlation(0.0, sys_, BathSpec.strict_ohmic(1e200), cfg)
+        assert cx == pytest.approx(1.0, abs=1e-9)
+
     @pytest.mark.parametrize("upper", (5.0, 1e3, 0.5))
     @pytest.mark.parametrize("tau", (0.0, 0.7, 3.0))
     def test_matches_direct_quadrature_at_moderate_damping(self, upper, tau):
@@ -745,6 +777,20 @@ class TestCutoffBathPath:
         bath = BathSpec.cutoff_ohmic(gamma=gamma, cutoff=100.0)
         got = fdt.position_correlation(0.0, sys_, bath)
         assert got == pytest.approx(matsubara_position_variance(sys_, bath), rel=1e-7)
+
+    @pytest.mark.parametrize("gamma", (1e200, 1e250, 1e300))
+    def test_bound_state_right_or_raise(self, gamma):
+        # from about 1e250 the bound state's equation leaves the floats: brentq
+        # raised ValueError, after a matmul overflow warning at 1e300
+        bath = BathSpec.cutoff_ohmic(gamma, 3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if gamma == 1e200:
+                assert fdt.position_correlation(0.0, SystemSpec(), bath) == pytest.approx(
+                    1.0, abs=1e-9)
+            else:
+                with pytest.raises(QlesimError):
+                    fdt.position_correlation(0.0, SystemSpec(), bath)
 
     @pytest.mark.parametrize("gamma,cutoff", CUTOFF_BATHS)
     def test_classical_sum_rules(self, gamma, cutoff):
