@@ -114,6 +114,7 @@ def tables(draw):
 @settings(max_examples=300, deadline=None)
 @example((["g", "c0"], [(0.0, 1.0), (-0.0, 2.0), (float("0.5"), 3.0), (float("0.5"), 4.0)],
           "g"))
+@example((["c0", "g"], [(1.5, "%d%%"), (2.5, "%d%%")], "g"))  # a key in a float block's template
 @given(tables())
 def test_write_table_csv_matches_per_row_writer(table):
     columns, rows, block = table
