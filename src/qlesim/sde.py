@@ -14,17 +14,17 @@ overflow.
 
 Engine contract, shared with the finite bath of :mod:`.microbath`: members
 come in blocks of 64 and chunks of whole blocks; block b fills row-major
-tiles of normals from its (seed, b) stream and member i takes column i % 64
-of block i // 64, so it depends on (seed, i) alone, not on the ensemble size,
-chunking or tiling; each tile is mapped into its stream's 64 columns as
-drawn (a finite-bath tile has one row per sampled value).  Both ensembles
-run through one driver, :func:`_accumulate`: one thread pool per call (up
-to the usable CPUs), each worker taking a contiguous group of a chunk's
-streams and returning per-member values by name, which the driver checks
-finite and accumulates in member order, so results do not depend on the
-worker count.  SDE trajectories start from N(0, Sigma), drawn first; a
-group steps in one (slab steps + 1, members, dim) buffer, one 64-step slab
-of draws at a time; observables sum in step order.
+tiles of normals from its (seed, b) SFC64 stream and member i takes column
+i % 64 of block i // 64, so it depends on (seed, i) alone, not on the
+ensemble size, chunking or tiling; each tile is mapped into its stream's 64
+columns as drawn (a finite-bath tile has one row per sampled value).  Both
+ensembles run through one driver, :func:`_accumulate`: one thread pool per
+call (up to the usable CPUs), each worker taking a contiguous group of a
+chunk's streams and returning per-member values by name, which the driver
+checks finite and accumulates in member order, so results do not depend on
+the worker count.  SDE trajectories start from N(0, Sigma), drawn first; a
+group steps in one (slab steps + 1, members, dim) buffer, one 64-step slab of
+draws at a time; observables sum in step order.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def _stepper(drift, diffusion, dt, n_steps, n_traj):
 
 def _chunks(seed, n, chunk_size):
     """(streams, count) per chunk of members 0..n-1: chunk_size rounded up to
-    whole blocks of 64, one PCG64 stream keyed by (seed, block) per block, and
+    whole blocks of 64, one SFC64 stream keyed by (seed, block) per block, and
     the number of the chunk's members that are not padding."""
     if seed < 0:
         raise DomainError("seed must be non-negative")
@@ -138,8 +138,9 @@ def _chunks(seed, n, chunk_size):
     n_blocks, per_chunk = -(-n // _BLOCK), -(-chunk_size // _BLOCK)
     for first in range(0, n_blocks, per_chunk):
         blocks = range(first, min(first + per_chunk, n_blocks))
-        yield ([np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x5DE, b)))
-                for b in blocks], min(n - _BLOCK * first, _BLOCK * len(blocks)))
+        keys = (np.random.SeedSequence(seed, spawn_key=(0x5DE, b)) for b in blocks)
+        yield ([np.random.Generator(np.random.SFC64(key)) for key in keys],
+               min(n - _BLOCK * first, _BLOCK * len(blocks)))
 
 
 def _accumulate(seed, n, chunk_size, work, least):

@@ -21,7 +21,8 @@ def make_bath(gamma=0.5, cutoff=3.0, n_modes=300):
 
 def block_stream(seed, block):
     """The (seed, block) stream: realization 64 * block + k is column k of its tiles."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x5DE, block)))
+    key = np.random.SeedSequence(seed, spawn_key=(0x5DE, block))
+    return np.random.Generator(np.random.SFC64(key))
 
 
 def pass_values(rows, seed, block):

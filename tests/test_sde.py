@@ -15,6 +15,7 @@ from qlesim import markovian as mk
 from qlesim import microbath as mb
 from qlesim.bath import BathSpec, SystemSpec, discretize_bath
 from qlesim.errors import DomainError, UnstableIntegrationError
+from test_microbath import block_stream
 
 
 def _moments(res):
@@ -234,6 +235,19 @@ def test_negative_seed_raises():
                  lambda: mb.ensemble_stats(modes, SystemSpec(), grid, [0.0], 4, seed=-1)):
         with pytest.raises(DomainError, match="seed"):
             call()
+
+
+def test_block_streams_are_sfc64_keyed_by_seed_and_block():
+    # blocks 0 and 65 of seed 3 (one chunk of 66 blocks): a change of bit
+    # generator or of stream key fails here, not only in the golden files
+    (streams, count), = sde._chunks(3, 66 * 64, 66 * 64)
+    assert len(streams) == 66 and count == 66 * 64
+    for block in (0, 65):
+        bits = streams[block].bit_generator
+        assert type(bits) is np.random.SFC64
+        assert (bits.seed_seq.entropy, bits.seed_seq.spawn_key) == (3, (0x5DE, block))
+        tile = streams[block].standard_normal((64, 64, 2))
+        assert tile.tobytes() == block_stream(3, block).standard_normal((64, 64, 2)).tobytes()
 
 
 def _van_loan(drift, diffusion, dt):
