@@ -391,18 +391,17 @@ def run_microbath(cfg: RunConfig, dump_traj=None, dump_count=1):
         times, *series = dump
         _write_trajectories(dump_traj, ("x", "v", "f"), times, series)
 
-    refs = microbath.noise_autocorrelation_quadrature(system, bath, stats["taus"]).tolist()
-    blocks = []
-    for tau, mean_est, corr_est, ref in zip(stats["taus"], stats["mean"], stats["autocorr"], refs):
-        blocks.append(("noise_mean", [(float(tau), mean_est.mean, mean_est.se, 0.0)]))
-        blocks.append(("noise_autocorr", [(float(tau), corr_est.mean, corr_est.se, ref)]))
-
+    taus, t_end = stats["taus"], grid.dt * grid.n_steps
+    refs = microbath.noise_autocorrelation_quadrature(system, bath, taus)
     x2_ref = fdt.position_correlation(0.0, system, bath)
     v2_ref = fdt.velocity_correlation(0.0, system, bath)
-    blocks.append(("gle_moment_x2", [(grid.dt * grid.n_steps, res["x2"].mean,
-                                      res["x2"].se, x2_ref)]))
-    blocks.append(("gle_moment_v2", [(grid.dt * grid.n_steps, res["v2"].mean,
-                                      res["v2"].se, v2_ref)]))
+    # one float block a section: one block line each, and one format call
+    blocks = [(section, np.array(rows, dtype=float)) for section, rows in (
+        ("noise_mean", [(t, e.mean, e.se, 0.0) for t, e in zip(taus, stats["mean"])]),
+        ("noise_autocorr", [(t, e.mean, e.se, ref)
+                            for t, e, ref in zip(taus, stats["autocorr"], refs)]),
+        ("gle_moment_x2", [(t_end, res["x2"].mean, res["x2"].se, x2_ref)]),
+        ("gle_moment_v2", [(t_end, res["v2"].mean, res["v2"].se, v2_ref)]))]
 
     columns = ("section", "key", "value", "std_error", "reference")
     units = ("name", "time or label", "natural units", "natural units", "quadrature")
