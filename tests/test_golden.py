@@ -103,6 +103,14 @@ def test_output_matches_golden(case, tmp_path):
         assert data.decode() == (GOLDEN / name).read_text(), name
 
 
+def test_every_golden_file_belongs_to_a_case():
+    # a case renamed or dropped in a re-record cannot leave stale bytes behind
+    expected = {f"{case}.out" for case in CASES}
+    expected |= {f"{case}_traj.csv" for case, args in CASES.items() if args[0] in _DUMPED}
+    expected |= {f"{case}.sha256" for case, args in CASES.items() if args[0] == "scan"}
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(expected)
+
+
 if __name__ == "__main__":
     names = sys.argv[1:] or list(CASES)
     if unknown := [name for name in names if name not in CASES]:
