@@ -20,7 +20,8 @@ def make_bath(gamma=0.5, cutoff=3.0, n_modes=300):
 
 
 def block_stream(seed, block):
-    """The (seed, block) stream: realization 64 * block + k is column k of its tiles."""
+    """The (seed, block) SFC64 stream, built here and not taken from sde, so that it
+    stays an oracle: realization 64 * block + k is column k of its tiles."""
     key = np.random.SeedSequence(seed, spawn_key=(0x5DE, block))
     return np.random.Generator(np.random.SFC64(key))
 
