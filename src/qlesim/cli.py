@@ -7,7 +7,10 @@ energies over a damping sweep), ``sde`` / ``rwa`` (Monte Carlo moment
 reports with standard errors), ``microbath`` (finite-bath noise
 statistics and memory-dynamics moments) and ``scan`` (the standard
 four-damping figure set written into a directory).  ``sde``, ``rwa`` and
-``microbath`` all write sample trajectories to CSV with ``--dump-traj``.
+``microbath`` all write sample trajectories to CSV with ``--dump-traj``:
+``sde`` and ``rwa`` at most their first 1,000 steps, ``microbath`` every step.
+Each key of :class:`RunConfig` is declared once, in its field, which says
+which commands take it as a flag; flags and config lines are typed alike.
 
 Every run echoes its full parameter block as ``# key=value`` comment
 lines that re-parse as a config file; identical parameters and seed give
@@ -24,7 +27,6 @@ import functools
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +45,17 @@ EXIT_IO = 3
 # damping ratios of the standard distribution figures
 FIGURE_DAMPINGS = (1.0, 0.5, 0.125, 0.0125)
 
-COMMANDS = ("dist", "corr", "energy", "sde", "rwa", "microbath", "scan")
+# command -> its help; the parsers take a RunConfig key as a flag where its field says so
+COMMANDS = {
+    "dist": "dimensionless energy densities over a frequency-ratio grid",
+    "corr": "correlation functions vs the weak-coupling closed form",
+    "energy": "channel energies over a damping-ratio sweep",
+    "sde": "Markovian SDE ensemble moment report",
+    "rwa": "rotating-wave ensemble moment report",
+    "microbath": "finite-bath noise statistics and memory-dynamics moments",
+    "scan": "write the standard figure tables into a directory",
+}
+_SAMPLED = ("sde", "rwa", "microbath")  # the commands that step trajectories and dump them
 # largest microbath mode phase w t: cos and sin there err by about 1e9 * eps = 2e-7 rad
 MAX_PHASE = 1e9
 
@@ -52,29 +64,38 @@ class _CliError(DomainError):
     """Validation failure raised during argument handling."""
 
 
-@dataclass
+def _flag(default, help_text, *commands):
+    """A RunConfig field: the default, whose type types the key's flag and config
+    values, the flag's help, and the commands whose parsers take the flag (every
+    command when none is named).  A config file takes every key for every command."""
+    return dataclasses.field(default=default, metadata={"help": help_text,
+                                                        "commands": commands or tuple(COMMANDS)})
+
+
+@dataclasses.dataclass
 class RunConfig:
-    """Validated parameters of one CLI run; one flat key per flag."""
+    """Validated parameters of one CLI run; each field is one key, declared once."""
 
     command: str
-    gamma: float = 0.1
-    omega0: float = 1.0
-    temp: float = 1.0
-    hbar: float = 1.0
-    kb: float = 1.0
-    mass: float = 1.0
-    omega_max: float = 1000.0
-    grid: str = ""
-    gammas: tuple = FIGURE_DAMPINGS
-    cutoff: float = 3.0
-    modes: int = 1000
-    realizations: int = 10000
-    traj: int = 10000
-    steps: int = 0
-    dt: float = 0.0
-    seed: int = 1
-    format: str = "csv"
-    out: str = ""
+    gamma: float = _flag(0.1, "damping rate")
+    omega0: float = _flag(1.0, "oscillator frequency")
+    temp: float = _flag(1.0, "temperature")
+    hbar: float = _flag(1.0, "Planck constant")
+    kb: float = _flag(1.0, "Boltzmann constant")
+    mass: float = _flag(1.0, "oscillator mass")
+    omega_max: float = _flag(1000.0, "frequency cutoff for divergent-tail integrals")
+    grid: str = _flag("", "start:stop:count grid (command-specific meaning)")
+    gammas: tuple = _flag(FIGURE_DAMPINGS, "comma list of damping ratios", "dist", "energy", "scan")
+    cutoff: float = _flag(3.0, "bath cutoff frequency", "microbath")
+    modes: int = _flag(1000, "bath modes in the discretization", "microbath")
+    realizations: int = _flag(10000, "noise/GLE realizations", "microbath")
+    traj: int = _flag(10000, "number of trajectories", "sde", "rwa")
+    steps: int = _flag(0, "time steps (0 selects the default); microbath reports the "
+                          "moments at steps * dt", *_SAMPLED)
+    dt: float = _flag(0.0, "time step (0 selects the default)", *_SAMPLED)
+    seed: int = _flag(1, "RNG seed")
+    format: str = _flag("csv", "output format: csv or json")
+    out: str = _flag("", "output path (directory for scan); stdout if omitted")
 
     def validate(self):
         if self.command not in COMMANDS:
@@ -83,6 +104,8 @@ class RunConfig:
                     "omega_max", "cutoff"):
             if not 0 < getattr(self, key) < math.inf:
                 raise _CliError(f"{key} must be positive and finite")
+        if not _is_normal(self.kb * self.temp):
+            raise _CliError("kb*temp is not a positive normal float")
         # the moments and the loss square these scales; once (m*w0^2)^2 is
         # normal, m*w0 is nonzero, so the last division cannot fail
         m, w0 = self.mass, self.omega0
@@ -100,6 +123,13 @@ class RunConfig:
             raise _CliError("the square of E/(mass*omega0^2), E/mass, mass*E or (microbath) "
                             "mass*gamma*cutoff*E is not a finite normal float, "
                             "E = (hbar*omega0/2) coth(hbar*omega0/(2*kb*temp))")
+        # the FDT quadrature's octaves start below pi/a over omega0, a = hbar/(2 kb temp),
+        # which can overflow, or underflow to 0
+        a = self.system().thermal_coth_scale
+        if self.command in ("corr", "energy", "microbath", "scan") and not (
+                a and _is_normal(math.pi / a / 4.0 / w0)):
+            raise _CliError("pi*kb*temp/(2*hbar*omega0), the FDT quadrature's lowest edge "
+                            "over omega0, is not a normal float")
         for key in ("modes", "realizations", "traj"):
             if getattr(self, key) < 1:
                 raise _CliError(f"{key} must be >= 1")
@@ -135,22 +165,18 @@ class RunConfig:
         return self
 
     def to_params(self) -> dict:
-        out = {}
-        for f in dataclasses.fields(self):
-            if f.name == "command":
-                continue
-            out[f.name] = getattr(self, f.name)
-        return out
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                if f.name != "command"}
 
     @classmethod
     def from_params(cls, command: str, raw: dict) -> "RunConfig":
-        """Build from string values, rejecting unknown keys."""
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        """Build from string values, flags and config lines alike, rejecting unknown keys."""
+        fields = {f.name: f for f in dataclasses.fields(cls) if f.name != "command"}
         kwargs = {}
         for key, value in raw.items():
-            if key == "command" or key not in types:
+            if key not in fields:
                 raise _CliError(f"unknown config key {key!r}")
-            kwargs[key] = _parse_field(key, value)
+            kwargs[key] = _parse_field(fields[key], value)
         return cls(command=command, **kwargs).validate()
 
     def system(self) -> SystemSpec:
@@ -164,30 +190,26 @@ class RunConfig:
         return QuadratureConfig(abs_tol=QuadratureConfig.abs_tol * unit, omega_max=self.omega_max)
 
 
+def _is_normal(x: float) -> bool:
+    return sys.float_info.min <= x < math.inf
+
+
 def _square_is_normal(x: float) -> bool:
-    return sys.float_info.min <= x * x < math.inf
+    return _is_normal(x * x)
 
 
-def _parse_field(key: str, value):
-    if isinstance(value, (int, float, tuple)):
-        return value
-    text = str(value).strip()
-    if key in ("grid", "format", "out"):
-        return text
-    if key == "gammas":
-        try:
-            return tuple(float(part) for part in text.split(",") if part)
-        except ValueError as exc:
-            raise _CliError(f"bad gammas list {text!r}") from exc
-    if key in ("modes", "realizations", "traj", "steps", "seed"):
-        try:
-            return int(text)
-        except ValueError as exc:
-            raise _CliError(f"{key} must be an integer, got {text!r}") from exc
+_KINDS = {int: "an integer", float: "a number", tuple: "a comma list of numbers"}
+
+
+def _parse_field(field, text: str):
+    """A flag's or config line's text, typed as the field's default is."""
+    kind, text = type(field.default), text.strip()
     try:
-        return float(text)
+        if kind is tuple:
+            return tuple(float(part) for part in text.split(",") if part)
+        return kind(text)
     except ValueError as exc:
-        raise _CliError(f"{key} must be a number, got {text!r}") from exc
+        raise _CliError(f"{field.name} must be {_KINDS[kind]}, got {text!r}") from exc
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -210,67 +232,26 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+def _flags(command):
+    """The RunConfig fields that ``command``'s parser takes as flags."""
+    return [f for f in dataclasses.fields(RunConfig) if command in f.metadata.get("commands", ())]
+
+
 @functools.cache
 def build_parser() -> _Parser:
-    """The argument parser, built once per process: callers must not mutate it."""
+    """The argument parser, built once per process: callers must not mutate it.
+    Its flags keep their values as text; :meth:`RunConfig.from_params` types them."""
     parser = _Parser(prog="qlesim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", type=str, default=None,
-                       help="flat key=value file; flags override it")
-        p.add_argument("--gamma", type=float, default=None, help="damping rate")
-        p.add_argument("--omega0", type=float, default=None, help="oscillator frequency")
-        p.add_argument("--temp", type=float, default=None, help="temperature")
-        p.add_argument("--hbar", type=float, default=None, help="Planck constant")
-        p.add_argument("--kb", type=float, default=None, help="Boltzmann constant")
-        p.add_argument("--mass", type=float, default=None, help="oscillator mass")
-        p.add_argument("--omega-max", dest="omega_max", type=float, default=None,
-                       help="frequency cutoff for divergent-tail integrals")
-        p.add_argument("--grid", type=str, default=None,
-                       help="start:stop:count grid (command-specific meaning)")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed")
-        p.add_argument("--format", type=str, default=None, choices=("csv", "json"))
-        p.add_argument("--out", type=str, default=None,
-                       help="output path (directory for scan); stdout if omitted")
-
-    specs = {
-        "dist": "dimensionless energy densities over a frequency-ratio grid",
-        "corr": "correlation functions vs the weak-coupling closed form",
-        "energy": "channel energies over a damping-ratio sweep",
-        "sde": "Markovian SDE ensemble moment report",
-        "rwa": "rotating-wave ensemble moment report",
-        "microbath": "finite-bath noise statistics and memory-dynamics moments",
-        "scan": "write the standard figure tables into a directory",
-    }
-    parsers = {}
-    for name, help_text in specs.items():
+    for name, help_text in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        add_common(p)
-        parsers[name] = p
-    for name in ("dist", "energy", "scan"):
-        parsers[name].add_argument("--gammas", type=str, default=None,
-                                   help="comma list of damping ratios")
-    for name in ("sde", "rwa"):
-        parsers[name].add_argument("--traj", type=int, default=None,
-                                   help="number of trajectories")
-        parsers[name].add_argument("--steps", type=int, default=None,
-                                   help="samples per trajectory")
-    parsers["microbath"].add_argument("--steps", type=int, default=None,
-                                      help="grid steps: moments at steps * dt, dump at every step")
-    for name in ("sde", "rwa", "microbath"):
-        parsers[name].add_argument("--dt", type=float, default=None,
-                                   help="time step (0 selects the default)")
-        parsers[name].add_argument("--dump-traj", dest="dump_traj", type=str,
-                                   default=None, help="write sample trajectories to CSV")
-        parsers[name].add_argument("--dump-count", dest="dump_count", type=int,
-                                   default=1, help="trajectories to dump")
-    parsers["microbath"].add_argument("--modes", type=int, default=None,
-                                      help="bath modes in the discretization")
-    parsers["microbath"].add_argument("--realizations", type=int, default=None,
-                                      help="noise/GLE realizations")
-    parsers["microbath"].add_argument("--cutoff", type=float, default=None,
-                                      help="bath cutoff frequency")
+        p.add_argument("--config", help="flat key=value file; flags override it")
+        for f in _flags(name):
+            p.add_argument("--" + f.name.replace("_", "-"), help=f.metadata["help"])
+        if name in _SAMPLED:
+            p.add_argument("--dump-traj", help="write sample trajectories to CSV: sde and "
+                           "rwa at most their first 1000 steps, microbath every step")
+            p.add_argument("--dump-count", type=int, default=1, help="trajectories to dump")
     return parser
 
 
@@ -278,8 +259,8 @@ def config_from_args(args) -> RunConfig:
     if getattr(args, "dump_count", 1) < 1:
         raise _CliError("dump-count must be >= 1")
     raw = io.parse_config_text(Path(args.config).read_text()) if args.config else {}
-    fields = {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
-    raw.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
+    raw.update((f.name, getattr(args, f.name)) for f in _flags(args.command)
+               if getattr(args, f.name) is not None)
     return RunConfig.from_params(args.command, raw)
 
 
@@ -420,10 +401,14 @@ def _write_trajectories(path, names, times, series):
                 fh.write(io.format_rows(np.column_stack(slab), prefix=f"{j},"))
 
 
+# command -> its table; the sampled commands also take (dump_traj, dump_count)
 RUNNERS = {
     "dist": run_dist,
     "corr": run_corr,
     "energy": run_energy,
+    "sde": run_linear_sde,
+    "rwa": run_linear_sde,
+    "microbath": run_microbath,
 }
 
 
@@ -434,12 +419,11 @@ def run_scan(cfg: RunConfig):
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, command in (("dist", "dist"), ("energy", "energy"), ("corr", "corr")):
-        sub = dataclasses.replace(cfg, command=command, out="", grid="")
-        if command == "corr":
-            sub = dataclasses.replace(sub, gamma=1e-4 * cfg.omega0)
+    for command in ("dist", "energy", "corr"):
+        sub = dataclasses.replace(cfg, command=command, out="", grid="",
+                                  gamma=1e-4 * cfg.omega0 if command == "corr" else cfg.gamma)
         columns, units, blocks, block = RUNNERS[command](sub)
-        path = out_dir / f"{name}.{cfg.format}"
+        path = out_dir / f"{command}.{cfg.format}"
         with open(path, "w") as fh:
             io.write_table(fh, command, sub.to_params(), columns, units, blocks,
                            fmt=cfg.format, block_column=block)
@@ -448,18 +432,9 @@ def run_scan(cfg: RunConfig):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         cfg = config_from_args(args)
-    except QlesimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    try:
         with warnings.catch_warnings():
             # a library warning prints as one line, in the style of the error lines
             warnings.showwarning = lambda message, *_: print(f"warning: {message}",
@@ -468,11 +443,8 @@ def main(argv=None) -> int:
                 for path in run_scan(cfg):
                     print(path)
                 return EXIT_OK
-            if cfg.command in RUNNERS:
-                columns, units, blocks, block = RUNNERS[cfg.command](cfg)
-            else:
-                run = run_microbath if cfg.command == "microbath" else run_linear_sde
-                columns, units, blocks, block = run(cfg, args.dump_traj, args.dump_count)
+            dump = (args.dump_traj, args.dump_count) if cfg.command in _SAMPLED else ()
+            columns, units, blocks, block = RUNNERS[cfg.command](cfg, *dump)
         with open(cfg.out, "w") if cfg.out else contextlib.nullcontext(sys.stdout) as fh:
             io.write_table(fh, cfg.command, cfg.to_params(), columns, units,
                            blocks, fmt=cfg.format, block_column=block)

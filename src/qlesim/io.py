@@ -36,16 +36,11 @@ def format_number(value) -> str:
     return str(value)
 
 
-def format_rows(rows, prefix: str = "") -> str:
+def format_rows(rows, prefix: str = "", key_idx=None, key_text: str = "") -> str:
     """One line per row: ``prefix``, then the cells as :func:`format_number`
-    renders them, comma-joined.  A 2-D float64 array takes one %-format over all
-    its cells; any other rows go cell by cell."""
-    return _format_block(rows, prefix)
-
-
-def _format_block(rows, prefix="", key_idx=None, key_text=""):
-    """:func:`format_rows`, with ``key_text`` put in as cell ``key_idx`` of every row;
-    a float64 array has it in its %-format template."""
+    renders them, comma-joined, with ``key_text`` put in as cell ``key_idx`` of
+    every row.  A 2-D float64 array takes one %-format over all its cells, with
+    the key in its template; any other rows go cell by cell."""
     if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
         cells = ["%" + DATA_FORMAT] * rows.shape[1]
         if key_idx is not None:
@@ -111,7 +106,7 @@ def _write_csv(stream, command, params, columns, units, blocks, key_idx):
         if key_idx is not None and text != last:
             stream.write(f"# block: {columns[key_idx]}={text}\n")
         last = text
-        stream.write(_format_block(rows, "", key_idx, text))
+        stream.write(format_rows(rows, "", key_idx, text))
 
 
 def _json_cell(value):  # by hand, so that numeric literals match the CSV cells

@@ -281,6 +281,70 @@ SMALL_RUNS = {
 }
 
 
+# the flags that only some commands take, with those commands; a command takes every
+# other RunConfig key as a flag, and a config file takes every key for every command
+SCOPED_FLAGS = {
+    "gammas": ("dist", "energy", "scan"),
+    "cutoff": ("microbath",),
+    "modes": ("microbath",),
+    "realizations": ("microbath",),
+    "traj": ("sde", "rwa"),
+    "steps": ("sde", "rwa", "microbath"),
+    "dt": ("sde", "rwa", "microbath"),
+    "dump-traj": ("sde", "rwa", "microbath"),
+    "dump-count": ("sde", "rwa", "microbath"),
+}
+# every RunConfig key: a value off its default, and a malformed one (out takes any text)
+KEY_VALUES = {
+    "gamma": ("0.25", "fast"), "omega0": ("1.5", "1,5"), "temp": ("2", "hot"),
+    "hbar": ("0.5", "0x1"), "kb": ("2", "k"), "mass": ("3", "3kg"),
+    "omega_max": ("500", "5e2.0"), "grid": ("0:4:5", "0:4"), "gammas": ("0.5,0.25", "0.5;0.25"),
+    "cutoff": ("4", "four"), "modes": ("30", "30.0"), "realizations": ("70", "7e1"),
+    "traj": ("70", "1.5"), "steps": ("12", "1.5"), "dt": ("0.01", "1/100"),
+    "seed": ("7", "seven"), "format": ("json", "xml"), "out": ("table.csv", None),
+}
+
+
+def keys_taken(command):
+    """The RunConfig keys that ``command`` takes as flags, and the flag of each."""
+    return [(key, "--" + key.replace("_", "-")) for key in KEY_VALUES
+            if command in SCOPED_FLAGS.get(key.replace("_", "-"), cli.COMMANDS)]
+
+
+def test_key_values_cover_every_key():
+    assert list(KEY_VALUES) == list(cli.RunConfig(command="dist").to_params())
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_flag_and_config_line_give_one_config(command, tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    for key, flag in keys_taken(command):
+        value = KEY_VALUES[key][0]
+        from_flag = cli.config_from_args(cli.build_parser().parse_args([command, flag, value]))
+        cfg_file.write_text(f"{key}={value}\n")
+        from_line = cli.config_from_args(
+            cli.build_parser().parse_args([command, "--config", str(cfg_file)]))
+        assert from_flag == from_line != cli.RunConfig(command=command).validate(), key
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_malformed_flag_and_config_line_give_one_error(command, tmp_path, capsys):
+    # a flag's value was typed by argparse: steps=1.5 in a config file printed
+    # "error: steps must be an integer, got '1.5'", and --steps 1.5
+    # "error: argument --steps: invalid int value: '1.5'"
+    cfg_file = tmp_path / "run.cfg"
+    for key, flag in keys_taken(command):
+        value = KEY_VALUES[key][1]
+        if value is None:
+            continue
+        from_flag = run_cli([command, flag, value], capsys)
+        cfg_file.write_text(f"{key}={value}\n")
+        assert run_cli([command, "--config", str(cfg_file)], capsys) == from_flag, key
+        code, out, err = from_flag
+        assert (code, out) == (1, ""), key
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, key
+
+
 @pytest.mark.parametrize("command", cli.COMMANDS)
 def test_stderr_is_clean(command, tmp_path, capsys):
     extra = ["--out", str(tmp_path / "scan")] if command == "scan" else []
@@ -352,6 +416,10 @@ class TestScanAndFiles:
         assert "# seed=5" in out
 
 
+# Known defect 7's second class: a = hbar/(2 kB T) = 5.2e315 overflows
+THERMAL_EDGE = ["--hbar", "7.56e83", "--temp", "7.21e-233", "--omega0", "1.7e9", "--grid", "0:5:3"]
+
+
 class TestExitCodes:
     def test_validation_error_is_one(self, capsys):
         code, _, err = run_cli(["dist", "--gammas", "-1"], capsys)
@@ -390,11 +458,39 @@ class TestExitCodes:
         assert err.startswith("error: " + flag[0][2:])
         assert len(err.splitlines()) == 1
 
-    def test_microbath_has_no_traj_flag(self, capsys):
-        code, _, err = run_cli(["microbath", "--traj", "5"], capsys)
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for flag, takers in SCOPED_FLAGS.items()
+        for command in cli.COMMANDS if command not in takers])
+    def test_flag_of_another_command_is_one_line_error(self, command, flag, capsys):
+        code, _, err = run_cli([command, f"--{flag}", "5"], capsys)
         assert code == 1
-        assert err.startswith("error: ")
+        assert err.startswith(f"error: unrecognized arguments: --{flag}")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("args,message", (
+        # k_B T underflows to 0: a ZeroDivisionError traceback in every command
+        *(pytest.param([command, *SMALL_RUNS[command], "--temp", "1e-200", "--kb", "1e-200"],
+                       "kb*temp is not a positive normal float", id=f"{command}-kT")
+          for command in cli.COMMANDS),
+        # a = hbar/(2 k_B T) overflows, so pi/a is 0: the FDT octaves ended in
+        # "ValueError: math domain error"
+        *(pytest.param([command, *SMALL_RUNS[command], *THERMAL_EDGE],
+                       "pi*kb*temp/(2*hbar*omega0), the FDT quadrature's lowest edge over "
+                       "omega0, is not a normal float", id=f"{command}-pi-over-a")
+          for command in ("corr", "energy", "microbath", "scan")),
+    ))
+    def test_thermal_scale_past_the_floats_is_one(self, args, message, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ("dist", "sde", "rwa"))
+    def test_thermal_edge_without_quadrature_runs(self, command, capsys):
+        # these commands integrate nothing down to pi/a, and print finite tables
+        code, out, err = run_cli([command, *SMALL_RUNS[command], *THERMAL_EDGE], capsys)
+        assert (code, err) == (0, "")
+        lines = [line for line in out.splitlines() if not line.startswith("#")][1:]
+        cells = np.array([[float(c) for c in line.split(",")[1:]] for line in lines])
+        assert cells.size and np.all(np.isfinite(cells))
 
     def test_malformed_config_line_is_one_line_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
