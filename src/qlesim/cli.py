@@ -176,7 +176,7 @@ class RunConfig:
         for key, value in raw.items():
             if key not in fields:
                 raise _CliError(f"unknown config key {key!r}")
-            kwargs[key] = _parse_field(fields[key], value)
+            kwargs[key] = _parse_field(key, fields[key].default, value)
         return cls(command=command, **kwargs).validate()
 
     def system(self) -> SystemSpec:
@@ -201,15 +201,15 @@ def _square_is_normal(x: float) -> bool:
 _KINDS = {int: "an integer", float: "a number", tuple: "a comma list of numbers"}
 
 
-def _parse_field(field, text: str):
-    """A flag's or config line's text, typed as the field's default is."""
-    kind, text = type(field.default), text.strip()
+def _parse_field(name: str, default, text: str):
+    """A flag's or config line's text, typed as the key's default is."""
+    kind, text = type(default), text.strip()
     try:
         if kind is tuple:
             return tuple(float(part) for part in text.split(",") if part)
         return kind(text)
     except ValueError as exc:
-        raise _CliError(f"{field.name} must be {_KINDS[kind]}, got {text!r}") from exc
+        raise _CliError(f"{name} must be {_KINDS[kind]}, got {text!r}") from exc
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -251,12 +251,13 @@ def build_parser() -> _Parser:
         if name in _SAMPLED:
             p.add_argument("--dump-traj", help="write sample trajectories to CSV: sde and "
                            "rwa at most their first 1000 steps, microbath every step")
-            p.add_argument("--dump-count", type=int, default=1, help="trajectories to dump")
+            p.add_argument("--dump-count", default="1", help="trajectories to dump")
     return parser
 
 
 def config_from_args(args) -> RunConfig:
-    if getattr(args, "dump_count", 1) < 1:
+    args.dump_count = _parse_field("dump-count", 1, getattr(args, "dump_count", "1"))
+    if args.dump_count < 1:
         raise _CliError("dump-count must be >= 1")
     raw = io.parse_config_text(Path(args.config).read_text()) if args.config else {}
     raw.update((f.name, getattr(args, f.name)) for f in _flags(args.command)

@@ -145,8 +145,8 @@ def simulate_sde(params: MarkovParams, dt: float, n_steps: int, n_traj: int,
     """
     return run_ensemble(
         *_linear_system(params), dt, n_steps, n_traj, seed,
-        {"x2": lambda prev, s: s[:, 0] ** 2, "v2": lambda prev, s: s[:, 1] ** 2},
-        chunk_size)
+        {"x2": lambda prev, s, out: np.square(s[:, 0], out=out),
+         "v2": lambda prev, s, out: np.square(s[:, 1], out=out)}, chunk_size)
 
 
 def sample_trajectories(params: MarkovParams, dt: float, n_steps: int, n_traj: int, seed: int):

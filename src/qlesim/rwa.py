@@ -81,7 +81,7 @@ def ehrenfest_residual_exact(params: MarkovParams, dt: float) -> float:
     drift, diffusion = drift_matrix(params), _diffusion_matrix(params)
     prop, q_dt = exact_discretization(drift, diffusion, dt)
     c = (prop - np.eye(2))[0] / dt - np.array([0.0, 1.0 / params.system.mass])
-    return float(c @ stationary_covariance(drift, diffusion) @ c + q_dt[0, 0] / dt**2)
+    return float(c @ stationary_covariance(drift, diffusion) @ c + q_dt[0, 0] / (dt * dt))
 
 
 def simulate_rwa(params: MarkovParams, dt: float, n_steps: int, n_traj: int,
@@ -104,12 +104,16 @@ def simulate_rwa(params: MarkovParams, dt: float, n_steps: int, n_traj: int,
     if params.gamma > _WEAK_COUPLING_RATIO * params.system.omega0:
         warnings.warn("gamma exceeds omega0/10; RWA dynamics is physically dubious here",
                       stacklevel=2)
-    m = params.system.mass
+
+    def ehrenfest(prev, s, out):  # ((x_{k+1} - x_k)/dt - p_k/m)^2, one temporary
+        np.divide(np.subtract(s[:, 0], prev[:, 0], out=out), dt, out=out)
+        np.square(np.subtract(out, prev[:, 1] / params.system.mass, out=out), out=out)
+
     observables = {
-        "x2": lambda prev, s: s[:, 0] ** 2,
-        "p2": lambda prev, s: s[:, 1] ** 2,
-        "xp": lambda prev, s: s[:, 0] * s[:, 1],
-        "ehrenfest": lambda prev, s: ((s[:, 0] - prev[:, 0]) / dt - prev[:, 1] / m) ** 2,
+        "x2": lambda prev, s, out: np.square(s[:, 0], out=out),
+        "p2": lambda prev, s, out: np.square(s[:, 1], out=out),
+        "xp": lambda prev, s, out: np.multiply(s[:, 0], s[:, 1], out=out),
+        "ehrenfest": ehrenfest,
     }
     return run_ensemble(drift_matrix(params), _diffusion_matrix(params), dt, n_steps, n_traj,
                         seed, observables, chunk_size)

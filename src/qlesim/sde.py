@@ -24,7 +24,8 @@ chunk's streams and returning per-member values by name, which the driver
 checks finite and accumulates in member order, so results do not depend on
 the worker count.  SDE trajectories start from N(0, Sigma), drawn first; a
 group steps in one (slab steps + 1, members, dim) buffer, one 64-step slab of
-draws at a time; observables sum in step order.
+draws at a time; each observable writes its slab into rows 1 on of one block
+seeded in row 0 with its running sum, so it sums in step order.
 """
 
 from __future__ import annotations
@@ -188,13 +189,14 @@ def _propagate(prop, states):
     """Turn the kicks in states[1:] into states, in step order from states[0]."""
     prop_t = np.ascontiguousarray(prop.T)
     for t in range(1, len(states)):
-        states[t] += states[t - 1] @ prop_t
+        states[t] += states[t - 1].dot(prop_t)  # the dgemm of @, without its dispatch
 
 
 def _chunk_sums(prop, factor, start, n_steps, observables, streams):
     """Per-trajectory time averages of the observables over ``n_steps`` steps
-    from a start drawn with factor ``start``; the one buffer dies here."""
+    from a start drawn with factor ``start``; the two buffers die here."""
     buf = np.zeros((min(_SLAB_STEPS, n_steps) + 1, _BLOCK * len(streams), len(prop)))
+    block = np.empty(buf.shape[:2])
     sums = {name: np.zeros(buf.shape[1]) for name in observables}
     _draw(streams, start, buf[-1:])  # first in each stream; row 0 of the first slab
     for first in range(0, n_steps, _SLAB_STEPS):
@@ -205,17 +207,19 @@ def _chunk_sums(prop, factor, start, n_steps, observables, streams):
         _propagate(prop, states)
         prev, cur = (states[i:len(states) - 1 + i].reshape(-1, len(prop)) for i in (0, 1))
         for name, f in observables.items():
-            # a reduction seeded with the running sum adds in step order
-            sums[name] = np.vstack([sums[name], f(prev, cur).reshape(len(states) - 1, -1)]).sum(0)
+            # a reduction seeded with the running sum in row 0 adds in step order
+            block[0] = sums[name]
+            f(prev, cur, block[1:len(states)].reshape(-1))
+            block[:len(states)].sum(0, out=sums[name])
     return {name: total / n_steps for name, total in sums.items()}
 
 
 def run_ensemble(drift, diffusion, dt, n_steps, n_traj, seed, observables, chunk_size):
     """Ensemble of the linear SDE under its exact step: the {name:
-    MomentEstimate} dict of ``observables[name](prev, state)`` on (rows, dim)
-    slabs, each trajectory started from N(0, Sigma) and time-averaged over
-    its ``n_steps`` steps.  Raises :class:`UnstableIntegrationError` when a
-    time average is non-finite (overflowing noise).
+    MomentEstimate} dict of each trajectory's ``n_steps``-step time average,
+    from N(0, Sigma), of ``observables[name](prev, state, out)``, which writes
+    its values on (rows, dim) slabs into ``out`` (rows,).  Raises
+    :class:`UnstableIntegrationError` when a time average is non-finite.
     """
     prop, factor, start = _stepper(drift, diffusion, dt, n_steps, n_traj)
     # a worker steps its streams through the whole chunk, drawing serially: one

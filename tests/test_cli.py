@@ -492,6 +492,17 @@ class TestExitCodes:
         cells = np.array([[float(c) for c in line.split(",")[1:]] for line in lines])
         assert cells.size and np.all(np.isfinite(cells))
 
+    def test_rwa_at_tiny_gamma_runs(self, capsys):
+        # the default dt = 1/gamma = 1e160: dt**2 in the Ehrenfest reference
+        # ended in an OverflowError traceback; that reference is now <p^2>/m^2
+        code, out, err = run_cli(["rwa", "--gamma", "1e-160", "--traj", "64", "--steps", "2"],
+                                 capsys)
+        assert (code, err) == (0, "")
+        lines = [line.split(",") for line in out.splitlines() if not line.startswith("#")][1:]
+        cells = {name: np.array([float(c) for c in rest]) for name, *rest in lines}
+        assert len(cells) == 4 and all(np.all(np.isfinite(row)) for row in cells.values())
+        assert cells["ehrenfest_residual"][-1] == pytest.approx(cells["x2"][-1], rel=1e-12)
+
     def test_malformed_config_line_is_one_line_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("oops\n")
@@ -515,6 +526,12 @@ class TestExitCodes:
         assert code == 1
         assert err == "error: dump-count must be >= 1\n"
         assert not dump.exists()
+
+    @pytest.mark.parametrize("command", ("sde", "rwa", "microbath"))
+    def test_malformed_dump_count_is_one_line_error(self, command, capsys):
+        # argparse typed it: "error: argument --dump-count: invalid int value: 'x'"
+        code, out, err = run_cli([command, "--dump-count", "x"], capsys)
+        assert (code, out, err) == (1, "", "error: dump-count must be an integer, got 'x'\n")
 
     def test_microbath_coarse_dt_checked_only_for_dump(self, tmp_path, capsys,
                                                        monkeypatch):

@@ -122,6 +122,15 @@ class TestSimulate:
         assert rwa.ehrenfest_residual_exact(params, dt) == pytest.approx(
             intensity_x / (2.0 * dt), rel=1e-3)
 
+    def test_ehrenfest_exact_where_dt_squared_overflows(self):
+        # dt = 1/gamma = 1e160: dt**2 raised OverflowError.  dt * dt is inf, so
+        # the noise term Q_dt[0, 0]/dt^2, whose true value lies below the
+        # floats, reads 0, and c -> (0, -1/m) leaves <p^2>/m^2
+        params = MarkovParams(SystemSpec(), 1e-160)
+        _, p2 = rwa.rwa_stationary_analytic(params)
+        got = rwa.ehrenfest_residual_exact(params, 1e160)
+        assert got == pytest.approx(p2 / params.system.mass ** 2, rel=1e-12)
+
     def test_ehrenfest_matches_exact_at_unit_step(self):
         # at dt = 1 the small-step value I_x/(2 dt) = 0.216 is 2.5x too low
         params = MarkovParams(SystemSpec(), 0.1)

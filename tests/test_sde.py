@@ -197,13 +197,31 @@ def test_chunk_memory_one_buffer_at_worker_count(monkeypatch, workers):
     assert max(peaks) < 8e6, peaks
 
 
+def test_slab_loop_allocates_no_slab_array(monkeypatch):
+    # one 2,048-member chunk on one worker holds the (64 + 1, 2048, 2) state
+    # buffer, 2.13 MB, and the (64 + 1, 2048) reduction block, 1.06 MB: 3.33 MB
+    # peak.  Each slab's values arrays and their vstack copy peaked at 4.31 MB.
+    # A small run first, so that one-time allocations are not counted
+    monkeypatch.setattr(sde, "_WORKERS", 1)
+    params = mk.MarkovParams(SystemSpec(), 0.1)
+    mk.simulate_sde(params, dt=10.0, n_steps=2, n_traj=64, seed=1)
+    tracemalloc.start()
+    try:
+        mk.simulate_sde(params, dt=10.0, n_steps=1000, n_traj=2048, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.8e6, peak
+
+
 def test_divergence_guard():
     # the exact step cannot diverge, but noise past the floats makes the
     # states non-finite: Sigma[1, 1] = 1e308 / 0.2 overflows
     drift = np.array([[0.0, 1.0], [-1.0, -0.1]])
     with np.errstate(all="ignore"), pytest.raises(UnstableIntegrationError, match="diverged"):
         sde.run_ensemble(drift, np.diag([0.0, 1e308]), 1.0, n_steps=10, n_traj=4, seed=0,
-                         observables={"x2": lambda prev, s: s[:, 0] ** 2}, chunk_size=4)
+                         observables={"x2": lambda prev, s, out: np.square(s[:, 0], out=out)},
+                         chunk_size=4)
 
 
 def test_run_ensemble_rejects_stray_keyword():
@@ -211,7 +229,7 @@ def test_run_ensemble_rejects_stray_keyword():
     with pytest.raises(TypeError, match="burn_in"):
         sde.run_ensemble(np.array([[0.0, 1.0], [-1.0, -0.1]]), np.diag([0.0, 0.2]), 0.5,
                          n_steps=10, n_traj=4, seed=0,
-                         observables={"x2": lambda prev, s: s[:, 0] ** 2},
+                         observables={"x2": lambda prev, s, out: np.square(s[:, 0], out=out)},
                          chunk_size=4, burn_in=1.0)
 
 
