@@ -130,9 +130,6 @@ class RunConfig:
                 a and _is_normal(math.pi / a / 4.0 / w0)):
             raise _CliError("pi*kb*temp/(2*hbar*omega0), the FDT quadrature's lowest edge "
                             "over omega0, is not a normal float")
-        for key in ("modes", "realizations", "traj"):
-            if getattr(self, key) < 1:
-                raise _CliError(f"{key} must be >= 1")
         if self.steps < 0:
             raise _CliError("steps must be nonnegative (0 selects the default)")
         if not 0 <= self.dt < math.inf:
@@ -162,6 +159,10 @@ class RunConfig:
             if not phase <= MAX_PHASE:
                 raise _CliError(f"cutoff * max(steps * dt, 25/omega0) = {phase:.3g} exceeds "
                                 f"{MAX_PHASE:.0e}: mode phases that large are not resolved")
+        # an ensemble's standard error takes two members
+        for key, least in (("modes", 1), ("realizations", 2), ("traj", 2)):
+            if getattr(self, key) < least:
+                raise _CliError(f"{key} must be >= {least}")
         return self
 
     def to_params(self) -> dict:

@@ -42,7 +42,8 @@ class MomentAccumulator:
         n = self.n + other.n
         delta = other.mean - self.mean
         self.mean += delta * other.n / n
-        self.m2 += other.m2 + delta**2 * self.n * other.n / n
+        # numpy's pow: the bits of float's, but inf, not OverflowError, past the floats
+        self.m2 += other.m2 + float(np.float64(delta) ** 2) * self.n * other.n / n
         self.n = n
 
     @property

@@ -357,7 +357,7 @@ def ensemble_stats(modes: ModeSet, system: SystemSpec, grid: TrajectoryGrid, tau
     rows = np.vstack((final_rows, _noise_rows(modes, system, times)))
     factor = np.linalg.qr(rows.T, mode="r").T
 
-    def work(streams):
+    def work(streams, spare):  # one draw of all its values: no span to draw ahead
         y = np.empty((len(rows), _BLOCK * len(streams)))
         _draw(streams, factor, y)
         (x, v), f = mean[:, None] + y[:2], y[2:]

@@ -24,8 +24,11 @@ chunk's streams and returning per-member values by name, which the driver
 checks finite and accumulates in member order, so results do not depend on
 the worker count.  SDE trajectories start from N(0, Sigma), drawn first; a
 group steps in one (slab steps + 1, members, dim) buffer, one 64-step slab of
-draws at a time; each observable writes its slab into rows 1 on of one block
-seeded in row 0 with its running sum, so it sums in step order.
+draws at a time, or, when its chunk leaves a worker idle, in two (span + 1)
+-row buffers, that worker drawing the next 256-step span into one while the
+group steps the other: the same normals in the same order.  Each observable
+writes a slab into rows 1 on of one block seeded in row 0 with its running
+sum, so it sums in step order.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ from .errors import DomainError, UnstableIntegrationError
 __all__ = ["stationary_covariance", "propagator_coefficients", "exact_discretization",
            "noise_factor", "run_ensemble", "sample_paths"]
 
-# trajectories per stream; steps per draw and observable slab; fewest blocks per SDE worker
-_BLOCK, _SLAB_STEPS, _GROUP_BLOCKS = 64, 64, 8
+# trajectories per stream; steps per observable slab (and draw, with no worker to spare);
+# fewest blocks per SDE worker; slabs per span of kicks drawn ahead by a spare worker
+_BLOCK, _SLAB_STEPS, _GROUP_BLOCKS, _SPAN_SLABS = 64, 64, 8, 4
 # ensemble workers: the usable CPUs
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -146,23 +150,30 @@ def _chunks(seed, n, chunk_size):
 
 def _accumulate(seed, n, chunk_size, work, least):
     """Moment estimates, by name, of the per-member values that
-    ``work(streams)`` returns for members 0..n-1 of :func:`_chunks`: each
-    chunk's streams go in up to one contiguous group of at least ``least`` per
-    worker, the first here and the rest on one pool.  Raises
-    :class:`UnstableIntegrationError` on a non-finite value, padding aside.
+    ``work(streams, spare)`` returns for members 0..n-1 of :func:`_chunks`:
+    each chunk's streams go in up to one contiguous group of at least
+    ``least`` per worker, the first here and the rest on one pool, and
+    ``spare`` is that pool for the first group when the chunk leaves a worker
+    idle, else None.  Raises :class:`UnstableIntegrationError` on a
+    non-finite value, padding aside, or standard error.
     """
     accs = {}
     with ThreadPoolExecutor(max(_WORKERS - 1, 1)) as pool:
         for streams, count in _chunks(seed, n, chunk_size):
             groups = np.array_split(streams, max(min(_WORKERS, len(streams) // least), 1))
-            futures = [pool.submit(work, group) for group in groups[1:]]
-            parts = [work(groups[0])] + [future.result() for future in futures]  # re-raises
+            futures = [pool.submit(work, group, None) for group in groups[1:]]
+            parts = ([work(groups[0], pool if len(groups) < _WORKERS else None)]
+                     + [future.result() for future in futures])  # re-raises
             accs = accs or {name: MomentAccumulator() for name in parts[0]}
             for name, acc in accs.items():
                 values = np.concatenate([part[name] for part in parts])[:count]
                 if not np.all(np.isfinite(values)):
                     raise UnstableIntegrationError("ensemble members diverged to non-finite values")
-                acc.update_batch(values)
+                with np.errstate(over="ignore"):  # an overflow leaves m2 inf, raised below
+                    acc.update_batch(values)
+    if not all(math.isfinite(acc.m2) for acc in accs.values()):
+        raise UnstableIntegrationError("the ensemble variance overflows the floats, "
+                                       "so the standard error is not finite")
     return {name: acc.estimate() for name, acc in accs.items()}
 
 
@@ -192,25 +203,34 @@ def _propagate(prop, states):
         states[t] += states[t - 1].dot(prop_t)  # the dgemm of @, without its dispatch
 
 
-def _chunk_sums(prop, factor, start, n_steps, observables, streams):
+def _chunk_sums(prop, factor, start, n_steps, observables, streams, spare):
     """Per-trajectory time averages of the observables over ``n_steps`` steps
-    from a start drawn with factor ``start``; the two buffers die here."""
-    buf = np.zeros((min(_SLAB_STEPS, n_steps) + 1, _BLOCK * len(streams), len(prop)))
-    block = np.empty(buf.shape[:2])
-    sums = {name: np.zeros(buf.shape[1]) for name in observables}
-    _draw(streams, start, buf[-1:])  # first in each stream; row 0 of the first slab
-    for first in range(0, n_steps, _SLAB_STEPS):
-        # states[r] is the state after first + r steps; row 0 ends the previous slab
-        states = buf[:min(_SLAB_STEPS, n_steps - first) + 1]
-        states[0] = buf[-1]
-        _draw(streams, factor, states[1:])
-        _propagate(prop, states)
-        prev, cur = (states[i:len(states) - 1 + i].reshape(-1, len(prop)) for i in (0, 1))
-        for name, f in observables.items():
-            # a reduction seeded with the running sum in row 0 adds in step order
-            block[0] = sums[name]
-            f(prev, cur, block[1:len(states)].reshape(-1))
-            block[:len(states)].sum(0, out=sums[name])
+    from a start drawn with factor ``start``; the buffers die here.  Kicks come
+    one 64-step slab at a time into one buffer, or with a ``spare`` pool one
+    span at a time, its thread drawing the next into a second buffer."""
+    span = _SLAB_STEPS * (_SPAN_SLABS if spare else 1)
+    bufs = np.zeros((2 if spare else 1, min(span, n_steps) + 1, _BLOCK * len(streams), len(prop)))
+    block = np.empty((min(_SLAB_STEPS, n_steps) + 1, bufs.shape[2]))
+    sums = {name: np.zeros(bufs.shape[2]) for name in observables}
+    # span k, in buffer k % 2: states[r] is the state after k * span + r steps
+    spans = lambda k: bufs[k % len(bufs), :min(span, n_steps - k * span) + 1]
+    _draw(streams, start, bufs[-1, -1:])  # first in each stream; row 0 of the first span
+    pending = None
+    for k in range(-(-n_steps // span)):
+        # row 0, the end of the previous span, is no row that a pending fill writes
+        states = spans(k)
+        states[0] = bufs[k % len(bufs) - 1, -1]
+        pending.result() if pending else _draw(streams, factor, states[1:])  # re-raises
+        ahead = spare and (k + 1) * span < n_steps
+        pending = spare.submit(_draw, streams, factor, spans(k + 1)[1:]) if ahead else None
+        for rows in (states[a:a + _SLAB_STEPS + 1] for a in range(0, len(states) - 1, _SLAB_STEPS)):
+            _propagate(prop, rows)
+            prev, cur = (rows[i:len(rows) - 1 + i].reshape(-1, len(prop)) for i in (0, 1))
+            for name, f in observables.items():
+                # a reduction seeded with the running sum in row 0 adds in step order
+                block[0] = sums[name]
+                f(prev, cur, block[1:len(rows)].reshape(-1))
+                block[:len(rows)].sum(0, out=sums[name])
     return {name: total / n_steps for name, total in sums.items()}
 
 
@@ -222,10 +242,11 @@ def run_ensemble(drift, diffusion, dt, n_steps, n_traj, seed, observables, chunk
     :class:`UnstableIntegrationError` when a time average is non-finite.
     """
     prop, factor, start = _stepper(drift, diffusion, dt, n_steps, n_traj)
-    # a worker steps its streams through the whole chunk, drawing serially: one
-    # hand-off per chunk, where one per slab of draws stalled on a busy host
-    return _accumulate(seed, n_traj, chunk_size, lambda streams: _chunk_sums(
-        prop, factor, start, n_steps, observables, streams), _GROUP_BLOCKS)
+    # a worker steps its streams through the whole chunk: one hand-off per
+    # chunk, and per 256-step span only to a worker that would idle; one per
+    # 64-step slab of draws stalled on a busy host
+    return _accumulate(seed, n_traj, chunk_size, lambda streams, spare: _chunk_sums(
+        prop, factor, start, n_steps, observables, streams, spare), _GROUP_BLOCKS)
 
 
 def sample_paths(drift, diffusion, dt, n_steps, n_traj, seed):

@@ -683,6 +683,25 @@ class TestExitCodes:
         assert err.startswith("error: the default steps 20/(gamma*dt)")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("traj,kb", (("64", "7.53e133"), ("4096", "7.53e137")))
+    def test_variance_past_the_floats_is_two(self, traj, kb, capsys):
+        # Ehrenfest residuals of about 6e155 square past the floats: the
+        # std_error printed inf with exit 0 and a warning line, and with a
+        # second chunk the merge's float power ended in an OverflowError
+        code, out, err = run_cli(["rwa", "--traj", traj, "--steps", "4", "--kb", kb,
+                                  "--temp", "2.45e11", "--hbar", "2.83e-10", "--dt", "6.04e-12"],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("numeric failure: the ensemble variance overflows")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command,key", (("sde", "traj"), ("rwa", "traj"),
+                                             ("microbath", "realizations")))
+    def test_one_member_ensemble_is_one(self, command, key, capsys):
+        # one member has no standard error: it printed nan with exit 0
+        code, out, err = run_cli([command, f"--{key}", "1"], capsys)
+        assert (code, out, err) == (1, "", f"error: {key} must be >= 2\n")
+
     def test_bad_grid_is_one(self, capsys):
         code, _, _ = run_cli(["dist", "--grid", "oops"], capsys)
         assert code == 1

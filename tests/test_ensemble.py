@@ -70,3 +70,12 @@ def test_empty_and_single_sample():
     acc.update_batch([1.5])
     assert acc.mean == 1.5
     assert np.isnan(acc.std_error)
+
+
+def test_merge_past_the_floats_is_inf():
+    # means 2e160 apart: the float power of the merge raised OverflowError
+    acc = MomentAccumulator()
+    with np.errstate(over="ignore"):
+        acc.update_batch([1e160, 1e160])
+        acc.update_batch([-1e160, -1e160])
+    assert acc.m2 == np.inf

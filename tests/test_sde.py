@@ -99,14 +99,33 @@ def test_worker_count_does_not_change_results(monkeypatch):
     # trajectories are 25 blocks, a ragged 9-8-8 split over 3 or 8 workers,
     # and chunk_size 1000 makes chunks of 16 (two groups) and 9 blocks (one);
     # 300 trajectories (5 blocks, with chunk_size 200 a one-block chunk) step
-    # in one group.  The finite bath draws 300 realizations of 2 x 40 mode
-    # normals in 5 blocks, a ragged 2-2-1 split over 3 workers and fewer
-    # blocks than 8 workers, in one chunk or in chunks of 128
+    # in one group, and so, past one worker, with the next 256-step span
+    # drawn ahead on an idle one: 549 steps are two full spans and a ragged
+    # 37-step span, whose last slab is ragged too.  One observable raises in
+    # the second span, while the third is being drawn.  The finite bath draws
+    # 300 realizations of 2 x 40 mode normals in 5 blocks, a ragged 2-2-1
+    # split over 3 workers and fewer blocks than 8 workers, in one chunk or in
+    # chunks of 128
     markov = mk.MarkovParams(SystemSpec(), 0.2)
     pair = mk.MarkovParams(SystemSpec(), 0.05)
     drift, diffusion = mk._linear_system(markov)
     modes = discretize_bath(BathSpec.cutoff_ohmic(gamma=0.5, cutoff=3.0), 40)
     grid = mb.TrajectoryGrid(dt=0.03, n_steps=20)
+
+    def failing():
+        slabs = []
+
+        def x2(prev, s, out):
+            slabs.append(len(s))
+            if len(slabs) == 6:
+                raise ArithmeticError("observable failed mid-run")
+            np.square(s[:, 0], out=out)
+
+        with pytest.raises(ArithmeticError, match="mid-run"):
+            sde.run_ensemble(drift, diffusion, 0.5, 549, 300, seed=4,
+                             observables={"x2": x2}, chunk_size=2048)
+        return slabs
+
     calls = (
         lambda: _moments(mk.simulate_sde(markov, 0.5, 70, 300, seed=4)),
         lambda: _moments(rwa.simulate_rwa(pair, 0.5, 70, 300, seed=4, chunk_size=200)),
@@ -118,6 +137,11 @@ def test_worker_count_does_not_change_results(monkeypatch):
             markov, 0.5, 70, 1600, seed=4))],
         lambda: [v.tobytes() for v in _per_trajectory(monkeypatch, lambda: rwa.simulate_rwa(
             pair, 0.5, 70, 1600, seed=4, chunk_size=1000))],
+        lambda: [v.tobytes() for v in _per_trajectory(monkeypatch, lambda: mk.simulate_sde(
+            markov, 0.5, 549, 300, seed=4))],
+        lambda: [v.tobytes() for v in _per_trajectory(monkeypatch, lambda: rwa.simulate_rwa(
+            pair, 0.5, 549, 300, seed=4))],
+        failing,
         lambda: [a.tobytes() for a in sde.sample_paths(drift, diffusion, 0.5, 70, 300, seed=4)],
         lambda: [a.tobytes() for a in sde.sample_paths(drift, diffusion, 0.5, 2, 300, seed=4)],
         lambda: _moments(mb.ensemble_stats(modes, SystemSpec(), grid, [], 300, seed=4,
@@ -212,6 +236,31 @@ def test_slab_loop_allocates_no_slab_array(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 3.8e6, peak
+
+
+def test_span_memory_flat_in_steps(monkeypatch):
+    # 256 trajectories are one group, so a second worker draws the next span
+    # ahead: two (256 + 1, 256, 2) span buffers, 2.11 MB, and the (64 + 1, 256)
+    # reduction block, 0.13 MB, beside one span's (257, 64, 2) draw tile, 0.26
+    # MB, and the Ehrenfest residual's slab temporary, 0.13 MB: 2.66 MB at
+    # 2,000 and at 20,000 steps alike, where a whole-run draw holds 82 MB.
+    # A small run first, so that one-time allocations are not counted
+    monkeypatch.setattr(sde, "_WORKERS", 2)
+    drawers, draw = set(), sde._draw
+    monkeypatch.setattr(sde, "_draw", lambda *args: (drawers.add(threading.get_ident()),
+                                                     draw(*args)))
+    params = mk.MarkovParams(SystemSpec(), 0.05)
+    rwa.simulate_rwa(params, dt=1.0, n_steps=2, n_traj=64, seed=1)
+    peaks = []
+    for n_steps in (2000, 20_000):
+        tracemalloc.start()
+        try:
+            rwa.simulate_rwa(params, dt=1.0, n_steps=n_steps, n_traj=256, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 2.8e6 and abs(peaks[1] - peaks[0]) < 5e4, peaks
+    assert len(drawers) == 2  # the caller and the pool thread that drew ahead
 
 
 def test_divergence_guard():
