@@ -24,9 +24,9 @@ chunk's streams and returning per-member values by name, which the driver
 checks finite and accumulates in member order, so results do not depend on
 the worker count.  SDE trajectories start from N(0, Sigma), drawn first; a
 group steps in one (slab steps + 1, members, dim) buffer, one 64-step slab of
-draws at a time, or, when its chunk leaves a worker idle, in two (span + 1)
--row buffers, that worker drawing the next 256-step span into one while the
-group steps the other: the same normals in the same order.  Each observable
+draws at a time, or, when its chunk leaves a worker idle, in two buffers of
+256-step spans, that worker drawing the next span into one while the group
+steps the other: the same normals in the same order.  Each observable
 writes a slab into rows 1 on of one block seeded in row 0 with its running
 sum, so it sums in step order.
 """
