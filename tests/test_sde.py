@@ -260,7 +260,7 @@ def test_span_memory_flat_in_steps(monkeypatch):
         finally:
             tracemalloc.stop()
     assert max(peaks) < 2.8e6 and abs(peaks[1] - peaks[0]) < 5e4, peaks
-    assert len(drawers) == 2  # the caller and the pool thread that drew ahead
+    assert drawers > {threading.get_ident()}  # a pool thread drew ahead
 
 
 def test_divergence_guard():
